@@ -37,6 +37,7 @@ from .errors import (
     NotUnitNormal,
     SingularDual,
 )
+from .fields import Jet2
 from .lorentz import DESITTER, FLAT, SplitMetric
 
 GRAM = np.array(
@@ -66,11 +67,29 @@ def qform(u):
 
 
 def det4(a, b, c, d):
-    """Oriented 4-volume of four vectors (rows), vectorized."""
-    m = np.stack([np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-                  np.asarray(c, dtype=float), np.asarray(d, dtype=float)],
-                 axis=-2)
-    return np.linalg.det(m)
+    """Oriented 4-volume of four vectors (rows), vectorized.
+
+    Laplace expansion along the first two rows: each 2x2 minor of (a, b)
+    pairs with the complementary minor of (c, d).  Leading axes
+    broadcast; det4(E11, E12, E21, E22) = +1.
+    """
+    a0, a1, a2, a3 = _components(a)
+    b0, b1, b2, b3 = _components(b)
+    c0, c1, c2, c3 = _components(c)
+    d0, d1, d2, d3 = _components(d)
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
+
+
+def _components(v):
+    v = np.asarray(v, dtype=float)
+    return v[..., 0], v[..., 1], v[..., 2], v[..., 3]
 
 
 def gram_signature():
@@ -165,9 +184,6 @@ class _DeSitterBase(_BasePair):
         out["eta"] = st / d
         out["eta_x"] = st_x / d - st / d ** 2
         out["eta_y"] = st_y / d + st / d ** 2
-        out["eta_xx"] = -2 * st_x / d ** 2 + 2 * st / d ** 3
-        out["eta_xy"] = ct / d + (st_x - st_y) / d ** 2 - 2 * st / d ** 3
-        out["eta_yy"] = 2 * st_y / d ** 2 + 2 * st / d ** 3
         dd = d[..., 0]
         out["M"] = dd ** 2          # 1 / (base bilinear value)
         out["M_x"] = 2 * dd
@@ -194,9 +210,6 @@ class _FlatBase(_BasePair):
             "eta": -sg * rt2 * e11,
             "eta_x": z,
             "eta_y": z,
-            "eta_xx": z,
-            "eta_xy": z,
-            "eta_yy": z,
             "M": np.full(sgn.shape, 2.0),
             "M_x": np.zeros(sgn.shape),
             "M_y": np.zeros(sgn.shape),
@@ -221,6 +234,18 @@ class PairJets:
     eta_t: np.ndarray = None
 
 
+@dataclass
+class NodeJets:
+    """The t-independent half of ``IsotropicSurfaceData.jets`` on fixed nodes.
+
+    ``base`` holds the reference-pair jets and ``u`` the jet of the
+    conformal factor; along the lens path only w = t u changes with t.
+    """
+
+    base: dict
+    u: Jet2
+
+
 class IsotropicSurfaceData:
     """The isotropic/dual pair realizing a compatible metric.
 
@@ -228,6 +253,12 @@ class IsotropicSurfaceData:
     closed form.  ``jets(x, y, t=...)`` evaluates the canonical path
     through e^{2 t u} (reference) together with the path derivatives;
     the boundary surfaces of a lens cobordism are t = 0, 1.
+
+    The evaluation has two steps.  The per-grid step ``node_jets(x, y)``
+    builds the reference-pair jets and the jet of u, which do not depend
+    on t; the per-t step ``assemble(nodes, t)`` forms (sigma, eta) from
+    them with w = t u.  ``jets`` is their composition, so a caller that
+    visits many t on the same nodes runs the per-grid step once.
     """
 
     def __init__(self, metric: SplitMetric):
@@ -236,9 +267,14 @@ class IsotropicSurfaceData:
         self.metric = metric
         self.base = _BASES[metric.reference]
 
-    def jets(self, x, y, t=None, t_is_path=True):
-        b = self.base.jets(x, y)
-        ju = self.metric.u.jet(x, y)
+    def jets(self, x, y, t=None):
+        return self.assemble(self.node_jets(x, y), t)
+
+    def node_jets(self, x, y) -> NodeJets:
+        return NodeJets(self.base.jets(x, y), self.metric.u.jet(x, y))
+
+    def assemble(self, nodes: NodeJets, t=None) -> PairJets:
+        b, ju = nodes.base, nodes.u
         scale = 1.0 if t is None else t
         w = scale * ju.v
         wx, wy = scale * ju.vx, scale * ju.vy
@@ -253,21 +289,22 @@ class IsotropicSurfaceData:
         sigma_x = ew * (col(wx) * b["sigma"] + b["sigma_x"])
         sigma_y = ew * (col(wy) * b["sigma"] + b["sigma_y"])
 
-        h = (b["eta"] - col(M * wy) * b["sigma_x"] - col(M * wx) * b["sigma_y"]
-             - col(M * wx * wy) * b["sigma"])
+        m_wx, m_wy = col(M * wx), col(M * wy)
+        m_wxy = col(M * wx * wy)
+        h = b["eta"] - m_wy * b["sigma_x"] - m_wx * b["sigma_y"] - m_wxy * b["sigma"]
         h_x = (
             b["eta_x"]
-            - col(Mx * wy + M * wxy) * b["sigma_x"] - col(M * wy) * b["sigma_xx"]
-            - col(Mx * wx + M * wxx) * b["sigma_y"] - col(M * wx) * b["sigma_xy"]
+            - col(Mx * wy + M * wxy) * b["sigma_x"] - m_wy * b["sigma_xx"]
+            - col(Mx * wx + M * wxx) * b["sigma_y"] - m_wx * b["sigma_xy"]
             - col(Mx * wx * wy + M * (wxx * wy + wx * wxy)) * b["sigma"]
-            - col(M * wx * wy) * b["sigma_x"]
+            - m_wxy * b["sigma_x"]
         )
         h_y = (
             b["eta_y"]
-            - col(My * wy + M * wyy) * b["sigma_x"] - col(M * wy) * b["sigma_xy"]
-            - col(My * wx + M * wxy) * b["sigma_y"] - col(M * wx) * b["sigma_yy"]
+            - col(My * wy + M * wyy) * b["sigma_x"] - m_wy * b["sigma_xy"]
+            - col(My * wx + M * wxy) * b["sigma_y"] - m_wx * b["sigma_yy"]
             - col(My * wx * wy + M * (wxy * wy + wx * wyy)) * b["sigma"]
-            - col(M * wx * wy) * b["sigma_y"]
+            - m_wxy * b["sigma_y"]
         )
         emw = np.exp(-w)[..., None]
         eta = emw * h
@@ -275,7 +312,7 @@ class IsotropicSurfaceData:
         eta_y = emw * (h_y - col(wy) * h)
 
         out = PairJets(sigma, sigma_x, sigma_y, eta, eta_x, eta_y)
-        if t is not None and t_is_path:
+        if t is not None:
             u, ux, uy = ju.v, ju.vx, ju.vy
             out.sigma_t = col(u) * sigma
             h_t = (
@@ -375,7 +412,11 @@ class EpsteinFrame:
 
 def epstein_lift(data: IsotropicSurfaceData, x, y, t=None) -> EpsteinFrame:
     """The holonomic surface ((sigma - eta)/sqrt2, (sigma + eta)/sqrt2)."""
-    j = data.jets(x, y, t=t)
+    return epstein_frame(data.jets(x, y, t=t))
+
+
+def epstein_frame(j: PairJets) -> EpsteinFrame:
+    """The Epstein frame of already assembled pair jets."""
     f = EpsteinFrame(
         x=RT2INV * (j.sigma - j.eta),
         n=RT2INV * (j.sigma + j.eta),

@@ -1147,7 +1147,10 @@ class QuadratureGrid:
         self.level = int(level)
         xn, xw = _axis_nodes(self.x_segments, self.cells, scheme)
         yn, yw = _axis_nodes(self.y_segments, self.cells, scheme)
-        self.X, self.Y = np.meshgrid(xn, yn, indexing="ij")
+        # read-only broadcast views of the axis nodes: a grid stores one
+        # dense array (W), not three
+        self.X, self.Y = np.meshgrid(xn, yn, indexing="ij", copy=False)
+        self.X.flags.writeable = self.Y.flags.writeable = False
         self.W = np.outer(xw, yw)
         d = self.X - self.Y
         if self.periodic:
@@ -1184,6 +1187,11 @@ class QuadratureGrid:
         )
 
     # -- integration --------------------------------------------------------
+    def off_band_nodes(self):
+        """The (X, Y) node arrays ``integrate`` passes to its density."""
+        out = ~self.band_mask
+        return self.X[out], self.Y[out]
+
     def integrate(self, density, closure=None):
         """Weighted sum of ``density(X, Y)`` off the band.
 
@@ -1193,11 +1201,10 @@ class QuadratureGrid:
         numpy's pairwise summation: deterministic for a fixed grid.
         """
         vals = np.zeros_like(self.W)
-        out = ~self.band_mask
-        v = np.asarray(density(self.X[out], self.Y[out]), dtype=float)
+        v = np.asarray(density(*self.off_band_nodes()), dtype=float)
         if not np.all(np.isfinite(v)):
             raise NonFiniteDensity("density is not finite on quadrature nodes")
-        vals[out] = v
+        vals[~self.band_mask] = v
         if closure is not None and np.any(self.band_mask):
             c = np.asarray(closure(self.X[self.band_mask], self.Y[self.band_mask]),
                            dtype=float)

@@ -19,6 +19,11 @@ which is second order in the step.
 The W-volume of a lens cobordism integrates the pulled-back volume form
 over chart x [0, 1] (orientation dx ^ dy ^ dt) minus the boundary alpha
 difference; the interpolation is the Epstein family of e^{2 s(t) u} g0.
+Only w = s(t) u changes with t, so one W evaluation on a grid runs the
+per-grid step ``IsotropicSurfaceData.node_jets`` once, on the off-band
+nodes ``QuadratureGrid.integrate`` passes to its density, and shares it
+across every bulk t-slice and both alpha boundary slices; each slice then
+costs only the per-t assembly of the Epstein frame.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ import numpy as np
 from .adsgeom import (
     GRAM,
     IsotropicSurfaceData,
+    NodeJets,
     det4,
-    epstein_lift,
+    epstein_frame,
     frame_constraint_residuals,
     pair,
     qform,
@@ -44,7 +50,7 @@ from .errors import (
     NotTangent,
     StepTooSmall,
 )
-from .fields import QuadratureGrid
+from .fields import QuadratureGrid, _axis_nodes
 from .liouville import ActionValue
 from .lorentz import SplitMetric, curvature
 
@@ -368,9 +374,13 @@ class LensCobordism:
         return s(t), ds(t)
 
     def frame(self, x, y, t):
+        return self.frame_on(self.data.node_jets(x, y), t)
+
+    def frame_on(self, nodes: NodeJets, t):
+        """The frame at path time t from the per-grid jets of its nodes."""
         s, ds = self.path(t)
-        fr = epstein_lift(self.data, x, y, t=s)
-        if fr.x_dt is not None and ds != 1.0:
+        fr = epstein_frame(self.data.assemble(nodes, s))
+        if ds != 1.0:
             fr.x_dt = ds * fr.x_dt
             fr.n_dt = ds * fr.n_dt
         return fr
@@ -402,18 +412,6 @@ class LensCobordism:
                 raise NonCompactDifference(f"boundary surfaces differ: {gap}")
 
 
-_G2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-
-
-def _t_nodes(cells):
-    edges = np.linspace(0.0, 1.0, cells + 1)
-    h = np.diff(edges)
-    nodes = np.concatenate([edges[:-1] + f * h for f in _G2])
-    weights = np.concatenate([0.5 * h, 0.5 * h])
-    order = np.argsort(nodes)
-    return nodes[order], weights[order]
-
-
 def _alpha_boundary_density(frame):
     x, n = frame.x, frame.n
     return 0.25 * (
@@ -421,28 +419,34 @@ def _alpha_boundary_density(frame):
     )
 
 
-def _bulk_density(lens, x, y, t):
-    fr = lens.frame(x, y, t)
-    return det4(fr.x, fr.x_dx, fr.x_dy, fr.x_dt)
+def _bulk_density(frame):
+    return det4(frame.x, frame.x_dx, frame.x_dy, frame.x_dt)
 
 
-def _bulk_between(lens, grid, a, b, t_cells):
-    nodes, weights = _t_nodes(t_cells)
+# The densities below ignore their (x, y) arguments: ``nodes`` already
+# holds the jets on exactly the nodes ``grid.integrate`` passes.  Each
+# frame is built inside the density call, so that only one t-slice is
+# alive next to ``nodes`` at a time.
+
+
+def _bulk_between(lens, grid, nodes, a, b, t_cells):
+    ts, weights = _axis_nodes(((0.0, 1.0),), t_cells, "gauss2")
     tot = 0.0
-    for t, w in zip(a + (b - a) * nodes, (b - a) * weights):
-        tot += w * grid.integrate(lambda x, y, t=t: _bulk_density(lens, x, y, t))
+    for t, w in zip(a + (b - a) * ts, (b - a) * weights):
+        tot += w * grid.integrate(
+            lambda x, y, t=t: _bulk_density(lens.frame_on(nodes, t)))
     return tot
 
 
-def _alpha_at(lens, grid, t):
+def _alpha_at(lens, grid, nodes, t):
     return grid.integrate(
-        lambda x, y: _alpha_boundary_density(lens.frame(x, y, t))
-    )
+        lambda x, y: _alpha_boundary_density(lens.frame_on(nodes, t)))
 
 
 def _w_value(lens, grid, t_cells):
-    vol = _bulk_between(lens, grid, 0.0, 1.0, t_cells)
-    bnd = _alpha_at(lens, grid, 1.0) - _alpha_at(lens, grid, 0.0)
+    nodes = lens.data.node_jets(*grid.off_band_nodes())
+    vol = _bulk_between(lens, grid, nodes, 0.0, 1.0, t_cells)
+    bnd = _alpha_at(lens, grid, nodes, 1.0) - _alpha_at(lens, grid, nodes, 0.0)
     return vol - bnd
 
 
@@ -467,12 +471,14 @@ def w_volume_split(lens: LensCobordism, grid, t_cells=12):
     are exactly the union of the two halves' nodes, so the additivity
     residual is pure roundoff (the boundary terms telescope).
     """
-    a0 = _alpha_at(lens, grid, 0.0)
-    ah = _alpha_at(lens, grid, 0.5)
-    a1 = _alpha_at(lens, grid, 1.0)
-    w_first = _bulk_between(lens, grid, 0.0, 0.5, t_cells) - (ah - a0)
-    w_second = _bulk_between(lens, grid, 0.5, 1.0, t_cells) - (a1 - ah)
-    w_full = _bulk_between(lens, grid, 0.0, 1.0, 2 * t_cells) - (a1 - a0)
+    nodes = lens.data.node_jets(*grid.off_band_nodes())
+    a0 = _alpha_at(lens, grid, nodes, 0.0)
+    ah = _alpha_at(lens, grid, nodes, 0.5)
+    a1 = _alpha_at(lens, grid, nodes, 1.0)
+    w_first = _bulk_between(lens, grid, nodes, 0.0, 0.5, t_cells) - (ah - a0)
+    w_second = _bulk_between(lens, grid, nodes, 0.5, 1.0, t_cells) - (a1 - ah)
+    w_full = (_bulk_between(lens, grid, nodes, 0.0, 1.0, 2 * t_cells)
+              - (a1 - a0))
     return w_first, w_second, w_full
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitannulus import adsgeom as A, fields as F, lorentz as L
+from splitannulus import adsgeom as A, fields as F, forms as FM, lorentz as L
 
 RNG = np.random.default_rng(7)
 XS = RNG.uniform(0.05, 0.95, 1000)
@@ -105,6 +105,56 @@ def test_epstein_frame_constraints():
         data = A.isotropic_from_metric(metric)
         frame = A.epstein_lift(data, XS, YS)
         assert A.frame_constraint_residuals(frame) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(4,), (7, 4), (5, 6, 4)])
+def test_det4_matches_linalg_det(shape):
+    rng = np.random.default_rng(3)
+    rows = [rng.normal(size=shape) for _ in range(4)]
+    ref = np.linalg.det(np.stack(rows, axis=-2))
+    # relative to the Hadamard bound, the scale of a determinant's roundoff
+    scale = np.prod([np.linalg.norm(r, axis=-1) for r in rows], axis=0)
+    assert np.shape(A.det4(*rows)) == shape[:-1]
+    assert np.max(np.abs(A.det4(*rows) - ref) / scale) <= 1e-13
+
+
+def test_det4_orientation():
+    e11, e12, e21, e22 = np.eye(4)
+    assert A.det4(e11, e12, e21, e22) == 1.0
+    assert A.det4(e12, e11, e21, e22) == -1.0
+
+
+def _frames_equal(f, g, tol):
+    for name, a in vars(f).items():
+        assert np.max(np.abs(a - getattr(g, name))) <= tol, name
+
+
+@pytest.mark.parametrize("metric", [PERTURBED[2], L.flat().scaled_by(BUMP)])
+def test_split_evaluation_matches_direct_lift(metric):
+    # the per-grid step once, then the per-t assembly at several t, agrees
+    # with a direct lift evaluated point by point
+    data = A.isotropic_from_metric(metric)
+    x, y = XS[:40], YS[:40]
+    nodes = data.node_jets(x, y)
+    for t in (0.0, 0.3, 1.0):
+        split = A.epstein_frame(data.assemble(nodes, t))
+        for i in (0, 17, 39):
+            direct = A.epstein_lift(data, x[i], y[i], t)
+            point = A.EpsteinFrame(**{k: v[i] for k, v in vars(split).items()})
+            _frames_equal(point, direct, 1e-14)
+
+
+def test_split_evaluation_reparametrized_lens():
+    s, ds = (lambda t: t * t * (3 - 2 * t)), (lambda t: 6 * t * (1 - t))
+    lens = FM.LensCobordism(PERTURBED[0], (0, 1, 2, 3), reparam=(s, ds))
+    x, y = XS[:40], YS[:40]
+    nodes = lens.data.node_jets(x, y)
+    for t in (0.0, 0.3, 1.0):
+        direct = A.epstein_lift(lens.data, x, y, s(t))
+        direct.x_dt = ds(t) * direct.x_dt
+        direct.n_dt = ds(t) * direct.n_dt
+        _frames_equal(lens.frame_on(nodes, t), direct, 1e-14)
+        _frames_equal(lens.frame(x, y, t), direct, 1e-14)
 
 
 def test_envelope_incidence():

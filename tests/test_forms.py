@@ -248,6 +248,28 @@ def test_w_volume_matches_action(lens):
     assert abs(wv.value - s) <= 1e-3
 
 
+def test_w_volume_regression(lens):
+    # the value before the per-grid/per-t split and the closed-form det4
+    grid = F.box_grid(BOX, level=0)
+    wv = FM.w_volume(lens, grid, t_cells=12)
+    assert abs(wv.value - (-0.01044917734012496)) <= 1e-13
+
+
+def test_w_volume_builds_base_jets_once_per_grid(lens, monkeypatch):
+    calls = []
+    original = A._DeSitterBase.jets
+
+    def counted(self, x, y):
+        calls.append(np.size(x))
+        return original(self, x, y)
+
+    monkeypatch.setattr(A._DeSitterBase, "jets", counted)
+    grid = F.box_grid(BOX, level=0, base_cells=8)
+    FM.w_volume(lens, grid, t_cells=6)
+    # once on the grid, once on its refinement
+    assert calls == [grid.W.size, grid.refine().W.size]
+
+
 def test_w_volume_path_independence():
     # omega is closed: a reparametrized interpolation changes nothing
     grid = F.box_grid(BOX, level=0)
