@@ -55,7 +55,6 @@ _GRID_KEYS = {"box", "level", "base_cells", "scheme", "band"}
 _CURVE_KEYS = {"family", "kind", "amplitude", "frequency", "matrix",
                "breaks", "images", "skew", "matrices"}
 _EPSTEIN_KEYS = {"box", "samples", "tolerance"}
-_RUN_KEYS = {"seed", "grid_level", "tolerance_scale", "out"}
 
 
 def _floats(text):
@@ -218,21 +217,26 @@ def cmd_action(args):
         "subcommand": "action",
         "values": {},
     }
-    trail = []
     top = level if level is not None else int(cfg["grid"].get("level", 2))
-    for lv in range(top + 1):
-        grid = parse_grid(cfg, level_override=lv)
-        trail.append(liouville.action(g, h, grid).value)
-    grid = parse_grid(cfg, level_override=top)
-    a_def = liouville.action(g, h, grid)
-    a_mono = liouville.action_monotone(g, h, grid)
-    report["values"]["definition"] = a_def.value
-    report["values"]["monotone"] = a_mono.value
-    report["error_estimate"] = a_def.error_estimate
-    report["refinement_trail"] = trail
-    report["grid"] = grid.describe()
+    # S(g, h) once per level 0..top+1: the value at level lv+1 is the
+    # refined value of level lv, so the trail, the definition value, its
+    # error estimate and the Chasles term S(g, h) all come from this list.
+    # The other integrals are taken on the finest grid only.
+    grids = [parse_grid(cfg, level_override=lv) for lv in range(top + 2)]
+    values = [liouville.action(g, h, grid, refine=False).value for grid in grids]
+    fine = grids[-1]
+    report["values"]["definition"] = values[-1]
+    report["values"]["monotone"] = liouville.action_monotone(
+        g, h, fine, refine=False).value
+    report["error_estimate"] = abs(values[-1] - values[-2])
+    report["refinement_trail"] = values[1:]
+    report["grid"] = grids[top].describe()
     if k is not None:
-        report["chasles_residual"] = liouville.chasles_residual(g, h, k, grid)
+        report["chasles_residual"] = abs(
+            values[-1]
+            + liouville.action(h, k, fine, refine=False).value
+            - liouville.action(g, k, fine, refine=False).value
+        )
     write_report(report, args.out)
     return 0
 
@@ -466,10 +470,10 @@ def cmd_curve(args):
         }
         write_report(report, args.out)
         return 4
-    g_circle = lorentz.desitter(coords="angle")
     if isinstance(curve, curves.PO22Curve):
-        rep = liouville.sclass_report(g_circle, curve.metric())
+        rep = av.sclass
     else:
+        g_circle = lorentz.desitter(coords="angle")
         rep = liouville.sclass_report(g_circle, g_circle)
     report = {
         "schema_version": SCHEMA_VERSION,

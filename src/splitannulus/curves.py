@@ -181,15 +181,12 @@ class Crossratio:
                 raise NonPositiveB("crossratio not positive where log is needed")
             return np.log(vals)
 
-        try:
-            num = (
-                logb(s + step, t + step)
-                - logb(s + step, t - step)
-                - logb(s - step, t + step)
-                + logb(s - step, t - step)
-            )
-        except FloatingPointError as exc:  # pragma: no cover
-            raise NonSmoothB(str(exc))
+        num = (
+            logb(s + step, t + step)
+            - logb(s + step, t - step)
+            - logb(s - step, t + step)
+            + logb(s - step, t - step)
+        )
         return num / (4.0 * step ** 2)
 
 
@@ -518,6 +515,7 @@ def curve_action(curve, levels=3, base_cells=48, band=0.08,
         limit = curve.diagonal_limit_density
         piecewise = len(breaks) > 0
 
+    report = None
     if check_sclass:
         report = sclass_report(g_circle, g)
         if not report.verdict:
@@ -541,7 +539,7 @@ def curve_action(curve, levels=3, base_cells=48, band=0.08,
                           band=band_lv, breakpoints=grid_breaks)
         trail.append(grid.integrate(density, closure))
     err = abs(trail[-1] - trail[-2]) if len(trail) > 1 else abs(trail[-1])
-    return ActionValue(trail[-1], err, grid.describe(), "curve", trail)
+    return ActionValue(trail[-1], err, grid.describe(), "curve", trail, report)
 
 
 def reparam_invariance_residual(curve: PO22Curve, phi: CircleMap,

@@ -47,14 +47,6 @@ def mobius_inverse(m):
     return np.array([[d, -b], [-c, a]], dtype=float)
 
 
-def mobius_derivative(m, x):
-    """phi'(x) = det(m) / (cx + d)^2."""
-    a, b, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
-    det = a * d - b * c
-    den = c * x + d
-    return det / den ** 2
-
-
 # ---------------------------------------------------------------------------
 # Annulus points and chart transitions
 # ---------------------------------------------------------------------------
@@ -70,9 +62,6 @@ class AnnulusPoint:
     def __post_init__(self):
         if abs(self.x - self.y) <= DIAG_TOL:
             raise DiagonalPoint(f"({self.x}, {self.y}) lies on the diagonal")
-
-    def as_tuple(self):
-        return (self.x, self.y)
 
 
 def transition(m, p: AnnulusPoint, chart_id=None) -> AnnulusPoint:
@@ -111,7 +100,9 @@ class ScalarField:
     """A real function on an annulus chart with exact partials.
 
     Subclasses implement ``_jet(x, y) -> Jet2``.  An optional support box
-    clips the field (and all partials) to zero outside a compact rectangle.
+    clips the field (and all partials) to zero outside a compact rectangle:
+    ``jet`` then calls ``_jet`` only on the nodes inside the closed box and
+    writes zeros everywhere else, so ``_jet`` never sees an outside node.
     """
 
     support_box = None  # (x0, x1, y0, y1) or None
@@ -119,12 +110,18 @@ class ScalarField:
     def jet(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        j = self._jet(x, y)
-        if self.support_box is not None:
-            x0, x1, y0, y1 = self.support_box
-            inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
-            j = Jet2(*(np.where(inside, c, 0.0) for c in j))
-        return j
+        if self.support_box is None:
+            return self._jet(x, y)
+        x, y = np.broadcast_arrays(x, y)
+        x0, x1, y0, y1 = self.support_box
+        idx = np.flatnonzero((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
+        j = self._jet(x.ravel()[idx], y.ravel()[idx])
+        out = []
+        for c in j:
+            full = np.zeros(x.size)
+            full[idx] = c
+            out.append(full.reshape(x.shape))
+        return Jet2(*out)
 
     def _jet(self, x, y):
         raise NotImplementedError
@@ -143,17 +140,27 @@ class ScalarField:
         return self.jet(x, y).vxy
 
     # arithmetic ----------------------------------------------------------
+    # adding the zero constant returns the other operand, so sums such as
+    # ``h.u - g.u`` build no jets of zeros
     def __add__(self, other):
-        return SumField(self, as_field(other))
+        other = as_field(other)
+        if _is_zero_field(other):
+            return self
+        if _is_zero_field(self):
+            return other
+        return SumField(self, other)
 
     def __radd__(self, other):
-        return SumField(as_field(other), self)
+        return as_field(other) + self
 
     def __sub__(self, other):
-        return SumField(self, ScaledField(as_field(other), -1.0))
+        other = as_field(other)
+        if _is_zero_field(other):
+            return self
+        return self + ScaledField(other, -1.0)
 
     def __rsub__(self, other):
-        return SumField(as_field(other), ScaledField(self, -1.0))
+        return as_field(other) - self
 
     def __mul__(self, c):
         return ScaledField(self, float(c))
@@ -486,7 +493,7 @@ class ClippedField(ScalarField):
         self.support_box = tuple(float(b) for b in box)
 
     def _jet(self, x, y):
-        # the base-class jet() applies the support box around this
+        # the base-class jet() calls this on the nodes inside the box only
         return self.inner.jet(x, y)
 
 

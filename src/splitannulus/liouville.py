@@ -21,12 +21,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import IncompatibleMetrics, NonFiniteIntegrand, NotC3
+from .errors import IncompatibleMetrics, NotC3
 from .fields import (
     PolygonalCurve,
     QuadratureGrid,
     ScalarField,
     UniformizingFactor,
+    diamond_curve,
     torus_grid,
 )
 from .lorentz import SplitMetric, curvature, desitter, pullback_metric
@@ -39,36 +40,36 @@ class ActionValue:
     grid: dict
     formula: str = "definition"
     trail: list = dc_field(default_factory=list)
+    sclass: SClassReport = None  # the S-class check made on the way, if any
 
     def __float__(self):
         return self.value
 
 
+# The densities keep only the vxy component of each total-factor jet, so
+# the other five components are freed before the next jet is built.
+
 def _definition_density(g, u):
     def density(x, y):
-        jv = g.total_factor_jet(x, y)
+        gxy = g.total_factor_jet(x, y).vxy
         ju = u.jet(x, y)
-        return ju.v * (jv.vxy + 0.5 * ju.vxy)
+        return ju.v * (gxy + 0.5 * ju.vxy)
 
     return density
 
 
 def _monotone_density(g, h, u):
     def density(x, y):
-        jg = g.total_factor_jet(x, y)
-        jh = h.total_factor_jet(x, y)
-        return 0.5 * u.jet(x, y).v * (jg.vxy + jh.vxy)
+        gxy = g.total_factor_jet(x, y).vxy
+        hxy = h.total_factor_jet(x, y).vxy
+        return 0.5 * u.jet(x, y).v * (gxy + hxy)
 
     return density
 
 
 def _integrate_with_refinement(grid, density, closure=None, band_factor=1.0):
-    try:
-        coarse = grid.integrate(density, closure)
-        fine_grid = grid.refine(band_factor)
-        fine = fine_grid.integrate(density, closure)
-    except FloatingPointError as exc:  # pragma: no cover
-        raise NonFiniteIntegrand(str(exc))
+    coarse = grid.integrate(density, closure)
+    fine = grid.refine(band_factor).integrate(density, closure)
     return fine, abs(fine - coarse)
 
 
@@ -162,12 +163,6 @@ def area_neutral_combination(g, u1, u2, grid):
 # VB and the S-class
 # ---------------------------------------------------------------------------
 
-def _as_evaluator(f):
-    if isinstance(f, ScalarField):
-        return lambda x, y: float(f.value(x, y))
-    return f
-
-
 def vb(f, curve: PolygonalCurve, refinement: int = 6) -> float:
     """Vertical-oscillation variation of f along a polygonal curve.
 
@@ -176,7 +171,7 @@ def vb(f, curve: PolygonalCurve, refinement: int = 6) -> float:
     C^1 restrictions it converges to the total variation along the
     vertical edges.
     """
-    ev = _as_evaluator(f)
+    ev = (lambda x, y: float(f.value(x, y))) if isinstance(f, ScalarField) else f
     total = 0.0
     n = 2 ** int(refinement)
     for a, b in curve.vertical_segments():
@@ -285,13 +280,7 @@ def sclass_report(g: SplitMetric, h: SplitMetric, curve=None,
 
 def _default_torus_curve(g):
     # a diamond in angle coordinates away from the breakpoint lines
-    return _diamond(0.11, 0.93, 1.57, 2.41)
-
-
-def _diamond(x0, x1, y0, y1):
-    from .fields import diamond_curve
-
-    return diamond_curve(x0, x1, y0, y1)
+    return diamond_curve(0.11, 0.93, 1.57, 2.41)
 
 
 # ---------------------------------------------------------------------------

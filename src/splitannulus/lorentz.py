@@ -61,16 +61,11 @@ class SplitMetric:
         return self._ref_factor
 
     def total_factor_jet(self, x, y) -> Jet2:
-        ju = self.u.jet(x, y)
-        jr = self._ref_factor.jet(x, y)
-        return Jet2(*(a + b for a, b in zip(ju, jr)))
+        # the sum folds a zero u (or a flat reference) away
+        return (self.u + self._ref_factor).jet(x, y)
 
     def density(self, x, y):
         return np.exp(2.0 * self.total_factor_jet(x, y).v)
-
-    def area_density(self, x, y):
-        """Density of the area form da_g against dx ^ dy."""
-        return self.density(x, y)
 
     def bilinear_xy(self, x, y):
         """Value of the metric tensor on (d/dx, d/dy): half the density."""

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from splitannulus import cli
+from splitannulus import cli, fields
 
 ACTION_INI = """
 [metric.g]
@@ -75,6 +75,41 @@ def test_action_report(tmp_path):
     assert len(rep["refinement_trail"]) == 2
 
 
+def test_action_report_values_pinned(tmp_path):
+    # values of the report before the per-level integrals were shared;
+    # reusing them must not move a bit
+    cfg = _write(tmp_path, "a.ini", ACTION_INI)
+    out = tmp_path / "report.json"
+    assert cli.main(["action", "--config", cfg, "--grid-level", "2",
+                     "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["values"] == {"definition": -0.010449250280309706,
+                             "monotone": -0.010449250280309704}
+    assert rep["error_estimate"] == 2.41425456015687e-12
+    assert rep["refinement_trail"] == [-0.010449250240317634,
+                                       -0.010449250277895452,
+                                       -0.010449250280309706]
+    assert rep["chasles_residual"] == 1.2285765486549916e-09
+    assert rep["grid"]["level"] == 2
+
+
+def test_action_integrates_once_per_pair_and_level(tmp_path, monkeypatch):
+    # S(g, h) on levels 0..4, then S(g, h) monotone, S(h, k) and S(g, k)
+    # on level 4 only: 8 integrals
+    calls = []
+    original = fields.QuadratureGrid.integrate
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.level)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.QuadratureGrid, "integrate", counted)
+    cfg = _write(tmp_path, "a.ini", ACTION_INI)
+    assert cli.main(["action", "--config", cfg, "--grid-level", "3",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    assert sorted(calls) == [0, 1, 2, 3, 4, 4, 4, 4]
+
+
 def test_action_identical_metrics_zero(tmp_path):
     ini = ACTION_INI.replace("amplitude = 0.35", "amplitude = 0.0")
     cfg = _write(tmp_path, "b.ini", ini)
@@ -124,6 +159,24 @@ def test_curve_report(tmp_path):
     assert rep["family"] == "po22"
     assert rep["sclass"]["verdict"] is True
     assert np.isfinite(rep["action"])
+
+
+def test_curve_report_runs_one_sclass_check(tmp_path, monkeypatch):
+    from splitannulus import curves, liouville
+
+    calls = []
+    original = liouville.sclass_report
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(liouville, "sclass_report", counted)
+    monkeypatch.setattr(curves, "sclass_report", counted)
+    cfg = _write(tmp_path, "f.ini", CURVE_INI)
+    assert cli.main(["curve", "--config", cfg, "--grid-level", "0",
+                     "--out", str(tmp_path / "c.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_curve_mobius_zero_action(tmp_path):

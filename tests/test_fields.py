@@ -1,6 +1,7 @@
 """Charts, fields, circle maps, polygonal curves and quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,95 @@ def test_field_arithmetic_jets():
     s = a + 2.0 * b - 1.0
     assert s.value(x, y) == pytest.approx(a.value(x, y) + 2 * b.value(x, y) - 1)
     assert s.dxy(x, y) == pytest.approx(a.dxy(x, y) + 2 * b.dxy(x, y))
+
+
+def _masked_jet(f, x, y):
+    """Reference jet: ``_jet`` on every node, then zero outside the box."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    if isinstance(f, F.SumField):
+        return [a + b for a, b in zip(_masked_jet(f.a, x, y), _masked_jet(f.b, x, y))]
+    if isinstance(f, F.ScaledField):
+        return [f.c * c for c in _masked_jet(f.a, x, y)]
+    x0, x1, y0, y1 = f.support_box
+    inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+    return [np.where(inside, c, 0.0) for c in f._jet(x, y)]
+
+
+_BUMP = F.bump_field((0.5, 2.5), (0.3, 0.25), 0.6)
+_GATHERED_FIELDS = [
+    _BUMP,
+    F.ConstantField(0.0) + _BUMP + F.bump_field((0.3, 2.3), (0.2, 0.2), -0.4)
+    + F.bump_field((0.7, 2.7), (0.25, 0.2), 0.3),
+    -0.7 * _BUMP,
+    F.with_support_box(F.product_xy(), (0.2, 0.8, 2.1, 2.6)),
+]
+_rng = np.random.default_rng(7)
+_GATHER_POINTS = [
+    (_rng.uniform(-0.2, 1.2, 500), _rng.uniform(1.8, 3.2, 500)),
+    (0.45, 2.4),                      # 0-d, inside every box
+    (0.05, 2.95),                     # 0-d, outside
+    (np.linspace(-0.2, 1.2, 31)[:, None], np.linspace(1.8, 3.2, 23)),
+    # exactly on the box edges (and corners) of the bump and the clip
+    (np.array([0.2, 0.8, 0.2, 0.8, 0.5, 0.5, 0.2, 0.8]),
+     np.array([2.1, 2.6, 2.6, 2.1, 2.25, 2.75, 2.3, 2.4])),
+]
+
+
+@pytest.mark.parametrize("field", _GATHERED_FIELDS)
+@pytest.mark.parametrize("xy", _GATHER_POINTS)
+def test_gathered_jet_matches_masked(field, xy):
+    got = field.jet(*xy)
+    ref = _masked_jet(field, *xy)
+    for g, r in zip(got, ref):
+        assert np.shape(g) == np.shape(r)
+        np.testing.assert_allclose(g, r, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("field", _GATHERED_FIELDS)
+def test_all_outside_gives_exact_zeros(field):
+    x = np.linspace(-3.0, -2.0, 12)[:, None]
+    y = np.linspace(5.0, 6.0, 5)
+    for c in field.jet(x, y):
+        assert c.shape == (12, 5)
+        assert np.all(c == 0.0)
+
+
+def test_bump_jet_sees_only_box_nodes(monkeypatch):
+    seen = []
+    original = F.BumpField._jet
+
+    def spy(self, x, y):
+        seen.append((np.array(x), np.array(y)))
+        return original(self, x, y)
+
+    monkeypatch.setattr(F.BumpField, "_jet", spy)
+    x, y = _GATHER_POINTS[0]
+    _BUMP.jet(x, y)
+    x0, x1, y0, y1 = _BUMP.support_box
+    inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+    (sx, sy), = seen
+    assert sx.shape == (int(np.count_nonzero(inside)),)
+    assert np.array_equal(sx, x[inside]) and np.array_equal(sy, y[inside])
+
+
+@pytest.mark.parametrize("zero", [0, 0.0, F.ConstantField(0.0)])
+def test_adding_zero_returns_the_field(zero):
+    f = F.bump_field((0.5, 2.5), (0.4, 0.4), 0.5)
+    assert f + zero is f
+    assert zero + f is f
+    assert f - zero is f
+
+
+def test_support_box_keeps_outside_nodes_from_inner_field():
+    # the de Sitter factor is singular on the diagonal x = y, which these
+    # nodes cross outside the box; the box keeps them from log and 1/d
+    f = F.with_support_box(F.DeSitterLogFactor(), (0.0, 1.0, 2.0, 3.0))
+    t = np.linspace(-1.0, 4.0, 51)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = f.jet(t[:, None], t)
+    assert all(np.all(np.isfinite(c)) for c in j)
+    assert j.v[15, 35] == pytest.approx(0.5 * math.log(2.0 / 4.0))  # (0.5, 2.5)
 
 
 def test_bump_mass_closed_form():
