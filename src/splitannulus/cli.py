@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -47,7 +48,6 @@ _FIELD_KEYS = {
     "bump": {"center", "halfwidth", "amplitude", "power"},
     "bumps": {"rows"},
     "polynomial": {"coeffs"},
-    "support": set(),
 }
 
 _METRIC_KEYS = {"reference", "coords", "chart"}
@@ -57,8 +57,41 @@ _CURVE_KEYS = {"family", "kind", "amplitude", "frequency", "matrix",
 _EPSTEIN_KEYS = {"box", "samples", "tolerance"}
 
 
-def _floats(text):
-    return [float(tok) for tok in text.replace(",", " ").split()]
+_REQUIRED = object()
+
+
+def _numbers(count=None, kind=float):
+    """Parser of whitespace- or comma-separated numbers (``count`` if given)."""
+    def parse(text):
+        vals = [kind(tok) for tok in text.replace(",", " ").split()]
+        if count is not None and len(vals) != count:
+            raise ValueError(f"expected {count} numbers, got {len(vals)}")
+        return vals
+
+    return parse
+
+
+def _rows(count=None):
+    """Parser of one row of numbers per nonblank line."""
+    row = _numbers(count)
+    return lambda text: [row(r) for r in text.strip().splitlines() if r.strip()]
+
+
+def _value(section, items, key, parse=float, default=_REQUIRED):
+    """``parse`` of the value of ``key``, or ``default`` when it is absent.
+
+    Every config value goes through here, so a missing required key or a
+    value its parser rejects is a ConfigError naming section and key.
+    """
+    if key not in items:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r} in [{section}]")
+        return default
+    try:
+        return parse(items[key])
+    except ValueError as exc:
+        raise ConfigError(f"bad value {items[key]!r} for {key!r} in "
+                          f"[{section}]: {exc}")
 
 
 def _check_keys(section, items, allowed):
@@ -67,49 +100,50 @@ def _check_keys(section, items, allowed):
         raise ConfigError(f"unknown keys {sorted(unknown)} in [{section}]")
 
 
+def _section(cfg, section, allowed):
+    if section not in cfg:
+        raise ConfigError(f"missing section [{section}]")
+    items = dict(cfg[section])
+    _check_keys(section, items, allowed)
+    return items
+
+
 def parse_field(cfg, section):
     if section not in cfg:
         return fields.ConstantField(0.0)
     items = dict(cfg[section])
-    kind = items.pop("kind", "zero")
-    support = items.pop("support_box", None)
+    kind = items.get("kind", "zero")
     if kind not in _FIELD_KEYS:
         raise ConfigError(f"unknown field kind {kind!r} in [{section}]")
-    _check_keys(section, items, _FIELD_KEYS[kind])
-    if kind == "zero":
-        f = fields.ConstantField(0.0)
-    elif kind == "constant":
-        f = fields.ConstantField(float(items["value"]))
-    elif kind == "bump":
-        f = fields.bump_field(
-            _floats(items["center"]),
-            _floats(items["halfwidth"]),
-            float(items.get("amplitude", 1.0)),
-            int(items.get("power", 4)),
-        )
-    elif kind == "bumps":
-        rows = [r for r in items["rows"].strip().splitlines() if r.strip()]
-        total = fields.ConstantField(0.0)
-        for row in rows:
-            cx, cy, hx, hy, amp = _floats(row)
-            total = total + fields.bump_field((cx, cy), (hx, hy), amp)
-        f = total
-    elif kind == "polynomial":
-        rows = [
-            _floats(r) for r in items["coeffs"].strip().splitlines() if r.strip()
-        ]
-        f = fields.PolynomialField(rows)
+    _check_keys(section, items, _FIELD_KEYS[kind] | {"kind", "support_box"})
+    get = functools.partial(_value, section, items)
+    try:
+        if kind == "zero":
+            f = fields.ConstantField(0.0)
+        elif kind == "constant":
+            f = fields.ConstantField(get("value"))
+        elif kind == "bump":
+            f = fields.bump_field(get("center", _numbers(2)),
+                                  get("halfwidth", _numbers(2)),
+                                  get("amplitude", float, 1.0),
+                                  get("power", int, 4))
+        elif kind == "bumps":
+            f = fields.ConstantField(0.0)
+            for cx, cy, hx, hy, amp in get("rows", _rows(5)):
+                f = f + fields.bump_field((cx, cy), (hx, hy), amp)
+        elif kind == "polynomial":
+            f = fields.PolynomialField(get("coeffs", _rows()))
+    except ValueError as exc:
+        raise ConfigError(f"invalid field data in [{section}]: {exc}")
+    support = get("support_box", _numbers(4), None)
     if support is not None:
-        f = fields.with_support_box(f, _floats(support))
+        f = fields.with_support_box(f, support)
     return f
 
 
 def parse_metric(cfg, name):
     section = f"metric.{name}"
-    if section not in cfg:
-        raise ConfigError(f"missing section [{section}]")
-    items = dict(cfg[section])
-    _check_keys(section, items, _METRIC_KEYS)
+    items = _section(cfg, section, _METRIC_KEYS)
     ref = items.get("reference", "desitter")
     if ref not in (lorentz.FLAT, lorentz.DESITTER):
         raise ConfigError(f"reference must be flat or desitter, got {ref!r}")
@@ -120,58 +154,56 @@ def parse_metric(cfg, name):
 
 
 def parse_grid(cfg, level_override=None):
-    if "grid" not in cfg:
-        raise ConfigError("missing section [grid]")
-    items = dict(cfg["grid"])
-    _check_keys("grid", items, _GRID_KEYS)
-    box = _floats(items.get("box", "0 1 2 3"))
+    items = _section(cfg, "grid", _GRID_KEYS)
+    box = _value("grid", items, "box", _numbers(), [0.0, 1.0, 2.0, 3.0])
     if len(box) != 4 or box[1] <= box[0] or box[3] <= box[2]:
         raise ConfigError("grid box must be x0 x1 y0 y1 with x1>x0, y1>y0")
-    level = int(items.get("level", 2)) if level_override is None else level_override
-    base = int(items.get("base_cells", 32))
-    band = float(items.get("band", 0.0))
+    level = (_value("grid", items, "level", int, 2) if level_override is None
+             else level_override)
+    if level < 0:
+        raise ConfigError(f"grid level must be nonnegative, got {level}")
+    base = _value("grid", items, "base_cells", int, 32)
+    band = _value("grid", items, "band", float, 0.0)
     if band < 0:
         raise ConfigError("band must be nonnegative")
-    return fields.box_grid(box, level=level, base_cells=base,
-                           scheme=items.get("scheme", "gauss2"), band=band)
+    scheme = items.get("scheme", "gauss2")
+    if scheme not in ("gauss2", "midpoint"):
+        raise ConfigError(f"scheme must be gauss2 or midpoint, got {scheme!r}")
+    return fields.box_grid(box, level=level, base_cells=base, scheme=scheme,
+                           band=band)
 
 
 def parse_curve(cfg):
-    if "curve" not in cfg:
-        raise ConfigError("missing section [curve]")
-    items = dict(cfg["curve"])
-    _check_keys("curve", items, _CURVE_KEYS)
+    items = _section(cfg, "curve", _CURVE_KEYS)
     family = items.get("family", "po22")
     if family == "psl3_conic":
         return curves.psl3_conic(coords="angle")
     if family != "po22":
         raise ConfigError(f"unknown curve family {family!r}")
     try:
-        return curves.PO22Curve(_parse_circle_map(items))
+        return curves.PO22Curve(_parse_circle_map("curve", items))
     except ValueError as exc:
         raise ConfigError(f"invalid curve data: {exc}")
 
 
-def _parse_circle_map(items):
+def _parse_circle_map(section, items):
     kind = items.get("kind", "sineflow")
+    get = functools.partial(_value, section, items)
     if kind == "sineflow":
-        phi = fields.SineFlowMap(
-            float(items.get("amplitude", 0.3)), int(items.get("frequency", 2))
-        )
+        phi = fields.SineFlowMap(get("amplitude", float, 0.3),
+                                 get("frequency", int, 2))
     elif kind == "mobius":
-        m = np.array(_floats(items["matrix"])).reshape(2, 2)
+        m = np.array(get("matrix", _numbers(4))).reshape(2, 2)
         phi = fields.AngleMobiusMap(m)
     elif kind == "four_piece":
-        breaks = _floats(items.get("breaks", "0.3 1.0 1.8 2.5"))
-        images = _floats(items.get("images", "0.3 1.35 1.8"))
+        breaks = get("breaks", _numbers(), [0.3, 1.0, 1.8, 2.5])
+        images = get("images", _numbers(), [0.3, 1.35, 1.8])
         if len(images) == 3:
             images = images + [None]
-        phi = fields.four_piece_c1_map(breaks, images,
-                                       float(items.get("skew", 1.5)))
+        phi = fields.four_piece_c1_map(breaks, images, get("skew", float, 1.5))
     elif kind == "piecewise":
-        breaks = _floats(items["breaks"])
-        rows = [r for r in items["matrices"].strip().splitlines() if r.strip()]
-        mats = [np.array(_floats(r)).reshape(2, 2) for r in rows]
+        breaks = get("breaks", _numbers())
+        mats = [np.array(r).reshape(2, 2) for r in get("matrices", _rows(4))]
         phi = fields.PiecewiseMobiusAngleMap(breaks, mats)
     else:
         raise ConfigError(f"unknown curve kind {kind!r}")
@@ -179,7 +211,9 @@ def _parse_circle_map(items):
 
 
 def load_config(path):
-    cfg = configparser.ConfigParser()
+    # values are plain numbers and names: a '%' is a bad value, not the
+    # start of an interpolation that fails on read
+    cfg = configparser.ConfigParser(interpolation=None)
     try:
         read = cfg.read(path)
     except configparser.Error as exc:
@@ -217,7 +251,7 @@ def cmd_action(args):
         "subcommand": "action",
         "values": {},
     }
-    top = level if level is not None else int(cfg["grid"].get("level", 2))
+    top = level if level is not None else parse_grid(cfg).level
     # S(g, h) once per level 0..top+1: the value at level lv+1 is the
     # refined value of level lv, so the trail, the definition value, its
     # error estimate and the Chasles term S(g, h) all come from this list.
@@ -243,10 +277,9 @@ def cmd_action(args):
 
 def _cmd_action_uniformizing(cfg, args):
     """Action between a pulled-back de Sitter metric and g0 on the torus."""
-    items = dict(cfg["uniformizing"])
-    _check_keys("uniformizing", items, _CURVE_KEYS - {"family"})
+    items = _section(cfg, "uniformizing", _CURVE_KEYS - {"family"})
     try:
-        phi = _parse_circle_map(items)
+        phi = _parse_circle_map("uniformizing", items)
     except ValueError as exc:
         raise ConfigError(f"invalid map data: {exc}")
     level = args.grid_level if args.grid_level is not None else 3
@@ -304,18 +337,23 @@ def _verify_checks(seed, tol_scale, sign_flip=False):
     )
     add("dalembertian_covariance", cov, 1e-10)
 
+    # every action is the refined value of the level-2 grid: one integral
+    # on its refinement, and S(g0, h) serves three checks
     grid = fields.box_grid((0, 1, 2, 3), level=2)
+    fine_grid = grid.refine()
     h = g0.scaled_by(bump)
-    add("action_formula_equality",
-        abs(liouville.action(g0, h, grid).value
-            - liouville.action_monotone(g0, h, grid).value), 1e-6)
+    s_g0h = liouville.action(g0, h, fine_grid, refine=False).value
+    s_mono = liouville.action_monotone(g0, h, fine_grid, refine=False).value
+    add("action_formula_equality", abs(s_g0h - s_mono), 1e-6)
 
     k = g0.scaled_by(w + bump)
-    add("chasles", liouville.chasles_residual(g0, h, k, grid), 1e-6)
+    add("chasles",
+        abs(s_g0h + liouville.action(h, k, fine_grid, refine=False).value
+            - liouville.action(g0, k, fine_grid, refine=False).value), 1e-6)
 
     gf = lorentz.flat()
     u2 = bump + fields.bump_field((0.6, 2.6), (0.3, 0.3), -0.35)
-    lhs = liouville.action(gf.scaled_by(u2), gf, grid).value
+    lhs = liouville.action(gf.scaled_by(u2), gf, fine_grid, refine=False).value
     rhs = 0.5 * grid.integrate(lambda x, y: u2.dx(x, y) * u2.dy(x, y))
     add("flat_closed_form", abs(lhs - rhs), 1e-6)
 
@@ -375,8 +413,7 @@ def _verify_checks(seed, tol_scale, sign_flip=False):
 
     lens = forms.LensCobordism(g0.scaled_by(bump), (0, 1, 2, 3))
     wv = forms.w_volume(lens, fields.box_grid((0, 1, 2, 3), level=0), t_cells=6)
-    s_val = liouville.action(g0, g0.scaled_by(bump), grid).value
-    add("w_volume_equals_action", abs(wv.value - s_val), 1e-3)
+    add("w_volume_equals_action", abs(wv.value - s_g0h), 1e-3)
 
     sgrid = rng.uniform(0.1, 0.9, 20)
     tgrid = rng.uniform(2.1, 2.9, 20)
@@ -422,11 +459,12 @@ def cmd_epstein(args):
     g = parse_metric(cfg, "g")
     items = dict(cfg["epstein"]) if "epstein" in cfg else {}
     _check_keys("epstein", items, _EPSTEIN_KEYS)
-    box = _floats(items.get("box", "0 1 2 3"))
+    get = functools.partial(_value, "epstein", items)
+    box = get("box", _numbers(), [0.0, 1.0, 2.0, 3.0])
     if len(box) != 4 or box[1] <= box[0] or box[3] <= box[2]:
         raise ConfigError("epstein box must be x0 x1 y0 y1, nonempty")
-    ns = [int(v) for v in items.get("samples", "32 32").split()]
-    tol = float(items.get("tolerance", 1e-8))
+    ns = get("samples", _numbers(2, int), [32, 32])
+    tol = get("tolerance", float, 1e-8)
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
     s = np.linspace(box[0], box[1], ns[0])
@@ -496,6 +534,13 @@ def cmd_curve(args):
     return 0
 
 
+def _level(text):
+    level = int(text)
+    if level < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {level}")
+    return level
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="splitannulus",
@@ -507,7 +552,7 @@ def build_parser():
         config=lambda sp: sp.add_argument("--config", help="INI config path"),
         seed=lambda sp: sp.add_argument("--seed", type=int, default=0),
         out=lambda sp: sp.add_argument("--out", default=None),
-        level=lambda sp: sp.add_argument("--grid-level", type=int, default=None),
+        level=lambda sp: sp.add_argument("--grid-level", type=_level, default=None),
         tol=lambda sp: sp.add_argument("--tolerance-scale", type=float,
                                        default=1.0),
     )

@@ -211,10 +211,6 @@ def diamond_area(b: Crossratio, d: Diamond) -> float:
     return float(np.log(val))
 
 
-def crossratio_metric_density(b: Crossratio, s, t, step=1e-5):
-    return b.density(s, t, step)
-
-
 # ---------------------------------------------------------------------------
 # Schwarzian derivative
 # ---------------------------------------------------------------------------
@@ -458,10 +454,6 @@ def psl3_conic(coords="affine") -> PSL3Curve:
 
 def psl3_crossratio(curve: PSL3Curve) -> Crossratio:
     return curve.crossratio()
-
-
-def po22_crossratio(chi: CircleMap, psi: CircleMap = None) -> Crossratio:
-    return PO22Curve(chi, psi).crossratio()
 
 
 # ---------------------------------------------------------------------------

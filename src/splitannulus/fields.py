@@ -344,14 +344,8 @@ class DeSitterLogFactor(ScalarField):
 
     def _jet(self, x, y):
         d = x - y
-        return Jet2(
-            0.5 * np.log(2.0 / d ** 2),
-            -1.0 / d,
-            1.0 / d,
-            -1.0 / d ** 2,
-            1.0 / d ** 2,
-            1.0 / d ** 2,
-        )
+        q = 1.0 / d ** 2
+        return Jet2(0.5 * np.log(2.0 / d ** 2), -1.0 / d, 1.0 / d, -q, q, q)
 
 
 class DeSitterAngleLogFactor(ScalarField):
@@ -361,14 +355,8 @@ class DeSitterAngleLogFactor(ScalarField):
         d = x - y
         s2 = np.sin(d) ** 2
         cot = np.cos(d) / np.sin(d)
-        return Jet2(
-            0.5 * np.log(2.0 / s2),
-            -cot,
-            cot,
-            -1.0 / s2,
-            1.0 / s2,
-            1.0 / s2,
-        )
+        q = 1.0 / s2
+        return Jet2(0.5 * np.log(2.0 / s2), -cot, cot, -q, q, q)
 
 
 class UniformizingFactor(ScalarField):
@@ -566,9 +554,6 @@ class CircleMap:
     def __call__(self, t):
         return self.jets(t)[0]
 
-    def deriv(self, t, order=1):
-        return self.jets(t)[order]
-
     def is_breakpoint(self, t, tol=1e-12):
         return any(abs(self._wrap_dist(t, b)) <= tol for b in self.breakpoints)
 
@@ -657,10 +642,6 @@ class AngleMobiusMap(CircleMap):
         d2 = -2.0 * dot1 / n2 ** 2
         d3 = -2.0 * (np2 - n2) / n2 ** 2 + 8.0 * dot1 ** 2 / n2 ** 3
         return phi, d1, d2, d3
-
-    def angle_image(self, t):
-        """Image angle reduced mod pi to [0, pi)."""
-        return np.mod(self.jets(t)[0], math.pi)
 
 
 class SineFlowMap(CircleMap):
@@ -763,24 +744,6 @@ class ComposedMap(CircleMap):
             f2 * g1 ** 2 + f1 * g2,
             f3 * g1 ** 3 + 3.0 * f2 * g1 * g2 + f1 * g3,
         )
-
-
-def rotation_matrix(angle):
-    """SL(2) rotation; acts on the angle line as a shift by ``angle``."""
-    return np.array(
-        [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
-    )
-
-
-def parabolic_at(t0, s):
-    """SL(2) parabolic fixing the direction of angle t0, strength s.
-
-    Conjugate of the upper-triangular unipotent [[1, s], [0, 1]] (which
-    fixes angle 0) by the rotation sending angle 0 to angle t0.
-    """
-    r = rotation_matrix(t0)
-    u = np.array([[1.0, s], [0.0, 1.0]])
-    return r @ u @ r.T
 
 
 class PiecewiseMobiusAngleMap(CircleMap):
@@ -1186,32 +1149,53 @@ class QuadratureGrid:
         }
 
     # -- refinement ---------------------------------------------------------
-    def refine(self, band_factor=1.0):
+    def refine(self):
         return QuadratureGrid(
             self.x_segments, self.y_segments, 2 * self.cells, self.scheme,
-            band=self.band * band_factor, periodic=self.periodic,
-            level=self.level + 1,
+            band=self.band, periodic=self.periodic, level=self.level + 1,
         )
 
     # -- integration --------------------------------------------------------
     def off_band_nodes(self):
-        """The (X, Y) node arrays ``integrate`` passes to its density."""
-        out = ~self.band_mask
+        """The (X, Y) node arrays ``integrate`` passes to its density when
+        it is given no support box."""
+        out = self._density_mask(None)
         return self.X[out], self.Y[out]
 
-    def integrate(self, density, closure=None):
+    def _density_mask(self, support):
+        # off-band nodes, AND-ed with the closed box when one is given; the
+        # axis nodes are sorted, so the box is one index block per axis
+        on = ~self.band_mask
+        if support is not None:
+            x0, x1, y0, y1 = support
+            xn, yn = self.X[:, 0], self.Y[0]
+            i0, i1 = np.searchsorted(xn, x0, "left"), np.searchsorted(xn, x1, "right")
+            j0, j1 = np.searchsorted(yn, y0, "left"), np.searchsorted(yn, y1, "right")
+            box = np.zeros_like(on)
+            box[i0:i1, j0:j1] = True
+            on &= box
+        return on
+
+    def integrate(self, density, closure=None, support=None):
         """Weighted sum of ``density(X, Y)`` off the band.
 
-        ``closure(X, Y)`` supplies the integrand density on banded nodes
-        (the diagonal limit of an integrand that extends continuously);
-        with no closure, banded nodes contribute zero.  The reduction is
-        numpy's pairwise summation: deterministic for a fixed grid.
+        ``support = (x0, x1, y0, y1)`` is a closed box outside which the
+        density is known to vanish: ``density`` is then evaluated only on
+        the off-band nodes inside it, and every other off-band node
+        contributes an exact zero.  ``closure(X, Y)`` supplies the
+        integrand density on banded nodes (the diagonal limit of an
+        integrand that extends continuously); with no closure, banded
+        nodes contribute zero.  The reduction is numpy's pairwise
+        summation over the whole grid: deterministic for a fixed grid, and,
+        for a density that does vanish outside ``support``, the same value
+        as without it, bit for bit.
         """
         vals = np.zeros_like(self.W)
-        v = np.asarray(density(*self.off_band_nodes()), dtype=float)
+        on = self._density_mask(support)
+        v = np.asarray(density(self.X[on], self.Y[on]), dtype=float)
         if not np.all(np.isfinite(v)):
             raise NonFiniteDensity("density is not finite on quadrature nodes")
-        vals[~self.band_mask] = v
+        vals[on] = v
         if closure is not None and np.any(self.band_mask):
             c = np.asarray(closure(self.X[self.band_mask], self.Y[self.band_mask]),
                            dtype=float)

@@ -61,27 +61,6 @@ _EPS = np.finfo(float).eps
 # Points, vectors, frames
 # ---------------------------------------------------------------------------
 
-def ut_point(x, n, tol=1e-10):
-    p = np.concatenate([np.asarray(x, dtype=float), np.asarray(n, dtype=float)])
-    if max(abs(qform(p[:4]) + 1), abs(qform(p[4:]) - 1),
-           abs(pair(p[:4], p[4:]))) > tol:
-        raise NotTangent("(x, n) violates the unit tangent constraints")
-    return p
-
-
-def frame_point(x, n, u, tol=1e-10):
-    f = np.concatenate([np.asarray(x, dtype=float), np.asarray(n, dtype=float),
-                        np.asarray(u, dtype=float)])
-    res = max(
-        abs(qform(f[:4]) + 1), abs(qform(f[4:8]) - 1), abs(qform(f[8:]) - 1),
-        abs(pair(f[:4], f[4:8])), abs(pair(f[:4], f[8:])),
-        abs(pair(f[4:8], f[8:])),
-    )
-    if res > tol:
-        raise NotTangent("(x, n, u) is not a pairwise orthogonal frame")
-    return f
-
-
 def derived_vector(f):
     """The fourth frame direction e: orthogonal, q(e) = -1, det = +1."""
     x, n, u = f[:4], f[4:8], f[8:12]

@@ -12,6 +12,10 @@ with the equivalent single-formula densities (against dx ^ dy)
 where v_g, v_h are the total isothermal factors.  Both are exactly
 quadratic in u; the variational formula d/dt S(g, e^{2tu}g) =
 -(1/2) int u F_g therefore holds to quadrature accuracy at any step.
+
+Both densities carry u as a factor, so they vanish wherever u does: the
+action integrals evaluate them only inside ``u.support_box`` (the union
+box of a sum of bumps), and on every node for a u with no box.
 """
 
 from __future__ import annotations
@@ -67,9 +71,9 @@ def _monotone_density(g, h, u):
     return density
 
 
-def _integrate_with_refinement(grid, density, closure=None, band_factor=1.0):
-    coarse = grid.integrate(density, closure)
-    fine = grid.refine(band_factor).integrate(density, closure)
+def _integrate_with_refinement(grid, density, support):
+    coarse = grid.integrate(density, support=support)
+    fine = grid.refine().integrate(density, support=support)
     return fine, abs(fine - coarse)
 
 
@@ -83,9 +87,9 @@ def action(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
     u = h.factor_relative_to(g)
     density = _definition_density(g, u)
     if refine:
-        value, err = _integrate_with_refinement(grid, density)
+        value, err = _integrate_with_refinement(grid, density, u.support_box)
     else:
-        value, err = grid.integrate(density), float("nan")
+        value, err = grid.integrate(density, support=u.support_box), float("nan")
     return ActionValue(value, err, grid.describe(), "definition")
 
 
@@ -95,9 +99,9 @@ def action_monotone(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
     u = h.factor_relative_to(g)
     density = _monotone_density(g, h, u)
     if refine:
-        value, err = _integrate_with_refinement(grid, density)
+        value, err = _integrate_with_refinement(grid, density, u.support_box)
     else:
-        value, err = grid.integrate(density), float("nan")
+        value, err = grid.integrate(density, support=u.support_box), float("nan")
     return ActionValue(value, err, grid.describe(), "monotone")
 
 
@@ -127,13 +131,16 @@ def variational_residual(g: SplitMetric, u: ScalarField, dt: float,
 
     The action is exactly quadratic in t, so the central difference
     reproduces the derivative to quadrature/roundoff accuracy for every
-    dt; the residual carries no O(dt^2) term to observe.
+    dt; the residual carries no O(dt^2) term to observe.  The two actions
+    are taken on the once-refined grid, the target integral on ``grid``.
     """
-    s_plus = action(g, g.scaled_by(dt * u), grid).value
-    s_minus = action(g, g.scaled_by(-dt * u), grid).value
+    fine = grid.refine()
+    s_plus = action(g, g.scaled_by(dt * u), fine, refine=False).value
+    s_minus = action(g, g.scaled_by(-dt * u), fine, refine=False).value
     cd = (s_plus - s_minus) / (2.0 * dt)
     kg = curvature(g)
-    target = grid.integrate(lambda x, y: u.value(x, y) * kg.F_density(x, y))
+    target = grid.integrate(lambda x, y: u.value(x, y) * kg.F_density(x, y),
+                            support=u.support_box)
     return abs(cd + 0.5 * target)
 
 

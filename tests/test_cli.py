@@ -1,8 +1,13 @@
 """CLI subcommands: reports, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from splitannulus import cli, fields
 
@@ -130,6 +135,52 @@ def test_malformed_config_is_config_error(tmp_path):
     assert cli.main(["action", "--config", cfg, "--out", "-"]) == 2
 
 
+@pytest.mark.parametrize("old, new, words", [
+    pytest.param(
+        "kind = bump\ncenter = 0.5 2.5\nhalfwidth = 0.42 0.42\namplitude = 0.35",
+        "kind = constant\nvalue = abc", ("[metric.h.u]", "'value'"),
+        id="value_abc"),
+    pytest.param("center = 0.5 2.5\n", "", ("[metric.h.u]", "'center'"),
+                 id="no_center"),
+    pytest.param("0.7 2.65 0.2 0.2 0.4", "0.7 2.65 0.2 0.2",
+                 ("[metric.k.u]", "'rows'"), id="short_row"),
+    pytest.param("amplitude = 0.35", "amplitude = 0.35\npower = 2",
+                 ("[metric.h.u]",), id="power_2"),
+    pytest.param("level = 1", "level = one", ("[grid]", "'level'"),
+                 id="level_one"),
+    pytest.param("level = 1", "level = -1", ("level",), id="level_negative"),
+    pytest.param("amplitude = 0.35", "amplitude = 35%",
+                 ("[metric.h.u]", "'amplitude'"), id="percent"),
+])
+def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, old, new,
+                                                    words):
+    assert old in ACTION_INI
+    cfg = _write(tmp_path, "bad.ini", ACTION_INI.replace(old, new))
+    assert cli.main(["action", "--config", cfg, "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert all(w in err for w in words)
+
+
+def test_bad_config_value_from_the_command_line(tmp_path):
+    ini = ACTION_INI.replace("center = 0.5 2.5\n", "")
+    cfg = _write(tmp_path, "bad.ini", ini)
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "splitannulus.cli", "action",
+                           "--config", cfg, "--out", "-"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: missing key 'center' in [metric.h.u]\n"
+
+
+def test_negative_grid_level_flag_rejected(tmp_path):
+    cfg = _write(tmp_path, "a.ini", ACTION_INI)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["action", "--config", cfg, "--grid-level", "-1", "--out", "-"])
+    assert exc.value.code == 2
+
+
 def test_empty_rectangle_rejected(tmp_path):
     bad = EPSTEIN_INI.replace("box = 0 1 2 3\nsamples", "box = 1 1 2 3\nsamples")
     cfg = _write(tmp_path, "d.ini", bad)
@@ -213,6 +264,36 @@ def test_verify_deterministic(tmp_path):
     assert cli.main(["verify", "--seed", "11", "--out", str(out1)]) == 0
     assert cli.main(["verify", "--seed", "11", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_verify_takes_each_action_once(monkeypatch):
+    # integrals inside Liouville actions: S(g0, h), its monotone form,
+    # S(h, k), S(g0, k), the flat action and the two variational actions,
+    # each on the refined grid once
+    from splitannulus import liouville
+
+    depth, levels = [0], []
+    original = fields.QuadratureGrid.integrate
+
+    def counted(self, *args, **kwargs):
+        if depth[0]:
+            levels.append(self.level)
+        return original(self, *args, **kwargs)
+
+    def nested(fn):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    monkeypatch.setattr(fields.QuadratureGrid, "integrate", counted)
+    for name in ("action", "action_monotone"):
+        monkeypatch.setattr(liouville, name, nested(getattr(liouville, name)))
+    cli._verify_checks(11, 1.0)
+    assert levels == [3] * 7
 
 
 def test_verify_seed_changes_samples_not_verdicts(tmp_path):

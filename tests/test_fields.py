@@ -369,6 +369,90 @@ def test_nonfinite_density_raises():
         grid.integrate(lambda x, y: np.full_like(x, np.nan))
 
 
+_DIAG_BUMP = F.bump_field((0.5, 0.5), (0.3, 0.2), 0.8)
+_BUMP_SUM = (F.bump_field((0.3, 2.3), (0.15, 0.2), 0.5)
+             + F.bump_field((0.75, 2.7), (0.2, 0.1), -0.4))
+
+
+def _weighted(u):
+    # u times a density that is finite off the diagonal, as in the action
+    return lambda x, y: u.value(x, y) * (2.0 + np.sin(x - 2.0 * y))
+
+
+@pytest.mark.parametrize("grid, u, closure", [
+    (F.box_grid((0, 1, 2, 3), level=1), _BUMP, None),
+    (F.box_grid((0, 1, 2, 3), level=2), _BUMP_SUM, None),
+    # a band along the diagonal, closed by the field itself
+    (F.box_grid((0, 1, 0, 1), level=1, band=0.05), _DIAG_BUMP,
+     lambda x, y: _DIAG_BUMP.value(x, y)),
+    (F.torus_grid(level=0, band=0.1), F.bump_field((1.0, 2.2), (0.3, 0.4), 0.6),
+     lambda x, y: np.ones_like(x)),
+])
+def test_integrate_on_support_matches_whole_grid(grid, u, closure):
+    density = _weighted(u)
+    full = grid.integrate(density, closure)
+    assert full != 0.0
+    assert grid.integrate(density, closure, support=u.support_box) == full
+
+
+def test_integrate_on_support_evaluates_the_closed_box_only():
+    # box edges on node coordinates: the closed box keeps them
+    grid = F.box_grid((0, 1, 0, 1), level=0, base_cells=8, band=0.1)
+    xn, yn = grid.X[:, 0], grid.Y[0]
+    box = (xn[3], xn[9], yn[5], yn[12])
+    seen = []
+
+    def density(x, y):
+        seen.append((x, y))
+        return np.ones_like(x)
+
+    grid.integrate(density, support=box)
+    (sx, sy), = seen
+    inside = (~grid.band_mask & (grid.X >= box[0]) & (grid.X <= box[1])
+              & (grid.Y >= box[2]) & (grid.Y <= box[3]))
+    assert np.array_equal(sx, grid.X[inside]) and np.array_equal(sy, grid.Y[inside])
+    assert sx.size == np.count_nonzero(~grid.band_mask[3:10, 5:13])
+
+
+@pytest.mark.parametrize("box", [
+    (5.0, 6.0, 5.0, 6.0),              # away from the grid
+    (0.5001, 0.5002, 2.5001, 2.5002),  # between two neighbouring nodes
+])
+def test_integrate_on_support_missing_every_node_is_zero(box):
+    grid = F.box_grid((0, 1, 2, 3), level=1)
+    seen = []
+
+    def density(x, y):
+        seen.append(x.size)
+        return np.full_like(x, 1.0)
+
+    assert grid.integrate(density, support=box) == 0.0
+    assert seen == [0]
+
+
+def test_nonfinite_density_inside_support_raises():
+    from splitannulus.errors import NonFiniteDensity
+
+    grid = F.box_grid((0, 1, 2, 3), level=0)
+    with pytest.raises(NonFiniteDensity):
+        grid.integrate(lambda x, y: np.full_like(x, np.nan),
+                       support=_BUMP.support_box)
+
+
+@pytest.mark.parametrize("factor, inv", [
+    (F.DeSitterLogFactor(), lambda d: d ** 2),
+    (F.DeSitterAngleLogFactor(), lambda d: np.sin(d) ** 2),
+])
+def test_desitter_second_derivatives_bits(factor, inv):
+    # the shared reciprocal gives the bits of the three separate quotients
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(0.0, 1.0, 200), rng.uniform(1.2, 3.0, 200)
+    j = factor.jet(x, y)
+    q = inv(x - y)
+    assert np.array_equal(j.vxy, -1.0 / q)
+    assert np.array_equal(j.vxx, 1.0 / q) and np.array_equal(j.vyy, 1.0 / q)
+
+
 def test_grid_csv_export(tmp_path):
     grid = F.box_grid((0, 1, 2, 3), level=0, base_cells=4)
     path = tmp_path / "grid.csv"

@@ -60,6 +60,37 @@ def test_chasles_triples():
     assert LV.chasles_residual(a, b, c, GRID) <= 1e-6
 
 
+def test_action_evaluates_reference_jet_only_in_bump_box(monkeypatch):
+    seen = []
+    original = F.DeSitterLogFactor._jet
+
+    def spy(self, x, y):
+        seen.append((np.array(x), np.array(y)))
+        return original(self, x, y)
+
+    monkeypatch.setattr(F.DeSitterLogFactor, "_jet", spy)
+    bump = F.bump_field((0.4, 2.6), (0.15, 0.2), 0.5)
+    LV.action(G0, G0.scaled_by(bump), GRID)
+    x0, x1, y0, y1 = bump.support_box
+    assert len(seen) == 2  # the grid and its refinement
+    for x, y in seen:
+        assert x.size > 0
+        assert np.all((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
+
+
+def test_action_skips_diagonal_nodes_outside_support():
+    # on [0, 1]^2 the x and y nodes coincide, so nodes lie on the diagonal
+    # where the de Sitter factor is singular; they are outside supp u
+    h = G0.scaled_by(F.bump_field((0.25, 0.75), (0.1, 0.1), 0.4))
+    grid = F.box_grid((0, 1, 0, 1), level=0)
+    assert np.any(grid.X == grid.Y)
+    banded = F.box_grid((0, 1, 0, 1), level=0, band=1e-3)
+    for fn in (LV.action, LV.action_monotone):
+        value = fn(G0, h, grid, refine=False).value
+        assert value != 0.0
+        assert value == fn(G0, h, banded, refine=False).value
+
+
 def test_split_invariance_under_mobius():
     m = np.array([[1.0, 0.15], [0.08, 1.05]])
     phi = F.MobiusMap(m)
