@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
+import dataclasses
 import json
 import math
 import sys
@@ -42,172 +42,213 @@ SCHEMA_VERSION = 1
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_FIELD_KEYS = {
-    "zero": set(),
-    "constant": {"value"},
-    "bump": {"center", "halfwidth", "amplitude", "power"},
-    "bumps": {"rows"},
-    "polynomial": {"coeffs"},
-}
-
-_METRIC_KEYS = {"reference", "coords", "chart"}
-_GRID_KEYS = {"box", "level", "base_cells", "scheme", "band"}
-_CURVE_KEYS = {"family", "kind", "amplitude", "frequency", "matrix",
-               "breaks", "images", "skew", "matrices"}
-_EPSTEIN_KEYS = {"box", "samples", "tolerance"}
-
-
 _REQUIRED = object()
+_SIGNS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 
 
-def _numbers(count=None, kind=float):
-    """Parser of whitespace- or comma-separated numbers (``count`` if given)."""
+def _numbers(count=None, kind=float, sign=None):
+    """Parser of ``count`` (if given) finite numbers, each of ``sign``
+    (a key of ``_SIGNS``) if given, separated by whitespace or commas."""
     def parse(text):
         vals = [kind(tok) for tok in text.replace(",", " ").split()]
         if count is not None and len(vals) != count:
             raise ValueError(f"expected {count} numbers, got {len(vals)}")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("numbers must be finite")
+        if sign is not None and not all(map(_SIGNS[sign], vals)):
+            raise ValueError(f"numbers must be {sign}")
         return vals
 
     return parse
 
 
+def _number(kind=float, sign=None):
+    parse = _numbers(1, kind, sign)
+
+    def number(text):  # the name shows in argparse's messages
+        return parse(text)[0]
+
+    return number
+
+
 def _rows(count=None):
-    """Parser of one row of numbers per nonblank line."""
+    """Parser of one row of numbers per nonblank line, at least one row."""
     row = _numbers(count)
-    return lambda text: [row(r) for r in text.strip().splitlines() if r.strip()]
+
+    def parse(text):
+        rows = [row(r) for r in text.splitlines() if r.strip()]
+        if not rows:
+            raise ValueError("expected at least one row")
+        return rows
+
+    return parse
 
 
-def _value(section, items, key, parse=float, default=_REQUIRED):
-    """``parse`` of the value of ``key``, or ``default`` when it is absent.
+def _choice(*names):
+    def parse(text):
+        if text not in names:
+            raise ValueError(f"must be one of {', '.join(names)}")
+        return text
 
-    Every config value goes through here, so a missing required key or a
-    value its parser rejects is a ConfigError naming section and key.
+    return parse
+
+
+def _box(text):
+    """Parser of a rectangle x0 x1 y0 y1 with x1 > x0 and y1 > y0."""
+    box = _numbers(4)(text)
+    if not (box[1] > box[0] and box[3] > box[2]):
+        raise ValueError("must be x0 x1 y0 y1 with x1 > x0, y1 > y0")
+    return box
+
+
+def _off_diagonal_box(text):
+    """Parser of a box whose points all have x != y."""
+    box = _box(text)
+    if box[0] <= box[3] and box[2] <= box[1]:
+        raise ValueError("must not meet the diagonal x = y")
+    return box
+
+
+def _images(text):
+    """Parser of 3 or 4 four-piece images; a missing fourth is solved for."""
+    images = _numbers()(text)
+    if len(images) not in (3, 4):
+        raise ValueError(f"expected 3 or 4 numbers, got {len(images)}")
+    return images + [None] * (4 - len(images))
+
+
+# The schema: a table maps each key of a section to (parser, default), and
+# the keys of a kind follow the arguments of its constructor in order.
+# Field sections also take `kind` and `support_box`, circle maps `kind`.
+_FIELDS = {
+    "zero": (lambda: fields.ConstantField(0.0), {}),
+    "constant": (fields.ConstantField, {"value": (_number(), _REQUIRED)}),
+    "bump": (fields.bump_field, {
+        "center": (_numbers(2), _REQUIRED),
+        "halfwidth": (_numbers(2), _REQUIRED),
+        "amplitude": (_number(), 1.0),
+        "power": (_number(int), 4),
+    }),
+    "bumps": (lambda rows: sum((fields.bump_field(r[:2], r[2:4], r[4])
+                                for r in rows), fields.ConstantField(0.0)),
+              {"rows": (_rows(5), _REQUIRED)}),
+    "polynomial": (fields.PolynomialField, {"coeffs": (_rows(), _REQUIRED)}),
+}
+_CIRCLE_MAPS = {
+    "sineflow": (fields.SineFlowMap, {"amplitude": (_number(), 0.3),
+                                      "frequency": (_number(int), 2)}),
+    "mobius": (lambda m: fields.AngleMobiusMap(np.array(m).reshape(2, 2)),
+               {"matrix": (_numbers(4), _REQUIRED)}),
+    "four_piece": (fields.four_piece_c1_map, {
+        "breaks": (_numbers(4), (0.3, 1.0, 1.8, 2.5)),
+        "images": (_images, (0.3, 1.35, 1.8, None)),
+        "skew": (_number(sign="positive"), 1.5),
+    }),
+    "piecewise": (lambda breaks, rows: fields.PiecewiseMobiusAngleMap(
+        breaks, [np.array(r).reshape(2, 2) for r in rows]),
+        {"breaks": (_numbers(), _REQUIRED), "matrices": (_rows(4), _REQUIRED)}),
+}
+_METRIC = {
+    "reference": (_choice(lorentz.FLAT, lorentz.DESITTER), lorentz.DESITTER),
+    "chart": (str, "affine"),
+    "coords": (_choice("affine", "angle"), "affine"),
+}
+_GRID = {
+    "box": (_box, (0.0, 1.0, 2.0, 3.0)),
+    "level": (_number(int, "nonnegative"), 2),
+    "base_cells": (_number(int, "positive"), 32),
+    "scheme": (_choice("gauss2", "midpoint"), "gauss2"),
+    "band": (_number(sign="nonnegative"), 0.0),
+}
+_EPSTEIN = {
+    "box": (_off_diagonal_box, (0.0, 1.0, 2.0, 3.0)),
+    "samples": (_numbers(2, int, "positive"), (32, 32)),
+    "tolerance": (_number(sign="positive"), 1e-8),
+}
+
+
+def _read(section, items, table):
+    """The values of the keys of ``table`` in ``items``, in table order.
+
+    A key the table does not hold, a missing required key or a value its
+    parser rejects is a ConfigError naming section and key.
     """
-    if key not in items:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing key {key!r} in [{section}]")
-        return default
-    try:
-        return parse(items[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value {items[key]!r} for {key!r} in "
-                          f"[{section}]: {exc}")
-
-
-def _check_keys(section, items, allowed):
-    unknown = set(items) - allowed
+    unknown = set(items) - set(table)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in [{section}]")
+    values = {}
+    for key, (parse, default) in table.items():
+        if key not in items and default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r} in [{section}]")
+        try:
+            values[key] = parse(items[key]) if key in items else default
+        except ValueError as exc:
+            raise ConfigError(f"bad value {items[key]!r} for {key!r} in "
+                              f"[{section}]: {exc}")
+    return values
 
 
-def _section(cfg, section, allowed):
+def _pick(section, items, kinds, default, key="kind"):
+    """The kind that ``key`` names (``default`` if absent) and the other items."""
+    rest = dict(items)
+    name = rest.pop(key, default)
+    if name not in kinds:
+        raise ConfigError(f"unknown {key} {name!r} in [{section}]")
+    return name, rest
+
+
+def _build(section, ctor, values):
+    """``ctor`` called on ``values``; its ValueError is a ConfigError."""
+    try:
+        return ctor(*values.values())
+    except ValueError as exc:
+        raise ConfigError(f"invalid data in [{section}]: {exc}")
+
+
+def _items(cfg, section):
     if section not in cfg:
         raise ConfigError(f"missing section [{section}]")
-    items = dict(cfg[section])
-    _check_keys(section, items, allowed)
-    return items
+    return cfg[section]
 
 
 def parse_field(cfg, section):
     if section not in cfg:
         return fields.ConstantField(0.0)
-    items = dict(cfg[section])
-    kind = items.get("kind", "zero")
-    if kind not in _FIELD_KEYS:
-        raise ConfigError(f"unknown field kind {kind!r} in [{section}]")
-    _check_keys(section, items, _FIELD_KEYS[kind] | {"kind", "support_box"})
-    get = functools.partial(_value, section, items)
-    try:
-        if kind == "zero":
-            f = fields.ConstantField(0.0)
-        elif kind == "constant":
-            f = fields.ConstantField(get("value"))
-        elif kind == "bump":
-            f = fields.bump_field(get("center", _numbers(2)),
-                                  get("halfwidth", _numbers(2)),
-                                  get("amplitude", float, 1.0),
-                                  get("power", int, 4))
-        elif kind == "bumps":
-            f = fields.ConstantField(0.0)
-            for cx, cy, hx, hy, amp in get("rows", _rows(5)):
-                f = f + fields.bump_field((cx, cy), (hx, hy), amp)
-        elif kind == "polynomial":
-            f = fields.PolynomialField(get("coeffs", _rows()))
-    except ValueError as exc:
-        raise ConfigError(f"invalid field data in [{section}]: {exc}")
-    support = get("support_box", _numbers(4), None)
-    if support is not None:
-        f = fields.with_support_box(f, support)
-    return f
+    kind, items = _pick(section, cfg[section], _FIELDS, "zero")
+    ctor, table = _FIELDS[kind]
+    values = _read(section, items, {**table, "support_box": (_box, None)})
+    support = values.pop("support_box")
+    f = _build(section, ctor, values)
+    return f if support is None else fields.with_support_box(f, support)
 
 
 def parse_metric(cfg, name):
     section = f"metric.{name}"
-    items = _section(cfg, section, _METRIC_KEYS)
-    ref = items.get("reference", "desitter")
-    if ref not in (lorentz.FLAT, lorentz.DESITTER):
-        raise ConfigError(f"reference must be flat or desitter, got {ref!r}")
-    coords = items.get("coords", "affine")
-    u = parse_field(cfg, f"{section}.u")
-    return lorentz.SplitMetric(ref, u, chart_id=items.get("chart", "affine"),
-                               coords=coords)
+    kw = _read(section, _items(cfg, section), _METRIC)
+    return lorentz.SplitMetric(kw["reference"], parse_field(cfg, f"{section}.u"),
+                               chart_id=kw["chart"], coords=kw["coords"])
 
 
 def parse_grid(cfg, level_override=None):
-    items = _section(cfg, "grid", _GRID_KEYS)
-    box = _value("grid", items, "box", _numbers(), [0.0, 1.0, 2.0, 3.0])
-    if len(box) != 4 or box[1] <= box[0] or box[3] <= box[2]:
-        raise ConfigError("grid box must be x0 x1 y0 y1 with x1>x0, y1>y0")
-    level = (_value("grid", items, "level", int, 2) if level_override is None
-             else level_override)
-    if level < 0:
-        raise ConfigError(f"grid level must be nonnegative, got {level}")
-    base = _value("grid", items, "base_cells", int, 32)
-    band = _value("grid", items, "band", float, 0.0)
-    if band < 0:
-        raise ConfigError("band must be nonnegative")
-    scheme = items.get("scheme", "gauss2")
-    if scheme not in ("gauss2", "midpoint"):
-        raise ConfigError(f"scheme must be gauss2 or midpoint, got {scheme!r}")
-    return fields.box_grid(box, level=level, base_cells=base, scheme=scheme,
-                           band=band)
+    kw = _read("grid", _items(cfg, "grid"), _GRID)
+    if level_override is not None:
+        kw["level"] = level_override
+    return fields.box_grid(**kw)
 
 
 def parse_curve(cfg):
-    items = _section(cfg, "curve", _CURVE_KEYS)
-    family = items.get("family", "po22")
+    family, items = _pick("curve", _items(cfg, "curve"), ("po22", "psl3_conic"),
+                          "po22", key="family")
     if family == "psl3_conic":
+        _read("curve", items, {})
         return curves.psl3_conic(coords="angle")
-    if family != "po22":
-        raise ConfigError(f"unknown curve family {family!r}")
-    try:
-        return curves.PO22Curve(_parse_circle_map("curve", items))
-    except ValueError as exc:
-        raise ConfigError(f"invalid curve data: {exc}")
+    return curves.PO22Curve(_parse_circle_map("curve", items))
 
 
 def _parse_circle_map(section, items):
-    kind = items.get("kind", "sineflow")
-    get = functools.partial(_value, section, items)
-    if kind == "sineflow":
-        phi = fields.SineFlowMap(get("amplitude", float, 0.3),
-                                 get("frequency", int, 2))
-    elif kind == "mobius":
-        m = np.array(get("matrix", _numbers(4))).reshape(2, 2)
-        phi = fields.AngleMobiusMap(m)
-    elif kind == "four_piece":
-        breaks = get("breaks", _numbers(), [0.3, 1.0, 1.8, 2.5])
-        images = get("images", _numbers(), [0.3, 1.35, 1.8])
-        if len(images) == 3:
-            images = images + [None]
-        phi = fields.four_piece_c1_map(breaks, images, get("skew", float, 1.5))
-    elif kind == "piecewise":
-        breaks = get("breaks", _numbers())
-        mats = [np.array(r).reshape(2, 2) for r in get("matrices", _rows(4))]
-        phi = fields.PiecewiseMobiusAngleMap(breaks, mats)
-    else:
-        raise ConfigError(f"unknown curve kind {kind!r}")
-    return phi
+    kind, items = _pick(section, items, _CIRCLE_MAPS, "sineflow")
+    ctor, table = _CIRCLE_MAPS[kind]
+    return _build(section, ctor, _read(section, items, table))
 
 
 def load_config(path):
@@ -238,20 +279,17 @@ def write_report(report, out):
 
 def cmd_action(args):
     cfg = load_config(args.config)
-    if args.tolerance_scale <= 0:
-        raise ConfigError("tolerance scale must be positive")
     if "uniformizing" in cfg:
         return _cmd_action_uniformizing(cfg, args)
     g = parse_metric(cfg, "g")
     h = parse_metric(cfg, "h")
     k = parse_metric(cfg, "k") if "metric.k" in cfg else None
-    level = args.grid_level
     report = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "action",
         "values": {},
     }
-    top = level if level is not None else parse_grid(cfg).level
+    top = args.grid_level if args.grid_level is not None else parse_grid(cfg).level
     # S(g, h) once per level 0..top+1: the value at level lv+1 is the
     # refined value of level lv, so the trail, the definition value, its
     # error estimate and the Chasles term S(g, h) all come from this list.
@@ -277,11 +315,7 @@ def cmd_action(args):
 
 def _cmd_action_uniformizing(cfg, args):
     """Action between a pulled-back de Sitter metric and g0 on the torus."""
-    items = _section(cfg, "uniformizing", _CURVE_KEYS - {"family"})
-    try:
-        phi = _parse_circle_map("uniformizing", items)
-    except ValueError as exc:
-        raise ConfigError(f"invalid map data: {exc}")
+    phi = _parse_circle_map("uniformizing", cfg["uniformizing"])
     level = args.grid_level if args.grid_level is not None else 3
     av = liouville.uniformizing_action(phi, levels=level)
     av_def = liouville.uniformizing_action(phi, levels=level,
@@ -457,16 +491,8 @@ def cmd_verify(args):
 def cmd_epstein(args):
     cfg = load_config(args.config)
     g = parse_metric(cfg, "g")
-    items = dict(cfg["epstein"]) if "epstein" in cfg else {}
-    _check_keys("epstein", items, _EPSTEIN_KEYS)
-    get = functools.partial(_value, "epstein", items)
-    box = get("box", _numbers(), [0.0, 1.0, 2.0, 3.0])
-    if len(box) != 4 or box[1] <= box[0] or box[3] <= box[2]:
-        raise ConfigError("epstein box must be x0 x1 y0 y1, nonempty")
-    ns = get("samples", _numbers(2, int), [32, 32])
-    tol = get("tolerance", float, 1e-8)
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
+    box, ns, tol = _read("epstein", cfg["epstein"] if "epstein" in cfg else {},
+                         _EPSTEIN).values()
     s = np.linspace(box[0], box[1], ns[0])
     t = np.linspace(box[2], box[3], ns[1])
     S, T = np.meshgrid(s, t, indexing="ij")
@@ -503,16 +529,11 @@ def cmd_curve(args):
         report = {
             "schema_version": SCHEMA_VERSION,
             "subcommand": "curve",
-            "family": getattr(curve, "family", "unknown"),
+            "family": curve.family,
             "sclass_failed_clause": exc.clause,
         }
         write_report(report, args.out)
         return 4
-    if isinstance(curve, curves.PO22Curve):
-        rep = av.sclass
-    else:
-        g_circle = lorentz.desitter(coords="angle")
-        rep = liouville.sclass_report(g_circle, g_circle)
     report = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "curve",
@@ -520,25 +541,10 @@ def cmd_curve(args):
         "action": av.value,
         "error_estimate": av.error_estimate,
         "refinement_trail": av.trail,
-        "sclass": {
-            "sup_u": rep.sup_u,
-            "boundary_decay": rep.boundary_decay,
-            "Linf_dal": rep.Linf_dal,
-            "L1_dal": rep.L1_dal,
-            "vb": rep.vb,
-            "clauses": rep.clauses,
-            "verdict": rep.verdict,
-        },
+        "sclass": dataclasses.asdict(av.sclass),
     }
     write_report(report, args.out)
     return 0
-
-
-def _level(text):
-    level = int(text)
-    if level < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {level}")
-    return level
 
 
 def build_parser():
@@ -548,45 +554,37 @@ def build_parser():
                     "action on the split annulus",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    common = dict(
-        config=lambda sp: sp.add_argument("--config", help="INI config path"),
-        seed=lambda sp: sp.add_argument("--seed", type=int, default=0),
-        out=lambda sp: sp.add_argument("--out", default=None),
-        level=lambda sp: sp.add_argument("--grid-level", type=_level, default=None),
-        tol=lambda sp: sp.add_argument("--tolerance-scale", type=float,
-                                       default=1.0),
-    )
 
     sp = sub.add_parser("action", help="Liouville action between metrics")
-    for key in ("config", "seed", "out", "level", "tol"):
-        common[key](sp)
-    sp.set_defaults(fn=cmd_action, needs_config=True)
+    sp.add_argument("--config", required=True, help="INI config path")
+    sp.add_argument("--grid-level", type=_GRID["level"][0], default=None)
+    sp.add_argument("--out", default=None)
+    sp.set_defaults(fn=cmd_action)
 
     sp = sub.add_parser("verify", help="run the identity suite")
-    for key in ("seed", "out", "tol"):
-        common[key](sp)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--tolerance-scale", type=float, default=1.0)
     sp.add_argument("--self-test-sign-flip", action="store_true",
                     help="flip a sign in the frame equation to prove the "
                          "suite can fail")
-    sp.set_defaults(fn=cmd_verify, needs_config=False)
+    sp.add_argument("--out", default=None)
+    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("epstein", help="sample an Epstein surface to CSV")
-    for key in ("config", "seed", "out"):
-        common[key](sp)
-    sp.set_defaults(fn=cmd_epstein, needs_config=True)
+    sp.add_argument("--config", required=True, help="INI config path")
+    sp.add_argument("--out", default=None)
+    sp.set_defaults(fn=cmd_epstein)
 
     sp = sub.add_parser("curve", help="crossratio-curve action report")
-    for key in ("config", "seed", "out", "level", "tol"):
-        common[key](sp)
-    sp.set_defaults(fn=cmd_curve, needs_config=True)
+    sp.add_argument("--config", required=True, help="INI config path")
+    sp.add_argument("--grid-level", type=_GRID["level"][0], default=None)
+    sp.add_argument("--out", default=None)
+    sp.set_defaults(fn=cmd_curve)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "needs_config", False) and not args.config:
-        parser.error("--config is required for this subcommand")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

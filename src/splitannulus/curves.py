@@ -452,10 +452,6 @@ def psl3_conic(coords="affine") -> PSL3Curve:
     return PSL3Curve(x_fn, l_fn, pairing, log_dst, coords)
 
 
-def psl3_crossratio(curve: PSL3Curve) -> Crossratio:
-    return curve.crossratio()
-
-
 # ---------------------------------------------------------------------------
 # Curve actions
 # ---------------------------------------------------------------------------

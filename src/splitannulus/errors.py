@@ -17,10 +17,6 @@ class NonFiniteDensity(SplitAnnulusError):
     """Quadrature node evaluated to NaN or infinity."""
 
 
-class NonFiniteIntegrand(NonFiniteDensity):
-    """Action integrand evaluated to NaN or infinity."""
-
-
 class NotCyclic(SplitAnnulusError):
     """Vertex projections of a polygonal curve fail cyclic ordering."""
 

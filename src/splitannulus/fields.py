@@ -290,6 +290,8 @@ class BumpField(ScalarField):
         self.p = int(power)
         if self.p < 3:
             raise ValueError("power >= 3 required for a C^2 join")
+        if not (self.hx > 0 and self.hy > 0):
+            raise ValueError("halfwidth must be positive")
         self.support_box = (
             self.cx - self.hx,
             self.cx + self.hx,

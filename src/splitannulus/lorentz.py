@@ -57,9 +57,6 @@ class SplitMetric:
             self._ref_factor = ConstantField(0.0)
 
     # -- jets ---------------------------------------------------------------
-    def reference_factor(self) -> ScalarField:
-        return self._ref_factor
-
     def total_factor_jet(self, x, y) -> Jet2:
         # the sum folds a zero u (or a flat reference) away
         return (self.u + self._ref_factor).jet(x, y)

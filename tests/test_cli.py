@@ -1,13 +1,18 @@
 """CLI subcommands: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitannulus import cli, fields
 
@@ -135,30 +140,70 @@ def test_malformed_config_is_config_error(tmp_path):
     assert cli.main(["action", "--config", cfg, "--out", "-"]) == 2
 
 
-@pytest.mark.parametrize("old, new, words", [
-    pytest.param(
-        "kind = bump\ncenter = 0.5 2.5\nhalfwidth = 0.42 0.42\namplitude = 0.35",
-        "kind = constant\nvalue = abc", ("[metric.h.u]", "'value'"),
-        id="value_abc"),
-    pytest.param("center = 0.5 2.5\n", "", ("[metric.h.u]", "'center'"),
-                 id="no_center"),
-    pytest.param("0.7 2.65 0.2 0.2 0.4", "0.7 2.65 0.2 0.2",
+_H_BUMP = "kind = bump\ncenter = 0.5 2.5\nhalfwidth = 0.42 0.42\namplitude = 0.35"
+_SINEFLOW = "family = po22\nkind = sineflow\namplitude = 0.3\nfrequency = 2"
+
+
+@pytest.mark.parametrize("command, base, old, new, words", [
+    pytest.param("action", ACTION_INI, _H_BUMP, "kind = constant\nvalue = abc",
+                 ("[metric.h.u]", "'value'"), id="value_abc"),
+    pytest.param("action", ACTION_INI, "center = 0.5 2.5\n", "",
+                 ("[metric.h.u]", "'center'"), id="no_center"),
+    pytest.param("action", ACTION_INI, "0.7 2.65 0.2 0.2 0.4", "0.7 2.65 0.2 0.2",
                  ("[metric.k.u]", "'rows'"), id="short_row"),
-    pytest.param("amplitude = 0.35", "amplitude = 0.35\npower = 2",
-                 ("[metric.h.u]",), id="power_2"),
-    pytest.param("level = 1", "level = one", ("[grid]", "'level'"),
-                 id="level_one"),
-    pytest.param("level = 1", "level = -1", ("level",), id="level_negative"),
-    pytest.param("amplitude = 0.35", "amplitude = 35%",
+    pytest.param("action", ACTION_INI, "amplitude = 0.35",
+                 "amplitude = 0.35\npower = 2", ("[metric.h.u]",), id="power_2"),
+    pytest.param("action", ACTION_INI, "level = 1", "level = one",
+                 ("[grid]", "'level'"), id="level_one"),
+    pytest.param("action", ACTION_INI, "level = 1", "level = -1", ("level",),
+                 id="level_negative"),
+    pytest.param("action", ACTION_INI, "amplitude = 0.35", "amplitude = 35%",
                  ("[metric.h.u]", "'amplitude'"), id="percent"),
+    pytest.param("epstein", EPSTEIN_INI, "samples = 16 16", "samples = 0 0",
+                 ("[epstein]", "'samples'"), id="samples_zero"),
+    pytest.param("epstein", EPSTEIN_INI, "samples = 16 16", "samples = -3 4",
+                 ("[epstein]", "'samples'"), id="samples_negative"),
+    pytest.param("epstein", EPSTEIN_INI, "box = 0 1 2 3", "box = 0 1 1 3",
+                 ("[epstein]", "'box'"), id="epstein_box_meets_diagonal"),
+    pytest.param("curve", CURVE_INI, _SINEFLOW,
+                 "family = po22\nkind = four_piece\nbreaks = 0.3 1.0",
+                 ("[curve]", "'breaks'"), id="four_piece_two_breaks"),
+    pytest.param("curve", CURVE_INI, _SINEFLOW,
+                 "family = po22\nkind = four_piece\nimages = 0.3 1.35",
+                 ("[curve]", "'images'"), id="four_piece_two_images"),
+    pytest.param("curve", CURVE_INI, _SINEFLOW,
+                 "family = po22\nkind = four_piece\nskew = 0",
+                 ("[curve]", "'skew'"), id="four_piece_skew_zero"),
+    pytest.param("action", ACTION_INI, _H_BUMP, "kind = polynomial\ncoeffs =",
+                 ("[metric.h.u]", "'coeffs'"), id="empty_coeffs"),
+    pytest.param("action", ACTION_INI, "box = 0 1 2 3", "box = 0 1 2 inf",
+                 ("[grid]", "'box'"), id="box_inf"),
+    pytest.param("action", ACTION_INI, "box = 0 1 2 3", "box = 0 nan 2 3",
+                 ("[grid]", "'box'"), id="box_nan"),
+    pytest.param("action", ACTION_INI, "level = 1", "level = 1\nbase_cells = 0",
+                 ("[grid]", "'base_cells'"), id="base_cells_zero"),
+    pytest.param("action", ACTION_INI, "halfwidth = 0.42 0.42", "halfwidth = 0 0.4",
+                 ("[metric.h.u]", "halfwidth"), id="halfwidth_zero"),
+    pytest.param("action", ACTION_INI, "0.7 2.65 0.2 0.2 0.4",
+                 "0.7 2.65 0.2 -0.2 0.4", ("[metric.k.u]", "halfwidth"),
+                 id="row_halfwidth_negative"),
+    pytest.param("action", ACTION_INI, "amplitude = 0.35",
+                 "amplitude = 0.35\nsupport_box = 1 0 3 2",
+                 ("[metric.h.u]", "'support_box'"), id="support_box_reversed"),
+    pytest.param("curve", CURVE_INI, "frequency = 2",
+                 "frequency = 2\nmatrix = 1.3 0.2 0.1 0.9", ("[curve]", "'matrix'"),
+                 id="sineflow_matrix"),
+    pytest.param("curve", CURVE_INI, _SINEFLOW, "family = psl3_conic\nkind = bogus",
+                 ("[curve]", "'kind'"), id="psl3_conic_kind"),
 ])
-def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, old, new,
-                                                    words):
-    assert old in ACTION_INI
-    cfg = _write(tmp_path, "bad.ini", ACTION_INI.replace(old, new))
-    assert cli.main(["action", "--config", cfg, "--out", "-"]) == 2
+def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, command, base,
+                                                    old, new, words):
+    assert old in base
+    cfg = _write(tmp_path, "bad.ini", base.replace(old, new))
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert all(w in err for w in words)
 
 
@@ -224,10 +269,12 @@ def test_curve_report_runs_one_sclass_check(tmp_path, monkeypatch):
 
     monkeypatch.setattr(liouville, "sclass_report", counted)
     monkeypatch.setattr(curves, "sclass_report", counted)
-    cfg = _write(tmp_path, "f.ini", CURVE_INI)
-    assert cli.main(["curve", "--config", cfg, "--grid-level", "0",
-                     "--out", str(tmp_path / "c.json")]) == 0
-    assert len(calls) == 1
+    for ini in (CURVE_INI, "[curve]\nfamily = psl3_conic\n"):
+        calls.clear()
+        cfg = _write(tmp_path, "f.ini", ini)
+        assert cli.main(["curve", "--config", cfg, "--grid-level", "0",
+                         "--out", str(tmp_path / "c.json")]) == 0
+        assert len(calls) == 1
 
 
 def test_curve_mobius_zero_action(tmp_path):
@@ -325,10 +372,15 @@ def test_missing_config_is_config_error(tmp_path):
                      "--out", "-"]) == 2
 
 
-def test_nonpositive_tolerance_scale_rejected(tmp_path):
+def test_removed_flags_are_argparse_errors(tmp_path):
+    # --seed and --tolerance-scale took no part in these subcommands
     cfg = _write(tmp_path, "t.ini", ACTION_INI)
-    assert cli.main(["action", "--config", cfg, "--tolerance-scale", "-1",
-                     "--out", "-"]) == 2
+    for argv in (["action", "--seed", "0"], ["epstein", "--seed", "0"],
+                 ["curve", "--seed", "0"], ["action", "--tolerance-scale", "1"],
+                 ["curve", "--tolerance-scale", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", cfg, "--out", "-"])
+        assert exc.value.code == 2
 
 
 def test_action_uniformizing_report(tmp_path):
@@ -348,3 +400,119 @@ frequency = 2
     assert abs(rep["values"]["monotone"]) <= 5e-3
     mags = [abs(v) for v in rep["refinement_trail"]]
     assert all(b < a for a, b in zip(mags, mags[1:]))
+
+
+# -- configs built from the schema tables -------------------------------------
+
+# Magnitudes are bounded: with one fault per config a polynomial factor
+# stays below 354, where e^{2u} leaves the floating-point range.
+_TOKENS = ("0", "1", "2", "3", "8", "-1", "-3", "0.3", "0.5", "2.5", "1.35",
+           "nan", "inf", "-inf", "abc")
+
+
+@st.composite
+def _bad(draw, good):
+    """``good`` with a token replaced, dropped or added, or random rows:
+    wrong counts, non-numeric tokens, nan/inf, zero and negative sizes."""
+    toks, tok = good.split(), st.sampled_from(_TOKENS)
+    op = draw(st.sampled_from(["replace", "drop", "add", "rows"]))
+    if op == "replace" and toks:
+        toks[draw(st.integers(0, len(toks) - 1))] = draw(tok)
+    elif op == "drop" and toks:
+        del toks[draw(st.integers(0, len(toks) - 1))]
+    elif op == "add":
+        toks.insert(draw(st.integers(0, len(toks))), draw(tok))
+    else:
+        return "\n".join(draw(st.lists(st.lists(tok, max_size=3).map(" ".join),
+                                       min_size=1, max_size=3)))
+    return " ".join(toks)
+
+
+# well-formed values, so that a config can fail at one fault, or at none
+_GOOD = {
+    "value": ["0.2"], "center": ["0.5 2.5"], "halfwidth": ["0.3 0.3"],
+    "amplitude": ["0.3"], "power": ["4"], "rows": ["0.5 2.5 0.3 0.3 0.2"],
+    "coeffs": ["0.1 0.2"], "support_box": ["0.2 0.8 2.2 2.8"],
+    "frequency": ["2"], "matrix": ["1.3 0.2 0.1 0.9"],
+    "breaks": ["0.3 1.0 1.8 2.5"], "images": ["0.3 1.35 1.8"], "skew": ["1.5"],
+    "matrices": ["1 0 0 1"], "reference": ["desitter", "flat"],
+    "chart": ["affine"], "coords": ["affine", "angle"], "box": ["0 1 2 3"],
+    "level": ["1"], "base_cells": ["4"], "scheme": ["gauss2", "midpoint"],
+    "band": ["0.01"], "samples": ["4 4"], "tolerance": ["1e-8"],
+}
+
+
+def _ini(sections):
+    lines = []
+    for name, items in sections.items():
+        lines.append(f"[{name}]")
+        lines += [f"{k} = " + v.replace("\n", "\n    ") for k, v in items.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _kind(draw, kinds, **fixed):
+    kind = draw(st.sampled_from(sorted(kinds)))
+    return {**fixed, "kind": kind}, kinds[kind][1]
+
+
+@st.composite
+def _configs(draw):
+    """A config that is well-formed but for at most one fault."""
+    command = draw(st.sampled_from(["action", "epstein", "curve"]))
+    layout = {}  # section -> (fixed items, schema table)
+    if command == "curve":
+        layout["curve"] = (({"family": "psl3_conic"}, {}) if draw(st.booleans())
+                           else _kind(draw, cli._CIRCLE_MAPS, family="po22"))
+    elif command == "action" and draw(st.booleans()):
+        layout["uniformizing"] = _kind(draw, cli._CIRCLE_MAPS)
+    else:
+        for name in ("g", "h", "k") if command == "action" else ("g",):
+            layout[f"metric.{name}"] = ({}, cli._METRIC)
+            if draw(st.booleans()):
+                fixed, table = _kind(draw, cli._FIELDS)
+                layout[f"metric.{name}.u"] = (fixed, {**table,
+                                                      "support_box": (None, None)})
+        if command == "action":
+            layout["grid"] = ({}, cli._GRID)
+        else:
+            layout["epstein"] = ({}, cli._EPSTEIN)
+    sections = {
+        name: {**fixed, **{k: draw(st.sampled_from(_GOOD[k]))
+                           for k, (_, default) in table.items()
+                           if default is cli._REQUIRED or draw(st.booleans())}}
+        for name, (fixed, table) in layout.items()}
+    # the fault: a bad or missing value of a key, an unknown key or a
+    # missing section
+    name = draw(st.sampled_from(sorted(layout)))
+    fixed, table = layout[name]
+    key = draw(st.sampled_from(sorted({*fixed, *table})))
+    items = sections[name]
+    fault = draw(st.sampled_from(["value"] * 4 + ["key", "unknown", "section",
+                                                  "none"]))
+    if fault == "value":
+        items[key] = draw(_bad(items.get(key) or _GOOD[key][0]))
+    elif fault == "key":
+        items.pop(key, None)
+    elif fault == "unknown":
+        items["bogus"] = "1"
+    elif fault == "section":
+        del sections[name]
+    return command, sections
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_configs())
+def test_generated_configs_exit_by_the_contract(case):
+    command, sections = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "f.ini")
+        with open(cfg, "w") as fh:
+            fh.write(_ini(sections))
+        argv = [command, "--config", cfg, "--out", os.path.join(tmp, "out")]
+        if command != "epstein":
+            argv += ["--grid-level", "0"]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv)
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

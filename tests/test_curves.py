@@ -236,7 +236,7 @@ def test_conic_incidence_and_tangency():
 
 
 def test_conic_crossratio_value():
-    b = C.psl3_crossratio(C.psl3_conic())
+    b = C.psl3_conic().crossratio()
     assert b(0, 1, 2, 3) == pytest.approx(16 / 9)
 
 
