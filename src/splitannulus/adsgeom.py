@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     DegenerateIstar,
     IncompatibleMetrics,
+    NonFiniteDensity,
     NotUnitNormal,
     SingularDual,
 )
@@ -220,6 +221,11 @@ class _FlatBase(_BasePair):
 _BASES = {DESITTER: _DeSitterBase(), FLAT: _FlatBase()}
 
 
+# The frame scales by e^w and e^-w and its quadratic forms square them,
+# so past this |w| they leave the floating-point range.
+_EXP_MAX = 0.5 * math.log(np.finfo(float).max)
+
+
 @dataclass
 class PairJets:
     """sigma, eta and their first derivatives (plus path derivatives)."""
@@ -280,6 +286,9 @@ class IsotropicSurfaceData:
         wx, wy = scale * ju.vx, scale * ju.vy
         wxx, wxy, wyy = scale * ju.vxx, scale * ju.vxy, scale * ju.vyy
         M, Mx, My = b["M"], b["M_x"], b["M_y"]
+        if np.any(np.abs(w) > _EXP_MAX):
+            raise NonFiniteDensity(f"conformal factor {np.max(np.abs(w)):.6g} "
+                                   f"exceeds {_EXP_MAX:.6g}: e^w overflows")
         ew = np.exp(w)[..., None]
 
         def col(v):
@@ -574,11 +583,12 @@ def _orthogonal_unit(x, t1, t2):
     return np.asarray(ns).reshape(x.shape)
 
 
-def classical_forms(x_fn, n_fn, s, t, step=1e-4):
-    """I, II, III and the shape operator by finite differences.
+def difference_frame(x_fn, n_fn, s, t, step=1e-4) -> EpsteinFrame:
+    """x, n and their first derivatives by central differences.
 
-    II(u, v) = <D_u n, D_v x> and B solves D n = D x . B on the tangent
-    plane; NotUnitNormal if the supplied normal fails its constraints.
+    For surfaces given only pointwise, such as the synthetic slices, which
+    have no closed-form jets; NotUnitNormal if the supplied normal fails
+    its constraints.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -586,25 +596,35 @@ def classical_forms(x_fn, n_fn, s, t, step=1e-4):
     n = n_fn(s, t)
     if np.max(np.abs(qform(n) - 1.0)) > 1e-6 or np.max(np.abs(pair(x, n))) > 1e-6:
         raise NotUnitNormal("n is not a unit normal field")
-    dx1 = (x_fn(s + step, t) - x_fn(s - step, t)) / (2 * step)
-    dx2 = (x_fn(s, t + step) - x_fn(s, t - step)) / (2 * step)
-    dn1 = (n_fn(s + step, t) - n_fn(s - step, t)) / (2 * step)
-    dn2 = (n_fn(s, t + step) - n_fn(s, t - step)) / (2 * step)
-    i_mat = _pair_matrix(dx1, dx2, dx1, dx2)
-    ii_mat = _pair_matrix(dn1, dn2, dx1, dx2)
-    iii_mat = _pair_matrix(dn1, dn2, dn1, dn2)
+    return EpsteinFrame(
+        x, n,
+        x_dx=(x_fn(s + step, t) - x_fn(s - step, t)) / (2 * step),
+        x_dy=(x_fn(s, t + step) - x_fn(s, t - step)) / (2 * step),
+        n_dx=(n_fn(s + step, t) - n_fn(s - step, t)) / (2 * step),
+        n_dy=(n_fn(s, t + step) - n_fn(s, t - step)) / (2 * step),
+    )
+
+
+def fundamental_forms(f: EpsteinFrame):
+    """I, II, III and the shape operator of a surface frame.
+
+    Only x, n and their first derivatives are read.  II(u, v) =
+    <D_u n, D_v x> and B solves D n = D x . B on the tangent plane.
+    """
+    i_mat = _pair_matrix(f.x_dx, f.x_dy, f.x_dx, f.x_dy)
+    ii_mat = _pair_matrix(f.n_dx, f.n_dy, f.x_dx, f.x_dy)
+    iii_mat = _pair_matrix(f.n_dx, f.n_dy, f.n_dx, f.n_dy)
     # B in the coordinate tangent frame: columns solve I . B_j = II_j
     b = np.linalg.solve(i_mat, 0.5 * (ii_mat + np.swapaxes(ii_mat, -1, -2)))
-    return x, n, dx1, dx2, dn1, dn2, i_mat, ii_mat, iii_mat, b
+    return i_mat, ii_mat, iii_mat, b
 
 
 def typical_holonomic_residual(x_fn, n_fn, s, t, step=1e-4):
     """|I*(lift) - (I + 2 II + III)/2| entrywise, maxed over samples."""
-    (x, n, dx1, dx2, dn1, dn2, i_mat, ii_mat, iii_mat, _) = classical_forms(
-        x_fn, n_fn, s, t, step
-    )
-    lift1 = RT2INV * (dx1 + dn1)
-    lift2 = RT2INV * (dx2 + dn2)
+    f = difference_frame(x_fn, n_fn, s, t, step)
+    i_mat, ii_mat, iii_mat, _ = fundamental_forms(f)
+    lift1 = RT2INV * (f.x_dx + f.n_dx)
+    lift2 = RT2INV * (f.x_dy + f.n_dy)
     istar = _pair_matrix(lift1, lift2, lift1, lift2)
     classical = 0.5 * (
         i_mat + ii_mat + np.swapaxes(ii_mat, -1, -2) + iii_mat

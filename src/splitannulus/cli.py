@@ -284,6 +284,10 @@ def cmd_action(args):
     g = parse_metric(cfg, "g")
     h = parse_metric(cfg, "h")
     k = parse_metric(cfg, "k") if "metric.k" in cfg else None
+    for name, m in (("h", h), ("k", k)):
+        if m is not None and not m.compatible(g):
+            raise ConfigError(f"invalid data in [metric.{name}]: reference, "
+                              "coords and chart must be those of [metric.g]")
     report = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "action",
@@ -292,20 +296,22 @@ def cmd_action(args):
     top = args.grid_level if args.grid_level is not None else parse_grid(cfg).level
     # S(g, h) once per level 0..top+1: the value at level lv+1 is the
     # refined value of level lv, so the trail, the definition value, its
-    # error estimate and the Chasles term S(g, h) all come from this list.
+    # error estimate and the Chasles term S(g, h) all come from one ladder.
     # The other integrals are taken on the finest grid only.
     grids = [parse_grid(cfg, level_override=lv) for lv in range(top + 2)]
-    values = [liouville.action(g, h, grid, refine=False).value for grid in grids]
+    av = liouville.refinement_trail(
+        lambda grid: liouville.action(g, h, grid, refine=False).value,
+        grids, "definition")
     fine = grids[-1]
-    report["values"]["definition"] = values[-1]
+    report["values"]["definition"] = av.value
     report["values"]["monotone"] = liouville.action_monotone(
         g, h, fine, refine=False).value
-    report["error_estimate"] = abs(values[-1] - values[-2])
-    report["refinement_trail"] = values[1:]
+    report["error_estimate"] = av.error_estimate
+    report["refinement_trail"] = av.trail[1:]
     report["grid"] = grids[top].describe()
     if k is not None:
         report["chasles_residual"] = abs(
-            values[-1]
+            av.value
             + liouville.action(h, k, fine, refine=False).value
             - liouville.action(g, k, fine, refine=False).value
         )
@@ -451,14 +457,8 @@ def _verify_checks(seed, tol_scale, sign_flip=False):
 
     sgrid = rng.uniform(0.1, 0.9, 20)
     tgrid = rng.uniform(2.1, 2.9, 20)
-    def x_fn(a, b):
-        return adsgeom.epstein_lift(data, a, b).x
-
-    def n_fn(a, b):
-        return adsgeom.epstein_lift(data, a, b).n
-
-    add("classical_formula",
-        forms.classical_formula_residual(x_fn, n_fn, sgrid, tgrid), 1e-8)
+    add("classical_formula", forms.classical_formula_residual(
+        adsgeom.epstein_lift(data, sgrid, tgrid)), 1e-8)
 
     rot = adsgeom.random_so_q(rng)
     p = forms.random_ut_point(rng)
@@ -491,6 +491,9 @@ def cmd_verify(args):
 def cmd_epstein(args):
     cfg = load_config(args.config)
     g = parse_metric(cfg, "g")
+    if g.coords != "affine":
+        raise ConfigError(f"bad value {g.coords!r} for 'coords' in [metric.g]: "
+                          "Epstein surfaces use affine coords")
     box, ns, tol = _read("epstein", cfg["epstein"] if "epstein" in cfg else {},
                          _EPSTEIN).values()
     s = np.linspace(box[0], box[1], ns[0])

@@ -46,9 +46,8 @@ from .fields import (
     PiecewiseMobiusAngleMap,
     ScalarField,
     UniformizingFactor,
-    torus_grid,
 )
-from .liouville import ActionValue, _monotone_density, sclass_report
+from .liouville import ActionValue, _monotone_density, sclass_report, torus_trail
 from .lorentz import SplitMetric, desitter
 
 
@@ -475,8 +474,7 @@ def _graded_breaks(turning_points, depths=(0.2048, 0.0512, 0.0128, 0.0032,
     return sorted(out)
 
 
-def curve_action(curve, levels=3, base_cells=48, band=0.08,
-                 check_sclass=True) -> ActionValue:
+def curve_action(curve, levels=3, check_sclass=True) -> ActionValue:
     """Liouville action of a positive curve against its circle metric.
 
     The metric pair is (g_curve, g_circle) with g_circle measured from
@@ -495,13 +493,11 @@ def curve_action(curve, levels=3, base_cells=48, band=0.08,
         g = g_circle.scaled_by(u)
         breaks = ()
         limit = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        piecewise = False
     else:
         g_circle = curve.circle_metric()
         g = curve.metric()
         breaks = curve.breakpoints()
         limit = curve.diagonal_limit_density
-        piecewise = len(breaks) > 0
 
     report = None
     if check_sclass:
@@ -511,30 +507,16 @@ def curve_action(curve, levels=3, base_cells=48, band=0.08,
             raise SClassFail(failing[0], f"S-class clauses failed: {failing}")
 
     density = _monotone_density(g, g_circle, g_circle.factor_relative_to(g))
-
-    def closure(x, y):
-        return 0.5 * (limit(x) + limit(y))
-
-    if piecewise:
-        grid_breaks = _graded_breaks(breaks)
-    else:
-        grid_breaks = breaks
-
-    trail = []
-    for lv in range(levels + 1):
-        band_lv = 3e-4 if piecewise else band / 2 ** lv
-        grid = torus_grid(level=lv, base_cells=base_cells,
-                          band=band_lv, breakpoints=grid_breaks)
-        trail.append(grid.integrate(density, closure))
-    err = abs(trail[-1] - trail[-2]) if len(trail) > 1 else abs(trail[-1])
-    return ActionValue(trail[-1], err, grid.describe(), "curve", trail, report)
+    if breaks:
+        return torus_trail(density, limit, levels, "curve",
+                           _graded_breaks(breaks), 3e-4, report)
+    return torus_trail(density, limit, levels, "curve", sclass=report)
 
 
 def reparam_invariance_residual(curve: PO22Curve, phi: CircleMap,
-                                levels=2, base_cells=48) -> float:
+                                levels=2) -> float:
     """|S(curve o phi) - S(curve)| for a C^3 reparametrization."""
-    a = curve_action(curve, levels=levels, base_cells=base_cells,
-                     check_sclass=False)
+    a = curve_action(curve, levels=levels, check_sclass=False)
     b = curve_action(curve.reparametrized(phi), levels=levels,
-                     base_cells=base_cells, check_sclass=False)
+                     check_sclass=False)
     return abs(a.value - b.value)

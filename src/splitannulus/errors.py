@@ -14,7 +14,7 @@ class OutOfChart(SplitAnnulusError):
 
 
 class NonFiniteDensity(SplitAnnulusError):
-    """Quadrature node evaluated to NaN or infinity."""
+    """Quadrature node or surface evaluated to NaN or infinity, or would."""
 
 
 class NotCyclic(SplitAnnulusError):

@@ -227,24 +227,6 @@ class ScaledField(ScalarField):
         return self._jet(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
-class ProductField(ScalarField):
-    """Pointwise product of two fields (Leibniz on the jets)."""
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _jet(self, x, y):
-        a, b = self.a.jet(x, y), self.b.jet(x, y)
-        return Jet2(
-            a.v * b.v,
-            a.vx * b.v + a.v * b.vx,
-            a.vy * b.v + a.v * b.vy,
-            a.vxy * b.v + a.vx * b.vy + a.vy * b.vx + a.v * b.vxy,
-            a.vxx * b.v + 2 * a.vx * b.vx + a.v * b.vxx,
-            a.vyy * b.v + 2 * a.vy * b.vy + a.v * b.vyy,
-        )
-
-
 class PolynomialField(ScalarField):
     """sum_ij coeffs[i, j] x^i y^j with exact partials."""
 
@@ -1205,12 +1187,6 @@ class QuadratureGrid:
                 raise NonFiniteDensity("band closure is not finite")
             vals[self.band_mask] = c
         return float(np.sum(vals * self.W))
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("x,y,w\n")
-            for x, y, w in zip(self.X.ravel(), self.Y.ravel(), self.W.ravel()):
-                fh.write(f"{x!r},{y!r},{w!r}\n")
 
 
 def box_grid(box, level=0, base_cells=32, scheme="gauss2", band=0.0,

@@ -40,6 +40,7 @@ from .adsgeom import (
     det4,
     epstein_frame,
     frame_constraint_residuals,
+    fundamental_forms,
     pair,
     qform,
 )
@@ -51,7 +52,7 @@ from .errors import (
     StepTooSmall,
 )
 from .fields import QuadratureGrid, _axis_nodes
-from .liouville import ActionValue
+from .liouville import ActionValue, refinement_trail
 from .lorentz import SplitMetric, curvature
 
 _EPS = np.finfo(float).eps
@@ -438,9 +439,8 @@ def w_volume(lens: LensCobordism, grid: QuadratureGrid,
     oriented by dx ^ dy; the bulk integrand is then
     det(x, d_x x, d_y x, d_t x).
     """
-    coarse = _w_value(lens, grid, t_cells)
-    fine = _w_value(lens, grid.refine(), t_cells)
-    return ActionValue(fine, abs(fine - coarse), grid.describe(), "w-volume")
+    return refinement_trail(lambda gr: _w_value(lens, gr, t_cells),
+                            (grid, grid.refine()), "w-volume")
 
 
 def w_volume_split(lens: LensCobordism, grid, t_cells=12):
@@ -461,29 +461,23 @@ def w_volume_split(lens: LensCobordism, grid, t_cells=12):
     return w_first, w_second, w_full
 
 
-def classical_formula_residual(x_fn, n_fn, s, t, step=1e-4):
-    """Pointwise |F* alpha - (1/4) tr(B) da| over the sample points.
+def classical_formula_residual(f) -> float:
+    """Pointwise |F* alpha - (1/4) tr(B) da| over the points of a frame.
 
-    da is the area form det(x, n, d_s x, d_t x) of the lifted surface
-    and B solves D n = D x . B in the tangent frame.
+    ``f`` carries x, n and their first derivatives, as an EpsteinFrame
+    does.  da is the area form det(x, n, d_s x, d_t x) of the lifted
+    surface and B solves D n = D x . B in the tangent frame.
     """
-    from .adsgeom import classical_forms
-
-    (x, n, dx1, dx2, dn1, dn2, i_mat, _, _, b) = classical_forms(
-        x_fn, n_fn, s, t, step
-    )
-    falpha = 0.25 * (det4(x, n, dn1, dx2) + det4(x, n, dx1, dn2))
-    da = det4(x, n, dx1, dx2)
+    b = fundamental_forms(f)[-1]
+    falpha = 0.25 * (det4(f.x, f.n, f.n_dx, f.x_dy) + det4(f.x, f.n, f.x_dx, f.n_dy))
+    da = det4(f.x, f.n, f.x_dx, f.x_dy)
     trb = np.trace(b, axis1=-2, axis2=-1)
     return float(np.max(np.abs(falpha - 0.25 * trb * da)))
 
 
-def mean_curvature(x_fn, n_fn, s, t, step=1e-4):
-    """H = (1/2) tr(B) for a lifted surface."""
-    from .adsgeom import classical_forms
-
-    b = classical_forms(x_fn, n_fn, s, t, step)[-1]
-    return 0.5 * np.trace(b, axis1=-2, axis2=-1)
+def mean_curvature(f):
+    """H = (1/2) tr(B) for a lifted surface frame."""
+    return 0.5 * np.trace(fundamental_forms(f)[-1], axis1=-2, axis2=-1)
 
 
 def variational_3d_residual(metric: SplitMetric, u, dt, grid, t_cells=12):

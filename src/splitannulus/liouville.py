@@ -71,10 +71,26 @@ def _monotone_density(g, h, u):
     return density
 
 
-def _integrate_with_refinement(grid, density, support):
-    coarse = grid.integrate(density, support=support)
-    fine = grid.refine().integrate(density, support=support)
-    return fine, abs(fine - coarse)
+def refinement_trail(integral, grids, formula, sclass=None) -> ActionValue:
+    """``integral`` on ``grids`` from coarse to fine, each grid taken from
+    the iterable after the integral on the previous one: the value is the
+    finest integral, the error estimate the last step (|I_0| for a single
+    level), the trail every integral and ``grid`` the finest description.
+    """
+    trail = []
+    for grid in grids:
+        trail.append(integral(grid))
+    err = abs(trail[-1] - trail[-2]) if len(trail) > 1 else abs(trail[-1])
+    return ActionValue(trail[-1], err, grid.describe(), formula, trail, sclass)
+
+
+def _action(grid, refine, formula, u, density):
+    def integral(gr):
+        return gr.integrate(density, support=u.support_box)
+
+    if not refine:
+        return ActionValue(integral(grid), float("nan"), grid.describe(), formula)
+    return refinement_trail(integral, (grid, grid.refine()), formula)
 
 
 def action(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
@@ -85,24 +101,14 @@ def action(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
     difference to the coarse value is the reported error estimate.
     """
     u = h.factor_relative_to(g)
-    density = _definition_density(g, u)
-    if refine:
-        value, err = _integrate_with_refinement(grid, density, u.support_box)
-    else:
-        value, err = grid.integrate(density, support=u.support_box), float("nan")
-    return ActionValue(value, err, grid.describe(), "definition")
+    return _action(grid, refine, "definition", u, _definition_density(g, u))
 
 
 def action_monotone(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
                     refine: bool = True) -> ActionValue:
     """S(g, h) by the monotonicity formula (both curvature forms)."""
     u = h.factor_relative_to(g)
-    density = _monotone_density(g, h, u)
-    if refine:
-        value, err = _integrate_with_refinement(grid, density, u.support_box)
-    else:
-        value, err = grid.integrate(density, support=u.support_box), float("nan")
-    return ActionValue(value, err, grid.describe(), "monotone")
+    return _action(grid, refine, "monotone", u, _monotone_density(g, h, u))
 
 
 def chasles_residual(g, h, k, grid, refine=True) -> float:
@@ -170,7 +176,7 @@ def area_neutral_combination(g, u1, u2, grid):
 # VB and the S-class
 # ---------------------------------------------------------------------------
 
-def vb(f, curve: PolygonalCurve, refinement: int = 6) -> float:
+def vb(f: ScalarField, curve: PolygonalCurve, refinement: int = 6) -> float:
     """Vertical-oscillation variation of f along a polygonal curve.
 
     Dyadic subdivision of each vertical segment gives a nondecreasing
@@ -178,22 +184,25 @@ def vb(f, curve: PolygonalCurve, refinement: int = 6) -> float:
     C^1 restrictions it converges to the total variation along the
     vertical edges.
     """
-    ev = (lambda x, y: float(f.value(x, y))) if isinstance(f, ScalarField) else f
     total = 0.0
     n = 2 ** int(refinement)
     for a, b in curve.vertical_segments():
         ys = np.linspace(a.y, b.y, n + 1)
-        vals = np.array([ev(a.x, yy) for yy in ys])
+        vals = np.array([float(f.value(a.x, yy)) for yy in ys])
         total += float(np.sum(np.abs(np.diff(vals))))
     return total
 
 
-def vb_converged(f, curve, tol=1e-8, max_refinement=14):
+_VB_TOL = 1e-8
+_VB_MAX_REFINEMENT = 14
+
+
+def vb_converged(f, curve):
     """VB by dyadic refinement with early stop when two levels agree."""
     prev = vb(f, curve, 0)
-    for r in range(1, max_refinement + 1):
+    for r in range(1, _VB_MAX_REFINEMENT + 1):
         cur = vb(f, curve, r)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= _VB_TOL * max(1.0, abs(cur)):
             return cur, True
         prev = cur
     return prev, False
@@ -215,64 +224,71 @@ class SClassReport:
     verdict: bool
 
 
-def sclass_report(g: SplitMetric, h: SplitMetric, curve=None,
-                  band_width=0.4, n_bands=5, samples=600,
-                  sup_max=50.0, decay_min=1.8, linf_max=1e4, l1_max=1e4,
-                  vb_max=1e3) -> SClassReport:
+# The S-class thresholds.  The decay threshold accepts a factor >=
+# _DECAY_MIN per halving of the band: smooth factors decay quadratically
+# (factor 4) while a C^1 turning point forces an exactly linear rate
+# (factor 2), so it sits below 2 with margin for sampling noise.
+_BAND_WIDTH = 0.4
+_N_BANDS = 5
+_SAMPLES = 600
+_SUP_MAX = 50.0
+_DECAY_MIN = 1.8
+_LINF_MAX = 1e4
+_L1_MAX = 1e4
+_VB_MAX = 1e3
+# the VB curve: a diamond in angle coordinates away from the breakpoint lines
+_VB_CURVE = diamond_curve(0.11, 0.93, 1.57, 2.41)
+
+
+def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
     """Numerical S-class diagnostics for the factor u with h = e^{2u} g.
 
     Clause (1): u essentially bounded; (2): u decays uniformly at the
     boundary, measured as max |u| over nested diagonal bands shrinking
     dyadically; (3): box_g u bounded and integrable; (4): finite VB on a
-    polygonal curve.  The decay threshold accepts factor >= decay_min
-    per halving: smooth factors decay quadratically (factor 4) while a
-    C^1 turning point forces an exactly linear rate (factor 2), so the
-    default sits below 2 with margin for sampling noise.
+    polygonal curve.
     """
     u = h.factor_relative_to(g)
     if g.coords != "angle":
         raise IncompatibleMetrics("S-class diagnostics run on torus metrics")
     rng = np.random.default_rng(20240901)
-    th = rng.uniform(0.0, math.pi, samples)
+    th = rng.uniform(0.0, math.pi, _SAMPLES)
 
     maxima = []
-    for j in range(n_bands):
-        w_hi = band_width / 2 ** j
+    for j in range(_N_BANDS):
+        w_hi = _BAND_WIDTH / 2 ** j
         w_lo = w_hi / 2.0
-        offs = rng.uniform(w_lo, w_hi, samples) * rng.choice([-1, 1], samples)
+        offs = rng.uniform(w_lo, w_hi, _SAMPLES) * rng.choice([-1, 1], _SAMPLES)
         vals = np.abs(u.value(th, th + offs))
         maxima.append(float(np.max(vals)))
     noise_floor = 1e-12
     ratios = [
         maxima[j] / maxima[j + 1] if maxima[j + 1] > noise_floor else np.inf
-        for j in range(n_bands - 1)
+        for j in range(_N_BANDS - 1)
     ]
-    sup_u = float(np.max(np.abs(u.value(th, th + rng.uniform(band_width,
-                                                             math.pi - band_width,
-                                                             samples)))))
+    sup_u = float(np.max(np.abs(u.value(th, th + rng.uniform(_BAND_WIDTH,
+                                                             math.pi - _BAND_WIDTH,
+                                                             _SAMPLES)))))
     sup_u = max(sup_u, max(maxima))
 
-    bulk_grid = torus_grid(level=1, band=band_width / 2 ** n_bands)
+    bulk_grid = torus_grid(level=1, band=_BAND_WIDTH / 2 ** _N_BANDS)
     dal = lambda x, y: 2.0 * u.jet(x, y).vxy / g.density(x, y)
-    xs, ys = bulk_grid.X[~bulk_grid.band_mask], bulk_grid.Y[~bulk_grid.band_mask]
-    linf = float(np.max(np.abs(dal(xs, ys))))
+    linf = float(np.max(np.abs(dal(*bulk_grid.off_band_nodes()))))
     l1 = bulk_grid.integrate(lambda x, y: np.abs(2.0 * u.jet(x, y).vxy))
 
-    if curve is None:
-        curve = _default_torus_curve(g)
-    vb_val, vb_ok = vb_converged(u, curve)
+    vb_val, vb_ok = vb_converged(u, _VB_CURVE)
 
     unbounded = maxima[-1] > max(maxima[0] * 1.2, noise_floor)
     clauses = {
-        "1_bounded": bool(np.isfinite(sup_u) and sup_u <= sup_max and not unbounded),
+        "1_bounded": bool(np.isfinite(sup_u) and sup_u <= _SUP_MAX and not unbounded),
         "2_boundary_decay": bool(
-            not unbounded and all(r >= decay_min for r in ratios)
+            not unbounded and all(r >= _DECAY_MIN for r in ratios)
         ),
         "3_dalembertian": bool(
-            np.isfinite(linf) and linf <= linf_max and np.isfinite(l1)
-            and l1 <= l1_max
+            np.isfinite(linf) and linf <= _LINF_MAX and np.isfinite(l1)
+            and l1 <= _L1_MAX
         ),
-        "4_vb_finite": bool(np.isfinite(vb_val) and vb_val <= vb_max),
+        "4_vb_finite": bool(np.isfinite(vb_val) and vb_val <= _VB_MAX),
     }
     return SClassReport(
         sup_u=sup_u,
@@ -285,17 +301,29 @@ def sclass_report(g: SplitMetric, h: SplitMetric, curve=None,
     )
 
 
-def _default_torus_curve(g):
-    # a diamond in angle coordinates away from the breakpoint lines
-    return diamond_curve(0.11, 0.93, 1.57, 2.41)
-
-
 # ---------------------------------------------------------------------------
-# Uniformizing metrics
+# Actions over the torus
 # ---------------------------------------------------------------------------
 
-def uniformizing_action(phi, levels=3, base_cells=48, band=0.08,
-                        formula="monotone") -> ActionValue:
+def torus_trail(density, limit, levels, formula, breaks=(), band=None,
+                sclass=None) -> ActionValue:
+    """``density`` over the full torus, refined over levels 0..``levels``.
+
+    Cells align with ``breaks``.  The density is 0/0 on the diagonal, so
+    banded nodes take (limit(x) + limit(y)) / 2 for its diagonal limit
+    ``limit``; the band half-width is ``band``, or 0.08 / 2^level if None.
+    """
+    def closure(x, y):
+        return 0.5 * (limit(x) + limit(y))
+
+    grids = (torus_grid(level=lv, band=0.08 / 2 ** lv if band is None else band,
+                        breakpoints=breaks)
+             for lv in range(levels + 1))
+    return refinement_trail(lambda grid: grid.integrate(density, closure),
+                            grids, formula, sclass)
+
+
+def uniformizing_action(phi, levels=3, formula="monotone") -> ActionValue:
     """S(Phi* g0, g0) over the full torus for a C^3 circle map.
 
     The raw integrand is 0/0 on the diagonal; inside a band of shrinking
@@ -312,21 +340,10 @@ def uniformizing_action(phi, levels=3, base_cells=48, band=0.08,
         raise NotC3(str(exc))
     g0 = desitter(coords="angle")
     g = pullback_metric(g0, phi)
-    u = UniformizingFactor(phi)
-
+    u = g0.factor_relative_to(g)
     if formula == "monotone":
-        density = _monotone_density(g, g0, g0.factor_relative_to(g))
+        density = _monotone_density(g, g0, u)
     else:
-        density = _definition_density(g, g0.factor_relative_to(g))
-
-    def closure(x, y):
-        return 0.5 * (u.diagonal_limit_density(x) + u.diagonal_limit_density(y))
-
-    breaks = getattr(phi, "breakpoints", ())
-    trail = []
-    for lv in range(levels + 1):
-        grid = torus_grid(level=lv, base_cells=base_cells,
-                          band=band / 2 ** lv, breakpoints=breaks)
-        trail.append(grid.integrate(density, closure))
-    err = abs(trail[-1] - trail[-2]) if len(trail) > 1 else abs(trail[-1])
-    return ActionValue(trail[-1], err, grid.describe(), formula, trail)
+        density = _definition_density(g, u)
+    return torus_trail(density, UniformizingFactor(phi).diagonal_limit_density,
+                       levels, formula, getattr(phi, "breakpoints", ()))

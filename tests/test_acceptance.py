@@ -260,20 +260,13 @@ def test_criterion_14_classical_formula():
     x_g, n_g = A.totally_geodesic_slice()
     s = rng.uniform(-0.8, 0.8, 40)
     t = rng.uniform(0.1, 1.2, 40)
-    geo = FM.classical_formula_residual(x_g, n_g, s, t)
+    geo = FM.classical_formula_residual(A.difference_frame(x_g, n_g, s, t))
     data = A.isotropic_from_metric(
         G0.scaled_by(F.bump_field((0.5, 2.5), (0.42, 0.42), 0.4))
     )
-
-    def x_fn(a, b):
-        return A.epstein_lift(data, a, b).x
-
-    def n_fn(a, b):
-        return A.epstein_lift(data, a, b).n
-
     s2 = rng.uniform(0.1, 0.9, 40)
     t2 = rng.uniform(2.1, 2.9, 40)
-    ep = FM.classical_formula_residual(x_fn, n_fn, s2, t2)
+    ep = FM.classical_formula_residual(A.epstein_lift(data, s2, t2))
     ok = geo == 0.0 and ep <= 1e-8
     report(14, "classical formula F*alpha = tr(B)/4 da", ok,
            f"geodesic slice residual = {geo:.1e} (exact zeros); Epstein "

@@ -226,9 +226,7 @@ def test_totally_geodesic_slice():
     assert np.max(np.abs(A.qform(x) + 1)) <= 1e-12
     assert np.max(np.abs(A.qform(n) - 1)) <= 1e-12
     # II = III = 0 for a constant normal, so I*(lift) = I/2
-    (_, _, dx1, dx2, _, _, i_mat, ii_mat, iii_mat, b) = A.classical_forms(
-        x_fn, n_fn, s, t
-    )
+    _, ii_mat, iii_mat, _ = A.fundamental_forms(A.difference_frame(x_fn, n_fn, s, t))
     assert np.max(np.abs(ii_mat)) <= 1e-12
     assert np.max(np.abs(iii_mat)) <= 1e-12
     assert A.typical_holonomic_residual(x_fn, n_fn, s, t) <= 1e-10
@@ -247,7 +245,7 @@ def test_not_unit_normal_rejected():
     x_fn, n_fn = A.totally_geodesic_slice()
     bad_n = lambda s, t: 1.1 * n_fn(s, t)
     with pytest.raises(NotUnitNormal):
-        A.classical_forms(x_fn, bad_n, np.array([0.1]), np.array([0.5]))
+        A.difference_frame(x_fn, bad_n, np.array([0.1]), np.array([0.5]))
 
 
 def test_random_so_q_is_in_group():

@@ -51,6 +51,13 @@ amplitude = 0.3
 frequency = 2
 """
 
+UNIFORMIZING_INI = """
+[uniformizing]
+kind = sineflow
+amplitude = 0.3
+frequency = 2
+"""
+
 EPSTEIN_INI = """
 [metric.g]
 reference = desitter
@@ -195,6 +202,18 @@ _SINEFLOW = "family = po22\nkind = sineflow\namplitude = 0.3\nfrequency = 2"
                  id="sineflow_matrix"),
     pytest.param("curve", CURVE_INI, _SINEFLOW, "family = psl3_conic\nkind = bogus",
                  ("[curve]", "'kind'"), id="psl3_conic_kind"),
+    pytest.param("action", ACTION_INI, "[metric.h]\nreference = desitter",
+                 "[metric.h]\nreference = flat", ("[metric.h]",),
+                 id="metrics_differ_in_reference"),
+    pytest.param("action", ACTION_INI, "[metric.k]\nreference = desitter",
+                 "[metric.k]\nreference = desitter\ncoords = angle",
+                 ("[metric.k]",), id="metrics_differ_in_coords"),
+    pytest.param("action", ACTION_INI, "[metric.h]\nreference = desitter",
+                 "[metric.h]\nreference = desitter\nchart = other",
+                 ("[metric.h]",), id="metrics_differ_in_chart"),
+    pytest.param("epstein", EPSTEIN_INI, "[metric.g]\nreference = desitter",
+                 "[metric.g]\nreference = desitter\ncoords = angle",
+                 ("[metric.g]", "'coords'"), id="epstein_angle_coords"),
 ])
 def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, command, base,
                                                     old, new, words):
@@ -207,16 +226,34 @@ def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, command, b
     assert all(w in err for w in words)
 
 
+def _run_cli(*args):
+    """The CLI in a fresh interpreter, with Python's default warning filters."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "splitannulus.cli", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
 def test_bad_config_value_from_the_command_line(tmp_path):
     ini = ACTION_INI.replace("center = 0.5 2.5\n", "")
     cfg = _write(tmp_path, "bad.ini", ini)
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-m", "splitannulus.cli", "action",
-                           "--config", cfg, "--out", "-"],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
+    proc = _run_cli("action", "--config", cfg, "--out", "-")
     assert proc.returncode == 2
     assert proc.stderr == "config error: missing key 'center' in [metric.h.u]\n"
+
+
+def test_overflowing_factor_is_a_numerical_failure(tmp_path):
+    # u reaches about 10^3 on the box, so e^u leaves the floating-point range
+    ini = EPSTEIN_INI.replace("kind = bump\ncenter = 0.5 2.5\nhalfwidth = 0.4 0.4\n"
+                              "amplitude = 0.3",
+                              "kind = polynomial\ncoeffs = 1 0.5 8 0.3 2.5 3")
+    cfg = _write(tmp_path, "big.ini", ini)
+    out = tmp_path / "big.csv"
+    proc = _run_cli("epstein", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure:")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_negative_grid_level_flag_rejected(tmp_path):
@@ -384,13 +421,7 @@ def test_removed_flags_are_argparse_errors(tmp_path):
 
 
 def test_action_uniformizing_report(tmp_path):
-    ini = """
-[uniformizing]
-kind = sineflow
-amplitude = 0.3
-frequency = 2
-"""
-    cfg = _write(tmp_path, "u.ini", ini)
+    cfg = _write(tmp_path, "u.ini", UNIFORMIZING_INI)
     out = tmp_path / "uni.json"
     rc = cli.main(["action", "--config", cfg, "--grid-level", "2",
                    "--out", str(out)])
@@ -400,6 +431,44 @@ frequency = 2
     assert abs(rep["values"]["monotone"]) <= 5e-3
     mags = [abs(v) for v in rep["refinement_trail"]]
     assert all(b < a for a, b in zip(mags, mags[1:]))
+
+
+_UNI_TRAIL = [-3.077975451595827e-05, -3.853410992978208e-06,
+              -4.818623299125387e-07]
+
+
+@pytest.mark.parametrize("command, ini, level, pinned", [
+    ("curve", CURVE_INI, 2, {
+        "action": 0.00029158990155774635,
+        "error_estimate": 1.6858516955756326e-06,
+        "refinement_trail": [0.0002764384535565164, 0.0002899040498621707,
+                             0.00029158990155774635]}),
+    ("action", UNIFORMIZING_INI, 1, {
+        "values": {"definition": _UNI_TRAIL[1], "monotone": _UNI_TRAIL[1]},
+        "error_estimate": 2.692634352298006e-05,
+        "refinement_trail": _UNI_TRAIL[:2]}),
+    ("action", UNIFORMIZING_INI, 2, {
+        "values": {"definition": _UNI_TRAIL[2], "monotone": _UNI_TRAIL[2]},
+        "error_estimate": 3.3715486630656695e-06,
+        "refinement_trail": _UNI_TRAIL}),
+], ids=["curve_sineflow", "uniformizing_1", "uniformizing_2"])
+def test_torus_trails_pinned(tmp_path, command, ini, level, pinned):
+    # sine-flow values of the reports before both torus actions shared one
+    # refinement ladder; sharing it must not move a bit
+    cfg = _write(tmp_path, "t.ini", ini)
+    out = tmp_path / "t.json"
+    assert cli.main([command, "--config", cfg, "--grid-level", str(level),
+                     "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert {key: rep[key] for key in pinned} == pinned
+
+
+@pytest.mark.parametrize("seed", [30, 75, 103])
+def test_verify_seeds_with_ill_conditioned_first_forms_pass(tmp_path, seed):
+    # their classical_formula residuals exceeded 1e-8 with central
+    # differences of the Epstein lift; the exact jets stay below it
+    assert cli.main(["verify", "--seed", str(seed),
+                     "--out", str(tmp_path / "v.json")]) == 0
 
 
 # -- configs built from the schema tables -------------------------------------

@@ -71,7 +71,6 @@ def test_desitter_log_factor_jet():
     F.DeSitterLogFactor(),
     F.bump_field((0.5, 2.5), (0.4, 0.4), 0.3)
     + F.bump_field((0.4, 2.4), (0.3, 0.3), -0.2),
-    F.ProductField(F.product_xy(), F.bump_field((0.5, 2.5), (0.4, 0.4), 0.5)),
     F.PullbackField(F.bump_field((0.5, 2.5), (0.4, 0.4), 0.5),
                     F.MobiusMap(np.array([[1.1, 0.1], [0.05, 1.0]]))),
     F.UniformizingFactor(F.SineFlowMap(0.3, 2)),
@@ -451,15 +450,6 @@ def test_desitter_second_derivatives_bits(factor, inv):
     q = inv(x - y)
     assert np.array_equal(j.vxy, -1.0 / q)
     assert np.array_equal(j.vxx, 1.0 / q) and np.array_equal(j.vyy, 1.0 / q)
-
-
-def test_grid_csv_export(tmp_path):
-    grid = F.box_grid((0, 1, 2, 3), level=0, base_cells=4)
-    path = tmp_path / "grid.csv"
-    grid.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,w"
-    assert len(lines) == 1 + grid.W.size
 
 
 def test_breakpoint_aligned_cells():

@@ -255,6 +255,14 @@ def test_w_volume_regression(lens):
     assert abs(wv.value - (-0.01044917734012496)) <= 1e-13
 
 
+def test_w_volume_carries_its_two_level_trail(lens):
+    grid = F.box_grid(BOX, level=0, base_cells=8)
+    wv = FM.w_volume(lens, grid, t_cells=4)
+    assert len(wv.trail) == 2 and wv.trail[1] == wv.value
+    assert wv.error_estimate == abs(wv.trail[1] - wv.trail[0])
+    assert wv.grid == grid.refine().describe()
+
+
 def test_w_volume_builds_base_jets_once_per_grid(lens, monkeypatch):
     calls = []
     original = A._DeSitterBase.jets
@@ -319,22 +327,16 @@ def test_classical_formula_geodesic_slice():
     x_fn, n_fn = A.totally_geodesic_slice()
     s = RNG.uniform(-0.8, 0.8, 30)
     t = RNG.uniform(0.1, 1.2, 30)
-    assert FM.classical_formula_residual(x_fn, n_fn, s, t) == 0.0
-    assert np.max(np.abs(FM.mean_curvature(x_fn, n_fn, s, t))) == 0.0
+    frame = A.difference_frame(x_fn, n_fn, s, t)
+    assert FM.classical_formula_residual(frame) == 0.0
+    assert np.max(np.abs(FM.mean_curvature(frame))) == 0.0
 
 
 def test_classical_formula_epstein_surface():
     data = A.isotropic_from_metric(G0.scaled_by(BUMP))
-
-    def x_fn(a, b):
-        return A.epstein_lift(data, a, b).x
-
-    def n_fn(a, b):
-        return A.epstein_lift(data, a, b).n
-
     s = RNG.uniform(0.1, 0.9, 30)
     t = RNG.uniform(2.1, 2.9, 30)
-    assert FM.classical_formula_residual(x_fn, n_fn, s, t) <= 1e-6
+    assert FM.classical_formula_residual(A.epstein_lift(data, s, t)) <= 1e-6
 
 
 def test_classical_formula_scaling():

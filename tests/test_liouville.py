@@ -47,6 +47,53 @@ def test_error_estimate_shrinks_under_refinement():
     assert fine.error_estimate < coarse.error_estimate
 
 
+class _Level:
+    def __init__(self, level):
+        self.level = level
+
+    def describe(self):
+        return {"level": self.level}
+
+
+def test_refinement_trail_rules():
+    events = []
+
+    def grids(values):
+        for lv in range(len(values)):
+            events.append(("take", lv))
+            yield _Level(lv)
+
+    def ladder(values):
+        def integral(grid):
+            events.append(("integrate", grid.level))
+            return values[grid.level]
+
+        return LV.refinement_trail(integral, grids(values), "f", sclass="s")
+
+    av = ladder([1.0, 0.5, 0.375])
+    assert (av.value, av.error_estimate, av.trail) == (0.375, 0.125, [1.0, 0.5, 0.375])
+    assert (av.grid, av.formula, av.sclass) == ({"level": 2}, "f", "s")
+    # one grid at a time: each is taken after the previous integral
+    assert events == [("take", 0), ("integrate", 0), ("take", 1),
+                      ("integrate", 1), ("take", 2), ("integrate", 2)]
+    one = ladder([-0.25])
+    assert (one.value, one.error_estimate, one.trail) == (-0.25, 0.25, [-0.25])
+
+
+def test_refined_action_carries_its_two_level_trail():
+    h = G0.scaled_by(U1)
+    grid = F.box_grid(BOX, level=0, base_cells=8)
+    coarse = LV.action(G0, h, grid, refine=False)
+    assert np.isnan(coarse.error_estimate) and coarse.trail == []
+    fine = LV.action(G0, h, grid.refine(), refine=False).value
+    av = LV.action(G0, h, grid)
+    assert (av.value, av.trail) == (fine, [coarse.value, fine])
+    assert av.error_estimate == abs(fine - coarse.value)
+    assert av.grid == grid.refine().describe()
+    mono = LV.action_monotone(G0, h, grid)
+    assert (mono.value, mono.grid) == (mono.trail[1], av.grid)
+
+
 def test_chasles_triples():
     g = G0.scaled_by(U1)
     h = G0.scaled_by(U1 + U2)

@@ -1,0 +1,26 @@
+"""The benchmark's span tracer resolves every name it wraps in the package."""
+
+import importlib.util
+import pathlib
+
+from splitannulus import fields as F, forms as FM, liouville as LV, lorentz as L
+
+SPANS = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+
+
+def test_tracer_wraps_the_package():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()  # looks up every wrapped name
+    g0 = L.desitter()
+    h = g0.scaled_by(F.bump_field((0.5, 2.5), (0.42, 0.42), 0.35))
+    box = (0, 1, 2, 3)
+    with tracer.job("probe"):
+        LV.action(g0, h, F.box_grid(box, level=0), refine=False)
+        FM.w_volume(FM.LensCobordism(h, box),
+                    F.box_grid(box, level=0, base_cells=8), t_cells=2)
+    metrics = tracer.layer_metrics()
+    for key in ("liouville.action.calls", "fields.integrate.nodes",
+                "forms.w_volume.s"):
+        assert metrics[key] > 0, key
