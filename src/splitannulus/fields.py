@@ -96,13 +96,29 @@ def _broadcast_zero(x, y):
     return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
 
 
+def _true_run(mask):
+    """The slice of the True entries of a 1-d mask, or None when they do
+    not form one contiguous run."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return slice(0, 0)
+    if idx[-1] - idx[0] + 1 != idx.size:
+        return None
+    return slice(idx[0], idx[-1] + 1)
+
+
 class ScalarField:
     """A real function on an annulus chart with exact partials.
 
-    Subclasses implement ``_jet(x, y) -> Jet2``.  An optional support box
-    clips the field (and all partials) to zero outside a compact rectangle:
-    ``jet`` then calls ``_jet`` only on the nodes inside the closed box and
-    writes zeros everywhere else, so ``_jet`` never sees an outside node.
+    Subclasses implement ``_jet(x, y) -> Jet2``.  It must broadcast ``x``
+    against ``y`` and return components of the broadcast shape, so an
+    open mesh, (n, 1) against (1, m), gives (n, m) jets.  An optional
+    support box clips the field (and all partials) to zero outside a
+    compact rectangle: ``jet`` then calls ``_jet`` only on the nodes
+    inside the closed box and writes zeros everywhere else, so ``_jet``
+    never sees an outside node.  On an open mesh whose in-box rows and
+    columns are contiguous (as on sorted grid axes) ``_jet`` gets them
+    as an open mesh too; other inputs are gathered into flat arrays.
     """
 
     support_box = None  # (x0, x1, y0, y1) or None
@@ -112,8 +128,13 @@ class ScalarField:
         y = np.asarray(y, dtype=float)
         if self.support_box is None:
             return self._jet(x, y)
-        x, y = np.broadcast_arrays(x, y)
         x0, x1, y0, y1 = self.support_box
+        if x.ndim == y.ndim == 2 and x.shape[1] == y.shape[0] == 1:
+            rows = _true_run((x[:, 0] >= x0) & (x[:, 0] <= x1))
+            cols = _true_run((y[0] >= y0) & (y[0] <= y1))
+            if rows is not None and cols is not None:
+                return self._mesh_jet(x, y, rows, cols)
+        x, y = np.broadcast_arrays(x, y)
         idx = np.flatnonzero((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
         j = self._jet(x.ravel()[idx], y.ravel()[idx])
         out = []
@@ -121,6 +142,18 @@ class ScalarField:
             full = np.zeros(x.size)
             full[idx] = c
             out.append(full.reshape(x.shape))
+        return Jet2(*out)
+
+    def _mesh_jet(self, x, y, rows, cols):
+        # the in-box block of an open mesh, written back by slices
+        shape = (x.shape[0], y.shape[1])
+        if rows.stop - rows.start == shape[0] and cols.stop - cols.start == shape[1]:
+            return self._jet(x, y)
+        out = []
+        for c in self._jet(x[rows], y[:, cols]):
+            full = np.zeros(shape)
+            full[rows, cols] = c
+            out.append(full)
         return Jet2(*out)
 
     def _jet(self, x, y):
@@ -236,6 +269,7 @@ class PolynomialField(ScalarField):
     def _jet(self, x, y):
         from numpy.polynomial import polynomial as P
 
+        x, y = np.broadcast_arrays(x, y)  # polyval2d takes equal shapes
         c = self.coeffs
         cx = P.polyder(c, axis=0) if c.shape[0] > 1 else np.zeros((1, 1))
         cy = P.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros((1, 1))
@@ -289,20 +323,25 @@ class BumpField(ScalarField):
         return self.amp * self.hx * self.hy * one_d ** 2
 
     def _jet(self, x, y):
+        # each axis is masked and raised on its own, so on an open mesh the
+        # powers cost O(rows + columns) and only the products O(rows * columns)
         X = (x - self.cx) / self.hx
         Y = (y - self.cy) / self.hy
-        inside = (np.abs(X) < 1.0) & (np.abs(Y) < 1.0)
-        X = np.where(inside, X, 0.0)
-        Y = np.where(inside, Y, 0.0)
+        in_x, in_y = np.abs(X) < 1.0, np.abs(Y) < 1.0
+        inside = in_x & in_y
+        X = np.where(in_x, X, 0.0)
+        Y = np.where(in_y, Y, 0.0)
         p = self.p
-        gx = (1.0 - X ** 2) ** p
-        gy = (1.0 - Y ** 2) ** p
-        gx1 = -2.0 * p * X * (1.0 - X ** 2) ** (p - 1) / self.hx
-        gy1 = -2.0 * p * Y * (1.0 - Y ** 2) ** (p - 1) / self.hy
-        gx2 = (-2.0 * p * (1.0 - X ** 2) ** (p - 1)
-               + 4.0 * p * (p - 1) * X ** 2 * (1.0 - X ** 2) ** (p - 2)) / self.hx ** 2
-        gy2 = (-2.0 * p * (1.0 - Y ** 2) ** (p - 1)
-               + 4.0 * p * (p - 1) * Y ** 2 * (1.0 - Y ** 2) ** (p - 2)) / self.hy ** 2
+        sx, sy = 1.0 - X ** 2, 1.0 - Y ** 2
+        sx1, sy1 = sx ** (p - 1), sy ** (p - 1)
+        gx = sx ** p
+        gy = sy ** p
+        gx1 = -2.0 * p * X * sx1 / self.hx
+        gy1 = -2.0 * p * Y * sy1 / self.hy
+        gx2 = (-2.0 * p * sx1
+               + 4.0 * p * (p - 1) * X ** 2 * sx ** (p - 2)) / self.hx ** 2
+        gy2 = (-2.0 * p * sy1
+               + 4.0 * p * (p - 1) * Y ** 2 * sy ** (p - 2)) / self.hy ** 2
         a = self.amp
         return Jet2(
             np.where(inside, a * gx * gy, 0.0),
@@ -1143,22 +1182,16 @@ class QuadratureGrid:
     def off_band_nodes(self):
         """The (X, Y) node arrays ``integrate`` passes to its density when
         it is given no support box."""
-        out = self._density_mask(None)
-        return self.X[out], self.Y[out]
-
-    def _density_mask(self, support):
-        # off-band nodes, AND-ed with the closed box when one is given; the
-        # axis nodes are sorted, so the box is one index block per axis
         on = ~self.band_mask
-        if support is not None:
-            x0, x1, y0, y1 = support
-            xn, yn = self.X[:, 0], self.Y[0]
-            i0, i1 = np.searchsorted(xn, x0, "left"), np.searchsorted(xn, x1, "right")
-            j0, j1 = np.searchsorted(yn, y0, "left"), np.searchsorted(yn, y1, "right")
-            box = np.zeros_like(on)
-            box[i0:i1, j0:j1] = True
-            on &= box
-        return on
+        return self.X[on], self.Y[on]
+
+    def _support_block(self, support):
+        # the axis nodes are sorted, so the closed box is one index block
+        x0, x1, y0, y1 = support
+        xn, yn = self.X[:, 0], self.Y[0]
+        rows = slice(np.searchsorted(xn, x0, "left"), np.searchsorted(xn, x1, "right"))
+        cols = slice(np.searchsorted(yn, y0, "left"), np.searchsorted(yn, y1, "right"))
+        return rows, cols
 
     def integrate(self, density, closure=None, support=None):
         """Weighted sum of ``density(X, Y)`` off the band.
@@ -1166,20 +1199,32 @@ class QuadratureGrid:
         ``support = (x0, x1, y0, y1)`` is a closed box outside which the
         density is known to vanish: ``density`` is then evaluated only on
         the off-band nodes inside it, and every other off-band node
-        contributes an exact zero.  ``closure(X, Y)`` supplies the
-        integrand density on banded nodes (the diagonal limit of an
-        integrand that extends continuously); with no closure, banded
-        nodes contribute zero.  The reduction is numpy's pairwise
-        summation over the whole grid: deterministic for a fixed grid, and,
-        for a density that does vanish outside ``support``, the same value
-        as without it, bit for bit.
+        contributes an exact zero.  When the box's block of nodes holds
+        no banded node, ``density`` receives the block as an open mesh,
+        its x nodes as an (n, 1) and its y nodes as a (1, m) array, and
+        its result is broadcast to (n, m).  Otherwise, and always without
+        a support box, it receives the flat arrays of the off-band nodes
+        in row-major order (``off_band_nodes()`` order without a box).
+        ``closure(X, Y)`` supplies the integrand density on banded nodes
+        (the diagonal limit of an integrand that extends continuously);
+        with no closure, banded nodes contribute zero.  The reduction is
+        numpy's pairwise summation over the whole grid: deterministic for
+        a fixed grid, and, for a density that does vanish outside
+        ``support``, the same value as without it, bit for bit.
         """
         vals = np.zeros_like(self.W)
-        on = self._density_mask(support)
-        v = np.asarray(density(self.X[on], self.Y[on]), dtype=float)
+        block = np.s_[:, :] if support is None else self._support_block(support)
+        on = ~self.band_mask[block]
+        if support is not None and on.all():
+            rows, cols = block
+            v = np.broadcast_to(np.asarray(
+                density(self.X[rows, :1], self.Y[:1, cols]), dtype=float), on.shape)
+            on = ...  # the whole block
+        else:
+            v = np.asarray(density(self.X[block][on], self.Y[block][on]), dtype=float)
         if not np.all(np.isfinite(v)):
             raise NonFiniteDensity("density is not finite on quadrature nodes")
-        vals[on] = v
+        vals[block][on] = v
         if closure is not None and np.any(self.band_mask):
             c = np.asarray(closure(self.X[self.band_mask], self.Y[self.band_mask]),
                            dtype=float)

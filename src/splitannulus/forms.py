@@ -154,7 +154,13 @@ def random_frame_point(rng):
             return project_frame(np.concatenate([p, rng.normal(size=4)]))
         except ChartBreakdown:
             continue
-    raise ChartBreakdown("could not complete a random frame")
+    # every draw projected onto a non-spacelike u: build one instead.  The
+    # complement of span(x, n) has signature (1, 1), so its Gram matrix has
+    # one positive eigenvalue, whose eigendirection is spacelike
+    basis = np.linalg.svd(np.stack([p[:4] @ GRAM, p[4:8] @ GRAM]))[2][2:]
+    gram = basis @ GRAM @ basis.T
+    u = np.linalg.eigh(gram)[1][:, -1] @ basis
+    return project_frame(np.concatenate([p, u]))
 
 
 def random_ut_tangent(rng, p):

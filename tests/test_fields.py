@@ -168,6 +168,62 @@ def test_bump_jet_sees_only_box_nodes(monkeypatch):
     assert np.array_equal(sx, x[inside]) and np.array_equal(sy, y[inside])
 
 
+_POLY = F.PolynomialField([[0.1, 0.2, -0.3], [0.5, 0.0, 0.4], [0.2, -0.1, 0.0]])
+_AFFINE_MESH = (np.linspace(-0.1, 1.1, 13)[:, None], np.linspace(1.9, 3.1, 11)[None, :])
+_ANGLE_MESH = (np.linspace(0.1, 1.0, 13)[:, None], np.linspace(1.7, 2.9, 11)[None, :])
+# every ScalarField kind of the fields module, with the mesh it is defined on
+_MESH_FIELDS = {
+    "constant": (F.ConstantField(0.7), _AFFINE_MESH),
+    "polynomial": (_POLY, _AFFINE_MESH),
+    "bump": (_BUMP, _AFFINE_MESH),
+    "sum": (_BUMP + F.bump_field((0.3, 2.3), (0.2, 0.2), -0.4) + _POLY, _AFFINE_MESH),
+    "scaled": (-0.7 * _BUMP, _AFFINE_MESH),
+    "clipped": (F.with_support_box(_POLY, (0.2, 0.8, 2.1, 2.6)), _AFFINE_MESH),
+    "desitter": (F.DeSitterLogFactor(), _AFFINE_MESH),
+    "desitter_angle": (F.DeSitterAngleLogFactor(), _ANGLE_MESH),
+    "uniformizing": (F.UniformizingFactor(F.SineFlowMap(0.3)), _ANGLE_MESH),
+    "log_sin": (F.LogSinDiagField(-1.0), _ANGLE_MESH),
+    "pullback": (F.PullbackField(F.bump_field((0.6, 2.2), (0.3, 0.35), 0.5),
+                                 F.SineFlowMap(0.3)), _ANGLE_MESH),
+}
+
+
+@pytest.mark.parametrize("boxed", [False, True], ids=["unboxed", "boxed"])
+@pytest.mark.parametrize("kind", sorted(_MESH_FIELDS))
+def test_open_mesh_jet_matches_flat_nodes(kind, boxed):
+    field, (x, y) = _MESH_FIELDS[kind]
+    if boxed:  # a box that cuts the mesh, so only part of it is evaluated
+        field = F.with_support_box(field, (x[3, 0], x[9, 0], y[0, 2], y[0, 7]))
+    X, Y = np.broadcast_arrays(x, y)
+    mesh = field.jet(x, y)
+    flat = field.jet(X.ravel(), Y.ravel())
+    for m, f in zip(mesh, flat):
+        assert m.shape == X.shape
+        assert np.array_equal(m, f.reshape(X.shape))
+
+
+def test_boxed_jet_keeps_the_open_mesh(monkeypatch):
+    seen = []
+    original = F.BumpField._jet
+
+    def spy(self, x, y):
+        seen.append((x, y, original(self, x, y)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(F.BumpField, "_jet", spy)
+    x, y = _AFFINE_MESH
+    x0, x1, y0, y1 = _BUMP.support_box
+    rows = (x[:, 0] >= x0) & (x[:, 0] <= x1)
+    cols = (y[0] >= y0) & (y[0] <= y1)
+    assert 0 < np.count_nonzero(rows) < rows.size
+    _BUMP.jet(x, y)
+    (sx, sy, _), = seen
+    assert np.array_equal(sx, x[rows]) and np.array_equal(sy, y[:, cols])
+    # a mesh inside the box is passed through, and its jets are not copied
+    got = _BUMP.jet(x[rows], y[:, cols])
+    assert all(g is r for g, r in zip(got, seen[1][2]))
+
+
 @pytest.mark.parametrize("zero", [0, 0.0, F.ConstantField(0.0)])
 def test_adding_zero_returns_the_field(zero):
     f = F.bump_field((0.5, 2.5), (0.4, 0.4), 0.5)
@@ -192,6 +248,21 @@ def test_bump_mass_closed_form():
     b = F.unit_mass_bump((0.5, 2.5), (0.35, 0.3))
     grid = F.box_grid((0, 1, 2, 3), level=3)
     assert grid.integrate(lambda x, y: b.value(x, y)) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_bump_jet_is_zero_off_the_open_box():
+    # X and Y are masked on their own axes; a node is inside only when both
+    # are, so the box edges |X| = 1 or |Y| = 1 give exact zeros
+    b = F.bump_field((0.5, 2.5), (0.25, 0.25), 0.6, power=3)
+    x = np.array([0.1, 0.25, 0.4, 0.5, 0.75, 0.9])[:, None]
+    y = np.array([2.1, 2.25, 2.4, 2.5, 2.75, 2.9])[None, :]
+    X, Y = np.broadcast_arrays((x - 0.5) / 0.25, (y - 2.5) / 0.25)
+    inside = (np.abs(X) < 1.0) & (np.abs(Y) < 1.0)
+    j = b._jet(x, y)
+    v = 0.6 * (1 - X ** 2) ** 3 * (1 - Y ** 2) ** 3
+    assert np.array_equal(j.v, np.where(inside, v, 0.0))
+    for c in j:
+        assert c.shape == inside.shape and np.all(c[~inside] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -395,34 +466,73 @@ def test_integrate_on_support_matches_whole_grid(grid, u, closure):
 
 
 def test_integrate_on_support_evaluates_the_closed_box_only():
-    # box edges on node coordinates: the closed box keeps them
-    grid = F.box_grid((0, 1, 0, 1), level=0, base_cells=8, band=0.1)
-    xn, yn = grid.X[:, 0], grid.Y[0]
-    box = (xn[3], xn[9], yn[5], yn[12])
-    seen = []
+    # box edges on node coordinates: the closed box keeps them.  On a grid
+    # with no banded node in the block, the density gets the block's axes
+    # as an open mesh; where the block meets the band it gets the gathered
+    # off-band nodes
+    for band in (0.0, 0.1):
+        grid = F.box_grid((0, 1, 0, 1), level=0, base_cells=8, band=band)
+        xn, yn = grid.X[:, 0], grid.Y[0]
+        box = (xn[3], xn[9], yn[5], yn[12])
+        seen = []
 
+        def density(x, y):
+            seen.append((x, y))
+            return np.ones_like(x)
+
+        grid.integrate(density, support=box)
+        (sx, sy), = seen
+        if band == 0.0:
+            assert sx.shape == (7, 1) and sy.shape == (1, 8)
+            assert np.array_equal(sx[:, 0], xn[3:10])
+            assert np.array_equal(sy[0], yn[5:13])
+            continue
+        inside = (~grid.band_mask & (grid.X >= box[0]) & (grid.X <= box[1])
+                  & (grid.Y >= box[2]) & (grid.Y <= box[3]))
+        assert np.array_equal(sx, grid.X[inside]) and np.array_equal(sy, grid.Y[inside])
+        assert sx.size == np.count_nonzero(~grid.band_mask[3:10, 5:13])
+        assert 0 < sx.size < 7 * 8
+
+
+def _action_like(u):
+    # products of several jet components with the de Sitter density, as in
+    # the Liouville integrands
     def density(x, y):
-        seen.append((x, y))
-        return np.ones_like(x)
+        j = u.jet(x, y)
+        return j.v * (2.0 / (x - y) ** 2 + 0.5 * j.vxy) + j.vx * j.vy
 
-    grid.integrate(density, support=box)
-    (sx, sy), = seen
-    inside = (~grid.band_mask & (grid.X >= box[0]) & (grid.X <= box[1])
-              & (grid.Y >= box[2]) & (grid.Y <= box[3]))
-    assert np.array_equal(sx, grid.X[inside]) and np.array_equal(sy, grid.Y[inside])
-    assert sx.size == np.count_nonzero(~grid.band_mask[3:10, 5:13])
+    return density
+
+
+@pytest.mark.parametrize("u", [
+    _BUMP,
+    _BUMP_SUM,
+    F.with_support_box(F.PolynomialField([[0.1, 0.2], [0.5, -0.3], [0.2, 0.0]]),
+                       (0.2, 0.8, 2.1, 2.6)),
+], ids=["bump", "bumps", "clipped_polynomial"])
+def test_integrate_open_mesh_matches_flat_reference(u):
+    grid = F.box_grid((0, 1, 2, 3), level=1)
+    x0, x1, y0, y1 = u.support_box
+    inside = (grid.X >= x0) & (grid.X <= x1) & (grid.Y >= y0) & (grid.Y <= y1)
+    density = _action_like(u)
+    vals = np.zeros_like(grid.W)
+    vals[inside] = density(grid.X[inside], grid.Y[inside])
+    got = grid.integrate(density, support=u.support_box)
+    assert got != 0.0
+    assert got == float(np.sum(vals * grid.W))
 
 
 @pytest.mark.parametrize("box", [
     (5.0, 6.0, 5.0, 6.0),              # away from the grid
     (0.5001, 0.5002, 2.5001, 2.5002),  # between two neighbouring nodes
+    (0.2, 0.8, 2.5001, 2.5002),        # rows of nodes, but no column
 ])
 def test_integrate_on_support_missing_every_node_is_zero(box):
     grid = F.box_grid((0, 1, 2, 3), level=1)
     seen = []
 
     def density(x, y):
-        seen.append(x.size)
+        seen.append(np.broadcast(x, y).size)
         return np.full_like(x, 1.0)
 
     assert grid.integrate(density, support=box) == 0.0
