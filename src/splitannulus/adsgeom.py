@@ -112,11 +112,9 @@ def segre(x, y):
 
 
 def _segre_jets(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shp = np.broadcast(x, y).shape
-    zero = np.zeros(shp)
-    one = np.ones(shp)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    zero = np.zeros(x.shape)
+    one = np.ones(x.shape)
     s = np.stack([x * y, x, y, one], axis=-1)
     a = np.stack([y, one, zero, zero], axis=-1)   # d/dx
     b = np.stack([x, zero, one, zero], axis=-1)   # d/dy

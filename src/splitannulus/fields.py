@@ -633,14 +633,12 @@ class AngleMobiusMap(CircleMap):
 
     coords = "angle"
 
-    def __init__(self, m, lift_offset=None):
+    def __init__(self, m):
         m = np.asarray(m, dtype=float)
         det = np.linalg.det(m)
         if det <= 0:
             raise ValueError("matrix must have positive determinant")
         self.m = m / math.sqrt(det)
-        # continuous lift: phi(t) = atan2 branch glued to be increasing
-        self._offset = 0.0 if lift_offset is None else float(lift_offset)
 
     def _raw(self, t):
         v = np.stack([np.cos(t), np.sin(t)], axis=-1)
@@ -659,7 +657,7 @@ class AngleMobiusMap(CircleMap):
         dot1 = wx * wpx + wy * wpy            # <w, w'>
         # |w'|^2 and <w, w''> = -|w|^2
         np2 = wpx ** 2 + wpy ** 2
-        phi = np.arctan2(wy, wx) + self._offset
+        phi = np.arctan2(wy, wx)
         d1 = 1.0 / n2
         # d/dt |w|^2 = 2<w,w'> ; d/dt <w,w'> = |w'|^2 - |w|^2
         d2 = -2.0 * dot1 / n2 ** 2
@@ -752,10 +750,13 @@ class ComposedMap(CircleMap):
         t = flo + (float(target) - flo) % math.pi
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            prev = lo, hi
             if float(inner.jets(np.asarray(mid))[0]) < t:
                 lo = mid
             else:
                 hi = mid
+            if (lo, hi) == prev:
+                break  # every later step would repeat this one
         return (0.5 * (lo + hi)) % math.pi
 
     def jets(self, t):
@@ -812,9 +813,9 @@ class PiecewiseMobiusAngleMap(CircleMap):
             prev_end = float(vals[-1])
             piece._lift_table = (ts, vals)
 
-    def _lifted(self, piece, t):
+    def _lifted(self, piece, t, base):
+        """The raw angle ``base`` of ``piece`` at t, moved onto the lift."""
         ts, vals = piece._lift_table
-        base = np.arctan2(piece._raw(t)[..., 1], piece._raw(t)[..., 0])
         ref = np.interp(t, ts, vals)
         k = np.round((ref - base) / math.pi)
         return base + k * math.pi
@@ -842,8 +843,8 @@ class PiecewiseMobiusAngleMap(CircleMap):
             sel = idx == i
             if not np.any(sel):
                 continue
-            _, a, b, c = piece.jets(tr[sel])
-            phi[sel] = self._lifted(piece, tr[sel])
+            raw, a, b, c = piece.jets(tr[sel])
+            phi[sel] = self._lifted(piece, tr[sel], raw)
             d1[sel], d2[sel], d3[sel] = a, b, c
         out = (phi + shift * math.pi, d1, d2, d3)
         return tuple(c.reshape(t_in.shape) for c in out)
@@ -885,8 +886,8 @@ class PiecewiseMobiusAngleMap(CircleMap):
     def jets_at_piece(self, i, t):
         piece = self.pieces[i]
         tr = np.asarray(t, dtype=float)
-        _, d1, d2, d3 = piece.jets(tr)
-        return float(self._lifted(piece, tr)), float(d1), float(d2), float(d3)
+        raw, d1, d2, d3 = piece.jets(tr)
+        return float(self._lifted(piece, tr, raw)), float(d1), float(d2), float(d3)
 
 
 def mobius_through(a, target_a, b, target_b, deriv_a):
@@ -970,10 +971,13 @@ def four_piece_c1_map(breaks=(0.3, 1.0, 1.8, 2.5),
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             fm = balance(mid)[0]
+            prev = lo, hi
             if flo * fm <= 0:
                 hi = mid
             else:
                 lo, flo = mid, fm
+            if (lo, hi) == prev:
+                break  # every later step would repeat this one
         z[3] = 0.5 * (lo + hi)
     gap, ks = balance(z[3])
     if abs(gap) > 1e-9:
@@ -1179,12 +1183,6 @@ class QuadratureGrid:
         )
 
     # -- integration --------------------------------------------------------
-    def off_band_nodes(self):
-        """The (X, Y) node arrays ``integrate`` passes to its density when
-        it is given no support box."""
-        on = ~self.band_mask
-        return self.X[on], self.Y[on]
-
     def _support_block(self, support):
         # the axis nodes are sorted, so the closed box is one index block
         x0, x1, y0, y1 = support
@@ -1196,26 +1194,25 @@ class QuadratureGrid:
     def integrate(self, density, closure=None, support=None):
         """Weighted sum of ``density(X, Y)`` off the band.
 
-        ``support = (x0, x1, y0, y1)`` is a closed box outside which the
-        density is known to vanish: ``density`` is then evaluated only on
-        the off-band nodes inside it, and every other off-band node
-        contributes an exact zero.  When the box's block of nodes holds
-        no banded node, ``density`` receives the block as an open mesh,
-        its x nodes as an (n, 1) and its y nodes as a (1, m) array, and
-        its result is broadcast to (n, m).  Otherwise, and always without
-        a support box, it receives the flat arrays of the off-band nodes
-        in row-major order (``off_band_nodes()`` order without a box).
-        ``closure(X, Y)`` supplies the integrand density on banded nodes
-        (the diagonal limit of an integrand that extends continuously);
-        with no closure, banded nodes contribute zero.  The reduction is
-        numpy's pairwise summation over the whole grid: deterministic for
-        a fixed grid, and, for a density that does vanish outside
-        ``support``, the same value as without it, bit for bit.
+        ``density`` is evaluated on one block of nodes: the index block of
+        ``support = (x0, x1, y0, y1)``, a closed box outside which the
+        density is known to vanish, or the whole grid without a box.  Every
+        node outside the block contributes an exact zero.  When the block
+        holds no banded node, ``density`` receives it as an open mesh, its
+        x nodes as an (n, 1) and its y nodes as a (1, m) array, and its
+        result is broadcast to (n, m).  Otherwise it receives the flat
+        arrays of the block's off-band nodes.  ``closure(X, Y)`` supplies
+        the integrand density on banded nodes (the diagonal limit of an
+        integrand that extends continuously); with no closure, banded
+        nodes contribute zero.  The reduction is numpy's pairwise
+        summation over the whole grid: deterministic for a fixed grid,
+        and, for a density that does vanish outside ``support``, the same
+        value as without it, bit for bit.
         """
         vals = np.zeros_like(self.W)
         block = np.s_[:, :] if support is None else self._support_block(support)
         on = ~self.band_mask[block]
-        if support is not None and on.all():
+        if on.all():
             rows, cols = block
             v = np.broadcast_to(np.asarray(
                 density(self.X[rows, :1], self.Y[:1, cols]), dtype=float), on.shape)

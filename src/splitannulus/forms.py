@@ -19,11 +19,12 @@ which is second order in the step.
 The W-volume of a lens cobordism integrates the pulled-back volume form
 over chart x [0, 1] (orientation dx ^ dy ^ dt) minus the boundary alpha
 difference; the interpolation is the Epstein family of e^{2 s(t) u} g0.
-Only w = s(t) u changes with t, so one W evaluation on a grid runs the
-per-grid step ``IsotropicSurfaceData.node_jets`` once, on the off-band
-nodes ``QuadratureGrid.integrate`` passes to its density, and shares it
-across every bulk t-slice and both alpha boundary slices; each slice then
-costs only the per-t assembly of the Epstein frame.
+Both parts are one density on the chart: per node, alpha at the first
+path time, plus the t-quadrature of the bulk integrand, minus alpha at
+the last.  Only w = s(t) u changes with t, so that density runs the
+per-grid step ``IsotropicSurfaceData.node_jets`` once on the nodes it
+receives and shares it across every t-slice; each slice then costs only
+the per-t assembly of the Epstein frame.
 """
 
 from __future__ import annotations
@@ -409,31 +410,20 @@ def _bulk_density(frame):
     return det4(frame.x, frame.x_dx, frame.x_dy, frame.x_dt)
 
 
-# The densities below ignore their (x, y) arguments: ``nodes`` already
-# holds the jets on exactly the nodes ``grid.integrate`` passes.  Each
-# frame is built inside the density call, so that only one t-slice is
-# alive next to ``nodes`` at a time.
-
-
-def _bulk_between(lens, grid, nodes, a, b, t_cells):
+def _w_value(lens, grid, t_cells, a=0.0, b=1.0):
+    """W of the lens between path times a and b on one grid."""
     ts, weights = _axis_nodes(((0.0, 1.0),), t_cells, "gauss2")
-    tot = 0.0
-    for t, w in zip(a + (b - a) * ts, (b - a) * weights):
-        tot += w * grid.integrate(
-            lambda x, y, t=t: _bulk_density(lens.frame_on(nodes, t)))
-    return tot
 
+    def density(x, y):
+        # the t-independent jets once per grid, then one t-slice frame at a
+        # time next to them
+        nodes = lens.data.node_jets(x, y)
+        tot = _alpha_boundary_density(lens.frame_on(nodes, a))
+        for t, w in zip(a + (b - a) * ts, (b - a) * weights):
+            tot += w * _bulk_density(lens.frame_on(nodes, t))
+        return tot - _alpha_boundary_density(lens.frame_on(nodes, b))
 
-def _alpha_at(lens, grid, nodes, t):
-    return grid.integrate(
-        lambda x, y: _alpha_boundary_density(lens.frame_on(nodes, t)))
-
-
-def _w_value(lens, grid, t_cells):
-    nodes = lens.data.node_jets(*grid.off_band_nodes())
-    vol = _bulk_between(lens, grid, nodes, 0.0, 1.0, t_cells)
-    bnd = _alpha_at(lens, grid, nodes, 1.0) - _alpha_at(lens, grid, nodes, 0.0)
-    return vol - bnd
+    return grid.integrate(density)
 
 
 def w_volume(lens: LensCobordism, grid: QuadratureGrid,
@@ -456,15 +446,9 @@ def w_volume_split(lens: LensCobordism, grid, t_cells=12):
     are exactly the union of the two halves' nodes, so the additivity
     residual is pure roundoff (the boundary terms telescope).
     """
-    nodes = lens.data.node_jets(*grid.off_band_nodes())
-    a0 = _alpha_at(lens, grid, nodes, 0.0)
-    ah = _alpha_at(lens, grid, nodes, 0.5)
-    a1 = _alpha_at(lens, grid, nodes, 1.0)
-    w_first = _bulk_between(lens, grid, nodes, 0.0, 0.5, t_cells) - (ah - a0)
-    w_second = _bulk_between(lens, grid, nodes, 0.5, 1.0, t_cells) - (a1 - ah)
-    w_full = (_bulk_between(lens, grid, nodes, 0.0, 1.0, 2 * t_cells)
-              - (a1 - a0))
-    return w_first, w_second, w_full
+    return (_w_value(lens, grid, t_cells, 0.0, 0.5),
+            _w_value(lens, grid, t_cells, 0.5, 1.0),
+            _w_value(lens, grid, 2 * t_cells))
 
 
 def classical_formula_residual(f) -> float:

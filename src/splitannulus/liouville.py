@@ -272,9 +272,15 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
     sup_u = max(sup_u, max(maxima))
 
     bulk_grid = torus_grid(level=1, band=_BAND_WIDTH / 2 ** _N_BANDS)
-    dal = lambda x, y: 2.0 * u.jet(x, y).vxy / g.density(x, y)
-    linf = float(np.max(np.abs(dal(*bulk_grid.off_band_nodes()))))
-    l1 = bulk_grid.integrate(lambda x, y: np.abs(2.0 * u.jet(x, y).vxy))
+    dal = []  # box_g u on the nodes of the L1 integral, from its one jet of u
+
+    def l1_density(x, y):
+        uxy2 = 2.0 * u.jet(x, y).vxy
+        dal.append(uxy2 / g.density(x, y))
+        return np.abs(uxy2)
+
+    l1 = bulk_grid.integrate(l1_density)
+    linf = float(np.max(np.abs(dal[0])))
 
     vb_val, vb_ok = vb_converged(u, _VB_CURVE)
 

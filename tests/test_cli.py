@@ -288,6 +288,23 @@ def test_overflowing_factor_is_a_numerical_failure(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, ini", [
+    pytest.param("epstein", EPSTEIN_INI.replace("box = 0 1 2 3", "box = 0 1 2 1e300"),
+                 id="epstein_box_1e300"),
+    pytest.param("action", "[metric.g]\nreference = desitter\n[metric.h]\n"
+                 "reference = desitter\n[grid]\nbox = 0 1 2 1e300\nlevel = 0\n",
+                 id="action_box_1e300"),
+])
+def test_overflowing_box_is_a_numerical_failure(tmp_path, command, ini):
+    # node coordinates near 1e300 overflow the de Sitter factor
+    cfg = _write(tmp_path, "big.ini", ini)
+    proc = _run_cli(command, "--config", cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure:")
+    assert proc.stderr.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_negative_grid_level_flag_rejected(tmp_path):
     cfg = _write(tmp_path, "a.ini", ACTION_INI)
     with pytest.raises(SystemExit) as exc:
@@ -408,7 +425,7 @@ def test_verify_takes_each_action_once(monkeypatch):
     monkeypatch.setattr(fields.QuadratureGrid, "integrate", counted)
     for name in ("action", "action_monotone"):
         monkeypatch.setattr(liouville, name, nested(getattr(liouville, name)))
-    cli._verify_checks(11, 1.0)
+    cli._verify_checks(11)
     assert levels == [3] * 7
 
 
@@ -442,13 +459,16 @@ def test_missing_config_is_config_error(tmp_path):
 
 
 def test_removed_flags_are_argparse_errors(tmp_path):
-    # --seed and --tolerance-scale took no part in these subcommands
+    # --seed and --tolerance-scale took no part in these subcommands, and
+    # no caller of verify scaled its tolerances
     cfg = _write(tmp_path, "t.ini", ACTION_INI)
     for argv in (["action", "--seed", "0"], ["epstein", "--seed", "0"],
                  ["curve", "--seed", "0"], ["action", "--tolerance-scale", "1"],
-                 ["curve", "--tolerance-scale", "1"]):
+                 ["curve", "--tolerance-scale", "1"],
+                 ["verify", "--tolerance-scale", "1"]):
+        config = [] if argv[0] == "verify" else ["--config", cfg]
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--config", cfg, "--out", "-"])
+            cli.main(argv + config + ["--out", "-"])
         assert exc.value.code == 2
 
 
@@ -506,10 +526,10 @@ def test_verify_seeds_that_once_failed_pass(tmp_path, seed):
 
 # -- configs built from the schema tables -------------------------------------
 
-# Magnitudes are bounded: with one fault per config a polynomial factor
-# stays below 354, where e^{2u} leaves the floating-point range.
+# Large magnitudes are drawn too: a factor or a box whose numbers leave the
+# floating-point range is a numerical failure (exit 3), not a warning.
 _TOKENS = ("0", "1", "2", "3", "8", "-1", "-3", "0.3", "0.5", "2.5", "1.35",
-           "nan", "inf", "-inf", "abc")
+           "400", "-1e3", "1e300", "nan", "inf", "-inf", "abc")
 
 
 @st.composite

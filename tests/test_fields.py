@@ -311,6 +311,23 @@ def test_piecewise_c1_junctions():
         assert abs(here[1] - there[1]) <= 1e-9
 
 
+def test_four_piece_balance_bisection_stops_at_its_fixed_point(monkeypatch):
+    # the 200-step bisection for the fourth image stops once a step leaves
+    # its bracket unchanged; the image keeps every bit
+    calls = []
+    piece_k = F._piece_k
+
+    def counted(a, target_a, b, target_b):
+        calls.append(target_a)
+        return piece_k(a, target_a, b, target_b)
+
+    monkeypatch.setattr(F, "_piece_k", counted)
+    F.four_piece_c1_map()
+    # four per balance: both ends, every step and the solved image
+    assert len(calls) < 4 * 64
+    assert calls[-1] == 2.151951930884409
+
+
 def test_piecewise_equivariance_and_orientation():
     pm = F.four_piece_c1_map()
     ts = np.linspace(0, math.pi, 64)
@@ -463,6 +480,31 @@ def test_integrate_on_support_matches_whole_grid(grid, u, closure):
     full = grid.integrate(density, closure)
     assert full != 0.0
     assert grid.integrate(density, closure, support=u.support_box) == full
+
+
+def test_integrate_without_support_follows_the_same_node_rule():
+    # the whole grid is the block: with no banded node the density gets its
+    # axes as an open mesh, on a banded torus grid the gathered off-band
+    # nodes
+    seen = []
+
+    def density(x, y):
+        seen.append((x, y))
+        return np.ones_like(x)
+
+    grid = F.box_grid((0, 1, 2, 3), level=0, base_cells=8)
+    assert grid.integrate(density) == pytest.approx(grid.area)
+    (sx, sy), = seen
+    assert sx.shape == (16, 1) and sy.shape == (1, 16)
+    assert np.array_equal(sx[:, 0], grid.X[:, 0])
+    assert np.array_equal(sy[0], grid.Y[0])
+    seen.clear()
+    torus = F.torus_grid(level=0, base_cells=8, band=0.1)
+    torus.integrate(density)
+    (sx, sy), = seen
+    on = ~torus.band_mask
+    assert 0 < sx.size < on.size
+    assert np.array_equal(sx, torus.X[on]) and np.array_equal(sy, torus.Y[on])
 
 
 def test_integrate_on_support_evaluates_the_closed_box_only():

@@ -268,7 +268,7 @@ def test_w_volume_builds_base_jets_once_per_grid(lens, monkeypatch):
     original = A._DeSitterBase.jets
 
     def counted(self, x, y):
-        calls.append(np.size(x))
+        calls.append(np.broadcast(x, y).size)
         return original(self, x, y)
 
     monkeypatch.setattr(A._DeSitterBase, "jets", counted)
@@ -276,6 +276,20 @@ def test_w_volume_builds_base_jets_once_per_grid(lens, monkeypatch):
     FM.w_volume(lens, grid, t_cells=6)
     # once on the grid, once on its refinement
     assert calls == [grid.W.size, grid.refine().W.size]
+
+
+def test_w_volume_integrates_once_per_grid(lens, monkeypatch):
+    # alpha at both ends and every t-slice of the bulk are one density
+    levels = []
+    original = F.QuadratureGrid.integrate
+
+    def counted(self, *args, **kwargs):
+        levels.append(self.level)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(F.QuadratureGrid, "integrate", counted)
+    FM.w_volume(lens, F.box_grid(BOX, level=0, base_cells=8), t_cells=12)
+    assert levels == [0, 1]
 
 
 def test_w_volume_path_independence():

@@ -246,6 +246,30 @@ def test_sclass_uniformizing_passes_with_quadratic_decay():
     assert all(r > 2.5 for r in ratios)  # quadratic decay in practice
 
 
+def test_sclass_evaluates_u_once_on_the_bulk_grid():
+    # the L-infinity and L1 norms of box_g u share one jet of u
+    g0a = L.desitter(coords="angle")
+    h = L.pullback_metric(g0a, F.SineFlowMap(0.3, 2))
+    u = h.factor_relative_to(g0a)
+    bulk = F.torus_grid(level=1, band=LV._BAND_WIDTH / 2 ** LV._N_BANDS)
+    sizes = []
+    jet = u.jet
+
+    def spy(x, y):
+        sizes.append(np.broadcast(x, y).size)
+        return jet(x, y)
+
+    u.jet = spy
+    rep = LV.sclass_report(g0a, h)
+    on = ~bulk.band_mask
+    assert sizes.count(np.count_nonzero(on)) == 1
+    # the norms of separate evaluations, bit for bit
+    del u.jet
+    dal = L.dalembertian_values(g0a, u, bulk.X[on], bulk.Y[on])
+    assert rep.Linf_dal == float(np.max(np.abs(dal)))
+    assert rep.L1_dal == bulk.integrate(lambda x, y: np.abs(2.0 * u.jet(x, y).vxy))
+
+
 def test_sclass_log_factor_fails_boundedness():
     g0a = L.desitter(coords="angle")
     h = g0a.scaled_by(F.LogSinDiagField(-0.5))
