@@ -513,48 +513,6 @@ def with_support_box(inner: ScalarField, box):
     return ClippedField(inner, box)
 
 
-def eval_field(f: ScalarField, p: AnnulusPoint):
-    """Evaluate the four jets (value, dx, dy, dxy) of ``f`` at a point."""
-    if abs(p.x - p.y) <= DIAG_TOL:
-        raise DiagonalPoint("field evaluation on the diagonal")
-    j = f.jet(p.x, p.y)
-    return (float(j.v), float(j.vx), float(j.vy), float(j.vxy))
-
-
-def check_field_derivatives(f, points, step=1e-5, rtol=1e-6):
-    """Compare reported partials with central differences at sample points.
-
-    Returns the worst relative error beyond the floating-point floor of
-    the stencil: the cross difference divides four O(|f|) values by
-    4 step^2, so eps * max|f| / step^2 of the discrepancy is roundoff,
-    not a derivative defect.  The library contract is that shipped
-    constructors stay below ``rtol``.
-    """
-    eps = np.finfo(float).eps
-    worst = 0.0
-    for (x, y) in points:
-        j = f.jet(x, y)
-        corners = [
-            float(f.value(x + sx * step, y + sy * step))
-            for sx in (-1, 1) for sy in (-1, 1)
-        ]
-        fd_x = (f.value(x + step, y) - f.value(x - step, y)) / (2 * step)
-        fd_y = (f.value(x, y + step) - f.value(x, y - step)) / (2 * step)
-        fd_xy = (corners[3] - corners[2] - corners[1] + corners[0]) / (
-            4 * step ** 2
-        )
-        scale = max(1.0, abs(j.v), abs(j.vx), abs(j.vy), abs(j.vxy))
-        floor1 = eps * max(map(abs, corners)) / step
-        floor2 = eps * max(map(abs, corners)) / step ** 2
-        worst = max(
-            worst,
-            max(abs(fd_x - j.vx) - floor1, 0.0) / scale,
-            max(abs(fd_y - j.vy) - floor1, 0.0) / scale,
-            max(abs(fd_xy - j.vxy) - floor2, 0.0) / scale,
-        )
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Circle maps
 # ---------------------------------------------------------------------------
@@ -640,20 +598,16 @@ class AngleMobiusMap(CircleMap):
             raise ValueError("matrix must have positive determinant")
         self.m = m / math.sqrt(det)
 
-    def _raw(self, t):
-        v = np.stack([np.cos(t), np.sin(t)], axis=-1)
-        w = v @ self.m.T
-        return w
-
     def jets(self, t):
         t = np.asarray(t, dtype=float)
-        w = self._raw(t)
-        wx, wy = w[..., 0], w[..., 1]
+        # w = M v and w' = M v' for v = (cos t, sin t), written out
+        # elementwise rather than as a matrix product, so that an angle gets
+        # the same bits whatever array it comes in; w'' = -w
+        (a, b), (c, d) = self.m
+        cos, sin = np.cos(t), np.sin(t)
+        wx, wy = a * cos + b * sin, c * cos + d * sin
+        wpx, wpy = b * cos - a * sin, d * cos - c * sin
         n2 = wx ** 2 + wy ** 2
-        # derivative vectors: w' = M v', w'' = -w
-        vp = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-        wp = vp @ self.m.T
-        wpx, wpy = wp[..., 0], wp[..., 1]
         dot1 = wx * wpx + wy * wpy            # <w, w'>
         # |w'|^2 and <w, w''> = -|w|^2
         np2 = wpx ** 2 + wpy ** 2
@@ -717,6 +671,23 @@ def tan_chart_map(domain=(-1.2, 1.2)):
     )
 
 
+def _bisect(below, lo, hi):
+    """The point of [lo, hi] where ``below(mid)`` turns from True to False.
+
+    Halves the bracket at most 200 times and stops once a step leaves
+    (lo, hi) unchanged, since every later step would repeat it."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        prev = lo, hi
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if (lo, hi) == prev:
+            break
+    return 0.5 * (lo + hi)
+
+
 class ComposedMap(CircleMap):
     """f o g with jets by the chain rule up to order three.
 
@@ -744,20 +715,14 @@ class ComposedMap(CircleMap):
     def _preimage(inner, target):
         if inner.coords != "angle":
             raise ValueError("breakpoint preimages need the angle line")
-        lo, hi = 0.0, math.pi
-        flo = float(inner.jets(np.asarray(lo))[0])
+
+        def lift(t):
+            return float(inner.jets(np.asarray(t))[0])
+
+        flo = lift(0.0)
         # shift the target into the image interval [phi(0), phi(0) + pi)
         t = flo + (float(target) - flo) % math.pi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            prev = lo, hi
-            if float(inner.jets(np.asarray(mid))[0]) < t:
-                lo = mid
-            else:
-                hi = mid
-            if (lo, hi) == prev:
-                break  # every later step would repeat this one
-        return (0.5 * (lo + hi)) % math.pi
+        return _bisect(lambda mid: lift(mid) < t, 0.0, math.pi) % math.pi
 
     def jets(self, t):
         g, g1, g2, g3 = self.inner.jets(t)
@@ -806,8 +771,7 @@ class PiecewiseMobiusAngleMap(CircleMap):
         for i, piece in enumerate(self.pieces):
             lo, hi = self._arc(i)
             ts = np.linspace(lo, hi, 513)
-            w = piece._raw(ts)
-            vals = np.unwrap(np.arctan2(w[..., 1], w[..., 0]), period=math.pi)
+            vals = np.unwrap(piece.jets(ts)[0], period=math.pi)
             anchor = lo if prev_end is None else prev_end
             vals = vals + round((anchor - vals[0]) / math.pi) * math.pi
             prev_end = float(vals[-1])
@@ -923,7 +887,11 @@ def _piece_k(a, target_a, b, target_b):
     The family is T^{-1} diag(mu, 1) S; the end derivatives are d0/mu
     and mu*c0, so their product is independent of mu.
     """
-    m = mobius_through(a, target_a, b, target_b, 1.0)
+    return _end_derivative(mobius_through(a, target_a, b, target_b, 1.0), b)
+
+
+def _end_derivative(m, b):
+    """The angle derivative of x -> M x at b: det(M) / |M p_b|^2."""
     pb = np.array([math.cos(b), math.sin(b)])
     return np.linalg.det(m) / np.dot(m @ pb, m @ pb)
 
@@ -968,17 +936,8 @@ def four_piece_c1_map(breaks=(0.3, 1.0, 1.8, 2.5),
         fhi = balance(hi)[0]
         if flo * fhi > 0:
             raise ValueError("no balanced closing image; adjust the data")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = balance(mid)[0]
-            prev = lo, hi
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-            if (lo, hi) == prev:
-                break  # every later step would repeat this one
-        z[3] = 0.5 * (lo + hi)
+        # the balance keeps the sign it has at lo below the root
+        z[3] = _bisect(lambda mid: flo * balance(mid)[0] > 0, lo, hi)
     gap, ks = balance(z[3])
     if abs(gap) > 1e-9:
         raise ValueError(f"images do not balance: residual {gap}")
@@ -993,8 +952,7 @@ def four_piece_c1_map(breaks=(0.3, 1.0, 1.8, 2.5),
         tb = z[i + 1] if i < 3 else z[0] + math.pi
         m = mobius_through(a, ta, b, tb, d)
         mats.append(m)
-        pb = np.array([math.cos(b), math.sin(b)])
-        d = np.linalg.det(m) / np.dot(m @ pb, m @ pb)
+        d = _end_derivative(m, b)
     return PiecewiseMobiusAngleMap(t, mats)
 
 
@@ -1125,6 +1083,9 @@ def _axis_nodes(segments, cells, scheme):
 class QuadratureGrid:
     """Tensor-product quadrature over a chart rectangle or the full torus.
 
+    A grid stores its rule as two sorted axes, ``x_nodes`` with
+    ``x_weights`` and ``y_nodes`` with ``y_weights``; the node (i, j) is
+    (x_nodes[i], y_nodes[j]) with weight x_weights[i] * y_weights[j].
     Nodes are strictly interior to their cells (midpoint or two-point
     Gauss per cell and axis), so cell edges may be placed on breakpoint
     lines and the diagonal never receives a node by construction.  A
@@ -1142,20 +1103,8 @@ class QuadratureGrid:
         self.band = float(band)
         self.periodic = bool(periodic)
         self.level = int(level)
-        xn, xw = _axis_nodes(self.x_segments, self.cells, scheme)
-        yn, yw = _axis_nodes(self.y_segments, self.cells, scheme)
-        # read-only broadcast views of the axis nodes: a grid stores one
-        # dense array (W), not three
-        self.X, self.Y = np.meshgrid(xn, yn, indexing="ij", copy=False)
-        self.X.flags.writeable = self.Y.flags.writeable = False
-        self.W = np.outer(xw, yw)
-        d = self.X - self.Y
-        if self.periodic:
-            dist = np.abs(np.remainder(d + math.pi / 2, math.pi) - math.pi / 2)
-        else:
-            dist = np.abs(d)
-        self.band_mask = dist < self.band if self.band > 0 else np.zeros_like(d, bool)
-        self.excluded_weight = float(np.sum(self.W[self.band_mask]))
+        self.x_nodes, self.x_weights = _axis_nodes(self.x_segments, self.cells, scheme)
+        self.y_nodes, self.y_weights = _axis_nodes(self.y_segments, self.cells, scheme)
 
     # -- descriptors ------------------------------------------------------
     @property
@@ -1163,6 +1112,22 @@ class QuadratureGrid:
         ax = sum(hi - lo for lo, hi in self.x_segments)
         ay = sum(hi - lo for lo, hi in self.y_segments)
         return ax * ay
+
+    @property
+    def W(self):
+        """The n x m weight plane, built when read.  The package itself
+        never reads it; ``perfbench/spans.py`` counts a grid's nodes as
+        ``W.size``."""
+        return np.outer(self.x_weights, self.y_weights)
+
+    @property
+    def excluded_weight(self):
+        """The total weight of the banded nodes."""
+        band = self._band()
+        if band is None:
+            return 0.0
+        i, j = np.nonzero(band)
+        return float(np.sum(self.x_weights[i] * self.y_weights[j]))
 
     def describe(self):
         return {
@@ -1183,52 +1148,71 @@ class QuadratureGrid:
         )
 
     # -- integration --------------------------------------------------------
+    def _band(self, rows=slice(None), cols=slice(None)):
+        """The band mask of the index block (rows, cols), by default the
+        whole grid, or None when the grid has no band."""
+        if not self.band > 0:
+            return None
+        d = self.x_nodes[rows, None] - self.y_nodes[None, cols]
+        if self.periodic:
+            d = np.remainder(d + math.pi / 2, math.pi) - math.pi / 2
+        return np.abs(d) < self.band
+
     def _support_block(self, support):
         # the axis nodes are sorted, so the closed box is one index block
         x0, x1, y0, y1 = support
-        xn, yn = self.X[:, 0], self.Y[0]
+        xn, yn = self.x_nodes, self.y_nodes
         rows = slice(np.searchsorted(xn, x0, "left"), np.searchsorted(xn, x1, "right"))
         cols = slice(np.searchsorted(yn, y0, "left"), np.searchsorted(yn, y1, "right"))
         return rows, cols
 
     def integrate(self, density, closure=None, support=None):
-        """Weighted sum of ``density(X, Y)`` off the band.
+        """Weighted sum of ``density(x, y)`` off the band.
 
         ``density`` is evaluated on one block of nodes: the index block of
         ``support = (x0, x1, y0, y1)``, a closed box outside which the
-        density is known to vanish, or the whole grid without a box.  Every
-        node outside the block contributes an exact zero.  When the block
-        holds no banded node, ``density`` receives it as an open mesh, its
-        x nodes as an (n, 1) and its y nodes as a (1, m) array, and its
-        result is broadcast to (n, m).  Otherwise it receives the flat
-        arrays of the block's off-band nodes.  ``closure(X, Y)`` supplies
-        the integrand density on banded nodes (the diagonal limit of an
-        integrand that extends continuously); with no closure, banded
-        nodes contribute zero.  The reduction is numpy's pairwise
-        summation over the whole grid: deterministic for a fixed grid,
-        and, for a density that does vanish outside ``support``, the same
-        value as without it, bit for bit.
+        density is known to vanish, or the whole grid without a box.  Nodes
+        outside the block contribute nothing.  When the block holds no
+        banded node, ``density`` receives it as an open mesh, its x nodes
+        as an (n, 1) and its y nodes as a (1, m) array, and its result is
+        broadcast to (n, m).  Otherwise it receives the flat arrays of the
+        block's off-band nodes, in row-major order.  ``closure(x, y)``
+        supplies the integrand density on every banded node of the grid
+        (the diagonal limit of an integrand that extends continuously);
+        with no closure, banded nodes contribute zero.
+
+        The block's values v reduce as sum_i xw[i] * (sum_j yw[j] * v[i, j]),
+        each sum numpy's pairwise ``np.sum``, and the closure's weighted
+        values add as one more sum: deterministic for a fixed grid and
+        independent of the BLAS library and its threads.  A support box
+        changes which zeros take part in the sums, so for a density that
+        vanishes outside it the value agrees with the whole-grid one to
+        summation roundoff, not bit for bit.
         """
-        vals = np.zeros_like(self.W)
-        block = np.s_[:, :] if support is None else self._support_block(support)
-        on = ~self.band_mask[block]
-        if on.all():
-            rows, cols = block
+        rows, cols = (slice(None), slice(None)) if support is None else (
+            self._support_block(support))
+        xn, yn = self.x_nodes[rows], self.y_nodes[cols]
+        band = self._band(rows, cols)
+        if band is None or not band.any():
             v = np.broadcast_to(np.asarray(
-                density(self.X[rows, :1], self.Y[:1, cols]), dtype=float), on.shape)
-            on = ...  # the whole block
+                density(xn[:, None], yn[None, :]), dtype=float), (xn.size, yn.size))
         else:
-            v = np.asarray(density(self.X[block][on], self.Y[block][on]), dtype=float)
+            x, y = np.broadcast_arrays(xn[:, None], yn[None, :])
+            off = ~band
+            v = np.zeros(band.shape)
+            v[off] = density(x[off], y[off])
         if not np.all(np.isfinite(v)):
             raise NonFiniteDensity("density is not finite on quadrature nodes")
-        vals[block][on] = v
-        if closure is not None and np.any(self.band_mask):
-            c = np.asarray(closure(self.X[self.band_mask], self.Y[self.band_mask]),
-                           dtype=float)
-            if not np.all(np.isfinite(c)):
-                raise NonFiniteDensity("band closure is not finite")
-            vals[self.band_mask] = c
-        return float(np.sum(vals * self.W))
+        total = np.sum(self.x_weights[rows] * np.sum(v * self.y_weights[cols], axis=1))
+        if closure is not None:
+            band = band if support is None else self._band()
+            if band is not None and band.any():
+                i, j = np.nonzero(band)
+                c = np.asarray(closure(self.x_nodes[i], self.y_nodes[j]), dtype=float)
+                if not np.all(np.isfinite(c)):
+                    raise NonFiniteDensity("band closure is not finite")
+                total += np.sum(c * (self.x_weights[i] * self.y_weights[j]))
+        return float(total)
 
 
 def box_grid(box, level=0, base_cells=32, scheme="gauss2", band=0.0,

@@ -93,20 +93,20 @@ def test_action_report(tmp_path):
 
 
 def test_action_report_values_pinned(tmp_path):
-    # values of the report before the per-level integrals were shared;
-    # reusing them must not move a bit
+    # the report's values under the axis-by-axis quadrature sum; sharing
+    # the per-level integrals must not move a bit
     cfg = _write(tmp_path, "a.ini", ACTION_INI)
     out = tmp_path / "report.json"
     assert cli.main(["action", "--config", cfg, "--grid-level", "2",
                      "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["values"] == {"definition": -0.010449250280309706,
-                             "monotone": -0.010449250280309704}
-    assert rep["error_estimate"] == 2.41425456015687e-12
+    assert rep["values"] == {"definition": -0.010449250280309703,
+                             "monotone": -0.010449250280309703}
+    assert rep["error_estimate"] == 2.414249355986442e-12
     assert rep["refinement_trail"] == [-0.010449250240317634,
-                                       -0.010449250277895452,
-                                       -0.010449250280309706]
-    assert rep["chasles_residual"] == 1.2285765486549916e-09
+                                       -0.010449250277895453,
+                                       -0.010449250280309703]
+    assert rep["chasles_residual"] == 1.2285765477876298e-09
     assert rep["grid"]["level"] == 2
 
 
@@ -136,7 +136,7 @@ def test_action_bump_jets_cost_rows_plus_columns(tmp_path, monkeypatch):
 
     def traced_integrate(self, density, closure=None, support=None):
         x0, x1, y0, y1 = support
-        xn, yn = self.X[:, 0], self.Y[0]
+        xn, yn = self.x_nodes, self.y_nodes
         rows = np.count_nonzero((xn >= x0) & (xn <= x1))
         cols = np.count_nonzero((yn >= y0) & (yn <= y1))
         block.append((rows, cols))
@@ -258,12 +258,12 @@ def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, command, b
     assert all(w in err for w in words)
 
 
-def _run_cli(*args):
+def _run_cli(*args, environ=os.environ):
     """The CLI in a fresh interpreter, with Python's default warning filters."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     return subprocess.run([sys.executable, "-m", "splitannulus.cli", *args],
                           capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**environ, "PYTHONPATH": src})
 
 
 def test_bad_config_value_from_the_command_line(tmp_path):
@@ -391,6 +391,23 @@ images = 0.3 2.0 2.1
     assert cli.main(["curve", "--config", cfg, "--out", "-"]) == 2
 
 
+@pytest.mark.parametrize("command, ini", [("action", ACTION_INI), ("curve", CURVE_INI)],
+                         ids=["action", "curve_sineflow"])
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, command, ini):
+    # the quadrature sums are numpy's own, not BLAS products, so a report
+    # keeps its bytes whether OpenBLAS runs one thread or its default count
+    cfg = _write(tmp_path, "b.ini", ini)
+    default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    reports = []
+    for environ in ({**default, "OPENBLAS_NUM_THREADS": "1"}, default):
+        out = tmp_path / f"r{len(reports)}.json"
+        proc = _run_cli(command, "--config", cfg, "--grid-level", "1",
+                        "--out", str(out), environ=environ)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_verify_deterministic(tmp_path):
     out1 = tmp_path / "v1.json"
     out2 = tmp_path / "v2.json"
@@ -485,28 +502,28 @@ def test_action_uniformizing_report(tmp_path):
     assert all(b < a for a, b in zip(mags, mags[1:]))
 
 
-_UNI_TRAIL = [-3.077975451595827e-05, -3.853410992978208e-06,
-              -4.818623299125387e-07]
+_UNI_TRAIL = [-3.0779754515956534e-05, -3.853410992967366e-06,
+              -4.818623299124303e-07]
 
 
 @pytest.mark.parametrize("command, ini, level, pinned", [
     ("curve", CURVE_INI, 2, {
-        "action": 0.00029158990155774635,
-        "error_estimate": 1.6858516955756326e-06,
-        "refinement_trail": [0.0002764384535565164, 0.0002899040498621707,
-                             0.00029158990155774635]}),
+        "action": 0.00029158990155774315,
+        "error_estimate": 1.6858516955641943e-06,
+        "refinement_trail": [0.00027643845355652, 0.00028990404986217896,
+                             0.00029158990155774315]}),
     ("action", UNIFORMIZING_INI, 1, {
         "values": {"definition": _UNI_TRAIL[1], "monotone": _UNI_TRAIL[1]},
-        "error_estimate": 2.692634352298006e-05,
+        "error_estimate": 2.6926343522989168e-05,
         "refinement_trail": _UNI_TRAIL[:2]}),
     ("action", UNIFORMIZING_INI, 2, {
         "values": {"definition": _UNI_TRAIL[2], "monotone": _UNI_TRAIL[2]},
-        "error_estimate": 3.3715486630656695e-06,
+        "error_estimate": 3.371548663054936e-06,
         "refinement_trail": _UNI_TRAIL}),
 ], ids=["curve_sineflow", "uniformizing_1", "uniformizing_2"])
 def test_torus_trails_pinned(tmp_path, command, ini, level, pinned):
-    # sine-flow values of the reports before both torus actions shared one
-    # refinement ladder; sharing it must not move a bit
+    # sine-flow values of the reports under the axis-by-axis quadrature
+    # sum; sharing one refinement ladder must not move a bit
     cfg = _write(tmp_path, "t.ini", ini)
     out = tmp_path / "t.json"
     assert cli.main([command, "--config", cfg, "--grid-level", str(level),

@@ -46,21 +46,60 @@ def test_chart_transition_roundtrip(x, y, a, b):
 # scalar fields
 # ---------------------------------------------------------------------------
 
+def _jet4(f, x, y):
+    """The value, dx, dy and dxy of ``f`` at one point, as floats."""
+    j = f.jet(x, y)
+    return (float(j.v), float(j.vx), float(j.vy), float(j.vxy))
+
+
 def test_eval_product_field():
     f = F.product_xy()
-    assert F.eval_field(f, F.AnnulusPoint(1, 2)) == (2.0, 2.0, 1.0, 1.0)
+    assert _jet4(f, 1, 2) == (2.0, 2.0, 1.0, 1.0)
 
 
 def test_support_box_clips_jets():
     f = F.with_support_box(F.product_xy(), (-1, 1, -1, 1))
-    assert F.eval_field(f, F.AnnulusPoint(5, 7)) == (0.0, 0.0, 0.0, 0.0)
+    assert _jet4(f, 5, 7) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_desitter_log_factor_jet():
     # v0 = (1/2) log(2/(x-y)^2); hand differentiation at (0, 1)
     v0 = F.DeSitterLogFactor()
-    got = F.eval_field(v0, F.AnnulusPoint(0, 1))
+    got = _jet4(v0, 0, 1)
     assert got == pytest.approx((0.5 * math.log(2), 1.0, -1.0, -1.0), abs=1e-14)
+
+
+def check_field_derivatives(f, points, step=1e-5):
+    """Compare reported partials with central differences at sample points.
+
+    Returns the worst relative error beyond the floating-point floor of
+    the stencil: the cross difference divides four O(|f|) values by
+    4 step^2, so eps * max|f| / step^2 of the discrepancy is roundoff,
+    not a derivative defect.
+    """
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for (x, y) in points:
+        j = f.jet(x, y)
+        corners = [
+            float(f.value(x + sx * step, y + sy * step))
+            for sx in (-1, 1) for sy in (-1, 1)
+        ]
+        fd_x = (f.value(x + step, y) - f.value(x - step, y)) / (2 * step)
+        fd_y = (f.value(x, y + step) - f.value(x, y - step)) / (2 * step)
+        fd_xy = (corners[3] - corners[2] - corners[1] + corners[0]) / (
+            4 * step ** 2
+        )
+        scale = max(1.0, abs(j.v), abs(j.vx), abs(j.vy), abs(j.vxy))
+        floor1 = eps * max(map(abs, corners)) / step
+        floor2 = eps * max(map(abs, corners)) / step ** 2
+        worst = max(
+            worst,
+            max(abs(fd_x - j.vx) - floor1, 0.0) / scale,
+            max(abs(fd_y - j.vy) - floor1, 0.0) / scale,
+            max(abs(fd_xy - j.vxy) - floor2, 0.0) / scale,
+        )
+    return worst
 
 
 @pytest.mark.parametrize("field", [
@@ -87,7 +126,7 @@ def test_derivative_consistency(field):
     else:
         pts = list(zip(rng.uniform(0.05, 0.95, 100),
                        rng.uniform(2.05, 2.95, 100)))
-    assert F.check_field_derivatives(field, pts) <= 1e-6
+    assert check_field_derivatives(field, pts) <= 1e-6
 
 
 def test_field_arithmetic_jets():
@@ -182,6 +221,8 @@ _MESH_FIELDS = {
     "desitter": (F.DeSitterLogFactor(), _AFFINE_MESH),
     "desitter_angle": (F.DeSitterAngleLogFactor(), _ANGLE_MESH),
     "uniformizing": (F.UniformizingFactor(F.SineFlowMap(0.3)), _ANGLE_MESH),
+    "uniformizing_four_piece": (F.UniformizingFactor(F.four_piece_c1_map()),
+                                _ANGLE_MESH),
     "log_sin": (F.LogSinDiagField(-1.0), _ANGLE_MESH),
     "pullback": (F.PullbackField(F.bump_field((0.6, 2.2), (0.3, 0.35), 0.5),
                                  F.SineFlowMap(0.3)), _ANGLE_MESH),
@@ -297,6 +338,26 @@ def test_circle_map_derivatives(phi):
     fd3 = (d2p - d2m) / (2 * h)
     scale = np.maximum(1.0, np.abs(d3))
     assert np.max(np.abs(fd3 - d3) / scale) <= 1e-5
+
+
+@pytest.mark.parametrize("phi", [
+    F.AngleMobiusMap(np.array([[1.3, 0.2], [0.4, 1.1]])),
+    F.four_piece_c1_map(),
+], ids=["mobius", "four_piece"])
+def test_single_angles_match_batched_bits(phi):
+    # an angle's jets do not depend on the array it is evaluated in: alone
+    # in a one-element array, it gets the bits it gets among 63 others
+    ts = np.random.default_rng(11).uniform(0.0, math.pi, 64)
+    batched = phi.jets(ts)
+    for k in range(ts.size):
+        alone = phi.jets(ts[k:k + 1])
+        assert all(np.array_equal(a, b[k:k + 1]) for a, b in zip(alone, batched))
+    u = F.UniformizingFactor(phi)
+    x, y = ts[:40], ts[:40] + np.linspace(0.3, 1.4, 40)
+    flat = u.jet(x, y)
+    for k in range(x.size):
+        alone = u.jet(x[k:k + 1], y[k:k + 1])
+        assert all(np.array_equal(a, b[k:k + 1]) for a, b in zip(alone, flat))
 
 
 def test_piecewise_c1_junctions():
@@ -461,6 +522,29 @@ _BUMP_SUM = (F.bump_field((0.3, 2.3), (0.15, 0.2), 0.5)
              + F.bump_field((0.75, 2.7), (0.2, 0.1), -0.4))
 
 
+def _planes(grid):
+    """The node coordinates and band mask of a grid as n x m planes, built
+    from its axes here (the grid itself stores none of them)."""
+    X, Y = np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")
+    d = X - Y
+    if grid.periodic:
+        d = np.remainder(d + math.pi / 2, math.pi) - math.pi / 2
+    return X, Y, np.abs(d) < grid.band
+
+
+def _block(grid, box):
+    x0, x1, y0, y1 = box
+    xn, yn = grid.x_nodes, grid.y_nodes
+    return (np.flatnonzero((xn >= x0) & (xn <= x1)),
+            np.flatnonzero((yn >= y0) & (yn <= y1)))
+
+
+def _block_sum(grid, vals, rows, cols):
+    """sum_i xw[i] * sum_j yw[j] * vals[i, j] over one index block."""
+    yw = grid.y_weights[cols]
+    return np.sum(grid.x_weights[rows] * np.sum(vals[np.ix_(rows, cols)] * yw, axis=1))
+
+
 def _weighted(u):
     # u times a density that is finite off the diagonal, as in the action
     return lambda x, y: u.value(x, y) * (2.0 + np.sin(x - 2.0 * y))
@@ -476,10 +560,26 @@ def _weighted(u):
      lambda x, y: np.ones_like(x)),
 ])
 def test_integrate_on_support_matches_whole_grid(grid, u, closure):
+    # with a box the sum runs over its block: bit for bit the explicit
+    # block sum plus the band closure's own term
     density = _weighted(u)
     full = grid.integrate(density, closure)
     assert full != 0.0
-    assert grid.integrate(density, closure, support=u.support_box) == full
+    got = grid.integrate(density, closure, support=u.support_box)
+    X, Y, band = _planes(grid)
+    vals = np.where(band, 0.0, density(X, Y))
+    ref = _block_sum(grid, vals, *_block(grid, u.support_box))
+    weights = np.outer(grid.x_weights, grid.y_weights)
+    if closure is not None:
+        vals[band] = closure(X[band], Y[band])
+        ref += np.sum(vals[band] * weights[band])
+    assert got == float(ref)
+    # both values sum the same products w * v, grouped differently; numpy's
+    # pairwise summation keeps the roundoff of either grouping to a small
+    # multiple of eps * sum |w * v| (Higham, Accuracy and Stability of
+    # Numerical Algorithms, ch. 4), so the two agree to within 8 of it
+    bound = 8.0 * np.finfo(float).eps * np.sum(np.abs(weights * vals))
+    assert abs(got - full) <= bound
 
 
 def test_integrate_without_support_follows_the_same_node_rule():
@@ -496,15 +596,16 @@ def test_integrate_without_support_follows_the_same_node_rule():
     assert grid.integrate(density) == pytest.approx(grid.area)
     (sx, sy), = seen
     assert sx.shape == (16, 1) and sy.shape == (1, 16)
-    assert np.array_equal(sx[:, 0], grid.X[:, 0])
-    assert np.array_equal(sy[0], grid.Y[0])
+    assert np.array_equal(sx[:, 0], grid.x_nodes)
+    assert np.array_equal(sy[0], grid.y_nodes)
     seen.clear()
     torus = F.torus_grid(level=0, base_cells=8, band=0.1)
     torus.integrate(density)
     (sx, sy), = seen
-    on = ~torus.band_mask
+    X, Y, band = _planes(torus)
+    on = ~band
     assert 0 < sx.size < on.size
-    assert np.array_equal(sx, torus.X[on]) and np.array_equal(sy, torus.Y[on])
+    assert np.array_equal(sx, X[on]) and np.array_equal(sy, Y[on])
 
 
 def test_integrate_on_support_evaluates_the_closed_box_only():
@@ -514,7 +615,7 @@ def test_integrate_on_support_evaluates_the_closed_box_only():
     # off-band nodes
     for band in (0.0, 0.1):
         grid = F.box_grid((0, 1, 0, 1), level=0, base_cells=8, band=band)
-        xn, yn = grid.X[:, 0], grid.Y[0]
+        xn, yn = grid.x_nodes, grid.y_nodes
         box = (xn[3], xn[9], yn[5], yn[12])
         seen = []
 
@@ -529,10 +630,11 @@ def test_integrate_on_support_evaluates_the_closed_box_only():
             assert np.array_equal(sx[:, 0], xn[3:10])
             assert np.array_equal(sy[0], yn[5:13])
             continue
-        inside = (~grid.band_mask & (grid.X >= box[0]) & (grid.X <= box[1])
-                  & (grid.Y >= box[2]) & (grid.Y <= box[3]))
-        assert np.array_equal(sx, grid.X[inside]) and np.array_equal(sy, grid.Y[inside])
-        assert sx.size == np.count_nonzero(~grid.band_mask[3:10, 5:13])
+        X, Y, banded = _planes(grid)
+        inside = (~banded & (X >= box[0]) & (X <= box[1])
+                  & (Y >= box[2]) & (Y <= box[3]))
+        assert np.array_equal(sx, X[inside]) and np.array_equal(sy, Y[inside])
+        assert sx.size == np.count_nonzero(~banded[3:10, 5:13])
         assert 0 < sx.size < 7 * 8
 
 
@@ -553,15 +655,18 @@ def _action_like(u):
                        (0.2, 0.8, 2.1, 2.6)),
 ], ids=["bump", "bumps", "clipped_polynomial"])
 def test_integrate_open_mesh_matches_flat_reference(u):
+    # the density on the block's open mesh, summed, gives the bits of the
+    # same sum over the block's values evaluated at flat nodes
     grid = F.box_grid((0, 1, 2, 3), level=1)
-    x0, x1, y0, y1 = u.support_box
-    inside = (grid.X >= x0) & (grid.X <= x1) & (grid.Y >= y0) & (grid.Y <= y1)
+    X, Y, _ = _planes(grid)
+    rows, cols = _block(grid, u.support_box)
+    block = np.ix_(rows, cols)
     density = _action_like(u)
-    vals = np.zeros_like(grid.W)
-    vals[inside] = density(grid.X[inside], grid.Y[inside])
+    vals = np.zeros(X.shape)
+    vals[block] = density(X[block].ravel(), Y[block].ravel()).reshape(X[block].shape)
     got = grid.integrate(density, support=u.support_box)
     assert got != 0.0
-    assert got == float(np.sum(vals * grid.W))
+    assert got == float(_block_sum(grid, vals, rows, cols))
 
 
 @pytest.mark.parametrize("box", [
@@ -607,4 +712,18 @@ def test_desitter_second_derivatives_bits(factor, inv):
 def test_breakpoint_aligned_cells():
     grid = F.box_grid((0, 1, 2, 3), level=0, base_cells=8, x_breaks=(0.3,))
     # no node may straddle the line x = 0.3: nodes sit strictly inside cells
-    assert not np.any(np.isclose(grid.X, 0.3))
+    assert not np.any(np.isclose(grid.x_nodes, 0.3))
+
+
+@pytest.mark.parametrize("grid", [
+    F.box_grid((0, 1, 2, 3), level=1),
+    F.box_grid((0, 1, 0, 1), level=0, band=0.05),
+    F.torus_grid(level=0, band=0.1),
+], ids=["box", "banded_box", "torus"])
+def test_grid_stores_axes_only(grid):
+    # a tensor-product grid is its two 1-d rules: no n x m plane is kept
+    arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 4 and all(a.ndim == 1 for a in arrays)
+    assert np.array_equal(grid.W, np.outer(grid.x_weights, grid.y_weights))
+    _, _, band = _planes(grid)
+    assert grid.excluded_weight == float(np.sum(grid.W[band]))
