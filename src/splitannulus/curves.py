@@ -42,6 +42,8 @@ from .errors import (
 )
 from .fields import (
     CircleMap,
+    ConstantField,
+    IdentityMap,
     Jet2,
     PiecewiseMobiusAngleMap,
     ScalarField,
@@ -295,8 +297,6 @@ class PO22Curve:
     family = "po22"
 
     def __init__(self, chi: CircleMap, psi: CircleMap = None):
-        from .fields import IdentityMap
-
         self.psi = psi if psi is not None else IdentityMap()
         self.chi = chi
         if self.psi.coords != "angle" or chi.coords != "angle":
@@ -330,7 +330,11 @@ class PO22Curve:
         return desitter(coords="angle")
 
     def conformal_factor(self) -> ScalarField:
-        return LogMeanExpField(self.u_psi, self.u_chi)
+        # psi = identity has the factor zero; its UniformizingFactor jets
+        # would cost as much as chi's only to compute zeros
+        identity = isinstance(self.psi, IdentityMap)
+        u_psi = ConstantField(0.0) if identity else self.u_psi
+        return LogMeanExpField(u_psi, self.u_chi)
 
     def metric(self) -> SplitMetric:
         return self.circle_metric().scaled_by(self.conformal_factor())
@@ -350,21 +354,19 @@ class PO22Curve:
 # ---------------------------------------------------------------------------
 
 class PSL3Curve:
-    """A pointed convex curve (x(t), l(t)) with its pairing evaluator.
+    """A pointed convex curve (x(t), l(t)), carried by its pairing.
 
     ``pairing(s, t)`` evaluates <l(s) | x(t)>; the crossratio is the
     four-point pairing quotient, scale invariant in both homogeneous
-    representatives.  ``log_pairing_dst`` supplies the exact mixed
-    derivative of log pairing when available, which is the metric
-    density of the family.
+    representatives, so the pairing alone determines it and the points
+    and lines themselves are not stored.  ``log_pairing_dst`` supplies
+    the exact mixed derivative of log pairing when available, which is
+    the metric density of the family.
     """
 
     family = "psl3"
 
-    def __init__(self, x_fn, l_fn, pairing, log_pairing_dst=None,
-                 coords="affine"):
-        self.x_fn = x_fn
-        self.l_fn = l_fn
+    def __init__(self, pairing, log_pairing_dst=None, coords="affine"):
         self.pairing = pairing
         self.log_pairing_dst = log_pairing_dst
         self.coords = coords
@@ -396,8 +398,6 @@ class PSL3Curve:
 
     def conformal_factor(self) -> ScalarField:
         """Factor against the measured circle metric (conic: zero)."""
-        from .fields import ConstantField
-
         if self.log_pairing_dst is None:
             raise NonSmoothB("no exact density; curve action unavailable")
         return ConstantField(0.0)
@@ -406,20 +406,13 @@ class PSL3Curve:
 def psl3_conic(coords="affine") -> PSL3Curve:
     """The conic x(t) = [t^2, t, 1] with tangents l(s) = (1, -2s, s^2).
 
-    <l(s)|x(t)> = (t - s)^2 in affine coordinates; with trigonometric
-    representatives the pairing is sin^2(t - s), smooth across the
-    chart.  The crossratio metric is the de Sitter density (the conic
-    is a circle of the family).
+    <l(s)|x(t)> = (t - s)^2 in affine coordinates; with the trigonometric
+    representatives x(t) = (sin^2 t, sin t cos t, cos^2 t) and l(s) =
+    (cos^2 s, -2 sin s cos s, sin^2 s) the pairing is sin^2(t - s),
+    smooth across the chart.  The crossratio metric is the de Sitter
+    density (the conic is a circle of the family).
     """
     if coords == "affine":
-        def x_fn(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([t ** 2, t, np.ones_like(t)], axis=-1)
-
-        def l_fn(s):
-            s = np.asarray(s, dtype=float)
-            return np.stack([np.ones_like(s), -2 * s, s ** 2], axis=-1)
-
         def pairing(s, t):
             s = np.asarray(s, dtype=float)
             t = np.asarray(t, dtype=float)
@@ -429,26 +422,13 @@ def psl3_conic(coords="affine") -> PSL3Curve:
             return 2.0 / (t - s) ** 2
 
     else:
-        def x_fn(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack(
-                [np.sin(t) ** 2, np.sin(t) * np.cos(t), np.cos(t) ** 2], axis=-1
-            )
-
-        def l_fn(s):
-            s = np.asarray(s, dtype=float)
-            return np.stack(
-                [np.cos(s) ** 2, -2 * np.sin(s) * np.cos(s), np.sin(s) ** 2],
-                axis=-1,
-            )
-
         def pairing(s, t):
             return np.sin(np.asarray(t, dtype=float) - np.asarray(s)) ** 2
 
         def log_dst(t, s):
             return 2.0 / np.sin(t - s) ** 2
 
-    return PSL3Curve(x_fn, l_fn, pairing, log_dst, coords)
+    return PSL3Curve(pairing, log_dst, coords)
 
 
 # ---------------------------------------------------------------------------

@@ -527,7 +527,6 @@ class CircleMap:
 
     coords = "affine"
     breakpoints = ()
-    smoothness = "smooth"  # or "piecewise"
 
     def jets(self, t):
         raise NotImplementedError
@@ -705,11 +704,6 @@ class ComposedMap(CircleMap):
         for b in outer.breakpoints:
             bps.add(self._preimage(inner, b))
         self.breakpoints = tuple(sorted(bps))
-        self.smoothness = (
-            "piecewise"
-            if "piecewise" in (outer.smoothness, inner.smoothness)
-            else "smooth"
-        )
 
     @staticmethod
     def _preimage(inner, target):
@@ -744,9 +738,8 @@ class PiecewiseMobiusAngleMap(CircleMap):
     """
 
     coords = "angle"
-    smoothness = "piecewise"
 
-    def __init__(self, breakpoints, matrices, c0_tol=1e-12, c1_tol=1e-10):
+    def __init__(self, breakpoints, matrices):
         bps = [float(b) % math.pi for b in breakpoints]
         if sorted(bps) != bps or len(set(bps)) != len(bps):
             raise ValueError("breakpoints must be strictly increasing in [0, pi)")
@@ -755,7 +748,7 @@ class PiecewiseMobiusAngleMap(CircleMap):
         self.breakpoints = tuple(bps)
         self.pieces = [AngleMobiusMap(m) for m in matrices]
         self._fix_lifts()
-        self._validate(c0_tol, c1_tol)
+        self._validate()
 
     def _arc(self, i):
         bps = self.breakpoints
@@ -823,7 +816,7 @@ class PiecewiseMobiusAngleMap(CircleMap):
                 raise NotC3AtPoint(f"breakpoint {b} has no third derivative")
         return self.jets(t)
 
-    def _validate(self, c0_tol, c1_tol):
+    def _validate(self):
         n = len(self.pieces)
         for i in range(n):
             lo, hi = self._arc(i)
@@ -833,10 +826,10 @@ class PiecewiseMobiusAngleMap(CircleMap):
             shift = math.pi if j == 0 else 0.0
             there = self.jets_at_piece(j, lo_j - shift)
             dv = abs(here[0] - (there[0] + shift))
-            if dv > max(c0_tol, 1e-9):
+            if dv > 1e-9:
                 raise ValueError(f"C0 mismatch at breakpoint {hi % math.pi}: {dv}")
             dd = abs(here[1] - there[1])
-            if dd > c1_tol:
+            if dd > 1e-10:
                 raise ValueError(f"C1 mismatch at breakpoint {hi % math.pi}: {dd}")
             ts = np.linspace(lo + 1e-9, hi - 1e-9, 257)
             if np.any(self.pieces[i].jets(ts)[1] <= 0):
@@ -884,16 +877,43 @@ def _piece_k(a, target_a, b, target_b):
     """Product (derivative at a) * (derivative at b) over the Mobius
     family interpolating a -> target_a, b -> target_b.
 
-    The family is T^{-1} diag(mu, 1) S; the end derivatives are d0/mu
-    and mu*c0, so their product is independent of mu.
+    The density 1/sin^2(x - y) is invariant under the projective action,
+    so every member has phi'(a) phi'(b) = sin^2(target_b - target_a) /
+    sin^2(b - a).
     """
-    return _end_derivative(mobius_through(a, target_a, b, target_b, 1.0), b)
+    return math.sin(target_b - target_a) ** 2 / math.sin(b - a) ** 2
 
 
 def _end_derivative(m, b):
     """The angle derivative of x -> M x at b: det(M) / |M p_b|^2."""
     pb = np.array([math.cos(b), math.sin(b)])
     return np.linalg.det(m) / np.dot(m @ pb, m @ pb)
+
+
+def _once_around(angles):
+    """True if the angles follow each other in order once around the angle
+    line (period pi), each gap to the next one resolvable by sin^2."""
+    gaps = [(b - a) % math.pi for a, b in zip(angles, angles[1:] + angles[:1])]
+    return abs(sum(gaps) - math.pi) <= 1e-9 and min(math.sin(g) ** 2 for g in gaps) > 0
+
+
+def _closing_image(t, z):
+    """The image of t[3] that balances k1 k3 = k2 k4 given z[0], z[1], z[2].
+
+    With the arc factors gathered in c, the balance reads sin(z4 - z3) =
+    c sin(Z - z4), where Z = z1 + k pi is the end of the closing arc, the
+    first lift of z1 above z3.  On (z3, Z) the quotient of the two sides
+    rises from 0 to infinity, so the root is unique and tan z4 =
+    (sin z3 + c sin Z) / (cos z3 + c cos Z).
+    """
+    k1 = _piece_k(t[0], z[0], t[1], z[1])
+    k2 = _piece_k(t[1], z[1], t[2], z[2])
+    c = math.sqrt(k2 / k1) * abs(math.sin(t[3] - t[2]) / math.sin(t[0] - t[3]))
+    if math.floor((z[2] - z[0]) / math.pi) % 2 == 0:  # k odd: sin Z = -sin z1
+        c = -c
+    theta = math.atan2(math.sin(z[2]) + c * math.sin(z[0]),
+                       math.cos(z[2]) + c * math.cos(z[0]))
+    return z[2] + (theta - z[2]) % math.pi
 
 
 def four_piece_c1_map(breaks=(0.3, 1.0, 1.8, 2.5),
@@ -910,46 +930,31 @@ def four_piece_c1_map(breaks=(0.3, 1.0, 1.8, 2.5),
     images must balance k1 k3 = k2 k4, after which every choice of the
     start derivative closes up; ``skew`` != 1 picks a non-Mobius one.
 
-    The image of the last turning point is solved from the balance
-    condition (pass ``images[3] = None``).
+    The turning points must increase strictly in [0, pi), and the images
+    must follow each other in order once around the angle line.  With
+    ``images[3] = None`` the image of the last turning point is solved in
+    closed form from the balance condition; a given one must balance.
     """
     t = [b % math.pi for b in breaks]
     z = list(images)
-    if sorted(t) != t:
+    if sorted(t) != t or not _once_around(t):
         raise ValueError("turning points must be increasing in [0, pi)")
-
-    def balance(z4):
-        zz = [z[0], z[1], z[2], z4]
-        ks = []
-        for i in range(4):
-            a = t[i]
-            b = t[i + 1] if i < 3 else t[0] + math.pi
-            ta = zz[i]
-            tb = zz[i + 1] if i < 3 else zz[0] + math.pi
-            ks.append(_piece_k(a, ta, b, tb))
-        return math.log(ks[0] * ks[2]) - math.log(ks[1] * ks[3]), ks
-
+    if not _once_around([v for v in z if v is not None]):
+        raise ValueError("images must increase cyclically within one turn")
     if z[3] is None:
-        lo = z[2] + 0.05
-        hi = z[0] + math.pi - 0.05
-        flo = balance(lo)[0]
-        fhi = balance(hi)[0]
-        if flo * fhi > 0:
-            raise ValueError("no balanced closing image; adjust the data")
-        # the balance keeps the sign it has at lo below the root
-        z[3] = _bisect(lambda mid: flo * balance(mid)[0] > 0, lo, hi)
-    gap, ks = balance(z[3])
-    if abs(gap) > 1e-9:
+        z[3] = _closing_image(t, z)
+    # piece i sends the arc from t[i] to ends[i] onto z[i] to z_ends[i]
+    ends = t[1:] + [t[0] + math.pi]
+    z_ends = z[1:] + [z[0] + math.pi]
+    ks = [_piece_k(*arc) for arc in zip(t, z, ends, z_ends)]
+    gap = math.log(ks[0] * ks[2]) - math.log(ks[1] * ks[3])
+    if not abs(gap) <= 1e-9:
         raise ValueError(f"images do not balance: residual {gap}")
     # start derivative of the global interpolant would be the geometric
     # mean scale; skew it to leave the Mobius locus
     d = float(skew)
     mats = []
-    for i in range(4):
-        a = t[i]
-        b = t[i + 1] if i < 3 else t[0] + math.pi
-        ta = z[i]
-        tb = z[i + 1] if i < 3 else z[0] + math.pi
+    for a, ta, b, tb in zip(t, z, ends, z_ends):
         m = mobius_through(a, ta, b, tb, d)
         mats.append(m)
         d = _end_derivative(m, b)
@@ -1153,10 +1158,10 @@ class QuadratureGrid:
         whole grid, or None when the grid has no band."""
         if not self.band > 0:
             return None
-        d = self.x_nodes[rows, None] - self.y_nodes[None, cols]
-        if self.periodic:
-            d = np.remainder(d + math.pi / 2, math.pi) - math.pi / 2
-        return np.abs(d) < self.band
+        d = np.abs(self.x_nodes[rows, None] - self.y_nodes[None, cols])
+        if self.periodic:  # both axes lie in one period, so |d| < pi
+            d = np.minimum(d, math.pi - d)
+        return d < self.band
 
     def _support_block(self, support):
         # the axis nodes are sorted, so the closed box is one index block
@@ -1234,12 +1239,9 @@ def box_grid(box, level=0, base_cells=32, scheme="gauss2", band=0.0,
 
 
 def torus_grid(level=0, base_cells=48, scheme="gauss2", band=0.05,
-               breakpoints=(), origin=0.0):
-    """Grid over the full torus [o, o + pi)^2 in angle coordinates."""
-    o = float(origin)
-    brs = sorted({(b - o) % math.pi + o for b in breakpoints})
-    edges = [o, *brs, o + math.pi]
-    edges = sorted(set(edges))
+               breakpoints=()):
+    """Grid over the full torus [0, pi)^2 in angle coordinates."""
+    edges = sorted({0.0, *(b % math.pi for b in breakpoints), math.pi})
     segs = list(zip(edges[:-1], edges[1:]))
     return QuadratureGrid(
         segs, segs, base_cells * 2 ** level, scheme=scheme, band=band,

@@ -213,6 +213,28 @@ _SINEFLOW = "family = po22\nkind = sineflow\namplitude = 0.3\nfrequency = 2"
     pytest.param("curve", CURVE_INI, _SINEFLOW,
                  "family = po22\nkind = four_piece\nskew = 0",
                  ("[curve]", "'skew'"), id="four_piece_skew_zero"),
+    pytest.param("curve", CURVE_INI, _SINEFLOW,
+                 "family = po22\nkind = four_piece\nbreaks = 0.3 0.3 1.8 2.5",
+                 ("[curve]", "turning points"), id="four_piece_repeated_break"),
+    pytest.param("curve", CURVE_INI, _SINEFLOW,
+                 "family = po22\nkind = four_piece\nimages = 0.3 0.3 1.8",
+                 ("[curve]", "images"), id="four_piece_repeated_image"),
+    pytest.param("curve", CURVE_INI, _SINEFLOW,
+                 "family = po22\nkind = four_piece\nimages = 0.3 0.3 0.3",
+                 ("[curve]", "images"), id="four_piece_equal_images"),
+    pytest.param("curve", CURVE_INI, _SINEFLOW,
+                 "family = po22\nkind = four_piece\nbreaks = 0 1e-200 1.8 2.5",
+                 ("[curve]", "turning points"), id="four_piece_unresolved_break"),
+    pytest.param("curve", CURVE_INI, _SINEFLOW,
+                 "family = po22\nkind = four_piece\nimages = 0.3 1.8 1.35",
+                 ("[curve]", "images"), id="four_piece_images_out_of_order"),
+    pytest.param("curve", CURVE_INI, _SINEFLOW,
+                 "family = po22\nkind = four_piece\nimages = 0.3 1.35 1.8 1.8",
+                 ("[curve]", "images"), id="four_piece_repeated_fourth_image"),
+    # winds three times; the piecewise map's lift table alone takes it for one turn
+    pytest.param("curve", CURVE_INI, _SINEFLOW,
+                 "family = po22\nkind = four_piece\nimages = 0.3 3.4 3.5",
+                 ("[curve]", "images"), id="four_piece_images_round_three_times"),
     pytest.param("action", ACTION_INI, _H_BUMP, "kind = polynomial\ncoeffs =",
                  ("[metric.h.u]", "'coeffs'"), id="empty_coeffs"),
     pytest.param("action", ACTION_INI, "box = 0 1 2 3", "box = 0 1 2 inf",
@@ -363,6 +385,24 @@ def test_curve_report_runs_one_sclass_check(tmp_path, monkeypatch):
         assert len(calls) == 1
 
 
+def test_curve_takes_no_jets_of_the_identity(tmp_path, monkeypatch):
+    # psi = identity has the factor zero: the curve's conformal factor takes
+    # it as the zero field, and UniformizingFactor jets only ever see chi
+    maps = []
+    original = fields.UniformizingFactor._jet
+
+    def spied(self, x, y):
+        maps.append(type(self.phi))
+        return original(self, x, y)
+
+    monkeypatch.setattr(fields.UniformizingFactor, "_jet", spied)
+    for ini in (CURVE_INI, FOUR_PIECE_INI):
+        cfg = _write(tmp_path, "f.ini", ini)
+        assert cli.main(["curve", "--config", cfg, "--grid-level", "0",
+                         "--out", str(tmp_path / "c.json")]) == 0
+    assert maps and fields.IdentityMap not in maps
+
+
 def test_curve_mobius_zero_action(tmp_path):
     ini = """
 [curve]
@@ -379,7 +419,8 @@ matrix = 1.3 0.2 0.1 0.9
 
 
 def test_curve_bad_pieces_config_error(tmp_path):
-    # images that cannot balance produce a construction error (exit 2)
+    # these images balance only with a piece so steep (phi' ~ 1e3) that the
+    # pieces fail the C^1 check: a construction error (exit 2)
     ini = """
 [curve]
 family = po22
@@ -504,6 +545,12 @@ def test_action_uniformizing_report(tmp_path):
 
 _UNI_TRAIL = [-3.0779754515956534e-05, -3.853410992967366e-06,
               -4.818623299124303e-07]
+FOUR_PIECE_INI = "[curve]\nfamily = po22\nkind = four_piece\n"
+FOUR_PIECE_UNI_INI = "[uniformizing]\nkind = four_piece\n"
+_FOUR_PIECE_TRAIL = [0.0017964790304345359, 0.0017964376912499866,
+                     0.0017971737750513731]
+_FOUR_PIECE_UNI_TRAIL = [0.016596500571171388, 0.008281434868303865,
+                         0.004213141475257736]
 
 
 @pytest.mark.parametrize("command, ini, level, pinned", [
@@ -520,10 +567,44 @@ _UNI_TRAIL = [-3.0779754515956534e-05, -3.853410992967366e-06,
         "values": {"definition": _UNI_TRAIL[2], "monotone": _UNI_TRAIL[2]},
         "error_estimate": 3.371548663054936e-06,
         "refinement_trail": _UNI_TRAIL}),
-], ids=["curve_sineflow", "uniformizing_1", "uniformizing_2"])
+    # the four-piece curve values are known to be wrong by about 2.4% (the
+    # corner cells of the graded mesh never shrink, ROADMAP item 1); they
+    # pin the bits of the circle map, not the invariant
+    ("curve", FOUR_PIECE_INI, 0, {
+        "action": _FOUR_PIECE_TRAIL[0],
+        "error_estimate": _FOUR_PIECE_TRAIL[0],
+        "refinement_trail": _FOUR_PIECE_TRAIL[:1]}),
+    ("curve", FOUR_PIECE_INI, 1, {
+        "action": _FOUR_PIECE_TRAIL[1],
+        "error_estimate": 4.133918454925743e-08,
+        "refinement_trail": _FOUR_PIECE_TRAIL[:2]}),
+    ("curve", FOUR_PIECE_INI, 2, {
+        "action": _FOUR_PIECE_TRAIL[2],
+        "error_estimate": 7.36083801386499e-07,
+        "refinement_trail": _FOUR_PIECE_TRAIL}),
+    ("action", FOUR_PIECE_UNI_INI, 0, {
+        "values": {"definition": _FOUR_PIECE_UNI_TRAIL[0],
+                   "monotone": _FOUR_PIECE_UNI_TRAIL[0]},
+        "error_estimate": _FOUR_PIECE_UNI_TRAIL[0],
+        "refinement_trail": _FOUR_PIECE_UNI_TRAIL[:1]}),
+    ("action", FOUR_PIECE_UNI_INI, 1, {
+        "values": {"definition": _FOUR_PIECE_UNI_TRAIL[1],
+                   "monotone": _FOUR_PIECE_UNI_TRAIL[1]},
+        "error_estimate": 0.008315065702867523,
+        "refinement_trail": _FOUR_PIECE_UNI_TRAIL[:2]}),
+    ("action", FOUR_PIECE_UNI_INI, 2, {
+        "values": {"definition": _FOUR_PIECE_UNI_TRAIL[2],
+                   "monotone": _FOUR_PIECE_UNI_TRAIL[2]},
+        "error_estimate": 0.004068293393046129,
+        "refinement_trail": _FOUR_PIECE_UNI_TRAIL}),
+], ids=["curve_sineflow", "uniformizing_1", "uniformizing_2",
+        "curve_four_piece_0", "curve_four_piece_1", "curve_four_piece_2",
+        "uniformizing_four_piece_0", "uniformizing_four_piece_1",
+        "uniformizing_four_piece_2"])
 def test_torus_trails_pinned(tmp_path, command, ini, level, pinned):
-    # sine-flow values of the reports under the axis-by-axis quadrature
-    # sum; sharing one refinement ladder must not move a bit
+    # report values under the axis-by-axis quadrature sum; sharing one
+    # refinement ladder or building the circle map in closed form must
+    # not move a bit
     cfg = _write(tmp_path, "t.ini", ini)
     out = tmp_path / "t.json"
     assert cli.main([command, "--config", cfg, "--grid-level", str(level),

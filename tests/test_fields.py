@@ -372,21 +372,84 @@ def test_piecewise_c1_junctions():
         assert abs(here[1] - there[1]) <= 1e-9
 
 
-def test_four_piece_balance_bisection_stops_at_its_fixed_point(monkeypatch):
-    # the 200-step bisection for the fourth image stops once a step leaves
-    # its bracket unchanged; the image keeps every bit
-    calls = []
-    piece_k = F._piece_k
+def test_piece_k_matches_the_matrix_route():
+    # the closed form against the end derivative of the interpolating
+    # Mobius matrix with unit start derivative, the route it replaced
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a = rng.uniform(0.0, math.pi)
+        b = a + rng.uniform(0.05, math.pi - 0.05)
+        A = rng.uniform(-1.0, 4.0)
+        B = A + rng.uniform(0.05, math.pi - 0.05)
+        ref = F._end_derivative(F.mobius_through(a, A, b, B, 1.0), b)
+        assert F._piece_k(a, A, b, B) == pytest.approx(ref, rel=1e-13)
 
-    def counted(a, target_a, b, target_b):
-        calls.append(target_a)
-        return piece_k(a, target_a, b, target_b)
 
-    monkeypatch.setattr(F, "_piece_k", counted)
-    F.four_piece_c1_map()
-    # four per balance: both ends, every step and the solved image
-    assert len(calls) < 4 * 64
-    assert calls[-1] == 2.151951930884409
+_FOUR_PIECE_MATRICES = [
+    [[0.927484712700275, -0.35879445720510933],
+     [-0.0919533426479325, 1.11375673961904]],
+    [[0.7536587189454151, -0.24718207015766672],
+     [-0.8663866924021943, 1.6110146750295404]],
+    [[0.4726499030715591, -0.3127424202261773],
+     [0.3380906253105298, 1.8920234909033964]],
+    [[0.7842202416530393, 0.10434063035101189],
+     [-0.13627023682399117, 1.257021210666276]],
+]
+
+
+def test_four_piece_default_map_keeps_its_bits(monkeypatch):
+    # the closed-form fourth image is the one a 200-step balance bisection
+    # found, bit for bit, and so are the four pieces built from it
+    starts = []
+    through = F.mobius_through
+
+    def recorded(a, target_a, b, target_b, deriv_a):
+        starts.append(target_a)
+        return through(a, target_a, b, target_b, deriv_a)
+
+    monkeypatch.setattr(F, "mobius_through", recorded)
+    pm = F.four_piece_c1_map()
+    assert starts == [0.3, 1.35, 1.8, 2.151951930884409]
+    assert [p.m.tolist() for p in pm.pieces] == _FOUR_PIECE_MATRICES
+
+
+def _balanceable_data(count, seed=7):
+    """Random turning points and three images in order within one turn,
+    every arc and image gap at least 0.05; every third set wraps mod pi."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        t = np.sort(rng.uniform(0.0, math.pi, 4))
+        gaps = rng.dirichlet([2.0] * 4) * math.pi
+        if min(np.diff(np.r_[t, t[0] + math.pi])) < 0.05 or gaps.min() < 0.05:
+            continue
+        z = rng.uniform(-1.0, 3.0) + np.cumsum(np.r_[0.0, gaps[:2]])
+        if len(out) % 3 == 2:
+            z = z % math.pi
+        out.append((tuple(t.tolist()), tuple(z.tolist())))
+    return out
+
+
+@pytest.mark.parametrize("breaks, images", [
+    # roots within 0.05 of z3 and of z1 + pi, which the bisection refused
+    ((0.3, 1.0, 1.8, 2.5), (0.3, 1.35, 1.36)),
+    ((0.3, 1.0, 1.8, 2.5), (0.3, 1.35, 3.40)),
+] + _balanceable_data(40))
+def test_closing_image_balances(breaks, images):
+    t, z = list(breaks), list(images)
+    z4 = F._closing_image(t, z + [None])
+    closing_end = z[2] + (z[0] - z[2]) % math.pi
+    assert z[2] < z4 < closing_end
+    zz = z + [z4]
+    ks = [F._piece_k(*arc) for arc in zip(t, zz, t[1:] + [t[0] + math.pi],
+                                          zz[1:] + [zz[0] + math.pi])]
+    assert abs(math.log(ks[0] * ks[2]) - math.log(ks[1] * ks[3])) <= 1e-12
+
+
+def test_four_piece_builds_with_a_root_near_the_arc_ends():
+    for images in ((0.3, 1.35, 1.36, None), (0.3, 1.35, 3.40, None)):
+        pm = F.four_piece_c1_map(images=images)
+        assert np.all(pm.jets(np.linspace(0.0, math.pi, 64))[1] > 0)
 
 
 def test_piecewise_equivariance_and_orientation():
@@ -727,3 +790,24 @@ def test_grid_stores_axes_only(grid):
     assert np.array_equal(grid.W, np.outer(grid.x_weights, grid.y_weights))
     _, _, band = _planes(grid)
     assert grid.excluded_weight == float(np.sum(grid.W[band]))
+
+
+def _package_torus_grids():
+    """Every torus grid the package builds: the sine-flow trail, the
+    four-piece curve trail on its graded lines (levels 0-3 each) and the
+    S-class bulk grid."""
+    from splitannulus import curves, liouville
+
+    graded = curves._graded_breaks(F.four_piece_c1_map().breakpoints)
+    return ([F.torus_grid(level=lv, band=0.08 / 2 ** lv) for lv in range(4)]
+            + [F.torus_grid(level=lv, band=3e-4, breakpoints=graded)
+               for lv in range(4)]
+            + [F.torus_grid(level=1,
+                            band=liouville._BAND_WIDTH / 2 ** liouville._N_BANDS)])
+
+
+def test_torus_band_matches_the_remainder_distance():
+    # the torus axes span one period, so min(|d|, pi - |d|) is the periodic
+    # distance: it tags the nodes the remainder formula tags
+    for grid in _package_torus_grids():
+        assert np.array_equal(grid._band(), _planes(grid)[2])
