@@ -112,13 +112,11 @@ class Diamond:
 class Crossratio:
     """A positive crossratio with an optional exact metric density."""
 
-    def __init__(self, fn, family="custom", coords="affine",
-                 exact_density=None, breakpoints=()):
+    def __init__(self, fn, family="custom", coords="affine", exact_density=None):
         self.fn = fn
         self.family = family
         self.coords = coords
         self._exact_density = exact_density
-        self.breakpoints = tuple(breakpoints)
 
     def __call__(self, x, y, X, Y):
         return self.fn(x, y, X, Y)
@@ -315,11 +313,8 @@ class PO22Curve:
                 cx, cy, cX, cY, "angle"
             )
 
-        return Crossratio(
-            fn, family="po22", coords="angle",
-            exact_density=self.metric_density,
-            breakpoints=self.breakpoints(),
-        )
+        return Crossratio(fn, family="po22", coords="angle",
+                          exact_density=self.metric_density)
 
     def metric_density(self, s, t):
         up = self.u_psi.value(s, t)
@@ -435,35 +430,15 @@ def psl3_conic(coords="affine") -> PSL3Curve:
 # Curve actions
 # ---------------------------------------------------------------------------
 
-def _graded_breaks(turning_points, depths=(0.2048, 0.0512, 0.0128, 0.0032,
-                                           0.0008)):
-    """Turning-point lines plus geometrically graded satellite lines.
-
-    A C^1 turning point makes the action integrand blow up like the
-    inverse distance to the corner (t*, t*) (integrably); grading the
-    mesh toward the corners restores fast convergence of the smooth
-    part while confining the corner error to cells of the innermost
-    absolute size.
-    """
-    out = set()
-    for t in turning_points:
-        out.add(t % math.pi)
-        for d in depths:
-            out.add((t + d) % math.pi)
-            out.add((t - d) % math.pi)
-    return sorted(out)
-
-
 def curve_action(curve, levels=3, check_sclass=True) -> ActionValue:
     """Liouville action of a positive curve against its circle metric.
 
     The metric pair is (g_curve, g_circle) with g_circle measured from
     a projective member of the same family, so no normalization weight
-    enters.  Grids align cell edges with the turning-point lines; the
-    diagonal band substitutes the Schwarzian limit density of the
-    integrand (identically zero on projective pieces).  Piecewise
-    curves use corner-graded meshes and a thin fixed band: the excluded
-    mass scales linearly with the band width.
+    enters.  ``torus_trail`` integrates on ``ArcPairRule``s whose arcs end
+    at the turning points, with the Schwarzian limit density of the
+    integrand on the diagonal (identically zero on projective pieces);
+    level ``lv`` of the trail has Gauss order 8 + 4 * lv.
     """
     if isinstance(curve, PSL3Curve):
         if curve.coords != "angle":
@@ -471,8 +446,7 @@ def curve_action(curve, levels=3, check_sclass=True) -> ActionValue:
         u = curve.conformal_factor()
         g_circle = desitter(coords="angle")
         g = g_circle.scaled_by(u)
-        breaks = ()
-        limit = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        breaks, limit = (), np.zeros_like
     else:
         g_circle = curve.circle_metric()
         g = curve.metric()
@@ -487,10 +461,7 @@ def curve_action(curve, levels=3, check_sclass=True) -> ActionValue:
             raise SClassFail(failing[0], f"S-class clauses failed: {failing}")
 
     density = _monotone_density(g, g_circle, g_circle.factor_relative_to(g))
-    if breaks:
-        return torus_trail(density, limit, levels, "curve",
-                           _graded_breaks(breaks), 3e-4, report)
-    return torus_trail(density, limit, levels, "curve", sclass=report)
+    return torus_trail(density, limit, levels, "curve", breaks, report)
 
 
 def reparam_invariance_residual(curve: PO22Curve, phi: CircleMap,

@@ -443,11 +443,7 @@ class UniformizingFactor(ScalarField):
         projective Schwarzian (the chart Schwarzian plus the angle-chart
         cocycle correction 2(phi'^2 - 1) in angle coordinates).
         """
-        phi = self.phi
-        if isinstance(phi, PiecewiseMobiusAngleMap):
-            if np.ndim(x) == 0 and phi.is_breakpoint(float(x)):
-                return np.zeros_like(np.asarray(x, dtype=float))
-        f, f1, f2, f3 = phi.jets(x)
+        f, f1, f2, f3 = self.phi.jets(x)
         s = f3 / f1 - 1.5 * (f2 / f1) ** 2
         if self.angle:
             s = s + 2.0 * (f1 ** 2 - 1.0)
@@ -533,15 +529,6 @@ class CircleMap:
 
     def __call__(self, t):
         return self.jets(t)[0]
-
-    def is_breakpoint(self, t, tol=1e-12):
-        return any(abs(self._wrap_dist(t, b)) <= tol for b in self.breakpoints)
-
-    def _wrap_dist(self, a, b):
-        if self.coords == "angle":
-            d = (a - b) % math.pi
-            return min(d, math.pi - d)
-        return a - b
 
     def compose(self, other):
         return ComposedMap(self, other)
@@ -810,9 +797,8 @@ class PiecewiseMobiusAngleMap(CircleMap):
         """Like ``jets`` but refuses breakpoints (no third derivative there)."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         for b in self.breakpoints:
-            if np.any(np.abs(np.remainder(ts - b, math.pi)) < 1e-12) or np.any(
-                np.abs(np.remainder(ts - b, math.pi) - math.pi) < 1e-12
-            ):
+            d = np.remainder(ts - b, math.pi)
+            if np.any(np.minimum(d, math.pi - d) < 1e-12):
                 raise NotC3AtPoint(f"breakpoint {b} has no third derivative")
         return self.jets(t)
 
@@ -829,7 +815,7 @@ class PiecewiseMobiusAngleMap(CircleMap):
             if dv > 1e-9:
                 raise ValueError(f"C0 mismatch at breakpoint {hi % math.pi}: {dv}")
             dd = abs(here[1] - there[1])
-            if dd > 1e-10:
+            if dd > 1e-10 * max(1.0, abs(here[1])):
                 raise ValueError(f"C1 mismatch at breakpoint {hi % math.pi}: {dd}")
             ts = np.linspace(lo + 1e-9, hi - 1e-9, 257)
             if np.any(self.pieces[i].jets(ts)[1] <= 0):
@@ -1093,10 +1079,10 @@ class QuadratureGrid:
     (x_nodes[i], y_nodes[j]) with weight x_weights[i] * y_weights[j].
     Nodes are strictly interior to their cells (midpoint or two-point
     Gauss per cell and axis), so cell edges may be placed on breakpoint
-    lines and the diagonal never receives a node by construction.  A
-    diagonal band of half-width ``band`` (in |x - y|, or angular distance
-    for periodic grids) is tagged; ``integrate`` either skips banded
-    nodes or substitutes a supplied closure density there.
+    lines.  A diagonal band of half-width ``band`` (in |x - y|, or angular
+    distance for periodic grids) is tagged, and ``integrate`` skips the
+    banded nodes.  Torus actions, whose integrands extend across the
+    diagonal, use ``ArcPairRule`` instead.
     """
 
     def __init__(self, x_segments, y_segments, cells, scheme="gauss2",
@@ -1171,28 +1157,22 @@ class QuadratureGrid:
         cols = slice(np.searchsorted(yn, y0, "left"), np.searchsorted(yn, y1, "right"))
         return rows, cols
 
-    def integrate(self, density, closure=None, support=None):
+    def integrate(self, density, support=None):
         """Weighted sum of ``density(x, y)`` off the band.
 
         ``density`` is evaluated on one block of nodes: the index block of
-        ``support = (x0, x1, y0, y1)``, a closed box outside which the
-        density is known to vanish, or the whole grid without a box.  Nodes
-        outside the block contribute nothing.  When the block holds no
-        banded node, ``density`` receives it as an open mesh, its x nodes
-        as an (n, 1) and its y nodes as a (1, m) array, and its result is
-        broadcast to (n, m).  Otherwise it receives the flat arrays of the
-        block's off-band nodes, in row-major order.  ``closure(x, y)``
-        supplies the integrand density on every banded node of the grid
-        (the diagonal limit of an integrand that extends continuously);
-        with no closure, banded nodes contribute zero.
+        ``support = (x0, x1, y0, y1)``, a closed box outside which it is
+        known to vanish, or the whole grid without a box; other nodes and
+        banded ones contribute nothing.  A block with no banded node reaches
+        ``density`` as an open mesh, x nodes (n, 1) and y nodes (1, m), and
+        the result is broadcast to (n, m); otherwise it gets the flat arrays
+        of the block's off-band nodes, in row-major order.
 
-        The block's values v reduce as sum_i xw[i] * (sum_j yw[j] * v[i, j]),
-        each sum numpy's pairwise ``np.sum``, and the closure's weighted
-        values add as one more sum: deterministic for a fixed grid and
+        The values v reduce as sum_i xw[i] * (sum_j yw[j] * v[i, j]), each
+        sum numpy's pairwise ``np.sum``: deterministic for a fixed grid and
         independent of the BLAS library and its threads.  A support box
-        changes which zeros take part in the sums, so for a density that
-        vanishes outside it the value agrees with the whole-grid one to
-        summation roundoff, not bit for bit.
+        changes which zeros take part in the sums, so the value agrees with
+        the whole-grid one to summation roundoff, not bit for bit.
         """
         rows, cols = (slice(None), slice(None)) if support is None else (
             self._support_block(support))
@@ -1208,16 +1188,8 @@ class QuadratureGrid:
             v[off] = density(x[off], y[off])
         if not np.all(np.isfinite(v)):
             raise NonFiniteDensity("density is not finite on quadrature nodes")
-        total = np.sum(self.x_weights[rows] * np.sum(v * self.y_weights[cols], axis=1))
-        if closure is not None:
-            band = band if support is None else self._band()
-            if band is not None and band.any():
-                i, j = np.nonzero(band)
-                c = np.asarray(closure(self.x_nodes[i], self.y_nodes[j]), dtype=float)
-                if not np.all(np.isfinite(c)):
-                    raise NonFiniteDensity("band closure is not finite")
-                total += np.sum(c * (self.x_weights[i] * self.y_weights[j]))
-        return float(total)
+        return float(np.sum(self.x_weights[rows]
+                            * np.sum(v * self.y_weights[cols], axis=1)))
 
 
 def box_grid(box, level=0, base_cells=32, scheme="gauss2", band=0.0,
@@ -1238,12 +1210,74 @@ def box_grid(box, level=0, base_cells=32, scheme="gauss2", band=0.0,
     )
 
 
-def torus_grid(level=0, base_cells=48, scheme="gauss2", band=0.05,
-               breakpoints=()):
+def torus_grid(level=0, base_cells=48, band=0.05):
     """Grid over the full torus [0, pi)^2 in angle coordinates."""
-    edges = sorted({0.0, *(b % math.pi for b in breakpoints), math.pi})
-    segs = list(zip(edges[:-1], edges[1:]))
-    return QuadratureGrid(
-        segs, segs, base_cells * 2 ** level, scheme=scheme, band=band,
-        periodic=True, level=level,
-    )
+    return QuadratureGrid([(0.0, math.pi)], [(0.0, math.pi)], base_cells * 2 ** level,
+                          band=band, periodic=True, level=level)
+
+
+class ArcPairRule:
+    """Gauss-Legendre quadrature over the torus [0, pi)^2 by ordered pairs
+    of arcs of the angle line, for an integrand that is 0/0 on the
+    diagonal x = y mod pi and has the limit ``limit(x)`` there.
+
+    The arcs end at ``breaks`` (mod pi); while there are fewer than three
+    the longest is bisected, so neighbouring arcs share exactly one corner.
+    Every block has ``order`` = 8 + 4 * level nodes per axis.  Neighbours
+    get two Duffy triangles at their corner (b, c), x = b - A s and
+    y = c + B s w and the mirror, with weight A B s: the Jacobian s cancels
+    a 1/r corner singularity (Duffy, SIAM J. Numer. Anal. 19, 1982).  Other
+    pairs get the tensor rule, whose nodes with x = y on an arc paired with
+    itself take ``limit``.  No node given to the density has x = y mod pi.
+    """
+
+    def __init__(self, breaks=(), level=0):
+        self.level, self.order = int(level), 8 + 4 * int(level)
+        edges = sorted({b % math.pi for b in breaks}) or [0.0]
+        arcs = list(zip(edges, edges[1:] + [edges[0] + math.pi]))
+        while len(arcs) < 3:
+            i = max(range(len(arcs)), key=lambda k: arcs[k][1] - arcs[k][0])
+            lo, hi = arcs[i]
+            arcs[i:i + 1] = [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
+        self.arcs = tuple(arcs)
+        s, ws = np.polynomial.legendre.leggauss(self.order)
+        s, ws = (s + 1.0) / 2, ws / 2
+        ww = np.outer(ws, ws)
+        # the Duffy triangles at the unit square's corner (0, 0): offsets, weights
+        far = np.broadcast_to(s[:, None], ww.shape)
+        duffy = (np.concatenate([far, far * s]), np.concatenate([far * s, far]),
+                 np.concatenate([far * ww] * 2))
+        n, off = len(arcs), ~np.eye(self.order, dtype=bool)
+        blocks, diag = [], []
+        for i, (lo, hi) in enumerate(arcs):
+            for j, (lo_j, hi_j) in enumerate(arcs):
+                a, b = hi - lo, hi_j - lo_j
+                if j == (i + 1) % n:  # corner (hi, lo_j)
+                    dx, dy, w = duffy
+                    x, y = hi - a * dx, lo_j + b * dy
+                elif i == (j + 1) % n:  # the block (j, i), x and y swapped
+                    dy, dx, w = duffy
+                    x, y = lo + a * dx, hi_j - b * dy
+                else:
+                    x, y = np.meshgrid(lo + a * s, lo_j + b * s, indexing="ij")
+                    w = ww
+                    if i == j:
+                        diag.append((np.diag(x), a * b * np.diag(w)))
+                        x, y, w = x[off], y[off], w[off]
+                blocks.append((x, y, a * b * w))
+        self.x, self.y, self.w = (np.concatenate([np.ravel(c) for c in cs])
+                                  for cs in zip(*blocks))
+        self.diag, self.diag_w = (np.concatenate(cs) for cs in zip(*diag))
+
+    def describe(self):
+        return {"level": self.level, "order": self.order,
+                "arcs": [list(a) for a in self.arcs]}
+
+    def integrate(self, density, limit):
+        """The weighted sum of ``density`` on the off-diagonal nodes, as
+        flat arrays, plus that of ``limit`` on the same-arc diagonals."""
+        v = np.asarray(density(self.x, self.y), dtype=float)
+        d = np.asarray(limit(self.diag), dtype=float)
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
+            raise NonFiniteDensity("density or its diagonal limit is not finite")
+        return float(np.sum(v * self.w) + np.sum(d * self.diag_w))

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import IncompatibleMetrics, NotC3
 from .fields import (
+    ArcPairRule,
     PolygonalCurve,
     QuadratureGrid,
     ScalarField,
@@ -311,32 +312,25 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
 # Actions over the torus
 # ---------------------------------------------------------------------------
 
-def torus_trail(density, limit, levels, formula, breaks=(), band=None,
+def torus_trail(density, limit, levels, formula, breaks=(),
                 sclass=None) -> ActionValue:
-    """``density`` over the full torus, refined over levels 0..``levels``.
-
-    Cells align with ``breaks``.  The density is 0/0 on the diagonal, so
-    banded nodes take (limit(x) + limit(y)) / 2 for its diagonal limit
-    ``limit``; the band half-width is ``band``, or 0.08 / 2^level if None.
+    """``density`` over the full torus by ``ArcPairRule`` on the arcs cut
+    at ``breaks``, at levels 0..``levels``.  The density is 0/0 on the
+    diagonal, and ``limit(x)`` is its limit there.
     """
-    def closure(x, y):
-        return 0.5 * (limit(x) + limit(y))
-
-    grids = (torus_grid(level=lv, band=0.08 / 2 ** lv if band is None else band,
-                        breakpoints=breaks)
-             for lv in range(levels + 1))
-    return refinement_trail(lambda grid: grid.integrate(density, closure),
-                            grids, formula, sclass)
+    rules = (ArcPairRule(breaks, lv) for lv in range(levels + 1))
+    return refinement_trail(lambda rule: rule.integrate(density, limit),
+                            rules, formula, sclass)
 
 
 def uniformizing_action(phi, levels=3, formula="monotone") -> ActionValue:
-    """S(Phi* g0, g0) over the full torus for a C^3 circle map.
+    """S(Phi* g0, g0) over the full torus for a piecewise C^3 circle map.
 
-    The raw integrand is 0/0 on the diagonal; inside a band of shrinking
-    half-width the integrand density is replaced by its diagonal limit,
-    a twelfth of the projective Schwarzian (symmetrized in the two
-    arguments).  The value converges to zero for any uniformizing
-    metric; the refinement trail is reported.
+    The raw integrand is 0/0 on the diagonal, where ``ArcPairRule`` takes
+    its limit, a twelfth of the projective Schwarzian; the rule's arcs
+    end at the map's breakpoints.  The value converges to zero for any
+    uniformizing metric; the refinement trail over levels 0..``levels``
+    (Gauss order 8 + 4 * level) is reported.
     """
     if phi.coords != "angle":
         raise NotC3("uniformizing action runs on angle-coordinate maps")

@@ -359,3 +359,53 @@ def test_piecewise_reparam_invariance():
         assert nearest <= 1e-12
     res = C.reparam_invariance_residual(C.PO22Curve(pm), phi, levels=2)
     assert res <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the four-piece invariant on the arc-pair rule
+# ---------------------------------------------------------------------------
+
+FOUR_PIECE_ACTION = 1.8091795647e-3
+SINE_ACTION = 2.9183083523e-4  # the sine flow of amplitude 0.3, frequency 2
+
+
+def _precomposed(chi, s):
+    """chi o A for the hyperbolic A = R(0.7) diag(e^s, e^-s) R(0.7)^T: again
+    four-piece, with breaks A^-1(t_i) and matrices M_i A."""
+    c, sn = math.cos(0.7), math.sin(0.7)
+    rot = np.array([[c, -sn], [sn, c]])
+    a = rot @ np.diag([math.exp(s), math.exp(-s)]) @ rot.T
+    a_inv = F.AngleMobiusMap(np.linalg.inv(a))
+    breaks = [float(a_inv(np.asarray(t))) % math.pi for t in chi.breakpoints]
+    k = int(np.argmin(breaks))  # rotate the pieces to increasing breaks
+    mats = [piece.m @ a for piece in chi.pieces]
+    return F.PiecewiseMobiusAngleMap(breaks[k:] + breaks[:k], mats[k:] + mats[:k])
+
+
+def test_four_piece_curve_action_value():
+    av = C.curve_action(C.PO22Curve(F.four_piece_c1_map()), levels=2,
+                        check_sclass=False)
+    assert abs(av.value - FOUR_PIECE_ACTION) <= 1e-10
+    assert av.error_estimate <= 1e-9
+
+
+def test_four_piece_action_invariant_under_hyperbolic_precomposition():
+    # u_{chi o A}(x, y) = u_chi(Ax, Ay) and (A, A) is an isometry of the
+    # circle metric; a rotation would also move the corners, but a
+    # hyperbolic A changes the arc lengths as well
+    chi = F.four_piece_c1_map()
+    a = C.curve_action(C.PO22Curve(chi), levels=2, check_sclass=False)
+    b = C.curve_action(C.PO22Curve(_precomposed(chi, 0.6)), levels=2,
+                       check_sclass=False)
+    assert abs(a.value - b.value) <= 1e-10
+
+
+def test_four_piece_uniformizing_action_vanishes():
+    av = LV.uniformizing_action(F.four_piece_c1_map(), levels=2)
+    assert abs(av.value) <= 1e-10
+
+
+def test_sine_flow_curve_action_value():
+    av = C.curve_action(C.PO22Curve(F.SineFlowMap(0.3, 2)), levels=2,
+                        check_sclass=False)
+    assert abs(av.value - SINE_ACTION) <= 1e-12

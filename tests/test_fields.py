@@ -324,7 +324,9 @@ def test_circle_map_derivatives(phi):
         ts = rng.uniform(0, math.pi, 60)
     else:
         ts = rng.uniform(-0.9, 0.9, 60)
-    ts = np.array([t for t in ts if not phi.is_breakpoint(t, 2e-3)])
+    ts = np.array([t for t in ts if all(
+        abs((t - b + math.pi / 2) % math.pi - math.pi / 2) > 2e-3
+        for b in phi.breakpoints)])
     val, d1, d2, d3 = phi.jets(ts)
     assert np.all(d1 > 0)
     h = 1e-5
@@ -613,29 +615,24 @@ def _weighted(u):
     return lambda x, y: u.value(x, y) * (2.0 + np.sin(x - 2.0 * y))
 
 
-@pytest.mark.parametrize("grid, u, closure", [
-    (F.box_grid((0, 1, 2, 3), level=1), _BUMP, None),
-    (F.box_grid((0, 1, 2, 3), level=2), _BUMP_SUM, None),
-    # a band along the diagonal, closed by the field itself
-    (F.box_grid((0, 1, 0, 1), level=1, band=0.05), _DIAG_BUMP,
-     lambda x, y: _DIAG_BUMP.value(x, y)),
-    (F.torus_grid(level=0, band=0.1), F.bump_field((1.0, 2.2), (0.3, 0.4), 0.6),
-     lambda x, y: np.ones_like(x)),
+@pytest.mark.parametrize("grid, u", [
+    (F.box_grid((0, 1, 2, 3), level=1), _BUMP),
+    (F.box_grid((0, 1, 2, 3), level=2), _BUMP_SUM),
+    # a band along the diagonal: banded nodes contribute nothing
+    (F.box_grid((0, 1, 0, 1), level=1, band=0.05), _DIAG_BUMP),
+    (F.torus_grid(level=0, band=0.1), F.bump_field((1.0, 2.2), (0.3, 0.4), 0.6)),
 ])
-def test_integrate_on_support_matches_whole_grid(grid, u, closure):
+def test_integrate_on_support_matches_whole_grid(grid, u):
     # with a box the sum runs over its block: bit for bit the explicit
-    # block sum plus the band closure's own term
+    # block sum
     density = _weighted(u)
-    full = grid.integrate(density, closure)
+    full = grid.integrate(density)
     assert full != 0.0
-    got = grid.integrate(density, closure, support=u.support_box)
+    got = grid.integrate(density, support=u.support_box)
     X, Y, band = _planes(grid)
     vals = np.where(band, 0.0, density(X, Y))
     ref = _block_sum(grid, vals, *_block(grid, u.support_box))
     weights = np.outer(grid.x_weights, grid.y_weights)
-    if closure is not None:
-        vals[band] = closure(X[band], Y[band])
-        ref += np.sum(vals[band] * weights[band])
     assert got == float(ref)
     # both values sum the same products w * v, grouped differently; numpy's
     # pairwise summation keeps the roundoff of either grouping to a small
@@ -793,17 +790,12 @@ def test_grid_stores_axes_only(grid):
 
 
 def _package_torus_grids():
-    """Every torus grid the package builds: the sine-flow trail, the
-    four-piece curve trail on its graded lines (levels 0-3 each) and the
-    S-class bulk grid."""
-    from splitannulus import curves, liouville
+    """Every torus grid the package builds: the S-class bulk grid (torus
+    actions integrate on ``ArcPairRule``s, which have no band)."""
+    from splitannulus import liouville
 
-    graded = curves._graded_breaks(F.four_piece_c1_map().breakpoints)
-    return ([F.torus_grid(level=lv, band=0.08 / 2 ** lv) for lv in range(4)]
-            + [F.torus_grid(level=lv, band=3e-4, breakpoints=graded)
-               for lv in range(4)]
-            + [F.torus_grid(level=1,
-                            band=liouville._BAND_WIDTH / 2 ** liouville._N_BANDS)])
+    return [F.torus_grid(level=1,
+                         band=liouville._BAND_WIDTH / 2 ** liouville._N_BANDS)]
 
 
 def test_torus_band_matches_the_remainder_distance():
@@ -811,3 +803,50 @@ def test_torus_band_matches_the_remainder_distance():
     # distance: it tags the nodes the remainder formula tags
     for grid in _package_torus_grids():
         assert np.array_equal(grid._band(), _planes(grid)[2])
+
+
+# ---------------------------------------------------------------------------
+# the arc-pair rule
+# ---------------------------------------------------------------------------
+
+_ARC_BREAKS = [(), (0.3,), (0.3, 1.0), (0.3, 1.0, 1.8, 2.5)]
+
+
+@pytest.mark.parametrize("breaks", _ARC_BREAKS, ids=["none", "one", "two", "four"])
+def test_arc_pair_weights_cover_the_torus(breaks):
+    rule = F.ArcPairRule(breaks, level=1)
+    assert len(rule.arcs) >= 3
+    assert rule.arcs[-1][1] == rule.arcs[0][0] + math.pi
+    total = float(np.sum(rule.w) + np.sum(rule.diag_w))
+    assert abs(total - math.pi ** 2) <= 1e-13
+    assert rule.integrate(lambda x, y: np.ones_like(x),
+                          np.ones_like) == pytest.approx(math.pi ** 2, abs=1e-13)
+
+
+@pytest.mark.parametrize("breaks", _ARC_BREAKS, ids=["none", "one", "two", "four"])
+def test_arc_pair_density_never_sees_the_diagonal(breaks):
+    # the density gets no node with x = y mod pi; the limit gets the
+    # same-arc diagonals, interior to their arcs
+    seen = []
+
+    def density(x, y):
+        seen.append(np.sin(x - y))
+        return np.zeros_like(x)
+
+    for lv in range(11):
+        rule = F.ArcPairRule(breaks, lv)
+        rule.integrate(density, np.zeros_like)
+        assert rule.order == 8 + 4 * lv
+        assert np.all(seen.pop() != 0.0)
+        assert not any(np.any(np.isclose(rule.diag % math.pi, b % math.pi))
+                       for b in breaks)
+
+
+def test_arc_pair_rule_integrates_polynomials_exactly():
+    # a product of polynomials of degree < order on each block, in x and y
+    rule = F.ArcPairRule((0.3, 1.0, 1.8, 2.5), level=0)
+    got = rule.integrate(lambda x, y: x ** 3 * y ** 2, lambda x: x ** 5)
+    lo = 0.3
+    hi = lo + math.pi
+    want = (hi ** 4 - lo ** 4) / 4 * (hi ** 3 - lo ** 3) / 3
+    assert got == pytest.approx(want, rel=1e-13)
