@@ -93,6 +93,11 @@ def _choice(*names):
     return parse
 
 
+def _scheme(text):
+    fields.gauss_order(text)  # a ValueError names the accepted range
+    return text
+
+
 def _box(text):
     """Parser of a rectangle x0 x1 y0 y1 with x1 > x0 and y1 > y0."""
     box = _numbers(4)(text)
@@ -156,8 +161,8 @@ _METRIC = {
 _GRID = {
     "box": (_box, (0.0, 1.0, 2.0, 3.0)),
     "level": (_number(int, "nonnegative"), 2),
-    "base_cells": (_number(int, "positive"), 32),
-    "scheme": (_choice("gauss2", "midpoint"), "gauss2"),
+    "base_cells": (_number(int, "positive"), 2),
+    "scheme": (_scheme, "gauss8"),
     "band": (_number(sign="nonnegative"), 0.0),
 }
 _EPSTEIN = {
@@ -229,11 +234,11 @@ def parse_metric(cfg, name):
                                chart_id=kw["chart"], coords=kw["coords"])
 
 
-def parse_grid(cfg, level_override=None):
+def parse_grid(cfg, level_override=None, x_breaks=(), y_breaks=()):
     kw = _read("grid", _items(cfg, "grid"), _GRID)
     if level_override is not None:
         kw["level"] = level_override
-    return fields.box_grid(**kw)
+    return fields.box_grid(**kw, x_breaks=x_breaks, y_breaks=y_breaks)
 
 
 def parse_curve(cfg):
@@ -294,11 +299,14 @@ def cmd_action(args):
         "values": {},
     }
     top = args.grid_level if args.grid_level is not None else parse_grid(cfg).level
+    # every integrand is smooth off the break lines of the factors, so the
+    # grid cells end there
+    xb, yb = fields.union_lines(m.u for m in (g, h, k) if m is not None)
     # S(g, h) once per level 0..top+1: the value at level lv+1 is the
     # refined value of level lv, so the trail, the definition value, its
     # error estimate and the Chasles term S(g, h) all come from one ladder.
     # The other integrals are taken on the finest grid only.
-    grids = [parse_grid(cfg, level_override=lv) for lv in range(top + 2)]
+    grids = [parse_grid(cfg, lv, x_breaks=xb, y_breaks=yb) for lv in range(top + 2)]
     av = liouville.refinement_trail(
         lambda grid: liouville.action(g, h, grid, refine=False).value,
         grids, "definition")

@@ -15,7 +15,9 @@ All evaluators accept scalars or numpy arrays and broadcast.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +161,15 @@ class ScalarField:
     def _jet(self, x, y):
         raise NotImplementedError
 
+    def break_lines(self):
+        """The lines x = c and y = c across which the field may lose
+        smoothness, as (x values, y values): the edges of the support box
+        for a field that has one, none otherwise."""
+        if self.support_box is None:
+            return (), ()
+        x0, x1, y0, y1 = self.support_box
+        return (x0, x1), (y0, y1)
+
     # pointwise accessors -------------------------------------------------
     def value(self, x, y):
         return self.jet(x, y).v
@@ -223,6 +234,16 @@ def _is_zero_field(f):
     return isinstance(f, ConstantField) and f.c == 0.0
 
 
+def union_lines(fs):
+    """The union of the break lines of the fields ``fs``, each axis sorted."""
+    xs, ys = set(), set()
+    for f in fs:
+        fx, fy = f.break_lines()
+        xs.update(fx)
+        ys.update(fy)
+    return tuple(sorted(xs)), tuple(sorted(ys))
+
+
 def _union_box(a, b):
     if _is_zero_field(a):
         return b.support_box
@@ -247,6 +268,9 @@ class SumField(ScalarField):
     def jet(self, x, y):  # components already clip themselves
         return self._jet(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
+    def break_lines(self):
+        return union_lines((self.a, self.b))
+
 
 class ScaledField(ScalarField):
     def __init__(self, a, c):
@@ -258,6 +282,9 @@ class ScaledField(ScalarField):
 
     def jet(self, x, y):
         return self._jet(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+    def break_lines(self):
+        return self.a.break_lines()
 
 
 class PolynomialField(ScalarField):
@@ -443,11 +470,14 @@ class UniformizingFactor(ScalarField):
         projective Schwarzian (the chart Schwarzian plus the angle-chart
         cocycle correction 2(phi'^2 - 1) in angle coordinates).
         """
-        f, f1, f2, f3 = self.phi.jets(x)
+        # a 0-d x goes through the array loops as one element: numpy's
+        # scalar powers can differ from them in the last bits
+        x = np.asarray(x, dtype=float)
+        f, f1, f2, f3 = self.phi.jets(x.reshape(-1))
         s = f3 / f1 - 1.5 * (f2 / f1) ** 2
         if self.angle:
             s = s + 2.0 * (f1 ** 2 - 1.0)
-        return s / 12.0
+        return (s / 12.0).reshape(x.shape)
 
 
 class LogSinDiagField(ScalarField):
@@ -502,6 +532,12 @@ class ClippedField(ScalarField):
     def _jet(self, x, y):
         # the base-class jet() calls this on the nodes inside the box only
         return self.inner.jet(x, y)
+
+    def break_lines(self):
+        # the box edges, and the inner field's lines that cross the box
+        (x0, x1, y0, y1), (ix, iy) = self.support_box, self.inner.break_lines()
+        return (tuple(sorted({x0, x1, *(c for c in ix if x0 < c < x1)})),
+                tuple(sorted({y0, y1, *(c for c in iy if y0 < c < y1)})))
 
 
 def with_support_box(inner: ScalarField, box):
@@ -697,8 +733,8 @@ class ComposedMap(CircleMap):
         if inner.coords != "angle":
             raise ValueError("breakpoint preimages need the angle line")
 
-        def lift(t):
-            return float(inner.jets(np.asarray(t))[0])
+        def lift(t):  # one-element arrays, to get a batched call's bits
+            return float(inner.jets(np.array([t], dtype=float))[0][0])
 
         flo = lift(0.0)
         # shift the target into the image interval [phi(0), phi(0) + pi)
@@ -827,10 +863,13 @@ class PiecewiseMobiusAngleMap(CircleMap):
             raise ValueError("piecewise map does not wind once around")
 
     def jets_at_piece(self, i, t):
+        """The lifted jets of piece ``i`` at the angle t, with the bits of
+        ``jets`` on an array: t goes in as a one-element array."""
         piece = self.pieces[i]
-        tr = np.asarray(t, dtype=float)
+        tr = np.array([t], dtype=float)
         raw, d1, d2, d3 = piece.jets(tr)
-        return float(self._lifted(piece, tr, raw)), float(d1), float(d2), float(d3)
+        return (float(self._lifted(piece, tr, raw)[0]), float(d1[0]),
+                float(d2[0]), float(d3[0]))
 
 
 def mobius_through(a, target_a, b, target_b, deriv_a):
@@ -1043,32 +1082,43 @@ def normalize_polygonal(p: PolygonalCurve) -> PolygonalCurve:
 # Quadrature
 # ---------------------------------------------------------------------------
 
-_GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+MAX_GAUSS_ORDER = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_rule(p):
+    """The p-point Gauss-Legendre nodes and weights on [0, 1], from
+    ``leggauss``: the one node table of every rule in the package (box
+    grid axes, the W-volume's t-rule and ``ArcPairRule``)."""
+    s, w = np.polynomial.legendre.leggauss(p)
+    s, w = (s + 1.0) / 2, w / 2
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
+def gauss_order(scheme):
+    """The order p of a box-grid scheme ``"gauss{p}"``, 1 <= p <= 16."""
+    m = re.fullmatch(r"gauss([1-9][0-9]*)", scheme)
+    if m is None or int(m.group(1)) > MAX_GAUSS_ORDER:
+        raise ValueError(f"scheme {scheme!r} is not gauss{{p}} with "
+                         f"1 <= p <= {MAX_GAUSS_ORDER}")
+    return int(m.group(1))
 
 
 def _axis_nodes(segments, cells, scheme):
-    """Per-axis node/weight arrays for a breakpoint-respecting partition."""
+    """Sorted per-axis nodes and weights: each segment cut into uniform
+    cells (about ``cells`` over all segments, at least one per segment),
+    each cell carrying the Gauss rule of ``scheme``."""
+    s, w = _unit_rule(gauss_order(scheme))
     nodes, weights = [], []
     total = sum(hi - lo for lo, hi in segments)
     for lo, hi in segments:
-        length = hi - lo
-        n = max(1, int(round(cells * length / total)))
+        n = max(1, int(round(cells * (hi - lo) / total)))
         edges = np.linspace(lo, hi, n + 1)
-        h = np.diff(edges)
-        left = edges[:-1]
-        if scheme == "midpoint":
-            nodes.append(left + 0.5 * h)
-            weights.append(h)
-        elif scheme == "gauss2":
-            for frac in _GAUSS2:
-                nodes.append(left + frac * h)
-                weights.append(0.5 * h)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    order = np.argsort(nodes, kind="stable")
-    return nodes[order], weights[order]
+        h = np.diff(edges)[:, None]
+        nodes.append((edges[:-1, None] + s * h).ravel())
+        weights.append((w * h).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 class QuadratureGrid:
@@ -1077,11 +1127,14 @@ class QuadratureGrid:
     A grid stores its rule as two sorted axes, ``x_nodes`` with
     ``x_weights`` and ``y_nodes`` with ``y_weights``; the node (i, j) is
     (x_nodes[i], y_nodes[j]) with weight x_weights[i] * y_weights[j].
-    Nodes are strictly interior to their cells (midpoint or two-point
-    Gauss per cell and axis), so cell edges may be placed on breakpoint
-    lines.  A diagonal band of half-width ``band`` (in |x - y|, or angular
-    distance for periodic grids) is tagged, and ``integrate`` skips the
-    banded nodes.  Torus actions, whose integrands extend across the
+    Each axis is cut into segments and each segment into uniform cells,
+    and every cell carries a Gauss-Legendre rule of order p (``scheme`` =
+    ``"gauss{p}"``, exact on polynomials of degree 2p - 1).  Nodes are
+    strictly interior to their cells, so segment ends may be placed on the
+    break lines of the integrand, where it is only finitely smooth.  A
+    diagonal band of half-width ``band`` (in |x - y|, or angular distance
+    for periodic grids) is tagged, and ``integrate`` skips the banded
+    nodes.  Torus actions, whose integrands extend across the
     diagonal, use ``ArcPairRule`` instead.
     """
 
@@ -1194,7 +1247,13 @@ class QuadratureGrid:
 
 def box_grid(box, level=0, base_cells=32, scheme="gauss2", band=0.0,
              x_breaks=(), y_breaks=()):
-    """Grid over a rectangle [x0, x1] x [y0, y1] at a refinement level."""
+    """Grid over a rectangle [x0, x1] x [y0, y1] at a refinement level,
+    with ``base_cells * 2**level`` cells per axis of the ``scheme`` rule.
+
+    The lines ``x_breaks`` and ``y_breaks`` inside the box (for example
+    ``union_lines`` of the integrand's factors) end segments, so that no
+    cell straddles one.
+    """
     x0, x1, y0, y1 = map(float, box)
     if not (x1 > x0 and y1 > y0):
         raise ValueError("empty rectangle")
@@ -1240,8 +1299,7 @@ class ArcPairRule:
             lo, hi = arcs[i]
             arcs[i:i + 1] = [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
         self.arcs = tuple(arcs)
-        s, ws = np.polynomial.legendre.leggauss(self.order)
-        s, ws = (s + 1.0) / 2, ws / 2
+        s, ws = _unit_rule(self.order)
         ww = np.outer(ws, ws)
         # the Duffy triangles at the unit square's corner (0, 0): offsets, weights
         far = np.broadcast_to(s[:, None], ww.shape)

@@ -92,22 +92,31 @@ def test_action_report(tmp_path):
     assert len(rep["refinement_trail"]) == 2
 
 
+# S(g, h) of ACTION_INI from the previous rule, two-point Gauss on 32 * 2^5
+# uniform cells per axis with no break lines (-0.010449250280322498), plus
+# its last step over 15, the O(h^4) Richardson correction
+ACTION_REFERENCE = -0.01044925028032247
+
+
 def test_action_report_values_pinned(tmp_path):
-    # the report's values under the axis-by-axis quadrature sum; sharing
-    # the per-level integrals must not move a bit
+    # the report's values on the default rule, gauss8 on cells cut at the
+    # bumps' support edges; sharing the per-level integrals must not move
+    # a bit
     cfg = _write(tmp_path, "a.ini", ACTION_INI)
     out = tmp_path / "report.json"
     assert cli.main(["action", "--config", cfg, "--grid-level", "2",
                      "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["values"] == {"definition": -0.010449250280309703,
-                             "monotone": -0.010449250280309703}
-    assert rep["error_estimate"] == 2.414249355986442e-12
-    assert rep["refinement_trail"] == [-0.010449250240317634,
-                                       -0.010449250277895453,
-                                       -0.010449250280309703]
-    assert rep["chasles_residual"] == 1.2285765477876298e-09
+    assert rep["values"] == {"definition": -0.01044925028032247,
+                             "monotone": -0.01044925028032247}
+    assert rep["error_estimate"] == 0.0
+    assert rep["refinement_trail"] == [-0.010449250280322462,
+                                       -0.01044925028032247,
+                                       -0.01044925028032247]
+    assert rep["chasles_residual"] == 3.1252127621894665e-17
     assert rep["grid"]["level"] == 2
+    assert rep["grid"]["scheme"] == "gauss8"
+    assert abs(rep["values"]["definition"] - ACTION_REFERENCE) <= 1e-15
 
 
 def test_action_integrates_once_per_pair_and_level(tmp_path, monkeypatch):
@@ -151,12 +160,50 @@ def test_action_bump_jets_cost_rows_plus_columns(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fields.QuadratureGrid, "integrate", traced_integrate)
     monkeypatch.setattr(fields.BumpField, "_jet", traced_jet)
-    cfg = _write(tmp_path, "a.ini", ACTION_INI)
+    # the previous default rule, whose finest blocks hold ~10^6 nodes
+    cfg = _write(tmp_path, "a.ini", ACTION_INI.replace(
+        "level = 1", "level = 1\nscheme = gauss2\nbase_cells = 32"))
     assert cli.main(["action", "--config", cfg, "--grid-level", "3",
                      "--out", str(tmp_path / "r.json")]) == 0
     assert max(rows * cols for _, (rows, cols) in seen) > 10 ** 5
     for size, (rows, cols) in seen:
         assert size <= rows + cols
+
+
+def _block_nodes(grid, support):
+    rows, cols = grid._support_block(support)
+    return (rows.stop - rows.start) * (cols.stop - cols.start)
+
+
+def test_action_default_rule_takes_a_tenth_of_the_old_nodes(tmp_path, monkeypatch):
+    # every integral of a level-3 action, counted as the rows x columns of
+    # its support block, against the same integrals on the previous
+    # default grids (gauss2, 32 base cells, no break lines)
+    blocks = []
+    integrate = fields.QuadratureGrid.integrate
+
+    def counted(self, density, support=None):
+        old = fields.box_grid((0, 1, 2, 3), self.level, 32, "gauss2")
+        blocks.append((_block_nodes(self, support), _block_nodes(old, support)))
+        return integrate(self, density, support)
+
+    monkeypatch.setattr(fields.QuadratureGrid, "integrate", counted)
+    cfg = _write(tmp_path, "a.ini", ACTION_INI)
+    assert cli.main(["action", "--config", cfg, "--grid-level", "3",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    new, old = map(sum, zip(*blocks))
+    assert len(blocks) == 8 and old == 3051196
+    assert new < old / 10
+
+
+@pytest.mark.parametrize("scheme", ["gauss1", "gauss2", "gauss16"])
+def test_action_accepts_gauss_1_to_16(tmp_path, scheme):
+    cfg = _write(tmp_path, "a.ini", ACTION_INI.replace(
+        "level = 1", f"level = 1\nscheme = {scheme}"))
+    out = tmp_path / "r.json"
+    assert cli.main(["action", "--config", cfg, "--grid-level", "0",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["grid"]["scheme"] == scheme
 
 
 def test_action_identical_metrics_zero(tmp_path):
@@ -243,6 +290,14 @@ _SINEFLOW = "family = po22\nkind = sineflow\namplitude = 0.3\nfrequency = 2"
                  ("[grid]", "'box'"), id="box_nan"),
     pytest.param("action", ACTION_INI, "level = 1", "level = 1\nbase_cells = 0",
                  ("[grid]", "'base_cells'"), id="base_cells_zero"),
+    pytest.param("action", ACTION_INI, "level = 1", "level = 1\nscheme = midpoint",
+                 ("[grid]", "'scheme'"), id="scheme_midpoint"),
+    pytest.param("action", ACTION_INI, "level = 1", "level = 1\nscheme = gauss0",
+                 ("[grid]", "'scheme'"), id="scheme_gauss0"),
+    pytest.param("action", ACTION_INI, "level = 1", "level = 1\nscheme = gaussx",
+                 ("[grid]", "'scheme'"), id="scheme_gaussx"),
+    pytest.param("action", ACTION_INI, "level = 1", "level = 1\nscheme = gauss17",
+                 ("[grid]", "'scheme'"), id="scheme_gauss17"),
     pytest.param("action", ACTION_INI, "halfwidth = 0.42 0.42", "halfwidth = 0 0.4",
                  ("[metric.h.u]", "halfwidth"), id="halfwidth_zero"),
     pytest.param("action", ACTION_INI, "0.7 2.65 0.2 0.2 0.4",
@@ -690,7 +745,7 @@ _GOOD = {
     "breaks": ["0.3 1.0 1.8 2.5"], "images": ["0.3 1.35 1.8"], "skew": ["1.5"],
     "matrices": ["1 0 0 1"], "reference": ["desitter", "flat"],
     "chart": ["affine"], "coords": ["affine", "angle"], "box": ["0 1 2 3"],
-    "level": ["1"], "base_cells": ["4"], "scheme": ["gauss2", "midpoint"],
+    "level": ["1"], "base_cells": ["4"], "scheme": ["gauss1", "gauss8", "gauss16"],
     "band": ["0.01"], "samples": ["4 4"], "tolerance": ["1e-8"],
 }
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitannulus import cli
 from splitannulus import fields as F
 from splitannulus.errors import DiagonalPoint, NotC3AtPoint, NotCyclic
 
@@ -360,6 +361,47 @@ def test_single_angles_match_batched_bits(phi):
     for k in range(x.size):
         alone = u.jet(x[k:k + 1], y[k:k + 1])
         assert all(np.array_equal(a, b[k:k + 1]) for a, b in zip(alone, flat))
+
+
+class _CubeFlow(F.CircleMap):
+    """phi(t) = t + sin(2t)^3 / 10, a smooth angle map whose lift takes a
+    cube, where numpy's scalar and array powers can differ."""
+
+    coords = "angle"
+
+    def jets(self, t):
+        t = np.asarray(t, dtype=float)
+        s, c = np.sin(2.0 * t), np.cos(2.0 * t)
+        return (t + 0.1 * s ** 3, 1.0 + 0.6 * s ** 2 * c,
+                2.4 * s * c ** 2 - 1.2 * s ** 3, 4.8 * c ** 3 - 16.8 * s ** 2 * c)
+
+
+def test_scalar_callers_match_batched_bits():
+    # a Python float and the same angle inside an array get identical bits:
+    # the pointwise callers pass one-element arrays to the array loops
+    ts = np.random.default_rng(5).uniform(0.3, 0.3 + math.pi, 200)
+    pm = F.four_piece_c1_map()
+    batched = pm.jets(ts)
+    for k, i in enumerate(pm.piece_index(ts)):
+        assert pm.jets_at_piece(int(i), float(ts[k])) == tuple(
+            float(c[k]) for c in batched)
+    for phi in (F.AngleMobiusMap(np.array([[1.3, 0.2], [0.1, 0.9]])), _CubeFlow(),
+                F.ComposedMap(F.SineFlowMap(0.3, 2), _CubeFlow())):
+        u = F.UniformizingFactor(phi)
+        limits = u.diagonal_limit_density(ts)
+        assert all(float(u.diagonal_limit_density(float(t))) == lim
+                   for t, lim in zip(ts, limits))
+
+    inner = _CubeFlow()
+
+    def lift(t):
+        return float(inner.jets(np.array([t, 0.1]))[0][0])
+
+    start = lift(0.0)
+    for target in np.linspace(0.05, 3.1, 300):
+        t = start + (float(target) - start) % math.pi
+        batched_root = F._bisect(lambda mid: lift(mid) < t, 0.0, math.pi) % math.pi
+        assert F.ComposedMap._preimage(inner, float(target)) == batched_root
 
 
 def test_piecewise_c1_junctions():
@@ -796,6 +838,62 @@ def _package_torus_grids():
 
     return [F.torus_grid(level=1,
                          band=liouville._BAND_WIDTH / 2 ** liouville._N_BANDS)]
+
+
+@pytest.mark.parametrize("p", range(1, F.MAX_GAUSS_ORDER + 1))
+def test_gauss_rule_is_exact_to_degree_2p_minus_1(p):
+    # three segments of unequal cells: each cell's p nodes integrate every
+    # x^k with k <= 2p - 1 exactly
+    grid = F.box_grid((-0.7, 1.3, 0.0, 1.0), level=0, base_cells=7,
+                      scheme=f"gauss{p}", x_breaks=(-0.2, 0.5))
+    assert grid.x_segments == ((-0.7, -0.2), (-0.2, 0.5), (0.5, 1.3))
+    x, w = grid.x_nodes, grid.x_weights
+    assert np.all(np.diff(x) > 0)
+    for k in range(2 * p):
+        exact = (1.3 ** (k + 1) - (-0.7) ** (k + 1)) / (k + 1)
+        assert abs(float(np.sum(w * x ** k)) - exact) <= 1e-14 * max(1.0, abs(exact))
+
+
+def test_default_action_rule_aligned_with_a_bump_is_exact():
+    # the CLI's default rule on cells cut at the bump's support edges
+    # integrates it to roundoff; as many nodes that straddle the edges do not
+    bump = F.bump_field((0.43, 2.61), (0.21, 0.17), 0.7)
+    scheme, cells = cli._GRID["scheme"][1], cli._GRID["base_cells"][1]
+    x_breaks, y_breaks = bump.break_lines()
+    aligned = F.box_grid((0, 1, 2, 3), 0, cells, scheme, x_breaks=x_breaks,
+                         y_breaks=y_breaks)
+    plain = F.box_grid((0, 1, 2, 3), 0, aligned.x_nodes.size // F.gauss_order(scheme),
+                       scheme)
+    assert plain.x_nodes.size == aligned.x_nodes.size
+    assert plain.y_nodes.size == aligned.y_nodes.size
+    mass = bump.mass()
+    got = aligned.integrate(bump.value, support=bump.support_box)
+    assert abs(got - mass) <= 1e-14 * mass
+    off = plain.integrate(bump.value, support=bump.support_box)
+    assert abs(off - mass) > 1e-8 * mass
+
+
+def test_break_lines_of_composite_fields():
+    a = F.bump_field((0.3, 2.3), (0.1, 0.2), 0.5)
+    b = F.bump_field((0.6, 2.5), (0.2, 0.1), -0.4)
+    ax0, ax1, ay0, ay1 = a.support_box
+    bx0, bx1, by0, by1 = b.support_box
+    assert a.break_lines() == ((ax0, ax1), (ay0, ay1))
+    union = (tuple(sorted({ax0, ax1, bx0, bx1})), tuple(sorted({ay0, ay1, by0, by1})))
+    # a sum gives the union of its parts' lines, not the edges of its box
+    assert (a + b).break_lines() == union
+    assert (a - b).break_lines() == union
+    assert (-2.0 * (a + b)).break_lines() == union
+    assert (a + F.DeSitterLogFactor()).break_lines() == a.break_lines()
+    poly = F.PolynomialField([[0.1, 0.2], [0.3, 0.0]])
+    for plain in (poly, F.ConstantField(1.0), F.DeSitterLogFactor(),
+                  F.UniformizingFactor(F.SineFlowMap(0.3, 2))):
+        assert plain.break_lines() == ((), ())
+    # a clipped field: the box edges, and the inner lines that cross the box
+    assert F.with_support_box(poly, (0.1, 0.9, 2.1, 2.9)).break_lines() == (
+        (0.1, 0.9), (2.1, 2.9))
+    assert F.with_support_box(a, (0.25, 0.9, 2.0, 3.0)).break_lines() == (
+        (0.25, ax1, 0.9), (2.0, ay0, ay1, 3.0))
 
 
 def test_torus_band_matches_the_remainder_distance():
