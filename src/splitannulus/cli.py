@@ -163,7 +163,6 @@ _GRID = {
     "level": (_number(int, "nonnegative"), 2),
     "base_cells": (_number(int, "positive"), 2),
     "scheme": (_scheme, "gauss8"),
-    "band": (_number(sign="nonnegative"), 0.0),
 }
 _EPSTEIN = {
     "box": (_off_diagonal_box, (0.0, 1.0, 2.0, 3.0)),

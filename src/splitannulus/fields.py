@@ -757,7 +757,8 @@ class PiecewiseMobiusAngleMap(CircleMap):
 
     ``breakpoints`` are increasing angles in [0, pi); piece ``i`` acts on
     the arc [breakpoints[i], breakpoints[i+1]].  Construction validates
-    continuity, C^1 matching and orientation on every piece.
+    continuity, C^1 matching and orientation on every piece, and that the
+    map winds once around.
     """
 
     coords = "angle"
@@ -770,7 +771,7 @@ class PiecewiseMobiusAngleMap(CircleMap):
             raise ValueError("need one matrix per arc")
         self.breakpoints = tuple(bps)
         self.pieces = [AngleMobiusMap(m) for m in matrices]
-        self._fix_lifts()
+        self._lift_pieces()
         self._validate()
 
     def _arc(self, i):
@@ -779,26 +780,38 @@ class PiecewiseMobiusAngleMap(CircleMap):
         hi = bps[i + 1] if i + 1 < len(bps) else bps[0] + math.pi
         return lo, hi
 
-    def _fix_lifts(self):
-        # Build a continuous increasing lift along [b0, b0 + pi], one dense
-        # table per piece, each anchored to the end value of the previous
-        # piece (the raw atan2 angle is only defined mod pi).
-        prev_end = None
-        for i, piece in enumerate(self.pieces):
-            lo, hi = self._arc(i)
-            ts = np.linspace(lo, hi, 513)
-            vals = np.unwrap(piece.jets(ts)[0], period=math.pi)
-            anchor = lo if prev_end is None else prev_end
-            vals = vals + round((anchor - vals[0]) / math.pi) * math.pi
-            prev_end = float(vals[-1])
-            piece._lift_table = (ts, vals)
+    def _lift_pieces(self):
+        """The lift of every piece, in closed form.
 
-    def _lifted(self, piece, t, base):
-        """The raw angle ``base`` of ``piece`` at t, moved onto the lift."""
-        ts, vals = piece._lift_table
-        ref = np.interp(t, ts, vals)
-        k = np.round((ref - base) / math.pi)
-        return base + k * math.pi
+        A Mobius piece maps an arc shorter than pi onto an arc shorter than
+        pi: from its raw start image A forward by span = (B - A) mod pi to
+        its raw end image B.  The lift starts at the A nearest the first
+        breakpoint and each later arc at the A nearest the end of the one
+        before, so the map winds once exactly when the spans add up to pi.
+        A single piece maps the whole line: it is lifted on the two halves
+        of its arc, cut at ``self._half``.
+        """
+        arcs = [(i, *self._arc(i)) for i in range(len(self.pieces))]
+        if len(arcs) == 1:
+            lo, hi = arcs[0][1:]
+            self._half = lo + math.pi / 2
+            arcs = [(0, lo, self._half), (0, self._half, hi)]
+        end, self._spans, self._mids = self.breakpoints[0], [], []
+        for i, lo, hi in arcs:
+            a, b = self.pieces[i].jets(np.array([lo, hi]))[0]
+            start = a + math.pi * round((end - a) / math.pi)
+            span = (b - a) % math.pi
+            self._spans.append(span)
+            self._mids.append(start + span / 2)
+            end = start + span
+
+    def _lifted(self, i, t, raw):
+        """The raw angles of piece i at the angles t, moved onto the lift by
+        the multiple of pi that brings them within pi/2 of the middle of
+        the lifted image arc."""
+        mid = (self._mids[i] if len(self.pieces) > 1
+               else np.where(t < self._half, *self._mids))
+        return raw - math.pi * np.round((raw - mid) / math.pi)
 
     def piece_index(self, t):
         """Index of the arc containing angle t (reduced mod pi)."""
@@ -824,7 +837,7 @@ class PiecewiseMobiusAngleMap(CircleMap):
             if not np.any(sel):
                 continue
             raw, a, b, c = piece.jets(tr[sel])
-            phi[sel] = self._lifted(piece, tr[sel], raw)
+            phi[sel] = self._lifted(i, tr[sel], raw)
             d1[sel], d2[sel], d3[sel] = a, b, c
         out = (phi + shift * math.pi, d1, d2, d3)
         return tuple(c.reshape(t_in.shape) for c in out)
@@ -843,32 +856,29 @@ class PiecewiseMobiusAngleMap(CircleMap):
         for i in range(n):
             lo, hi = self._arc(i)
             j = (i + 1) % n
-            lo_j = self._arc(j)[0] + (math.pi if j == 0 else 0.0)
-            here = self.jets_at_piece(i, hi)
-            shift = math.pi if j == 0 else 0.0
-            there = self.jets_at_piece(j, lo_j - shift)
-            dv = abs(here[0] - (there[0] + shift))
-            if dv > 1e-9:
-                raise ValueError(f"C0 mismatch at breakpoint {hi % math.pi}: {dv}")
-            dd = abs(here[1] - there[1])
-            if dd > 1e-10 * max(1.0, abs(here[1])):
-                raise ValueError(f"C1 mismatch at breakpoint {hi % math.pi}: {dd}")
+            # the lift advances by the sum of the spans: pi when it winds once
+            if j == 0 and abs(sum(self._spans) - math.pi) > 1e-9:
+                raise ValueError("piecewise map does not wind once around")
+            if n > 1:  # a single piece joins itself smoothly
+                shift = math.pi if j == 0 else 0.0
+                here = self.jets_at_piece(i, hi)
+                there = self.jets_at_piece(j, hi - shift)
+                dv = abs(here[0] - (there[0] + shift))
+                if dv > 1e-9:
+                    raise ValueError(f"C0 mismatch at breakpoint {hi % math.pi}: {dv}")
+                dd = abs(here[1] - there[1])
+                if dd > 1e-10 * max(1.0, abs(here[1])):
+                    raise ValueError(f"C1 mismatch at breakpoint {hi % math.pi}: {dd}")
             ts = np.linspace(lo + 1e-9, hi - 1e-9, 257)
             if np.any(self.pieces[i].jets(ts)[1] <= 0):
                 raise ValueError(f"piece {i} is not orientation preserving")
-        # total winding: an increasing lift must advance by exactly pi
-        start = self.jets_at_piece(0, self._arc(0)[0])[0]
-        end = self.jets_at_piece(n - 1, self._arc(n - 1)[1])[0]
-        if abs(end - start - math.pi) > 1e-9:
-            raise ValueError("piecewise map does not wind once around")
 
     def jets_at_piece(self, i, t):
         """The lifted jets of piece ``i`` at the angle t, with the bits of
         ``jets`` on an array: t goes in as a one-element array."""
-        piece = self.pieces[i]
-        tr = np.array([t], dtype=float)
-        raw, d1, d2, d3 = piece.jets(tr)
-        return (float(self._lifted(piece, tr, raw)[0]), float(d1[0]),
+        t = np.array([t], dtype=float)
+        raw, d1, d2, d3 = self.pieces[i].jets(t)
+        return (float(self._lifted(i, t, raw)[0]), float(d1[0]),
                 float(d2[0]), float(d3[0]))
 
 
@@ -1122,7 +1132,7 @@ def _axis_nodes(segments, cells, scheme):
 
 
 class QuadratureGrid:
-    """Tensor-product quadrature over a chart rectangle or the full torus.
+    """Tensor-product quadrature over a chart rectangle.
 
     A grid stores its rule as two sorted axes, ``x_nodes`` with
     ``x_weights`` and ``y_nodes`` with ``y_weights``; the node (i, j) is
@@ -1131,21 +1141,16 @@ class QuadratureGrid:
     and every cell carries a Gauss-Legendre rule of order p (``scheme`` =
     ``"gauss{p}"``, exact on polynomials of degree 2p - 1).  Nodes are
     strictly interior to their cells, so segment ends may be placed on the
-    break lines of the integrand, where it is only finitely smooth.  A
-    diagonal band of half-width ``band`` (in |x - y|, or angular distance
-    for periodic grids) is tagged, and ``integrate`` skips the banded
-    nodes.  Torus actions, whose integrands extend across the
-    diagonal, use ``ArcPairRule`` instead.
+    break lines of the integrand, where it is only finitely smooth.  Torus
+    actions, whose integrands extend across the diagonal, use
+    ``ArcPairRule`` instead.
     """
 
-    def __init__(self, x_segments, y_segments, cells, scheme="gauss2",
-                 band=0.0, periodic=False, level=0):
+    def __init__(self, x_segments, y_segments, cells, scheme="gauss2", level=0):
         self.x_segments = tuple(map(tuple, x_segments))
         self.y_segments = tuple(map(tuple, y_segments))
         self.cells = int(cells)
         self.scheme = scheme
-        self.band = float(band)
-        self.periodic = bool(periodic)
         self.level = int(level)
         self.x_nodes, self.x_weights = _axis_nodes(self.x_segments, self.cells, scheme)
         self.y_nodes, self.y_weights = _axis_nodes(self.y_segments, self.cells, scheme)
@@ -1164,44 +1169,21 @@ class QuadratureGrid:
         ``W.size``."""
         return np.outer(self.x_weights, self.y_weights)
 
-    @property
-    def excluded_weight(self):
-        """The total weight of the banded nodes."""
-        band = self._band()
-        if band is None:
-            return 0.0
-        i, j = np.nonzero(band)
-        return float(np.sum(self.x_weights[i] * self.y_weights[j]))
-
     def describe(self):
         return {
             "cells": self.cells,
             "scheme": self.scheme,
             "level": self.level,
-            "band": self.band,
-            "periodic": self.periodic,
             "x_segments": [list(s) for s in self.x_segments],
             "y_segments": [list(s) for s in self.y_segments],
         }
 
     # -- refinement ---------------------------------------------------------
     def refine(self):
-        return QuadratureGrid(
-            self.x_segments, self.y_segments, 2 * self.cells, self.scheme,
-            band=self.band, periodic=self.periodic, level=self.level + 1,
-        )
+        return QuadratureGrid(self.x_segments, self.y_segments, 2 * self.cells,
+                              self.scheme, level=self.level + 1)
 
     # -- integration --------------------------------------------------------
-    def _band(self, rows=slice(None), cols=slice(None)):
-        """The band mask of the index block (rows, cols), by default the
-        whole grid, or None when the grid has no band."""
-        if not self.band > 0:
-            return None
-        d = np.abs(self.x_nodes[rows, None] - self.y_nodes[None, cols])
-        if self.periodic:  # both axes lie in one period, so |d| < pi
-            d = np.minimum(d, math.pi - d)
-        return d < self.band
-
     def _support_block(self, support):
         # the axis nodes are sorted, so the closed box is one index block
         x0, x1, y0, y1 = support
@@ -1211,15 +1193,14 @@ class QuadratureGrid:
         return rows, cols
 
     def integrate(self, density, support=None):
-        """Weighted sum of ``density(x, y)`` off the band.
+        """Weighted sum of ``density(x, y)`` over the grid's nodes.
 
         ``density`` is evaluated on one block of nodes: the index block of
         ``support = (x0, x1, y0, y1)``, a closed box outside which it is
-        known to vanish, or the whole grid without a box; other nodes and
-        banded ones contribute nothing.  A block with no banded node reaches
-        ``density`` as an open mesh, x nodes (n, 1) and y nodes (1, m), and
-        the result is broadcast to (n, m); otherwise it gets the flat arrays
-        of the block's off-band nodes, in row-major order.
+        known to vanish, or the whole grid without a box; other nodes
+        contribute nothing.  The block reaches ``density`` as an open mesh,
+        x nodes (n, 1) and y nodes (1, m), and the result is broadcast to
+        (n, m).
 
         The values v reduce as sum_i xw[i] * (sum_j yw[j] * v[i, j]), each
         sum numpy's pairwise ``np.sum``: deterministic for a fixed grid and
@@ -1230,23 +1211,16 @@ class QuadratureGrid:
         rows, cols = (slice(None), slice(None)) if support is None else (
             self._support_block(support))
         xn, yn = self.x_nodes[rows], self.y_nodes[cols]
-        band = self._band(rows, cols)
-        if band is None or not band.any():
-            v = np.broadcast_to(np.asarray(
-                density(xn[:, None], yn[None, :]), dtype=float), (xn.size, yn.size))
-        else:
-            x, y = np.broadcast_arrays(xn[:, None], yn[None, :])
-            off = ~band
-            v = np.zeros(band.shape)
-            v[off] = density(x[off], y[off])
+        v = np.broadcast_to(np.asarray(
+            density(xn[:, None], yn[None, :]), dtype=float), (xn.size, yn.size))
         if not np.all(np.isfinite(v)):
             raise NonFiniteDensity("density is not finite on quadrature nodes")
         return float(np.sum(self.x_weights[rows]
                             * np.sum(v * self.y_weights[cols], axis=1)))
 
 
-def box_grid(box, level=0, base_cells=32, scheme="gauss2", band=0.0,
-             x_breaks=(), y_breaks=()):
+def box_grid(box, level=0, base_cells=32, scheme="gauss2", x_breaks=(),
+             y_breaks=()):
     """Grid over a rectangle [x0, x1] x [y0, y1] at a refinement level,
     with ``base_cells * 2**level`` cells per axis of the ``scheme`` rule.
 
@@ -1264,15 +1238,8 @@ def box_grid(box, level=0, base_cells=32, scheme="gauss2", band=0.0,
         list(zip(yb[:-1], yb[1:])),
         base_cells * 2 ** level,
         scheme=scheme,
-        band=band,
         level=level,
     )
-
-
-def torus_grid(level=0, base_cells=48, band=0.05):
-    """Grid over the full torus [0, pi)^2 in angle coordinates."""
-    return QuadratureGrid([(0.0, math.pi)], [(0.0, math.pi)], base_cells * 2 ** level,
-                          band=band, periodic=True, level=level)
 
 
 class ArcPairRule:

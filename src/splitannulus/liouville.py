@@ -32,8 +32,8 @@ from .fields import (
     QuadratureGrid,
     ScalarField,
     UniformizingFactor,
+    box_grid,
     diamond_curve,
-    torus_grid,
 )
 from .lorentz import SplitMetric, curvature, desitter, pullback_metric
 
@@ -189,7 +189,7 @@ def vb(f: ScalarField, curve: PolygonalCurve, refinement: int = 6) -> float:
     n = 2 ** int(refinement)
     for a, b in curve.vertical_segments():
         ys = np.linspace(a.y, b.y, n + 1)
-        vals = np.array([float(f.value(a.x, yy)) for yy in ys])
+        vals = f.value(np.full_like(ys, a.x), ys)
         total += float(np.sum(np.abs(np.diff(vals))))
     return total
 
@@ -272,10 +272,15 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
                                                              _SAMPLES)))))
     sup_u = max(sup_u, max(maxima))
 
-    bulk_grid = torus_grid(level=1, band=_BAND_WIDTH / 2 ** _N_BANDS)
+    # the torus minus the band |x - y| < w (mod pi) is, in the coordinates
+    # (x, d = y - x), the rectangle [0, pi] x [w, pi - w]; the factors are
+    # pi-periodic, so y = x + d >= pi needs no wrap
+    w = _BAND_WIDTH / 2 ** _N_BANDS
+    bulk_grid = box_grid((0.0, math.pi, w, math.pi - w), level=1, base_cells=48)
     dal = []  # box_g u on the nodes of the L1 integral, from its one jet of u
 
-    def l1_density(x, y):
+    def l1_density(x, d):
+        y = x + d
         uxy2 = 2.0 * u.jet(x, y).vxy
         dal.append(uxy2 / g.density(x, y))
         return np.abs(uxy2)

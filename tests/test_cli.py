@@ -278,7 +278,7 @@ _SINEFLOW = "family = po22\nkind = sineflow\namplitude = 0.3\nfrequency = 2"
     pytest.param("curve", CURVE_INI, _SINEFLOW,
                  "family = po22\nkind = four_piece\nimages = 0.3 1.35 1.8 1.8",
                  ("[curve]", "images"), id="four_piece_repeated_fourth_image"),
-    # winds three times; the piecewise map's lift table alone takes it for one turn
+    # winds three times: four_piece_c1_map refuses the images themselves
     pytest.param("curve", CURVE_INI, _SINEFLOW,
                  "family = po22\nkind = four_piece\nimages = 0.3 3.4 3.5",
                  ("[curve]", "images"), id="four_piece_images_round_three_times"),
@@ -298,6 +298,9 @@ _SINEFLOW = "family = po22\nkind = sineflow\namplitude = 0.3\nfrequency = 2"
                  ("[grid]", "'scheme'"), id="scheme_gaussx"),
     pytest.param("action", ACTION_INI, "level = 1", "level = 1\nscheme = gauss17",
                  ("[grid]", "'scheme'"), id="scheme_gauss17"),
+    # the grid has no diagonal band: the key is unknown
+    pytest.param("action", ACTION_INI, "level = 1", "level = 1\nband = 0.01",
+                 ("unknown keys ['band'] in [grid]",), id="band_removed"),
     pytest.param("action", ACTION_INI, "halfwidth = 0.42 0.42", "halfwidth = 0 0.4",
                  ("[metric.h.u]", "halfwidth"), id="halfwidth_zero"),
     pytest.param("action", ACTION_INI, "0.7 2.65 0.2 0.2 0.4",
@@ -520,6 +523,38 @@ matrices = 1.2 0.3 0.1 0.86
     cfg = _write(tmp_path, "o.ini", ini)
     assert cli.main(["curve", "--config", cfg, "--out", str(out)]) == 0
     assert abs(json.loads(out.read_text())["action"]) <= 1e-12
+
+
+# C^1 at every join, but the mean phi' is 3: the map winds three times
+_TRIPLE_WINDING_INI = """
+[curve]
+family = po22
+kind = piecewise
+breaks = 0.3 1.0 1.8 2.5
+matrices =
+    9.434314324631236 -27.859061957914857 2.5395174255748785 -7.393072872311923
+    -24.488590838163695 -6.077415041843659 -6.426879735474653 -1.6358154636674764
+    66.43026197616318 15.862555176023388 22.137627468023446 5.301188444870748
+    -15.4055748232639 52.44154677850902 -5.144360724153784 17.44681627558319
+"""
+
+
+def test_piecewise_map_winding_three_times_exits_2(tmp_path, capsys):
+    # the image arcs of the pieces add up to 3 pi
+    cfg = _write(tmp_path, "w.ini", _TRIPLE_WINDING_INI)
+    assert cli.main(["curve", "--config", cfg, "--out", "-"]) == 2
+    assert "does not wind once around" in capsys.readouterr().err
+
+
+def test_balanced_four_piece_map_is_built(tmp_path):
+    # the first piece maps onto an arc of length 0.01 and the last onto one
+    # of about pi - 3.1: a valid C^1 map, which only the S-class may refuse
+    ini = "[curve]\nfamily = po22\nkind = four_piece\nimages = 0.3 0.31 3.40\n"
+    out = tmp_path / "b.json"
+    cfg = _write(tmp_path, "b.ini", ini)
+    assert cli.main(["curve", "--config", cfg, "--grid-level", "0",
+                     "--out", str(out)]) in (0, 4)
+    assert json.loads(out.read_text())["family"] == "po22"
 
 
 @pytest.mark.parametrize("command, ini", [("action", ACTION_INI), ("curve", CURVE_INI)],
@@ -746,7 +781,7 @@ _GOOD = {
     "matrices": ["1 0 0 1"], "reference": ["desitter", "flat"],
     "chart": ["affine"], "coords": ["affine", "angle"], "box": ["0 1 2 3"],
     "level": ["1"], "base_cells": ["4"], "scheme": ["gauss1", "gauss8", "gauss16"],
-    "band": ["0.01"], "samples": ["4 4"], "tolerance": ["1e-8"],
+    "samples": ["4 4"], "tolerance": ["1e-8"],
 }
 
 

@@ -313,6 +313,20 @@ def test_piecewise_sclass_passes():
     assert rep.verdict
 
 
+# The L1 norm of box_g u for the sine flow 0.3 curve over the torus minus
+# the band |x - y| < w (mod pi), at level 4 of the S-class bulk grid (3072^2
+# two-point Gauss nodes).  The report's level-1 grid is 3.0e-5 from it; the
+# banded torus grid that dropped only the nodes on the diagonal read 2.72231.
+_SINE_L1_DAL = 2.7146652
+
+
+def test_sclass_l1_integrates_the_exact_off_diagonal_region():
+    curve = C.PO22Curve(F.SineFlowMap(0.3, 2))
+    rep = LV.sclass_report(curve.circle_metric(), curve.metric())
+    assert rep.verdict
+    assert abs(rep.L1_dal - _SINE_L1_DAL) <= 5e-5
+
+
 def test_sclass_gate_raises():
     g0a = L.desitter(coords="angle")
 

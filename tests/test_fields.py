@@ -416,6 +416,25 @@ def test_piecewise_c1_junctions():
         assert abs(here[1] - there[1]) <= 1e-9
 
 
+@pytest.mark.parametrize("b", [0.0, 0.3, 2.9])
+@pytest.mark.parametrize("angle", [2.5, -1.3, 3.0])
+def test_one_piece_lift_is_continuous_across_its_breakpoint(b, angle):
+    # a single piece maps the whole line; its raw angle at b + pi equals
+    # the one at b, yet the lift must advance by pi across the arc
+    c, s = math.cos(angle), math.sin(angle)
+    m = np.array([[c, -s], [s, c]]) @ np.diag([3.0, 1.0 / 3.0])
+    pm = F.PiecewiseMobiusAngleMap([b], [m])
+    near = np.array([np.nextafter(b, -1.0), b, np.nextafter(b, 4.0)])
+    assert np.ptp(pm.jets(near)[0]) <= 1e-14
+    ts = np.linspace(b - 1.0, b + 2 * math.pi, 4001)
+    phi = pm.jets(ts)[0]
+    assert np.all(np.diff(phi) > 0)
+    assert np.allclose(pm.jets(ts + math.pi)[0], phi + math.pi, atol=1e-12)
+    # every value is the piece's raw angle plus a multiple of pi
+    k = (phi - F.AngleMobiusMap(m).jets(ts)[0]) / math.pi
+    assert np.allclose(k, np.round(k), atol=1e-12)
+
+
 def test_piece_k_matches_the_matrix_route():
     # the closed form against the end derivative of the interpolating
     # Mobius matrix with unit start derivative, the route it replaced
@@ -587,9 +606,6 @@ def test_integrate_desitter_density_closed_form():
 def test_weights_sum_to_area():
     grid = F.box_grid((0, 1, 2, 3), level=2)
     assert abs(np.sum(grid.W) - grid.area) <= 1e-12
-    banded = F.torus_grid(level=0, band=0.1)
-    assert abs(np.sum(banded.W) - banded.area) <= 1e-10
-    assert banded.excluded_weight > 0
 
 
 def test_refinement_ratio_second_order_plus():
@@ -630,13 +646,9 @@ _BUMP_SUM = (F.bump_field((0.3, 2.3), (0.15, 0.2), 0.5)
 
 
 def _planes(grid):
-    """The node coordinates and band mask of a grid as n x m planes, built
-    from its axes here (the grid itself stores none of them)."""
-    X, Y = np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")
-    d = X - Y
-    if grid.periodic:
-        d = np.remainder(d + math.pi / 2, math.pi) - math.pi / 2
-    return X, Y, np.abs(d) < grid.band
+    """The node coordinates of a grid as n x m planes, built from its axes
+    here (the grid itself stores none of them)."""
+    return np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")
 
 
 def _block(grid, box):
@@ -660,9 +672,10 @@ def _weighted(u):
 @pytest.mark.parametrize("grid, u", [
     (F.box_grid((0, 1, 2, 3), level=1), _BUMP),
     (F.box_grid((0, 1, 2, 3), level=2), _BUMP_SUM),
-    # a band along the diagonal: banded nodes contribute nothing
-    (F.box_grid((0, 1, 0, 1), level=1, band=0.05), _DIAG_BUMP),
-    (F.torus_grid(level=0, band=0.1), F.bump_field((1.0, 2.2), (0.3, 0.4), 0.6)),
+    # nodes on the diagonal, where the density is finite
+    (F.box_grid((0, 1, 0, 1), level=1), _DIAG_BUMP),
+    (F.box_grid((0, math.pi, 0, math.pi), level=0, base_cells=48),
+     F.bump_field((1.0, 2.2), (0.3, 0.4), 0.6)),
 ])
 def test_integrate_on_support_matches_whole_grid(grid, u):
     # with a box the sum runs over its block: bit for bit the explicit
@@ -671,8 +684,8 @@ def test_integrate_on_support_matches_whole_grid(grid, u):
     full = grid.integrate(density)
     assert full != 0.0
     got = grid.integrate(density, support=u.support_box)
-    X, Y, band = _planes(grid)
-    vals = np.where(band, 0.0, density(X, Y))
+    X, Y = _planes(grid)
+    vals = density(X, Y)
     ref = _block_sum(grid, vals, *_block(grid, u.support_box))
     weights = np.outer(grid.x_weights, grid.y_weights)
     assert got == float(ref)
@@ -685,9 +698,7 @@ def test_integrate_on_support_matches_whole_grid(grid, u):
 
 
 def test_integrate_without_support_follows_the_same_node_rule():
-    # the whole grid is the block: with no banded node the density gets its
-    # axes as an open mesh, on a banded torus grid the gathered off-band
-    # nodes
+    # the whole grid is the block: the density gets its axes as an open mesh
     seen = []
 
     def density(x, y):
@@ -700,44 +711,25 @@ def test_integrate_without_support_follows_the_same_node_rule():
     assert sx.shape == (16, 1) and sy.shape == (1, 16)
     assert np.array_equal(sx[:, 0], grid.x_nodes)
     assert np.array_equal(sy[0], grid.y_nodes)
-    seen.clear()
-    torus = F.torus_grid(level=0, base_cells=8, band=0.1)
-    torus.integrate(density)
-    (sx, sy), = seen
-    X, Y, band = _planes(torus)
-    on = ~band
-    assert 0 < sx.size < on.size
-    assert np.array_equal(sx, X[on]) and np.array_equal(sy, Y[on])
 
 
 def test_integrate_on_support_evaluates_the_closed_box_only():
-    # box edges on node coordinates: the closed box keeps them.  On a grid
-    # with no banded node in the block, the density gets the block's axes
-    # as an open mesh; where the block meets the band it gets the gathered
-    # off-band nodes
-    for band in (0.0, 0.1):
-        grid = F.box_grid((0, 1, 0, 1), level=0, base_cells=8, band=band)
-        xn, yn = grid.x_nodes, grid.y_nodes
-        box = (xn[3], xn[9], yn[5], yn[12])
-        seen = []
+    # box edges on node coordinates: the closed box keeps them, and the
+    # density gets the block's axes as an open mesh, diagonal nodes included
+    grid = F.box_grid((0, 1, 0, 1), level=0, base_cells=8)
+    xn, yn = grid.x_nodes, grid.y_nodes
+    box = (xn[3], xn[9], yn[5], yn[12])
+    seen = []
 
-        def density(x, y):
-            seen.append((x, y))
-            return np.ones_like(x)
+    def density(x, y):
+        seen.append((x, y))
+        return np.ones_like(x)
 
-        grid.integrate(density, support=box)
-        (sx, sy), = seen
-        if band == 0.0:
-            assert sx.shape == (7, 1) and sy.shape == (1, 8)
-            assert np.array_equal(sx[:, 0], xn[3:10])
-            assert np.array_equal(sy[0], yn[5:13])
-            continue
-        X, Y, banded = _planes(grid)
-        inside = (~banded & (X >= box[0]) & (X <= box[1])
-                  & (Y >= box[2]) & (Y <= box[3]))
-        assert np.array_equal(sx, X[inside]) and np.array_equal(sy, Y[inside])
-        assert sx.size == np.count_nonzero(~banded[3:10, 5:13])
-        assert 0 < sx.size < 7 * 8
+    grid.integrate(density, support=box)
+    (sx, sy), = seen
+    assert sx.shape == (7, 1) and sy.shape == (1, 8)
+    assert np.array_equal(sx[:, 0], xn[3:10])
+    assert np.array_equal(sy[0], yn[5:13])
 
 
 def _action_like(u):
@@ -760,7 +752,7 @@ def test_integrate_open_mesh_matches_flat_reference(u):
     # the density on the block's open mesh, summed, gives the bits of the
     # same sum over the block's values evaluated at flat nodes
     grid = F.box_grid((0, 1, 2, 3), level=1)
-    X, Y, _ = _planes(grid)
+    X, Y = _planes(grid)
     rows, cols = _block(grid, u.support_box)
     block = np.ix_(rows, cols)
     density = _action_like(u)
@@ -817,27 +809,12 @@ def test_breakpoint_aligned_cells():
     assert not np.any(np.isclose(grid.x_nodes, 0.3))
 
 
-@pytest.mark.parametrize("grid", [
-    F.box_grid((0, 1, 2, 3), level=1),
-    F.box_grid((0, 1, 0, 1), level=0, band=0.05),
-    F.torus_grid(level=0, band=0.1),
-], ids=["box", "banded_box", "torus"])
+@pytest.mark.parametrize("grid", [F.box_grid((0, 1, 2, 3), level=1)], ids=["box"])
 def test_grid_stores_axes_only(grid):
     # a tensor-product grid is its two 1-d rules: no n x m plane is kept
     arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 4 and all(a.ndim == 1 for a in arrays)
     assert np.array_equal(grid.W, np.outer(grid.x_weights, grid.y_weights))
-    _, _, band = _planes(grid)
-    assert grid.excluded_weight == float(np.sum(grid.W[band]))
-
-
-def _package_torus_grids():
-    """Every torus grid the package builds: the S-class bulk grid (torus
-    actions integrate on ``ArcPairRule``s, which have no band)."""
-    from splitannulus import liouville
-
-    return [F.torus_grid(level=1,
-                         band=liouville._BAND_WIDTH / 2 ** liouville._N_BANDS)]
 
 
 @pytest.mark.parametrize("p", range(1, F.MAX_GAUSS_ORDER + 1))
@@ -894,13 +871,6 @@ def test_break_lines_of_composite_fields():
         (0.1, 0.9), (2.1, 2.9))
     assert F.with_support_box(a, (0.25, 0.9, 2.0, 3.0)).break_lines() == (
         (0.25, ax1, 0.9), (2.0, ay0, ay1, 3.0))
-
-
-def test_torus_band_matches_the_remainder_distance():
-    # the torus axes span one period, so min(|d|, pi - |d|) is the periodic
-    # distance: it tags the nodes the remainder formula tags
-    for grid in _package_torus_grids():
-        assert np.array_equal(grid._band(), _planes(grid)[2])
 
 
 # ---------------------------------------------------------------------------
