@@ -155,7 +155,6 @@ _CIRCLE_MAPS = {
 }
 _METRIC = {
     "reference": (_choice(lorentz.FLAT, lorentz.DESITTER), lorentz.DESITTER),
-    "chart": (str, "affine"),
     "coords": (_choice("affine", "angle"), "affine"),
 }
 _GRID = {
@@ -230,7 +229,7 @@ def parse_metric(cfg, name):
     section = f"metric.{name}"
     kw = _read(section, _items(cfg, section), _METRIC)
     return lorentz.SplitMetric(kw["reference"], parse_field(cfg, f"{section}.u"),
-                               chart_id=kw["chart"], coords=kw["coords"])
+                               coords=kw["coords"])
 
 
 def parse_grid(cfg, level_override=None, x_breaks=(), y_breaks=()):
@@ -290,8 +289,8 @@ def cmd_action(args):
     k = parse_metric(cfg, "k") if "metric.k" in cfg else None
     for name, m in (("h", h), ("k", k)):
         if m is not None and not m.compatible(g):
-            raise ConfigError(f"invalid data in [metric.{name}]: reference, "
-                              "coords and chart must be those of [metric.g]")
+            raise ConfigError(f"invalid data in [metric.{name}]: reference "
+                              "and coords must be those of [metric.g]")
     report = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "action",
@@ -517,7 +516,6 @@ def cmd_epstein(args):
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "epstein",
-        "chart": g.chart_id,
         "reference": g.reference,
         "box": box,
         "samples": ns,

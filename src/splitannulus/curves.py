@@ -41,6 +41,7 @@ from .errors import (
     SClassFail,
 )
 from .fields import (
+    CHARTS,
     CircleMap,
     ConstantField,
     IdentityMap,
@@ -83,8 +84,9 @@ def classical_crossratio(a, b, c, d):
 
 
 def diamond_ratio(x, y, X, Y, coords="affine"):
-    """(x-X)(y-Y)/((x-Y)(y-X)); sin-differences in angle coordinates."""
-    diff = np.sin if coords == "angle" else (lambda v: v)
+    """D(x-X) D(y-Y) / (D(x-Y) D(y-X)) with the coordinate difference D
+    of the chart ``coords``: plain differences, sines in angle coordinates."""
+    diff = CHARTS[coords].diff
     return (diff(x - X) * diff(y - Y)) / (diff(x - Y) * diff(y - X))
 
 
@@ -191,15 +193,12 @@ class Crossratio:
 
 def reference_crossratio(coords="affine"):
     """The de Sitter anchor: exp of the g0 area of the diamond."""
+    diff = CHARTS[coords].diff
     return Crossratio(
         lambda x, y, X, Y: diamond_ratio(x, y, X, Y, coords) ** 2,
         family="g0-anchor",
         coords=coords,
-        exact_density=(
-            (lambda s, t: 2.0 / np.sin(s - t) ** 2)
-            if coords == "angle"
-            else (lambda s, t: 2.0 / (s - t) ** 2)
-        ),
+        exact_density=lambda s, t: 2.0 / diff(s - t) ** 2,
     )
 
 
@@ -216,13 +215,8 @@ def diamond_area(b: Crossratio, d: Diamond) -> float:
 
 def schwarzian(phi: CircleMap, x):
     """S_phi = phi'''/phi' - (3/2)(phi''/phi')^2 at x."""
-    if isinstance(phi, PiecewiseMobiusAngleMap):
-        jets = phi.jets_checked(x)
-    else:
-        jets = phi.jets(x)
-        if len(jets) < 4:
-            raise NotC3("third derivative unavailable")
-    _, d1, d2, d3 = jets
+    checked = isinstance(phi, PiecewiseMobiusAngleMap)
+    _, d1, d2, d3 = phi.jets_checked(x) if checked else phi.jets(x)
     if np.any(d1 <= 0):
         raise NotC3AtPoint("phi' must be positive")
     return d3 / d1 - 1.5 * (d2 / d1) ** 2
@@ -401,27 +395,20 @@ class PSL3Curve:
 def psl3_conic(coords="affine") -> PSL3Curve:
     """The conic x(t) = [t^2, t, 1] with tangents l(s) = (1, -2s, s^2).
 
-    <l(s)|x(t)> = (t - s)^2 in affine coordinates; with the trigonometric
+    <l(s)|x(t)> = D(t - s)^2 with the coordinate difference D of the chart
+    ``coords``: (t - s)^2 in affine coordinates; with the trigonometric
     representatives x(t) = (sin^2 t, sin t cos t, cos^2 t) and l(s) =
-    (cos^2 s, -2 sin s cos s, sin^2 s) the pairing is sin^2(t - s),
-    smooth across the chart.  The crossratio metric is the de Sitter
-    density (the conic is a circle of the family).
+    (cos^2 s, -2 sin s cos s, sin^2 s) it is sin^2(t - s), smooth across
+    the chart.  The crossratio metric is the de Sitter density (the conic
+    is a circle of the family).
     """
-    if coords == "affine":
-        def pairing(s, t):
-            s = np.asarray(s, dtype=float)
-            t = np.asarray(t, dtype=float)
-            return (t - s) ** 2
+    diff = CHARTS[coords].diff
 
-        def log_dst(t, s):
-            return 2.0 / (t - s) ** 2
+    def pairing(s, t):
+        return diff(np.asarray(t, dtype=float) - np.asarray(s, dtype=float)) ** 2
 
-    else:
-        def pairing(s, t):
-            return np.sin(np.asarray(t, dtype=float) - np.asarray(s)) ** 2
-
-        def log_dst(t, s):
-            return 2.0 / np.sin(t - s) ** 2
+    def log_dst(t, s):
+        return 2.0 / diff(t - s) ** 2
 
     return PSL3Curve(pairing, log_dst, coords)
 

@@ -22,7 +22,7 @@ class NotCyclic(SplitAnnulusError):
 
 
 class IncompatibleMetrics(SplitAnnulusError):
-    """Metrics do not share a reference and chart."""
+    """Metrics do not share a reference and coordinates."""
 
 
 class NotC3(SplitAnnulusError):

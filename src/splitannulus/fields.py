@@ -4,6 +4,8 @@ Coordinate conventions used throughout the package:
 
 * A point of the projective line carries an affine coordinate ``x``; the
   angle coordinate ``theta`` (period pi) is related by ``x = tan(theta)``.
+  ``CHARTS`` holds what the formulas need of each: the coordinate
+  difference, its derivative and the Schwarzian cocycle.
 * The annulus is the product of two projective lines minus the diagonal;
   a chart point is the pair ``(x, y)`` with ``x != y``.
 * Scalar fields carry *exact* partial derivatives: every field object
@@ -19,6 +21,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,20 +62,35 @@ class AnnulusPoint:
 
     x: float
     y: float
-    chart_id: str = "affine"
 
     def __post_init__(self):
         if abs(self.x - self.y) <= DIAG_TOL:
             raise DiagonalPoint(f"({self.x}, {self.y}) lies on the diagonal")
 
 
-def transition(m, p: AnnulusPoint, chart_id=None) -> AnnulusPoint:
+def transition(m, p: AnnulusPoint) -> AnnulusPoint:
     """Apply a shared Mobius chart rotation to both factors of a point."""
     x = mobius_apply(m, p.x)
     y = mobius_apply(m, p.y)
     if not (np.isfinite(x) and np.isfinite(y)):
         raise OutOfChart("chart rotation sends the point to infinity")
-    return AnnulusPoint(float(x), float(y), chart_id or p.chart_id)
+    return AnnulusPoint(float(x), float(y))
+
+
+class _Chart(NamedTuple):
+    diff: Callable      # D(d), the coordinate difference of two points at d
+    diff1: Callable     # D'(d); D'(d) / D(d) is the log-derivative
+    cocycle: Callable   # phi' -> the chart's term of the projective Schwarzian
+
+
+# The two coordinates of the projective line, keyed by ``coords``: an
+# affine chart, D(d) = d, and the angle line of period pi, D(d) = sin d,
+# whose Schwarzian cocycle is 2(phi'^2 - 1).  Every formula that differs
+# between the two reads D, D'/D and the cocycle from here.
+CHARTS = {
+    "affine": _Chart(lambda d: d, lambda d: 1.0, lambda f1: 0.0),
+    "angle": _Chart(np.sin, np.cos, lambda f1: 2.0 * (f1 ** 2 - 1.0)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +368,12 @@ class BumpField(ScalarField):
         return self.amp * self.hx * self.hy * one_d ** 2
 
     def _jet(self, x, y):
-        # each axis is masked and raised on its own, so on an open mesh the
-        # powers cost O(rows + columns) and only the products O(rows * columns)
-        X = (x - self.cx) / self.hx
-        Y = (y - self.cy) / self.hy
-        in_x, in_y = np.abs(X) < 1.0, np.abs(Y) < 1.0
-        inside = in_x & in_y
-        X = np.where(in_x, X, 0.0)
-        Y = np.where(in_y, Y, 0.0)
+        # each axis is clamped and raised on its own, so on an open mesh the
+        # powers cost O(rows + columns) and only the products O(rows * columns);
+        # with p >= 3 every factor below vanishes at |X| = 1, so the clamp
+        # makes every component exactly zero off the open box
+        X = np.clip((x - self.cx) / self.hx, -1.0, 1.0)
+        Y = np.clip((y - self.cy) / self.hy, -1.0, 1.0)
         p = self.p
         sx, sy = 1.0 - X ** 2, 1.0 - Y ** 2
         sx1, sy1 = sx ** (p - 1), sy ** (p - 1)
@@ -370,14 +386,8 @@ class BumpField(ScalarField):
         gy2 = (-2.0 * p * sy1
                + 4.0 * p * (p - 1) * Y ** 2 * sy ** (p - 2)) / self.hy ** 2
         a = self.amp
-        return Jet2(
-            np.where(inside, a * gx * gy, 0.0),
-            np.where(inside, a * gx1 * gy, 0.0),
-            np.where(inside, a * gx * gy1, 0.0),
-            np.where(inside, a * gx1 * gy1, 0.0),
-            np.where(inside, a * gx2 * gy, 0.0),
-            np.where(inside, a * gx * gy2, 0.0),
-        )
+        return Jet2(a * gx * gy, a * gx1 * gy, a * gx * gy1, a * gx1 * gy1,
+                    a * gx2 * gy, a * gx * gy2)
 
 
 def bump_field(center, halfwidth, amplitude=1.0, power=4):
@@ -390,21 +400,17 @@ def unit_mass_bump(center, halfwidth, power=4):
 
 
 class DeSitterLogFactor(ScalarField):
-    """v0(x, y) = (1/2) log(2 / (x - y)^2), the de Sitter conformal factor."""
+    """v0(x, y) = (1/2) log(2 / D(x - y)^2), the de Sitter conformal factor,
+    with D the coordinate difference of the chart ``coords``."""
+
+    def __init__(self, coords="affine"):
+        self.chart = CHARTS[coords]
 
     def _jet(self, x, y):
         d = x - y
-        q = 1.0 / d ** 2
-        return Jet2(0.5 * np.log(2.0 / d ** 2), -1.0 / d, 1.0 / d, -q, q, q)
-
-
-class DeSitterAngleLogFactor(ScalarField):
-    """v0(th, ps) = (1/2) log(2 / sin^2(th - ps)) in angle coordinates."""
-
-    def _jet(self, x, y):
-        d = x - y
-        s2 = np.sin(d) ** 2
-        cot = np.cos(d) / np.sin(d)
+        s = self.chart.diff(d)
+        s2 = s ** 2
+        cot = self.chart.diff1(d) / s
         q = 1.0 / s2
         return Jet2(0.5 * np.log(2.0 / s2), -cot, cot, -q, q, q)
 
@@ -417,16 +423,16 @@ class UniformizingFactor(ScalarField):
         Phi* g0 = e^{2u} g0,
         u = (1/2) log( D(x, y)^2 phi'(x) phi'(y) / D(phi x, phi y)^2 ),
 
-    where D is the coordinate difference in an affine chart and sin of
-    the difference in angle coordinates.  Exact jets need phi C^3; for
-    piecewise-projective maps the factor is identically zero when both
-    arguments sit in the same piece, and that shortcut is taken exactly
-    (it also avoids the catastrophic cancellation near the diagonal).
+    where D is the coordinate difference of the map's chart (``CHARTS``).
+    Exact jets need phi C^3; for piecewise-projective maps the factor is
+    identically zero when both arguments sit in the same piece, and that
+    shortcut is taken exactly (it also avoids the catastrophic
+    cancellation near the diagonal).
     """
 
     def __init__(self, phi):
         self.phi = phi
-        self.angle = phi.coords == "angle"
+        self.chart = CHARTS[phi.coords]
 
     def _jet(self, x, y):
         phi = self.phi
@@ -437,16 +443,12 @@ class UniformizingFactor(ScalarField):
         fy, f1y, f2y, f3y = phi.jets(y)
         d = x - y
         dd = fx - fy
-        if self.angle:
-            sd, sD = np.sin(d), np.sin(dd)
-            cot_d = np.cos(d) / sd
-            cot_D = np.cos(dd) / sD
-            inv2_d, inv2_D = 1.0 / sd ** 2, 1.0 / sD ** 2
-            v = 0.5 * np.log(sd ** 2 * f1x * f1y / sD ** 2)
-        else:
-            cot_d, cot_D = 1.0 / d, 1.0 / dd
-            inv2_d, inv2_D = 1.0 / d ** 2, 1.0 / dd ** 2
-            v = 0.5 * np.log(d ** 2 * f1x * f1y / dd ** 2)
+        diff, diff1 = self.chart.diff, self.chart.diff1
+        sd, sD = diff(d), diff(dd)
+        cot_d = diff1(d) / sd
+        cot_D = diff1(dd) / sD
+        inv2_d, inv2_D = 1.0 / sd ** 2, 1.0 / sD ** 2
+        v = 0.5 * np.log(sd ** 2 * f1x * f1y / sD ** 2)
         ax = f2x / (2.0 * f1x)
         ay = f2y / (2.0 * f1y)
         sx = f3x / (2.0 * f1x) - f2x ** 2 / (2.0 * f1x ** 2)
@@ -467,16 +469,14 @@ class UniformizingFactor(ScalarField):
         """Limit of u * (de Sitter density) / (x - y)^2-free form.
 
         Returns the diagonal limit of u / D^2, namely a twelfth of the
-        projective Schwarzian (the chart Schwarzian plus the angle-chart
-        cocycle correction 2(phi'^2 - 1) in angle coordinates).
+        projective Schwarzian: the chart Schwarzian plus the chart's
+        cocycle, 2(phi'^2 - 1) in angle coordinates.
         """
         # a 0-d x goes through the array loops as one element: numpy's
         # scalar powers can differ from them in the last bits
         x = np.asarray(x, dtype=float)
         f, f1, f2, f3 = self.phi.jets(x.reshape(-1))
-        s = f3 / f1 - 1.5 * (f2 / f1) ** 2
-        if self.angle:
-            s = s + 2.0 * (f1 ** 2 - 1.0)
+        s = f3 / f1 - 1.5 * (f2 / f1) ** 2 + self.chart.cocycle(f1)
         return (s / 12.0).reshape(x.shape)
 
 
@@ -813,21 +813,24 @@ class PiecewiseMobiusAngleMap(CircleMap):
                else np.where(t < self._half, *self._mids))
         return raw - math.pi * np.round((raw - mid) / math.pi)
 
-    def piece_index(self, t):
-        """Index of the arc containing angle t (reduced mod pi)."""
+    def _locate(self, t):
+        """(shift, tr, idx): t = tr + shift * pi with tr in [b0, b0 + pi),
+        and the index of the arc that holds tr."""
         bps = np.asarray(self.breakpoints)
-        tr = (np.asarray(t, dtype=float) - bps[0]) % math.pi + bps[0]
-        idx = np.searchsorted(bps, tr, side="right") - 1
-        return np.clip(idx, 0, len(bps) - 1)
+        shift = np.floor((t - bps[0]) / math.pi)
+        tr = t - shift * math.pi
+        idx = np.clip(np.searchsorted(bps, tr + 1e-15, side="right") - 1, 0,
+                      len(bps) - 1)
+        return shift, tr, idx
+
+    def piece_index(self, t):
+        """Index of the arc containing angle t (reduced mod pi): the piece
+        whose jets ``jets`` returns at t."""
+        return self._locate(np.asarray(t, dtype=float))[2]
 
     def jets(self, t):
         t_in = np.asarray(t, dtype=float)
-        t1 = np.atleast_1d(t_in).ravel()
-        bps = np.asarray(self.breakpoints)
-        shift = np.floor((t1 - bps[0]) / math.pi)
-        tr = t1 - shift * math.pi
-        idx = np.clip(np.searchsorted(bps, tr + 1e-15, side="right") - 1, 0,
-                      len(bps) - 1)
+        shift, tr, idx = self._locate(np.atleast_1d(t_in).ravel())
         phi = np.empty_like(tr)
         d1 = np.empty_like(tr)
         d2 = np.empty_like(tr)

@@ -246,8 +246,8 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
 
     Clause (1): u essentially bounded; (2): u decays uniformly at the
     boundary, measured as max |u| over nested diagonal bands shrinking
-    dyadically; (3): box_g u bounded and integrable; (4): finite VB on a
-    polygonal curve.
+    dyadically; (3): box_g u bounded and integrable; (4): a finite VB on a
+    polygonal curve, converged under dyadic refinement.
     """
     u = h.factor_relative_to(g)
     if g.coords != "angle":
@@ -300,7 +300,7 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
             np.isfinite(linf) and linf <= _LINF_MAX and np.isfinite(l1)
             and l1 <= _L1_MAX
         ),
-        "4_vb_finite": bool(np.isfinite(vb_val) and vb_val <= _VB_MAX),
+        "4_vb_finite": bool(vb_ok and np.isfinite(vb_val) and vb_val <= _VB_MAX),
     }
     return SClassReport(
         sup_u=sup_u,
@@ -339,10 +339,6 @@ def uniformizing_action(phi, levels=3, formula="monotone") -> ActionValue:
     """
     if phi.coords != "angle":
         raise NotC3("uniformizing action runs on angle-coordinate maps")
-    try:
-        phi.jets(np.asarray([0.1]))
-    except NotImplementedError as exc:  # pragma: no cover
-        raise NotC3(str(exc))
     g0 = desitter(coords="angle")
     g = pullback_metric(g0, phi)
     u = g0.factor_relative_to(g)
@@ -351,4 +347,4 @@ def uniformizing_action(phi, levels=3, formula="monotone") -> ActionValue:
     else:
         density = _definition_density(g, u)
     return torus_trail(density, UniformizingFactor(phi).diagonal_limit_density,
-                       levels, formula, getattr(phi, "breakpoints", ()))
+                       levels, formula, phi.breakpoints)

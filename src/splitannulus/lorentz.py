@@ -25,7 +25,6 @@ from .errors import DiagonalPoint, IncompatibleMetrics
 from .fields import (
     AnnulusPoint,
     ConstantField,
-    DeSitterAngleLogFactor,
     DeSitterLogFactor,
     DIAG_TOL,
     Jet2,
@@ -42,19 +41,14 @@ DESITTER = "desitter"
 class SplitMetric:
     """A conformal factor e^{2u} against a named reference metric."""
 
-    def __init__(self, reference, u=None, chart_id="affine", coords="affine"):
+    def __init__(self, reference, u=None, coords="affine"):
         if reference not in (FLAT, DESITTER):
             raise ValueError(f"unknown reference {reference!r}")
         self.reference = reference
         self.u = as_field(u if u is not None else 0.0)
-        self.chart_id = chart_id
         self.coords = coords
-        if reference == DESITTER:
-            self._ref_factor = (
-                DeSitterAngleLogFactor() if coords == "angle" else DeSitterLogFactor()
-            )
-        else:
-            self._ref_factor = ConstantField(0.0)
+        self._ref_factor = (DeSitterLogFactor(coords) if reference == DESITTER
+                            else ConstantField(0.0))
 
     # -- jets ---------------------------------------------------------------
     def total_factor_jet(self, x, y) -> Jet2:
@@ -71,20 +65,15 @@ class SplitMetric:
     # -- algebra --------------------------------------------------------------
     def scaled_by(self, w) -> "SplitMetric":
         """The metric e^{2w} g (composition law on conformal factors)."""
-        return SplitMetric(self.reference, self.u + as_field(w),
-                           chart_id=self.chart_id, coords=self.coords)
+        return SplitMetric(self.reference, self.u + as_field(w), coords=self.coords)
 
     def compatible(self, other) -> bool:
-        return (
-            self.reference == other.reference
-            and self.chart_id == other.chart_id
-            and self.coords == other.coords
-        )
+        return self.reference == other.reference and self.coords == other.coords
 
     def factor_relative_to(self, base: "SplitMetric") -> ScalarField:
         """The field u with self = e^{2u} base."""
         if not self.compatible(base):
-            raise IncompatibleMetrics("metrics do not share reference/chart")
+            raise IncompatibleMetrics("metrics do not share reference/coords")
         return self.u - base.u
 
 
@@ -103,14 +92,14 @@ def pullback_metric(g: SplitMetric, phi) -> SplitMetric:
     e^{2 u_phi} g0 with the uniformizing factor u_phi (identically zero
     exactly when phi is projective); the conformal factor composes.
     """
-    if (phi.coords == "angle") != (g.coords == "angle"):
+    if phi.coords != g.coords:
         raise IncompatibleMetrics("map and metric use different coordinates")
     u_new = PullbackField(g.u, phi)
     if g.reference == DESITTER:
         u_new = u_new + UniformizingFactor(phi)
     else:
         raise IncompatibleMetrics("pullback implemented over the de Sitter reference")
-    return SplitMetric(g.reference, u_new, chart_id=g.chart_id, coords=g.coords)
+    return SplitMetric(g.reference, u_new, coords=g.coords)
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -320,9 +321,10 @@ _SINEFLOW = "family = po22\nkind = sineflow\namplitude = 0.3\nfrequency = 2"
     pytest.param("action", ACTION_INI, "[metric.k]\nreference = desitter",
                  "[metric.k]\nreference = desitter\ncoords = angle",
                  ("[metric.k]",), id="metrics_differ_in_coords"),
+    # a chart label did nothing: the key is unknown
     pytest.param("action", ACTION_INI, "[metric.h]\nreference = desitter",
                  "[metric.h]\nreference = desitter\nchart = other",
-                 ("[metric.h]",), id="metrics_differ_in_chart"),
+                 ("unknown keys ['chart'] in [metric.h]",), id="chart_removed"),
     pytest.param("epstein", EPSTEIN_INI, "[metric.g]\nreference = desitter",
                  "[metric.g]\nreference = desitter\ncoords = angle",
                  ("[metric.g]", "'coords'"), id="epstein_angle_coords"),
@@ -548,13 +550,16 @@ def test_piecewise_map_winding_three_times_exits_2(tmp_path, capsys):
 
 def test_balanced_four_piece_map_is_built(tmp_path):
     # the first piece maps onto an arc of length 0.01 and the last onto one
-    # of about pi - 3.1: a valid C^1 map, which only the S-class may refuse
+    # of about pi - 3.1: a valid C^1 map, which only the S-class refuses, on
+    # its first failing clause
     ini = "[curve]\nfamily = po22\nkind = four_piece\nimages = 0.3 0.31 3.40\n"
     out = tmp_path / "b.json"
     cfg = _write(tmp_path, "b.ini", ini)
     assert cli.main(["curve", "--config", cfg, "--grid-level", "0",
-                     "--out", str(out)]) in (0, 4)
-    assert json.loads(out.read_text())["family"] == "po22"
+                     "--out", str(out)]) == 4
+    rep = json.loads(out.read_text())
+    assert rep["family"] == "po22"
+    assert rep["sclass_failed_clause"] == "2_boundary_decay"
 
 
 @pytest.mark.parametrize("command, ini", [("action", ACTION_INI), ("curve", CURVE_INI)],
@@ -779,10 +784,87 @@ _GOOD = {
     "frequency": ["2"], "matrix": ["1.3 0.2 0.1 0.9"],
     "breaks": ["0.3 1.0 1.8 2.5"], "images": ["0.3 1.35 1.8"], "skew": ["1.5"],
     "matrices": ["1 0 0 1"], "reference": ["desitter", "flat"],
-    "chart": ["affine"], "coords": ["affine", "angle"], "box": ["0 1 2 3"],
+    "coords": ["affine", "angle"], "box": ["0 1 2 3"],
     "level": ["1"], "base_cells": ["4"], "scheme": ["gauss1", "gauss8", "gauss16"],
     "samples": ["4 4"], "tolerance": ["1e-8"],
 }
+
+
+# The value checks of the schema, written out apart from cli's parsers:
+# key -> (count, sign), where count is the number of numbers a value holds
+# (a tuple: the counts allowed; None: any) and sign a bound on each number.
+# The keys of _ROWS hold one row of numbers per nonblank line, at least one.
+_CHECKS = {
+    "value": (1, None), "center": (2, None), "halfwidth": (2, None),
+    "amplitude": (1, None), "power": (1, None), "support_box": (4, None),
+    "frequency": (1, None), "matrix": (4, None), "breaks": (4, None),
+    "images": ((3, 4), None), "skew": (1, "positive"), "box": (4, None),
+    "level": (1, "nonnegative"), "base_cells": (1, "positive"),
+    "samples": (2, "positive"), "tolerance": (1, "positive"),
+}
+_ROWS = {"rows": 5, "coeffs": None, "matrices": 4}
+_SIGN = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
+
+
+def _numbers_break(tokens, count, sign):
+    try:
+        vals = [float(t) for t in tokens]
+    except ValueError:
+        return True
+    counts = count if isinstance(count, tuple) else (count,)
+    return (not all(map(math.isfinite, vals))
+            or (count is not None and len(vals) not in counts)
+            or (sign is not None and not all(map(_SIGN[sign], vals))))
+
+
+def _breaks_a_check(kind, key, text):
+    """True if ``text`` is no value of ``key`` in a section of ``kind``: a
+    token that is no finite number, a count or sign off the key's check, or
+    no row where rows are due."""
+    if key in _ROWS:
+        rows = [r.split() for r in text.splitlines() if r.strip()]
+        return not rows or any(_numbers_break(r, _ROWS[key], None) for r in rows)
+    if key not in _CHECKS:
+        return False
+    count, sign = _CHECKS[key]
+    if key == "breaks" and kind == "piecewise":
+        count = None  # one break per piece, any number of pieces
+    return _numbers_break(text.split(), count, sign)
+
+
+# Half of the configs aim their one fault at a value check named here,
+# (check, [(section role, kind, key) that has it]), so that each check is
+# broken on its own in 20 to 45 of the 400 examples; the other half draw the
+# fault at random.
+_AIMS = [
+    ("finite", [("field", "bump", "amplitude"), ("field", "bump", "center"),
+                ("field", "constant", "value"), ("field", "bumps", "rows"),
+                ("field", "polynomial", "support_box"), ("grid", None, "box"),
+                ("epstein", None, "tolerance"), ("circle", "sineflow", "amplitude"),
+                ("circle", "mobius", "matrix"), ("circle", "four_piece", "images"),
+                ("circle", "four_piece", "skew"), ("circle", "piecewise", "breaks")]),
+    ("rows", [("field", "bumps", "rows"), ("field", "polynomial", "coeffs"),
+              ("circle", "piecewise", "matrices")]),
+    ("sign", [("circle", "four_piece", "skew")]),
+    ("sign", [("epstein", None, "samples")]),
+    ("sign", [("grid", None, "base_cells")]),
+    ("count", [("circle", "four_piece", "breaks")]),
+    ("count", [("circle", "four_piece", "images")]),
+]
+
+
+@st.composite
+def _breaking(draw, check, good):
+    """``good`` with ``check`` broken: a non-finite number, no row, a
+    number that is not positive, or one number fewer or two more."""
+    toks = good.split()
+    if check == "rows":
+        return ""
+    if check == "count":
+        return " ".join(toks[:-1] if draw(st.booleans()) else toks + toks[-1:] * 2)
+    bad = ("nan", "inf", "-inf") if check == "finite" else ("0", "-1", "-3")
+    toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(bad))
+    return " ".join(toks)
 
 
 def _ini(sections):
@@ -793,26 +875,41 @@ def _ini(sections):
     return "\n".join(lines) + "\n"
 
 
-def _kind(draw, kinds, **fixed):
-    kind = draw(st.sampled_from(sorted(kinds)))
+def _kind(draw, kinds, kind=None, **fixed):
+    kind = kind or draw(st.sampled_from(sorted(kinds)))
     return {**fixed, "kind": kind}, kinds[kind][1]
 
 
 @st.composite
 def _configs(draw):
-    """A config that is well-formed but for at most one fault."""
-    command = draw(st.sampled_from(["action", "epstein", "curve"]))
+    """A config that is well-formed but for at most one fault, and the
+    (section, key) of the fault when it is a value that breaks a value
+    check of its key."""
+    aim = draw(st.none() | st.sampled_from(_AIMS))
+    role, kind, key = (None,) * 3 if aim is None else draw(st.sampled_from(aim[1]))
+    command = draw(st.sampled_from({"circle": ["curve", "action"],
+                                    "field": ["action", "epstein"],
+                                    "grid": ["action"], "epstein": ["epstein"],
+                                    None: ["action", "epstein", "curve"]}[role]))
     layout = {}  # section -> (fixed items, schema table)
     if command == "curve":
-        layout["curve"] = (({"family": "psl3_conic"}, {}) if draw(st.booleans())
-                           else _kind(draw, cli._CIRCLE_MAPS, family="po22"))
-    elif command == "action" and draw(st.booleans()):
-        layout["uniformizing"] = _kind(draw, cli._CIRCLE_MAPS)
+        layout["curve"] = (({"family": "psl3_conic"}, {})
+                           if role is None and draw(st.booleans())
+                           else _kind(draw, cli._CIRCLE_MAPS, kind, family="po22"))
+    elif role == "circle" or (role is None and command == "action"
+                              and draw(st.booleans())):
+        layout["uniformizing"] = _kind(draw, cli._CIRCLE_MAPS, kind)
     else:
+        # every metric takes the same items: metrics of an action that
+        # differ, or an Epstein surface in angle coords, would be a fault
+        metric = {k: draw(st.sampled_from(_GOOD[k][:1] if command == "epstein"
+                                          and k == "coords" else _GOOD[k]))
+                  for k in cli._METRIC}
         for name in ("g", "h", "k") if command == "action" else ("g",):
-            layout[f"metric.{name}"] = ({}, cli._METRIC)
-            if draw(st.booleans()):
-                fixed, table = _kind(draw, cli._FIELDS)
+            layout[f"metric.{name}"] = (metric, {})
+            forced = role == "field" and name == "g"
+            if forced or draw(st.booleans()):
+                fixed, table = _kind(draw, cli._FIELDS, kind if forced else None)
                 layout[f"metric.{name}.u"] = (fixed, {**table,
                                                       "support_box": (None, None)})
         if command == "action":
@@ -824,6 +921,12 @@ def _configs(draw):
                            for k, (_, default) in table.items()
                            if default is cli._REQUIRED or draw(st.booleans())}}
         for name, (fixed, table) in layout.items()}
+    if aim is not None:  # every aimed value breaks its check
+        name = {"circle": sorted(layout)[0], "field": "metric.g.u",
+                "grid": "grid", "epstein": "epstein"}[role]
+        sections[name][key] = draw(_breaking(aim[0], _GOOD[key][0]))
+        assert _breaks_a_check(kind, key, sections[name][key])
+        return command, sections, (name, key)
     # the fault: a bad or missing value of a key, an unknown key or a
     # missing section
     name = draw(st.sampled_from(sorted(layout)))
@@ -834,19 +937,21 @@ def _configs(draw):
                                                   "none"]))
     if fault == "value":
         items[key] = draw(_bad(items.get(key) or _GOOD[key][0]))
+        if _breaks_a_check(items.get("kind"), key, items[key]):
+            return command, sections, (name, key)
     elif fault == "key":
         items.pop(key, None)
     elif fault == "unknown":
         items["bogus"] = "1"
     elif fault == "section":
         del sections[name]
-    return command, sections
+    return command, sections, None
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_configs())
 def test_generated_configs_exit_by_the_contract(case):
-    command, sections = case
+    command, sections, broken = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "f.ini")
@@ -859,3 +964,7 @@ def test_generated_configs_exit_by_the_contract(case):
             rc = cli.main(argv)
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if broken is not None:
+        # a value that breaks its key's check is a config error naming both
+        name, key = broken
+        assert rc == 2 and f"for {key!r} in [{name}]" in err.getvalue()

@@ -313,6 +313,16 @@ def test_piecewise_sclass_passes():
     assert rep.verdict
 
 
+def test_sclass_clause_4_needs_a_converged_vb():
+    # the balanced map's VB runs all 15 dyadic refinements without two of
+    # them agreeing: a finite number that measures no variation
+    curve = C.PO22Curve(F.four_piece_c1_map(images=(0.3, 0.31, 3.40, None)))
+    rep = LV.sclass_report(curve.circle_metric(), curve.metric())
+    assert rep.vb == pytest.approx(3.7207881032507615, rel=1e-12)
+    assert not rep.clauses["4_vb_finite"]
+    assert not rep.clauses["2_boundary_decay"] and not rep.verdict
+
+
 # The L1 norm of box_g u for the sine flow 0.3 curve over the torus minus
 # the band |x - y| < w (mod pi), at level 4 of the S-class bulk grid (3072^2
 # two-point Gauss nodes).  The report's level-1 grid is 3.0e-5 from it; the

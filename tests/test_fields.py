@@ -220,7 +220,7 @@ _MESH_FIELDS = {
     "scaled": (-0.7 * _BUMP, _AFFINE_MESH),
     "clipped": (F.with_support_box(_POLY, (0.2, 0.8, 2.1, 2.6)), _AFFINE_MESH),
     "desitter": (F.DeSitterLogFactor(), _AFFINE_MESH),
-    "desitter_angle": (F.DeSitterAngleLogFactor(), _ANGLE_MESH),
+    "desitter_angle": (F.DeSitterLogFactor("angle"), _ANGLE_MESH),
     "uniformizing": (F.UniformizingFactor(F.SineFlowMap(0.3)), _ANGLE_MESH),
     "uniformizing_four_piece": (F.UniformizingFactor(F.four_piece_c1_map()),
                                 _ANGLE_MESH),
@@ -293,18 +293,25 @@ def test_bump_mass_closed_form():
 
 
 def test_bump_jet_is_zero_off_the_open_box():
-    # X and Y are masked on their own axes; a node is inside only when both
-    # are, so the box edges |X| = 1 or |Y| = 1 give exact zeros
-    b = F.bump_field((0.5, 2.5), (0.25, 0.25), 0.6, power=3)
-    x = np.array([0.1, 0.25, 0.4, 0.5, 0.75, 0.9])[:, None]
-    y = np.array([2.1, 2.25, 2.4, 2.5, 2.75, 2.9])[None, :]
-    X, Y = np.broadcast_arrays((x - 0.5) / 0.25, (y - 2.5) / 0.25)
+    # X and Y are clamped to [-1, 1] on their own axes: with p >= 3 every
+    # component vanishes at |X| = 1, so the box edges |X| = 1 or |Y| = 1
+    # and the nodes beyond them give exact zeros, and the open box keeps
+    # the bits of the closed form
+    b = F.bump_field((0.5, 2.5), (0.5, 0.25), -0.6, power=3)
+    x = np.array([-0.1, 0.0, 0.3, 0.5, 0.63, 1.0, 1.2])[:, None]
+    y = np.array([2.1, 2.25, 2.4, 2.5, 2.61, 2.75, 2.9])[None, :]
+    X, Y = np.broadcast_arrays((x - 0.5) / 0.5, (y - 2.5) / 0.25)
     inside = (np.abs(X) < 1.0) & (np.abs(Y) < 1.0)
-    j = b._jet(x, y)
-    v = 0.6 * (1 - X ** 2) ** 3 * (1 - Y ** 2) ** 3
-    assert np.array_equal(j.v, np.where(inside, v, 0.0))
-    for c in j:
+    assert np.any(np.abs(X) == 1.0) and np.any(np.abs(Y) == 1.0)
+    sx, sy = 1.0 - X ** 2, 1.0 - Y ** 2
+    gx1, gy1 = -6.0 * X * sx ** 2 / 0.5, -6.0 * Y * sy ** 2 / 0.25
+    gx2 = (-6.0 * sx ** 2 + 24.0 * X ** 2 * sx) / 0.5 ** 2
+    gy2 = (-6.0 * sy ** 2 + 24.0 * Y ** 2 * sy) / 0.25 ** 2
+    closed = (-0.6 * sx ** 3 * sy ** 3, -0.6 * gx1 * sy ** 3, -0.6 * sx ** 3 * gy1,
+              -0.6 * gx1 * gy1, -0.6 * gx2 * sy ** 3, -0.6 * sx ** 3 * gy2)
+    for c, ref in zip(b._jet(x, y), closed):
         assert c.shape == inside.shape and np.all(c[~inside] == 0.0)
+        assert np.array_equal(c[inside], ref[inside])
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +381,27 @@ class _CubeFlow(F.CircleMap):
         s, c = np.sin(2.0 * t), np.cos(2.0 * t)
         return (t + 0.1 * s ** 3, 1.0 + 0.6 * s ** 2 * c,
                 2.4 * s * c ** 2 - 1.2 * s ** 3, 4.8 * c ** 3 - 16.8 * s ** 2 * c)
+
+
+def test_piece_index_names_the_piece_jets_evaluates():
+    # one and two ulps on either side of every break, the index and the
+    # jets agree on the piece, so the same-piece zero of the uniformizing
+    # factor holds wherever jets evaluates one piece; the two pieces that
+    # meet at a break of a C^1 map differ in phi'' there
+    pm = F.four_piece_c1_map()
+    u = F.UniformizingFactor(pm)
+    for m, b in enumerate(pm.breakpoints):
+        ends = [float(p.jets(np.array([b]))[2][0]) for p in pm.pieces]
+        assert abs(ends[m] - ends[m - 1]) > 1e-3
+        for steps, direction in ((1, -1), (2, -1), (1, 1), (2, 1)):
+            t = b
+            for _ in range(steps):
+                t = float(np.nextafter(t, direction * np.inf))
+            i = int(pm.piece_index(t))
+            d2 = pm.jets(np.array([t]))[2][0]
+            assert d2 == pytest.approx(ends[i], rel=1e-9)
+            mid = np.mean(pm._arc(i))
+            assert float(u.value(t, mid)) == 0.0
 
 
 def test_scalar_callers_match_batched_bits():
@@ -791,7 +819,7 @@ def test_nonfinite_density_inside_support_raises():
 
 @pytest.mark.parametrize("factor, inv", [
     (F.DeSitterLogFactor(), lambda d: d ** 2),
-    (F.DeSitterAngleLogFactor(), lambda d: np.sin(d) ** 2),
+    (F.DeSitterLogFactor("angle"), lambda d: np.sin(d) ** 2),
 ])
 def test_desitter_second_derivatives_bits(factor, inv):
     # the shared reciprocal gives the bits of the three separate quotients
