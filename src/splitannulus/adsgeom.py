@@ -381,17 +381,13 @@ def dual_by_linear_solve(j: PairJets):
     rows = np.stack(
         [j.sigma @ GRAM, j.sigma_x @ GRAM, j.sigma_y @ GRAM], axis=-2
     )
-    rhs = np.zeros(rows.shape[:-1])
-    rhs[..., 0] = 1.0
-    flat_rows = rows.reshape(-1, 3, 4)
-    flat_rhs = rhs.reshape(-1, 3)
-    sols = []
-    for m, r in zip(flat_rows, flat_rhs):
-        sol, residual, rank, _ = np.linalg.lstsq(m, r, rcond=None)
-        if rank < 3:
-            raise SingularDual("dual system rank-deficient")
-        sols.append(sol)
-    eta_p = np.asarray(sols).reshape(j.sigma.shape)
+    # the least-norm solution of rows . eta_p = (1, 0, 0) from the SVD of
+    # every 3 x 4 system; a singular value at or below 4 eps of the largest
+    # drops the rank, as numpy's lstsq counts it
+    u, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    if np.any(sv[..., -1] <= 4 * np.finfo(float).eps * sv[..., 0]):
+        raise SingularDual("dual system rank-deficient")
+    eta_p = np.einsum("...k,...kj->...j", u[..., 0, :] / sv, vt)
     t = -0.5 * qform(eta_p)
     return eta_p + t[..., None] * j.sigma
 
@@ -569,16 +565,11 @@ def graph_perturbed_slice(eps=0.05):
 def _orthogonal_unit(x, t1, t2):
     """The q-unit vector orthogonal to x, t1, t2 (vectorized)."""
     rows = np.stack([x @ GRAM, t1 @ GRAM, t2 @ GRAM], axis=-2)
-    flat = rows.reshape(-1, 3, 4)
-    ns = []
-    for m in flat:
-        _, _, vt = np.linalg.svd(m)
-        v = vt[-1]
-        qv = float(v @ GRAM @ v)
-        if qv <= 0:
-            raise NotUnitNormal("orthogonal direction is not spacelike")
-        ns.append(v / math.sqrt(qv))
-    return np.asarray(ns).reshape(x.shape)
+    v = np.linalg.svd(rows)[2][..., -1, :]
+    qv = qform(v)
+    if np.any(qv <= 0):
+        raise NotUnitNormal("orthogonal direction is not spacelike")
+    return v / np.sqrt(qv)[..., None]
 
 
 def difference_frame(x_fn, n_fn, s, t, step=1e-4) -> EpsteinFrame:

@@ -349,13 +349,13 @@ class PSL3Curve:
     four-point pairing quotient, scale invariant in both homogeneous
     representatives, so the pairing alone determines it and the points
     and lines themselves are not stored.  ``log_pairing_dst`` supplies
-    the exact mixed derivative of log pairing when available, which is
-    the metric density of the family.
+    the exact mixed derivative of log pairing, which is the metric density
+    of the family.
     """
 
     family = "psl3"
 
-    def __init__(self, pairing, log_pairing_dst=None, coords="affine"):
+    def __init__(self, pairing, log_pairing_dst, coords="affine"):
         self.pairing = pairing
         self.log_pairing_dst = log_pairing_dst
         self.coords = coords
@@ -379,16 +379,11 @@ class PSL3Curve:
 
         return Crossratio(
             fn, family="psl3", coords=self.coords,
-            exact_density=(
-                None if self.log_pairing_dst is None else
-                lambda s, t: self.log_pairing_dst(t, s)
-            ),
+            exact_density=lambda s, t: self.log_pairing_dst(t, s),
         )
 
     def conformal_factor(self) -> ScalarField:
         """Factor against the measured circle metric (conic: zero)."""
-        if self.log_pairing_dst is None:
-            raise NonSmoothB("no exact density; curve action unavailable")
         return ConstantField(0.0)
 
 

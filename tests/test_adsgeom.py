@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitannulus import adsgeom as A, fields as F, forms as FM, lorentz as L
+from splitannulus.errors import NotUnitNormal, SingularDual
 
 RNG = np.random.default_rng(7)
 XS = RNG.uniform(0.05, 0.95, 1000)
@@ -194,6 +195,29 @@ def test_dual_linear_solve_matches_closed_form():
     assert np.max(np.abs(eta - j.eta)) <= 1e-9
 
 
+def test_dual_refuses_a_rank_deficient_point():
+    # at the third point sigma's derivatives vanish: rank 1, not 3
+    data = A.isotropic_from_metric(PERTURBED[1])
+    j = data.jets(XS[:5], YS[:5])
+    sx, sy = j.sigma_x.copy(), j.sigma_y.copy()
+    sx[2] = sy[2] = 0.0
+    with pytest.raises(SingularDual):
+        A.dual_by_linear_solve(A.PairJets(j.sigma, sx, sy, j.eta, j.eta_x, j.eta_y))
+
+
+def test_orthogonal_unit_is_batched_and_refuses_a_timelike_normal():
+    e11, e12, e21, e22 = np.eye(4)
+    # span(E11 + E22, E12, E21) is orthogonal to the spacelike E11 - E22
+    n = A._orthogonal_unit(np.stack([e11 + e22] * 3), np.stack([e12] * 3),
+                           np.stack([e21] * 3))
+    assert n.shape == (3, 4)
+    assert np.max(np.abs(np.abs(n) - np.abs(e11 - e22) / math.sqrt(2))) <= 1e-15
+    # span(E11 - E22, E12, E21) is orthogonal to the timelike E11 + E22
+    with pytest.raises(NotUnitNormal):
+        A._orthogonal_unit(np.stack([e11 + e22, e11 - e22]), np.stack([e12] * 2),
+                           np.stack([e21] * 2))
+
+
 def test_sigma_unique_up_to_sign():
      # pointwise-scaled construction agrees with the family up to global sign
     for metric in (G0, PERTURBED[0]):
@@ -240,8 +264,6 @@ def test_typical_holonomic_generic_graph():
 
 
 def test_not_unit_normal_rejected():
-    from splitannulus.errors import NotUnitNormal
-
     x_fn, n_fn = A.totally_geodesic_slice()
     bad_n = lambda s, t: 1.1 * n_fn(s, t)
     with pytest.raises(NotUnitNormal):

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -617,6 +618,19 @@ def test_verify_takes_each_action_once(monkeypatch):
     assert levels == [3] * 7
 
 
+def test_verify_evaluates_its_pointwise_identities_on_arrays(monkeypatch):
+    # the conformal change and the covariance of the d'Alembertian run on
+    # the sample's coordinate arrays: no single-point call, no point object
+    from splitannulus import lorentz
+
+    def refused(*args, **kwargs):
+        raise AssertionError("verify evaluated a single point")
+
+    monkeypatch.setattr(lorentz, "dalembertian", refused)
+    monkeypatch.setattr(fields, "AnnulusPoint", refused)
+    assert all(c["pass"] for c in cli._verify_checks(0))
+
+
 def test_verify_seed_changes_samples_not_verdicts(tmp_path):
     out1 = tmp_path / "v1.json"
     out2 = tmp_path / "v2.json"
@@ -835,7 +849,8 @@ def _breaks_a_check(kind, key, text):
 # Half of the configs aim their one fault at a value check named here,
 # (check, [(section role, kind, key) that has it]), so that each check is
 # broken on its own in 20 to 45 of the 400 examples; the other half draw the
-# fault at random.
+# fault at random.  The last aim breaks no check: an Epstein box that passes
+# its check but reaches 1e300 overflows, a numerical failure.
 _AIMS = [
     ("finite", [("field", "bump", "amplitude"), ("field", "bump", "center"),
                 ("field", "constant", "value"), ("field", "bumps", "rows"),
@@ -850,16 +865,20 @@ _AIMS = [
     ("sign", [("grid", None, "base_cells")]),
     ("count", [("circle", "four_piece", "breaks")]),
     ("count", [("circle", "four_piece", "images")]),
+    ("overflow", [("epstein", None, "box")]),
 ]
 
 
 @st.composite
 def _breaking(draw, check, good):
     """``good`` with ``check`` broken: a non-finite number, no row, a
-    number that is not positive, or one number fewer or two more."""
+    number that is not positive, or one number fewer or two more; or, for
+    ``overflow``, a valid value whose last number is 1e300."""
     toks = good.split()
     if check == "rows":
         return ""
+    if check == "overflow":
+        return " ".join(toks[:-1] + ["1e300"])
     if check == "count":
         return " ".join(toks[:-1] if draw(st.booleans()) else toks + toks[-1:] * 2)
     bad = ("nan", "inf", "-inf") if check == "finite" else ("0", "-1", "-3")
@@ -882,9 +901,10 @@ def _kind(draw, kinds, kind=None, **fixed):
 
 @st.composite
 def _configs(draw):
-    """A config that is well-formed but for at most one fault, and the
-    (section, key) of the fault when it is a value that breaks a value
-    check of its key."""
+    """A config that is well-formed but for at most one fault, and what it
+    must exit with: (2, (section, key)) when the fault is a value that
+    breaks a value check of its key, (3, None) for an overflowing box, and
+    (None, None) when any exit of the contract will do."""
     aim = draw(st.none() | st.sampled_from(_AIMS))
     role, kind, key = (None,) * 3 if aim is None else draw(st.sampled_from(aim[1]))
     command = draw(st.sampled_from({"circle": ["curve", "action"],
@@ -925,8 +945,11 @@ def _configs(draw):
         name = {"circle": sorted(layout)[0], "field": "metric.g.u",
                 "grid": "grid", "epstein": "epstein"}[role]
         sections[name][key] = draw(_breaking(aim[0], _GOOD[key][0]))
+        if aim[0] == "overflow":
+            assert not _breaks_a_check(kind, key, sections[name][key])
+            return command, sections, (3, None)
         assert _breaks_a_check(kind, key, sections[name][key])
-        return command, sections, (name, key)
+        return command, sections, (2, (name, key))
     # the fault: a bad or missing value of a key, an unknown key or a
     # missing section
     name = draw(st.sampled_from(sorted(layout)))
@@ -938,20 +961,20 @@ def _configs(draw):
     if fault == "value":
         items[key] = draw(_bad(items.get(key) or _GOOD[key][0]))
         if _breaks_a_check(items.get("kind"), key, items[key]):
-            return command, sections, (name, key)
+            return command, sections, (2, (name, key))
     elif fault == "key":
         items.pop(key, None)
     elif fault == "unknown":
         items["bogus"] = "1"
     elif fault == "section":
         del sections[name]
-    return command, sections, None
+    return command, sections, (None, None)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_configs())
 def test_generated_configs_exit_by_the_contract(case):
-    command, sections, broken = case
+    command, sections, (want, broken) = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "f.ini")
@@ -960,11 +983,14 @@ def test_generated_configs_exit_by_the_contract(case):
         argv = [command, "--config", cfg, "--out", os.path.join(tmp, "out")]
         if command != "epstein":
             argv += ["--grid-level", "0"]
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+                io.StringIO()), warnings.catch_warnings():
+            # a numerical failure is an exit code, never a warning
+            warnings.simplefilter("error")
             rc = cli.main(argv)
-    assert rc in (0, 2, 3, 4)
+    assert rc in (0, 2, 3, 4) if want is None else rc == want
     assert "Traceback" not in err.getvalue()
     if broken is not None:
         # a value that breaks its key's check is a config error naming both
         name, key = broken
-        assert rc == 2 and f"for {key!r} in [{name}]" in err.getvalue()
+        assert f"for {key!r} in [{name}]" in err.getvalue()

@@ -17,6 +17,7 @@ RNG = np.random.default_rng(31)
 G0 = L.desitter()
 BOX = (0, 1, 2, 3)
 BUMP = F.bump_field((0.5, 2.5), (0.42, 0.42), 0.35)
+_SMOOTHSTEP = (lambda t: t * t * (3 - 2 * t), lambda t: 6 * t * (1 - t))
 
 
 def _ut_config(seed=0):
@@ -298,7 +299,7 @@ def test_w_volume_path_independence():
     canonical = FM.LensCobordism(G0.scaled_by(BUMP), BOX)
     repar = FM.LensCobordism(
         G0.scaled_by(BUMP), BOX,
-        reparam=(lambda t: t * t * (3 - 2 * t), lambda t: 6 * t * (1 - t)),
+        reparam=_SMOOTHSTEP,
     )
     a = FM._w_value(canonical, grid, 24)
     b = FM._w_value(repar, grid, 24)
@@ -309,6 +310,27 @@ def test_w_volume_chasles_split(lens):
     grid = F.box_grid(BOX, level=0)
     w1, w2, wf = FM.w_volume_split(lens, grid, t_cells=6)
     assert abs(w1 + w2 - wf) <= 1e-8
+
+
+@pytest.mark.parametrize("reparam", [None, _SMOOTHSTEP],
+                         ids=["identity", "smoothstep"])
+@pytest.mark.parametrize("u", [
+    BUMP,
+    BUMP + F.bump_field((0.2, 2.75), (0.15, 0.2), -0.3),
+    F.with_support_box(F.PolynomialField([[0.1, 0.2], [0.5, -0.3]]),
+                       (0.3, 0.7, 2.3, 2.6)),
+], ids=["bump", "two_bumps", "clipped_polynomial"])
+def test_boundary_frames_agree_bitwise_off_the_support_box(u, reparam):
+    # a boxed field's jets are exact zeros off its box, so w = s(t) u is too
+    # and the frames at t = 0 and t = 1 agree bit for bit there
+    lens = FM.LensCobordism(G0.scaled_by(u), BOX, reparam=reparam)
+    x0, x1, y0, y1 = u.support_box
+    xs, ys = np.meshgrid(np.linspace(0.01, 0.99, 25), np.linspace(2.01, 2.99, 25))
+    off = ~((xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1))
+    f0 = lens.frame(xs[off], ys[off], 0.0)
+    f1 = lens.frame(xs[off], ys[off], 1.0)
+    for name in ("x", "n", "x_dx", "x_dy", "n_dx", "n_dy", "x_dt", "n_dt"):
+        assert np.array_equal(getattr(f0, name), getattr(f1, name)), name
 
 
 def test_noncompact_difference_rejected():

@@ -83,11 +83,24 @@ def test_density_positivity():
 
 def test_conformal_change_examples():
     g0 = L.desitter()
-    pts = [F.AnnulusPoint(x, y) for x, y in zip(XS[:200], YS[:200])]
-    assert L.conformal_change_residual(g0, F.ConstantField(0.0), pts) == 0.0
-    assert L.conformal_change_residual(g0, F.ConstantField(0.7), pts) <= 1e-12
+    x, y = XS[:200], YS[:200]
+    assert L.conformal_change_residual(g0, F.ConstantField(0.0), x, y) == 0.0
+    assert L.conformal_change_residual(g0, F.ConstantField(0.7), x, y) <= 1e-12
     bump = F.bump_field((0.5, 2.5), (0.42, 0.42), 0.6)
-    assert L.conformal_change_residual(g0, bump, pts) <= 1e-8
+    assert L.conformal_change_residual(g0, bump, x, y) <= 1e-8
+
+
+def test_conformal_change_takes_coordinate_arrays():
+    # one evaluation on a 2D block of points is the worst of its pointwise
+    # residuals
+    g0 = L.desitter()
+    bump = F.bump_field((0.5, 2.5), (0.42, 0.42), 0.6)
+    x, y = XS[:120].reshape(10, 12), YS[:120].reshape(10, 12)
+    worst = L.conformal_change_residual(g0, bump, x, y)
+    assert 0.0 < worst <= 1e-8
+    assert worst == pytest.approx(max(
+        L.conformal_change_residual(g0, bump, a, b)
+        for a, b in zip(x.ravel(), y.ravel())), rel=1e-12)
 
 
 def test_curvature_form_difference_examples():
