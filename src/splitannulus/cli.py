@@ -455,8 +455,8 @@ def _verify_checks(seed, sign_flip=False):
                                                       1e-3))), 1e-4)
 
     lens = forms.LensCobordism(g0.scaled_by(bump), (0, 1, 2, 3))
-    wv = forms.w_volume(lens, fields.box_grid((0, 1, 2, 3), level=0), t_cells=6)
-    add("w_volume_equals_action", abs(wv.value - s_g0h), 1e-3)
+    wv = forms.w_volume(lens, fields.box_grid((0, 1, 2, 3), level=0))
+    add("w_volume_equals_action", abs(wv.value - s_g0h), 1e-11)
 
     sgrid = rng.uniform(0.1, 0.9, 20)
     tgrid = rng.uniform(2.1, 2.9, 20)

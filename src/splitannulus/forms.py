@@ -52,7 +52,7 @@ from .errors import (
     NotTangent,
     StepTooSmall,
 )
-from .fields import QuadratureGrid, _axis_nodes
+from .fields import QuadratureGrid, _axis_nodes, box_grid
 from .liouville import ActionValue, refinement_trail
 from .lorentz import SplitMetric, curvature
 
@@ -395,16 +395,38 @@ def _bulk_density(frame):
     return det4(frame.x, frame.x_dx, frame.x_dy, frame.x_dt)
 
 
-def _w_value(lens, grid, t_cells, a=0.0, b=1.0):
-    """W of the lens between path times a and b on one grid."""
-    ts, weights = _axis_nodes(((0.0, 1.0),), t_cells, "gauss2")
+W_SCHEME = "gauss12"
+
+
+def w_grid(lens: LensCobordism, level: int) -> QuadratureGrid:
+    """The W-volume's xy rule at a refinement level.
+
+    The density vanishes off u's support box (the boundary frames agree
+    there and d_t x = 0), so the rule covers that box clipped to the lens
+    box: 2 * 2**level gauss12 cells per axis, cut at u's break lines.  It
+    is built from the lens alone, not from the action's grids, so the W
+    and S pipelines share only the 1D node table.
+    """
+    u = lens.metric.u
+    bx0, bx1, by0, by1 = lens.box
+    x0, x1, y0, y1 = u.support_box
+    xb, yb = u.break_lines()
+    return box_grid((max(x0, bx0), min(x1, bx1), max(y0, by0), min(y1, by1)),
+                    level, base_cells=2, scheme=W_SCHEME, x_breaks=xb,
+                    y_breaks=yb)
+
+
+def _w_value(lens, grid, a=0.0, b=1.0):
+    """W of the lens between path times a and b on one ``w_grid`` rule,
+    with one gauss12 cell in t on [a, b]."""
+    ts, weights = _axis_nodes(((a, b),), 1, W_SCHEME)
 
     def density(x, y):
         # the t-independent jets once per grid, then one t-slice frame at a
         # time next to them
         nodes = lens.data.node_jets(x, y)
         tot = _alpha_boundary_density(lens.frame_on(nodes, a))
-        for t, w in zip(a + (b - a) * ts, (b - a) * weights):
+        for t, w in zip(ts, weights):
             tot += w * _bulk_density(lens.frame_on(nodes, t))
         return tot - _alpha_boundary_density(lens.frame_on(nodes, b))
 
@@ -419,21 +441,29 @@ def w_volume(lens: LensCobordism, grid: QuadratureGrid,
     Stokes produce the boundary difference S1 - S0 with both slices
     oriented by dx ^ dy; the bulk integrand is then
     det(x, d_x x, d_y x, d_t x).
+
+    The W-volume has one rule of its own, ``w_grid`` in x and y and one
+    gauss12 cell in t, and its trail is that rule at ``grid.level`` and
+    ``grid.level + 1``: ``grid`` supplies only the level, and ``t_cells``
+    is accepted for old callers and changes nothing.
     """
-    return refinement_trail(lambda gr: _w_value(lens, gr, t_cells),
-                            (grid, grid.refine()), "w-volume")
+    coarse = w_grid(lens, grid.level)
+    return refinement_trail(lambda gr: _w_value(lens, gr),
+                            (coarse, coarse.refine()), "w-volume")
 
 
-def w_volume_split(lens: LensCobordism, grid, t_cells=12):
+def w_volume_split(lens: LensCobordism, grid):
     """Chasles check: the lens split at t = 1/2 sums to the full lens.
 
-    The full lens uses 2 * t_cells uniform cells, whose quadrature nodes
-    are exactly the union of the two halves' nodes, so the additivity
-    residual is pure roundoff (the boundary terms telescope).
+    All three run on ``w_grid`` at ``grid.level``; each half and the full
+    lens carry one gauss12 cell in t, so the halves and the whole are
+    different t-rules and the additivity residual is their quadrature
+    error (the boundary terms telescope).
     """
-    return (_w_value(lens, grid, t_cells, 0.0, 0.5),
-            _w_value(lens, grid, t_cells, 0.5, 1.0),
-            _w_value(lens, grid, 2 * t_cells))
+    gr = w_grid(lens, grid.level)
+    return (_w_value(lens, gr, 0.0, 0.5),
+            _w_value(lens, gr, 0.5, 1.0),
+            _w_value(lens, gr))
 
 
 def classical_formula_residual(f) -> float:
@@ -455,13 +485,13 @@ def mean_curvature(f):
     return 0.5 * np.trace(fundamental_forms(f)[-1], axis1=-2, axis2=-1)
 
 
-def variational_3d_residual(metric: SplitMetric, u, dt, grid, t_cells=12):
+def variational_3d_residual(metric: SplitMetric, u, dt, grid):
     """|central difference of W(lens to e^{2 dt u} g) + (1/2) int u F|."""
     base = metric
     plus = LensCobordism(base.scaled_by(dt * u), grid_box(grid))
     minus = LensCobordism(base.scaled_by(-dt * u), grid_box(grid))
-    wp = w_volume(plus, grid, t_cells).value
-    wm = w_volume(minus, grid, t_cells).value
+    wp = w_volume(plus, grid).value
+    wm = w_volume(minus, grid).value
     cd = (wp - wm) / (2.0 * dt)
     kg = curvature(base)
     target = grid.integrate(lambda x, y: u.value(x, y) * kg.F_density(x, y))

@@ -633,7 +633,7 @@ def test_integrate_desitter_density_closed_form():
 
 def test_weights_sum_to_area():
     grid = F.box_grid((0, 1, 2, 3), level=2)
-    assert abs(np.sum(grid.W) - grid.area) <= 1e-12
+    assert abs(np.sum(grid.x_weights) * np.sum(grid.y_weights) - grid.area) <= 1e-12
 
 
 def test_refinement_ratio_second_order_plus():

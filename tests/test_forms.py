@@ -239,29 +239,70 @@ def lens():
 def test_degenerate_lens_is_zero():
     zero = FM.LensCobordism(G0.scaled_by(0.0 * BUMP), BOX)
     grid = F.box_grid(BOX, level=0, base_cells=8)
-    assert abs(FM.w_volume(zero, grid, t_cells=4).value) <= 1e-12
+    assert abs(FM.w_volume(zero, grid).value) <= 1e-12
 
 
 def test_w_volume_matches_action(lens):
     grid = F.box_grid(BOX, level=1)
-    wv = FM.w_volume(lens, grid, t_cells=8)
+    wv = FM.w_volume(lens, grid)
     s = LV.action(G0, G0.scaled_by(BUMP), F.box_grid(BOX, level=3)).value
-    assert abs(wv.value - s) <= 1e-3
+    # measured 2.8e-17; the bound sits at summation roundoff
+    assert abs(wv.value - s) <= 1e-15
+
+
+def _deep_action(u):
+    # the action on aligned gauss16 cells at level 3, whose levels 3 and 4
+    # agree to 3e-18 on every factor below
+    xb, yb = u.break_lines()
+    grid = F.box_grid(BOX, level=3, base_cells=2, scheme="gauss16",
+                      x_breaks=xb, y_breaks=yb)
+    return LV.action(G0, G0.scaled_by(u), grid, refine=False).value
+
+
+@pytest.mark.parametrize("u, level", [
+    (BUMP, 0),
+    (F.bump_field((0.4, 2.6), (0.3, 0.25), -0.5), 0),
+    # the narrow bump gets one cell per axis below level 2 (|W - S| is
+    # 4.2e-4 at level 0 and 9.5e-11 at level 1)
+    (BUMP + F.bump_field((0.2, 2.75), (0.15, 0.2), -0.3), 2),
+    # its box reaches past the lens box, which clips the rule
+    (F.with_support_box(BUMP, (-0.5, 0.95, 2.05, 3.5)), 0),
+], ids=["roadmap_bump", "narrow_bump", "two_bumps", "clipped_bump"])
+def test_w_volume_equals_the_deep_action(u, level):
+    lens = FM.LensCobordism(G0.scaled_by(u), BOX)
+    wv = FM.w_volume(lens, F.box_grid(BOX, level=level))
+    assert abs(wv.value - _deep_action(u)) <= 1e-11
 
 
 def test_w_volume_regression(lens):
-    # the value before the per-grid/per-t split and the closed-form det4
-    grid = F.box_grid(BOX, level=0)
-    wv = FM.w_volume(lens, grid, t_cells=12)
-    assert abs(wv.value - (-0.01044917734012496)) <= 1e-13
+    # the deep action reference of tests/test_cli.py; measured 3.8e-17
+    wv = FM.w_volume(lens, F.box_grid(BOX, level=0))
+    assert abs(wv.value - (-0.01044925028032247)) <= 1e-15
 
 
 def test_w_volume_carries_its_two_level_trail(lens):
+    # the caller's grid supplies only the level: the trail is the lens's
+    # own rule at that level and the next
     grid = F.box_grid(BOX, level=0, base_cells=8)
-    wv = FM.w_volume(lens, grid, t_cells=4)
+    wv = FM.w_volume(lens, grid)
     assert len(wv.trail) == 2 and wv.trail[1] == wv.value
     assert wv.error_estimate == abs(wv.trail[1] - wv.trail[0])
-    assert wv.grid == grid.refine().describe()
+    assert wv.grid == FM.w_grid(lens, 1).describe()
+    assert wv.trail == [FM._w_value(lens, FM.w_grid(lens, level))
+                        for level in (0, 1)]
+
+
+def test_w_grid_is_the_support_box_cut_at_the_break_lines():
+    # a field clipped to a box reaching past the lens box: the rule covers
+    # the clip box cut down to the lens box, cut at the inner bump's lines
+    x0, x1, y0, y1 = BUMP.support_box
+    u = F.with_support_box(BUMP, (-0.5, 0.95, 2.05, 3.5))
+    grid = FM.w_grid(FM.LensCobordism(G0.scaled_by(u), BOX), 0)
+    assert grid.scheme == "gauss12" and grid.level == 0
+    assert grid.x_segments == ((0.0, x0), (x0, x1), (x1, 0.95))
+    assert grid.y_segments == ((2.05, y0), (y0, y1), (y1, 3.0))
+    bump_grid = FM.w_grid(FM.LensCobordism(G0.scaled_by(BUMP), BOX), 2)
+    assert bump_grid.x_segments == ((x0, x1),) and bump_grid.cells == 8
 
 
 def test_w_volume_builds_base_jets_once_per_grid(lens, monkeypatch):
@@ -273,10 +314,10 @@ def test_w_volume_builds_base_jets_once_per_grid(lens, monkeypatch):
         return original(self, x, y)
 
     monkeypatch.setattr(A._DeSitterBase, "jets", counted)
-    grid = F.box_grid(BOX, level=0, base_cells=8)
-    FM.w_volume(lens, grid, t_cells=6)
-    # once on the grid, once on its refinement
-    assert calls == [grid.W.size, grid.refine().W.size]
+    FM.w_volume(lens, F.box_grid(BOX, level=0, base_cells=8))
+    # once on the lens's rule at level 0, once at level 1
+    assert calls == [g.x_nodes.size * g.y_nodes.size
+                     for g in (FM.w_grid(lens, 0), FM.w_grid(lens, 1))]
 
 
 def test_w_volume_integrates_once_per_grid(lens, monkeypatch):
@@ -289,27 +330,45 @@ def test_w_volume_integrates_once_per_grid(lens, monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(F.QuadratureGrid, "integrate", counted)
-    FM.w_volume(lens, F.box_grid(BOX, level=0, base_cells=8), t_cells=12)
+    FM.w_volume(lens, F.box_grid(BOX, level=0, base_cells=8))
     assert levels == [0, 1]
+
+
+def test_w_volume_density_sees_under_3000_nodes(lens, monkeypatch):
+    # a level-0 W-volume on the roadmap bump, both levels of its trail
+    nodes = []
+    integrate = F.QuadratureGrid.integrate
+
+    def counted(self, density, support=None):
+        def seen(x, y):
+            nodes.append(np.broadcast(x, y).size)
+            return density(x, y)
+        return integrate(self, seen, support)
+
+    monkeypatch.setattr(F.QuadratureGrid, "integrate", counted)
+    FM.w_volume(lens, F.box_grid(BOX, level=0))
+    assert len(nodes) == 2 and sum(nodes) <= 3000
 
 
 def test_w_volume_path_independence():
     # omega is closed: a reparametrized interpolation changes nothing
-    grid = F.box_grid(BOX, level=0)
     canonical = FM.LensCobordism(G0.scaled_by(BUMP), BOX)
     repar = FM.LensCobordism(
         G0.scaled_by(BUMP), BOX,
         reparam=_SMOOTHSTEP,
     )
-    a = FM._w_value(canonical, grid, 24)
-    b = FM._w_value(repar, grid, 24)
-    assert abs(a - b) <= 1e-6
+    grid = FM.w_grid(canonical, 0)
+    a = FM._w_value(canonical, grid)
+    b = FM._w_value(repar, grid)
+    # measured 3.8e-15
+    assert abs(a - b) <= 4e-14
 
 
 def test_w_volume_chasles_split(lens):
     grid = F.box_grid(BOX, level=0)
-    w1, w2, wf = FM.w_volume_split(lens, grid, t_cells=6)
-    assert abs(w1 + w2 - wf) <= 1e-8
+    w1, w2, wf = FM.w_volume_split(lens, grid)
+    # the halves and the whole are different t-rules; measured 1.4e-15
+    assert abs(w1 + w2 - wf) <= 1.5e-14
 
 
 @pytest.mark.parametrize("reparam", [None, _SMOOTHSTEP],
@@ -342,17 +401,17 @@ def test_noncompact_difference_rejected():
 
 def test_variational_3d():
     grid = F.box_grid(BOX, level=0)
-    res = FM.variational_3d_residual(G0, BUMP, 1e-3, grid, t_cells=8)
-    assert res <= 1e-4
-    res2 = FM.variational_3d_residual(G0, BUMP, 5e-4, grid, t_cells=8)
-    # exactly quadratic in t: both residuals sit at the quadrature floor
-    assert res2 <= 1e-4
+    res = FM.variational_3d_residual(G0, BUMP, 1e-3, grid)
+    assert res <= 1e-8
+    res2 = FM.variational_3d_residual(G0, BUMP, 5e-4, grid)
+    # exactly quadratic in t: both residuals sit at the floor of the
+    # target integral on the gauss2 grid, 7.6e-10
+    assert res2 <= 1e-8
 
 
 def test_variational_3d_zero_factor():
     grid = F.box_grid(BOX, level=0, base_cells=8)
-    assert FM.variational_3d_residual(G0, 0.0 * BUMP, 1e-3, grid,
-                                      t_cells=4) <= 1e-12
+    assert FM.variational_3d_residual(G0, 0.0 * BUMP, 1e-3, grid) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,16 @@ def test_tracer_wraps_the_package():
     h = g0.scaled_by(F.bump_field((0.5, 2.5), (0.42, 0.42), 0.35))
     box = (0, 1, 2, 3)
     action_grid = F.box_grid(box, level=0)
-    w_grid = F.box_grid(box, level=0, base_cells=8)
+    lens = FM.LensCobordism(h, box)
     with tracer.job("probe"):
         LV.action(g0, h, action_grid, refine=False)
-        FM.w_volume(FM.LensCobordism(h, box), w_grid, t_cells=2)
+        FM.w_volume(lens, F.box_grid(box, level=0))
     metrics = tracer.layer_metrics()
     for key in ("liouville.action.calls", "forms.w_volume.s"):
         assert metrics[key] > 0, key
-    # one integral on the action grid, one each on the w-volume grid and
-    # its refinement: the tracer counts every node of the grids, exactly
-    grids = (action_grid, w_grid, w_grid.refine())
+    # one integral on the action grid, one each on the lens's own W rule at
+    # levels 0 and 1: the tracer counts every node of the grids, exactly
+    grids = (action_grid, FM.w_grid(lens, 0), FM.w_grid(lens, 1))
     assert metrics["fields.integrate.calls"] == len(grids)
     assert metrics["fields.integrate.nodes"] == sum(
         g.x_nodes.size * g.y_nodes.size for g in grids)
