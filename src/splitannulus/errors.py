@@ -49,12 +49,10 @@ class NotTangent(SplitAnnulusError):
     """Vector fails the tangency constraints of the target manifold."""
 
 
-class StepTooSmall(SplitAnnulusError):
-    """Finite-difference step lost all significant digits."""
-
-
 class ChartBreakdown(SplitAnnulusError):
-    """Local constraint-projection chart failed to converge."""
+    """A projection onto a constraint manifold, or a random draw on one,
+    left it: the projected vector has the wrong sign of q, or no draw gave
+    a spacelike normal or a timelike derived direction."""
 
 
 class NotHolonomicBoundary(SplitAnnulusError):

@@ -235,22 +235,13 @@ def test_criterion_12_fundamental_equations():
     rng = np.random.default_rng(RNG_SEED + 9)
     worst1 = worst2 = 0.0
     for _ in range(50):
-        r1, r2 = FM.fundamental_equations_residual(rng, step=1e-3)
+        r1, r2 = FM.fundamental_equations_residual(rng)
         worst1 = max(worst1, r1)
         worst2 = max(worst2, r2)
-    orders = []
-    for seed in (101, 202, 303):
-        ra = FM.fundamental_equations_residual(np.random.default_rng(seed),
-                                               step=2e-3)
-        rb = FM.fundamental_equations_residual(np.random.default_rng(seed),
-                                               step=1e-3)
-        orders.append(math.log2(ra[0] / rb[0]))
-        orders.append(math.log2(ra[1] / rb[1]))
-    order_ok = all(1.7 <= o <= 2.3 for o in orders)
-    ok = worst1 <= 1e-5 and worst2 <= 1e-5 and order_ok
+    ok = worst1 <= 1e-12 and worst2 <= 1e-12
     report(12, "fundamental equations", ok,
-           f"max r1 = {worst1:.3e}, max r2 = {worst2:.3e} <= 1e-5 over 50 "
-           f"configs; orders {['%.2f' % o for o in orders]} in 2 +- 0.3")
+           f"max r1 = {worst1:.3e}, max r2 = {worst2:.3e} <= 1e-12 over 50 "
+           "configs")
 
 
 def test_criterion_13_w_volume_vs_action():

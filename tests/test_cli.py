@@ -88,7 +88,7 @@ def test_action_report(tmp_path):
     rc = cli.main(["action", "--config", cfg, "--out", str(out)])
     assert rc == 0
     rep = json.loads(out.read_text())
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert abs(rep["values"]["definition"] - rep["values"]["monotone"]) <= 1e-9
     assert rep["chasles_residual"] <= 1e-6
     assert len(rep["refinement_trail"]) == 2
@@ -615,7 +615,12 @@ def test_verify_takes_each_action_once(monkeypatch):
     for name in ("action", "action_monotone"):
         monkeypatch.setattr(liouville, name, nested(getattr(liouville, name)))
     cli._verify_checks(11)
-    assert levels == [3] * 7
+    assert levels == [1] * 7
+
+
+def test_verify_check_entries_carry_four_keys():
+    for check in cli._verify_checks(0):
+        assert set(check) == {"identity", "residual", "tolerance", "pass"}
 
 
 def test_verify_evaluates_its_pointwise_identities_on_arrays(monkeypatch):

@@ -1,7 +1,5 @@
 """Forms on the unit tangent bundle, exterior derivative, W-volume."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from splitannulus import liouville as LV, lorentz as L
 from splitannulus.errors import (
     NonCompactDifference,
     NotTangent,
-    StepTooSmall,
 )
 
 RNG = np.random.default_rng(31)
@@ -151,13 +148,13 @@ def test_so_q_invariance_of_forms():
 # ---------------------------------------------------------------------------
 
 def test_d_of_constant_form_in_flat_chart():
-    # trivial ambient chart: identity projection, constant 1-form
+    # a constant 1-form on flat space is closed
     coeffs = np.array([0.3, -1.2, 0.7])
     form = lambda p, vecs: float(coeffs @ vecs[0])
     base = np.array([0.1, 0.2, 0.3])
     v1 = np.array([1.0, 0.0, 0.5])
     v2 = np.array([0.0, 1.0, -0.3])
-    val = FM.exterior_derivative(form, lambda a: a, base, [v1, v2], 1e-3)
+    val = FM.exterior_derivative(form, base, [v1, v2])
     assert abs(val) <= 1e-10
 
 
@@ -170,46 +167,44 @@ def test_omega_is_closed():
             lambda pt, vecs: float(
                 A.det4(pt[:4], vecs[0][:4], vecs[1][:4], vecs[2][:4])
             ),
-            FM.project_ut, p, vs, 1e-3,
+            p, vs,
         )
-        assert abs(dom) <= 1e-5
+        assert abs(dom) <= 1e-12
 
 
-def test_exterior_derivative_second_order():
-    # halving the step divides a generic d-residual by about four
-    def run(step):
-        rng = np.random.default_rng(23)
-        return FM.fundamental_equations_residual(rng, step=step)
+def test_exterior_derivative_exact_on_quartics():
+    # the 1-form c(p) . u has coefficients of degree 4 along every line,
+    # and d of it is v1 . J v0 - v0 . J v1 with J the Jacobian of c
+    def c(p):
+        x, y, z = p
+        return np.array([x ** 4, x * y ** 3, x * x * z * z + y ** 4])
 
-    r1a, r2a = run(2e-3)
-    r1b, r2b = run(1e-3)
-    order1 = math.log2(r1a / r1b)
-    order2 = math.log2(r2a / r2b)
-    assert 1.7 <= order1 <= 2.3
-    assert 1.7 <= order2 <= 2.3
+    def jac(p):
+        x, y, z = p
+        return np.array([[4 * x ** 3, 0.0, 0.0],
+                         [y ** 3, 3 * x * y * y, 0.0],
+                         [2 * x * z * z, 4 * y ** 3, 2 * x * x * z]])
 
-
-def test_step_too_small_detected():
-    coeffs = np.array([0.3, -1.2, 0.7])
-    form = lambda p, vecs: float(coeffs @ vecs[0]) + 1e6
-    base = np.array([0.1, 0.2, 0.3])
-    v1 = np.array([1.0, 0.0, 0.5])
-    v2 = np.array([0.0, 1.0, -0.3])
-    with pytest.raises(StepTooSmall):
-        FM.exterior_derivative(form, lambda a: a, base, [v1, v2], 1e-12)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        base, v0, v1 = rng.uniform(-0.8, 0.8, (3, 3))
+        val = FM.exterior_derivative(lambda p, vecs: float(c(p) @ vecs[0]),
+                                     base, [v0, v1])
+        j = jac(base)
+        assert abs(val - (v1 @ j @ v0 - v0 @ j @ v1)) <= 1e-13
 
 
 def test_fundamental_equations():
     rng = np.random.default_rng(29)
     for _ in range(10):
-        r1, r2 = FM.fundamental_equations_residual(rng, step=1e-3)
-        assert r1 <= 1e-5
-        assert r2 <= 1e-5
+        r1, r2 = FM.fundamental_equations_residual(rng)
+        assert r1 <= 1e-10
+        assert r2 <= 1e-10
 
 
 def test_fundamental_equation_sign_flip_detected():
     rng = np.random.default_rng(29)
-    r1, _ = FM.fundamental_equations_residual(rng, step=1e-3, sign_flip=True)
+    r1, _ = FM.fundamental_equations_residual(rng, sign_flip=True)
     assert r1 > 1e-2
 
 
