@@ -112,14 +112,15 @@ def segre(x, y):
 
 
 def _segre_jets(x, y):
+    """s and its partials d/dx, d/dy, d2/dxdy as (..., 4) arrays stored
+    component-major, so that every array derived from them multiplies a
+    component plane by a per-node column along contiguous memory."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     zero = np.zeros(x.shape)
     one = np.ones(x.shape)
-    s = np.stack([x * y, x, y, one], axis=-1)
-    a = np.stack([y, one, zero, zero], axis=-1)   # d/dx
-    b = np.stack([x, zero, one, zero], axis=-1)   # d/dy
-    c = np.stack([one, zero, zero, zero], axis=-1)  # d2/dxdy
-    return s, a, b, c
+    planes = ([x * y, x, y, one], [y, one, zero, zero], [x, zero, one, zero],
+              [one, zero, zero, zero])
+    return tuple(np.moveaxis(np.stack(p, axis=0), 0, -1) for p in planes)
 
 
 # four orthonormal-ish directions diagonalizing the pairing:
@@ -172,13 +173,12 @@ class _DeSitterBase(_BasePair):
         # roles of the two returned partials exchanged
         st, st_y, st_x, _ = _segre_jets(y, x)
         d = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float))[..., None]
-        ct = np.broadcast_to(c, s.shape)
         out = {}
         out["sigma"] = s / d
         out["sigma_x"] = a / d - s / d ** 2
         out["sigma_y"] = b / d + s / d ** 2
         out["sigma_xx"] = -2 * a / d ** 2 + 2 * s / d ** 3
-        out["sigma_xy"] = ct / d + (a - b) / d ** 2 - 2 * s / d ** 3
+        out["sigma_xy"] = c / d + (a - b) / d ** 2 - 2 * s / d ** 3
         out["sigma_yy"] = 2 * b / d ** 2 + 2 * s / d ** 3
         out["eta"] = st / d
         out["eta_x"] = st_x / d - st / d ** 2
@@ -204,7 +204,7 @@ class _FlatBase(_BasePair):
             "sigma_x": sg * a / rt2,
             "sigma_y": sg * b / rt2,
             "sigma_xx": z,
-            "sigma_xy": sg * np.broadcast_to(c, s.shape) / rt2,
+            "sigma_xy": sg * c / rt2,
             "sigma_yy": z,
             "eta": -sg * rt2 * e11,
             "eta_x": z,

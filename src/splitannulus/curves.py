@@ -123,40 +123,39 @@ class Crossratio:
     def __call__(self, x, y, X, Y):
         return self.fn(x, y, X, Y)
 
-    def cocycle_residuals(self, rng, samples=100, spread=1.0):
-        """Worst relative residual of the two cocycle relations."""
-        worst = 0.0
+    def _cyclic_samples(self, rng, samples, k, gap_range, margin, spread):
+        """``samples`` cyclically ordered k-tuples, drawn one at a time, as
+        k columns: sorted uniform points on [-spread, spread] in affine
+        coordinates, random gaps summing to pi - margin in angle ones."""
+        rows = []
         for _ in range(samples):
             if self.coords == "angle":
                 base = rng.uniform(0, math.pi)
-                gaps = rng.uniform(0.08, 0.5, 5)
-                pts = base + np.cumsum(gaps) / np.sum(gaps) * (math.pi - 0.1)
-                x, w, y, X, Y = pts
+                gaps = rng.uniform(*gap_range, k)
+                rows.append(base + np.cumsum(gaps) / np.sum(gaps) * (math.pi - margin))
             else:
-                pts = np.sort(rng.uniform(-spread, spread, 5))
-                x, w, y, X, Y = pts
-            r1 = self.fn(x, w, X, Y) * self.fn(w, y, X, Y) / self.fn(x, y, X, Y)
-            # second cocycle: intermediate point in the (X, Y) slot pair
-            xa, ya, Xa, Wa, Ya = pts
-            r2 = (
-                self.fn(xa, ya, Wa, Ya) * self.fn(xa, ya, Xa, Wa)
-                / self.fn(xa, ya, Xa, Ya)
-            )
-            worst = max(worst, abs(r1 - 1.0), abs(r2 - 1.0))
-        return worst
+                rows.append(np.sort(rng.uniform(-spread, spread, k)))
+        return np.array(rows).T
+
+    def cocycle_residuals(self, rng, samples=100, spread=1.0):
+        """Worst relative residual of the two cocycle relations.
+
+        Each crossratio term is evaluated once on all samples; a NaN
+        residual on any sample makes the result NaN.
+        """
+        x, w, y, X, Y = self._cyclic_samples(rng, samples, 5, (0.08, 0.5), 0.1,
+                                             spread)
+        # the second relation takes the same tuple as (x, y, X, W, Y), so
+        # both relations begin with the factor b(x, w, X, Y)
+        xwXY = self.fn(x, w, X, Y)
+        r1 = xwXY * self.fn(w, y, X, Y) / self.fn(x, y, X, Y)
+        r2 = xwXY * self.fn(x, w, y, X) / self.fn(x, w, y, Y)
+        return float(np.max(np.abs(np.concatenate([r1, r2]) - 1.0)))
 
     def positivity_check(self, rng, samples=200):
-        for _ in range(samples):
-            if self.coords == "angle":
-                base = rng.uniform(0, math.pi)
-                gaps = rng.uniform(0.05, 1.0, 4)
-                pts = base + np.cumsum(gaps) / np.sum(gaps) * (math.pi - 0.05)
-                x, y, X, Y = pts
-            else:
-                x, y, X, Y = np.sort(rng.uniform(-2.0, 2.0, 4))
-            if not self.fn(x, y, X, Y) > 1.0:
-                return False
-        return True
+        """b > 1 on every sample (NaN fails)."""
+        x, y, X, Y = self._cyclic_samples(rng, samples, 4, (0.05, 1.0), 0.05, 2.0)
+        return bool(np.all(self.fn(x, y, X, Y) > 1.0))
 
     def density(self, s, t, step=1e-5):
         """Metric density rho(s, t); exact when the family supplies it."""

@@ -52,7 +52,7 @@ class NotTangent(SplitAnnulusError):
 class ChartBreakdown(SplitAnnulusError):
     """A projection onto a constraint manifold, or a random draw on one,
     left it: the projected vector has the wrong sign of q, or no draw gave
-    a spacelike normal or a timelike derived direction."""
+    a spacelike normal."""
 
 
 class NotHolonomicBoundary(SplitAnnulusError):
@@ -60,7 +60,8 @@ class NotHolonomicBoundary(SplitAnnulusError):
 
 
 class NonCompactDifference(SplitAnnulusError):
-    """Cobordism boundary maps differ outside the declared compact box."""
+    """Cobordism boundary maps differ outside the declared compact box, or
+    the conformal factor's jet does not vanish on the edge of that box."""
 
 
 class CoincidentPoints(SplitAnnulusError):

@@ -60,21 +60,6 @@ from .lorentz import SplitMetric, curvature
 # Points, vectors, frames
 # ---------------------------------------------------------------------------
 
-def derived_vector(f):
-    """The fourth frame direction e: orthogonal, q(e) = -1, det = +1."""
-    x, n, u = f[:4], f[4:8], f[8:12]
-    rows = np.stack([x @ GRAM, n @ GRAM, u @ GRAM])
-    _, _, vt = np.linalg.svd(rows)
-    e = vt[-1]
-    qe = float(e @ GRAM @ e)
-    if qe >= 0:
-        raise ChartBreakdown("derived direction is not timelike")
-    e = e / math.sqrt(-qe)
-    if det4(x, n, u, e) < 0:
-        e = -e
-    return e
-
-
 def _project_unit(v, sign):
     q = qform(v)
     if sign * q <= 0:
@@ -361,6 +346,23 @@ class LensCobordism:
         # field's jets are exact zeros
         if self.metric.u.support_box is None:
             raise NonCompactDifference("conformal factor has no support box")
+        # and W = S needs u to be C^2 across the edge of that box, so every
+        # component of its jet must vanish there
+        x0, x1, y0, y1 = self.support()
+        r = np.linspace(0.0, 1.0, samples)
+        ex, ey = x0 + (x1 - x0) * r, y0 + (y1 - y0) * r
+        xs = np.concatenate([ex, ex, np.full(samples, x0), np.full(samples, x1)])
+        ys = np.concatenate([np.full(samples, y0), np.full(samples, y1), ey, ey])
+        edge = float(np.max(np.abs(np.stack(tuple(self.metric.u.jet(xs, ys))))))
+        if edge > 1e-10:
+            raise NonCompactDifference(
+                f"conformal factor jet {edge:.3g} on the edge of its support box")
+
+    def support(self):
+        """u's support box clipped to the lens box."""
+        bx0, bx1, by0, by1 = self.box
+        x0, x1, y0, y1 = self.metric.u.support_box
+        return max(x0, bx0), min(x1, bx1), max(y0, by0), min(y1, by1)
 
 
 def _alpha_boundary_density(frame):
@@ -386,13 +388,9 @@ def w_grid(lens: LensCobordism, level: int) -> QuadratureGrid:
     is built from the lens alone, not from the action's grids, so the W
     and S pipelines share only the 1D node table.
     """
-    u = lens.metric.u
-    bx0, bx1, by0, by1 = lens.box
-    x0, x1, y0, y1 = u.support_box
-    xb, yb = u.break_lines()
-    return box_grid((max(x0, bx0), min(x1, bx1), max(y0, by0), min(y1, by1)),
-                    level, base_cells=2, scheme=W_SCHEME, x_breaks=xb,
-                    y_breaks=yb)
+    xb, yb = lens.metric.u.break_lines()
+    return box_grid(lens.support(), level, base_cells=2, scheme=W_SCHEME,
+                    x_breaks=xb, y_breaks=yb)
 
 
 def _w_value(lens, grid, a=0.0, b=1.0):

@@ -145,6 +145,18 @@ def test_split_evaluation_matches_direct_lift(metric):
             _frames_equal(point, direct, 1e-14)
 
 
+def test_reference_pair_jets_are_stored_component_major():
+    # (..., 4) arrays whose components are contiguous planes, and the
+    # assembled frame inherits that order
+    x, y = XS[:7, None], YS[None, :5]
+    for v in A._segre_jets(x, y):
+        assert v.shape == (7, 5, 4) and np.moveaxis(v, -1, 0).flags.c_contiguous
+    lens = FM.LensCobordism(PERTURBED[0], (0, 1, 2, 3))
+    frame = lens.frame_on(lens.data.node_jets(x, y), 0.3)
+    for v in vars(frame).values():
+        assert np.moveaxis(v, -1, 0).flags.c_contiguous
+
+
 def test_split_evaluation_reparametrized_lens():
     s, ds = (lambda t: t * t * (3 - 2 * t)), (lambda t: 6 * t * (1 - t))
     lens = FM.LensCobordism(PERTURBED[0], (0, 1, 2, 3), reparam=(s, ds))

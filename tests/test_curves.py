@@ -1,5 +1,6 @@
 """Crossratios, diamond areas, Schwarzian, curve actions."""
 
+import json
 import math
 
 import numpy as np
@@ -74,6 +75,82 @@ def test_cocycles(name):
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_positivity(name):
     assert FAMILIES[name].positivity_check(RNG, 200)
+
+
+def _looped_cocycle_residuals(b, rng, samples):
+    # one sample at a time, one scalar call per term
+    worst = []
+    for _ in range(samples):
+        if b.coords == "angle":
+            base = rng.uniform(0, math.pi)
+            gaps = rng.uniform(0.08, 0.5, 5)
+            pts = base + np.cumsum(gaps) / np.sum(gaps) * (math.pi - 0.1)
+        else:
+            pts = np.sort(rng.uniform(-1.0, 1.0, 5))
+        x, w, y, X, Y = pts
+        worst.append(abs(b(x, w, X, Y) * b(w, y, X, Y) / b(x, y, X, Y) - 1.0))
+        worst.append(abs(b(x, w, X, Y) * b(x, w, y, X) / b(x, w, y, Y) - 1.0))
+    return max(worst)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_cocycles_match_the_per_sample_loop(name):
+    # same samples, same draws left for the caller: the generator ends in
+    # the state the loop leaves it in
+    b = FAMILIES[name]
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    got = b.cocycle_residuals(rng, 60)
+    assert abs(got - _looped_cocycle_residuals(b, ref_rng, 60)) <= 1e-15
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("samples", [1, 7, 60])
+def test_cocycles_evaluate_each_term_once(samples):
+    calls = []
+    anchor = C.reference_crossratio()
+
+    def fn(*pts):
+        calls.append(np.shape(pts[0]))
+        return anchor(*pts)
+
+    C.Crossratio(fn).cocycle_residuals(np.random.default_rng(4), samples)
+    assert calls == [(samples,)] * 5
+
+
+def _nan_below(x_nan, coords="affine"):
+    # the anchor crossratio, NaN wherever the first slot is at most x_nan
+    anchor = C.reference_crossratio(coords)
+    return C.Crossratio(
+        lambda x, y, X, Y: np.where(np.asarray(x) <= x_nan, np.nan,
+                                    anchor(x, y, X, Y)), coords=coords)
+
+
+def test_a_nan_on_one_sample_is_not_masked():
+    # the affine samples are sorted uniform points on [-spread, spread],
+    # drawn one after another; only the sample that holds the smallest of
+    # the 100 points reaches it: 20 cocycle samples of 5, 25 positivity
+    # samples of 4
+    def lowest(spread):
+        return np.min(np.random.default_rng(3).uniform(-spread, spread, 100))
+
+    b = _nan_below(lowest(1.0))
+    assert math.isnan(b.cocycle_residuals(np.random.default_rng(3), 20))
+    b = _nan_below(lowest(2.0))
+    assert not b.positivity_check(np.random.default_rng(3), 25)
+
+
+def test_verify_fails_a_nan_cocycle(monkeypatch, tmp_path):
+    from splitannulus import cli
+
+    # NaN on the anchor samples whose first slot is below -0.9; the
+    # diamond checks call it at 0 and 0.4 only
+    nan_anchor = _nan_below(-0.9)
+    monkeypatch.setattr(C, "reference_crossratio", lambda: nan_anchor)
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--seed", "0", "--out", str(out)]) == 1
+    failed = [c for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+    assert [c["identity"] for c in failed] == ["cocycles_anchor"]
+    assert math.isnan(failed[0]["residual"])
 
 
 @settings(max_examples=80, deadline=None)

@@ -17,6 +17,16 @@ BUMP = F.bump_field((0.5, 2.5), (0.42, 0.42), 0.35)
 _SMOOTHSTEP = (lambda t: t * t * (3 - 2 * t), lambda t: 6 * t * (1 - t))
 
 
+def derived_vector(f):
+    """The fourth frame direction e: orthogonal, q(e) = -1, det = +1."""
+    x, n, u = f[:4], f[4:8], f[8:12]
+    e = np.linalg.svd(np.stack([x @ A.GRAM, n @ A.GRAM, u @ A.GRAM]))[2][-1]
+    qe = float(e @ A.GRAM @ e)
+    assert qe < 0, "derived direction is not timelike"
+    e = e / np.sqrt(-qe)
+    return -e if A.det4(x, n, u, e) < 0 else e
+
+
 def _ut_config(seed=0):
     rng = np.random.default_rng(seed)
     p = FM.random_ut_point(rng)
@@ -91,7 +101,7 @@ def test_derived_vector_invariants():
     rng = np.random.default_rng(71)
     for _ in range(10):
         f = FM.random_frame_point(rng)
-        e = FM.derived_vector(f)
+        e = derived_vector(f)
         assert A.qform(e) == pytest.approx(-1.0, abs=1e-10)
         assert float(A.det4(f[:4], f[4:8], f[8:12], e)) == pytest.approx(
             1.0, abs=1e-10
@@ -103,7 +113,7 @@ def test_derived_vector_invariants():
 def test_beta_examples():
     rng = np.random.default_rng(8)
     f = FM.random_frame_point(rng)
-    e = FM.derived_vector(f)
+    e = derived_vector(f)
     w0 = FM.tangent_project(f, np.zeros(12), frame=True)
     assert FM.beta1(f, w0) == 0.0
     # w3 proportional to e evaluates to q(e) * scale = -scale
@@ -269,6 +279,13 @@ def test_w_volume_equals_the_deep_action(u, level):
     assert abs(wv.value - _deep_action(u)) <= 1e-11
 
 
+def test_roadmap_lens_trail_bits(lens):
+    # the level-0 trail of the ROADMAP bump, bit for bit
+    wv = FM.w_volume(lens, F.box_grid(BOX, level=0))
+    assert [v.hex() for v in wv.trail] == ["-0x1.5666a126d4220p-7",
+                                           "-0x1.5666aa1c60cc0p-7"]
+
+
 def test_w_volume_regression(lens):
     # the deep action reference of tests/test_cli.py; measured 3.8e-17
     wv = FM.w_volume(lens, F.box_grid(BOX, level=0))
@@ -371,9 +388,7 @@ def test_w_volume_chasles_split(lens):
 @pytest.mark.parametrize("u", [
     BUMP,
     BUMP + F.bump_field((0.2, 2.75), (0.15, 0.2), -0.3),
-    F.with_support_box(F.PolynomialField([[0.1, 0.2], [0.5, -0.3]]),
-                       (0.3, 0.7, 2.3, 2.6)),
-], ids=["bump", "two_bumps", "clipped_polynomial"])
+], ids=["bump", "two_bumps"])
 def test_boundary_frames_agree_bitwise_off_the_support_box(u, reparam):
     # a boxed field's jets are exact zeros off its box, so w = s(t) u is too
     # and the frames at t = 0 and t = 1 agree bit for bit there
@@ -391,6 +406,19 @@ def test_noncompact_difference_rejected():
     # a factor with no support box cannot bound a lens
     u = F.DeSitterLogFactor() * 0.01
     with pytest.raises(NonCompactDifference):
+        FM.LensCobordism(G0.scaled_by(u), BOX)
+
+
+@pytest.mark.parametrize("u", [
+    F.with_support_box(F.PolynomialField([[0.1, 0.2], [0.5, -0.3]]),
+                       (0.3, 0.7, 2.3, 2.6)),
+    # a bump whose box reaches past the lens box, clipped by it
+    F.bump_field((0.9, 2.5), (0.3, 0.3), 0.3),
+], ids=["clipped_polynomial", "bump_past_the_lens_box"])
+def test_factor_that_jumps_at_its_box_edge_is_refused(u):
+    # W = S needs u C^2 across the edge of its support box (clipped to the
+    # lens box); off by 1.67e-2 at every level on the clipped polynomial
+    with pytest.raises(NonCompactDifference, match="edge of its support box"):
         FM.LensCobordism(G0.scaled_by(u), BOX)
 
 
