@@ -158,14 +158,7 @@ def random_so_q(rng, scale=0.7):
 # Base pairs and the conformal family
 # ---------------------------------------------------------------------------
 
-class _BasePair:
-    """(sigma-hat, eta-hat) jets for a reference metric."""
-
-    def jets(self, x, y):
-        raise NotImplementedError
-
-
-class _DeSitterBase(_BasePair):
+class _DeSitterBase:
     def jets(self, x, y):
         s, a, b, c = _segre_jets(x, y)
         # the dual direction is the argument-swapped Segre section; its
@@ -190,7 +183,7 @@ class _DeSitterBase(_BasePair):
         return out
 
 
-class _FlatBase(_BasePair):
+class _FlatBase:
     def jets(self, x, y):
         s, a, b, c = _segre_jets(x, y)
         sgn = np.sign(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
@@ -216,6 +209,7 @@ class _FlatBase(_BasePair):
         return out
 
 
+# (sigma-hat, eta-hat) jets of each reference metric
 _BASES = {DESITTER: _DeSitterBase(), FLAT: _FlatBase()}
 
 
@@ -226,7 +220,7 @@ _EXP_MAX = 0.5 * math.log(np.finfo(float).max)
 
 @dataclass
 class PairJets:
-    """sigma, eta and their first derivatives (plus path derivatives)."""
+    """sigma, eta and their first derivatives in x, y and path time t."""
 
     sigma: np.ndarray
     sigma_x: np.ndarray
@@ -234,8 +228,8 @@ class PairJets:
     eta: np.ndarray
     eta_x: np.ndarray
     eta_y: np.ndarray
-    sigma_t: np.ndarray = None
-    eta_t: np.ndarray = None
+    sigma_t: np.ndarray
+    eta_t: np.ndarray
 
 
 @dataclass
@@ -253,10 +247,10 @@ class NodeJets:
 class IsotropicSurfaceData:
     """The isotropic/dual pair realizing a compatible metric.
 
-    ``jets(x, y)`` evaluates (sigma, eta) and their first derivatives in
-    closed form.  ``jets(x, y, t=...)`` evaluates the canonical path
-    through e^{2 t u} (reference) together with the path derivatives;
-    the boundary surfaces of a lens cobordism are t = 0, 1.
+    ``jets(x, y, t)`` evaluates, in closed form, (sigma, eta) of
+    e^{2 t u} (reference) and their first derivatives in x, y and t.
+    t = 1, the default, is the metric itself; a lens cobordism runs from
+    t = 0 to t = 1.
 
     The evaluation has two steps.  The per-grid step ``node_jets(x, y)``
     builds the reference-pair jets and the jet of u, which do not depend
@@ -271,18 +265,17 @@ class IsotropicSurfaceData:
         self.metric = metric
         self.base = _BASES[metric.reference]
 
-    def jets(self, x, y, t=None):
+    def jets(self, x, y, t=1.0):
         return self.assemble(self.node_jets(x, y), t)
 
     def node_jets(self, x, y) -> NodeJets:
         return NodeJets(self.base.jets(x, y), self.metric.u.jet(x, y))
 
-    def assemble(self, nodes: NodeJets, t=None) -> PairJets:
+    def assemble(self, nodes: NodeJets, t) -> PairJets:
         b, ju = nodes.base, nodes.u
-        scale = 1.0 if t is None else t
-        w = scale * ju.v
-        wx, wy = scale * ju.vx, scale * ju.vy
-        wxx, wxy, wyy = scale * ju.vxx, scale * ju.vxy, scale * ju.vyy
+        w = t * ju.v
+        wx, wy = t * ju.vx, t * ju.vy
+        wxx, wxy, wyy = t * ju.vxx, t * ju.vxy, t * ju.vyy
         M, Mx, My = b["M"], b["M_x"], b["M_y"]
         if np.any(np.abs(w) > _EXP_MAX):
             raise NonFiniteDensity(f"conformal factor {np.max(np.abs(w)):.6g} "
@@ -318,16 +311,13 @@ class IsotropicSurfaceData:
         eta_x = emw * (h_x - col(wx) * h)
         eta_y = emw * (h_y - col(wy) * h)
 
-        out = PairJets(sigma, sigma_x, sigma_y, eta, eta_x, eta_y)
-        if t is not None:
-            u, ux, uy = ju.v, ju.vx, ju.vy
-            out.sigma_t = col(u) * sigma
-            h_t = (
-                -col(M * uy) * b["sigma_x"] - col(M * ux) * b["sigma_y"]
-                - col(M * (ux * wy + wx * uy)) * b["sigma"]
-            )
-            out.eta_t = emw * h_t - col(u) * eta
-        return out
+        u, ux, uy = ju.v, ju.vx, ju.vy
+        h_t = (
+            -col(M * uy) * b["sigma_x"] - col(M * ux) * b["sigma_y"]
+            - col(M * (ux * wy + wx * uy)) * b["sigma"]
+        )
+        return PairJets(sigma, sigma_x, sigma_y, eta, eta_x, eta_y,
+                        col(u) * sigma, emw * h_t - col(u) * eta)
 
     def constraint_residuals(self, x, y):
         """Max residual of the six defining relations at sample points."""
@@ -353,10 +343,6 @@ class IsotropicSurfaceData:
             pair(j.sigma_x, j.sigma_y) - target,
         ]
         return float(np.max(np.abs(np.stack(res))))
-
-
-def isotropic_from_metric(g: SplitMetric) -> IsotropicSurfaceData:
-    return IsotropicSurfaceData(g)
 
 
 def sigma_by_pointwise_scaling(g: SplitMetric, x, y):
@@ -409,18 +395,16 @@ class EpsteinFrame:
     x_dy: np.ndarray
     n_dx: np.ndarray
     n_dy: np.ndarray
-    x_dt: np.ndarray = None
-    n_dt: np.ndarray = None
 
 
-def epstein_lift(data: IsotropicSurfaceData, x, y, t=None) -> EpsteinFrame:
+def epstein_lift(data: IsotropicSurfaceData, x, y) -> EpsteinFrame:
     """The holonomic surface ((sigma - eta)/sqrt2, (sigma + eta)/sqrt2)."""
-    return epstein_frame(data.jets(x, y, t=t))
+    return epstein_frame(data.jets(x, y))
 
 
 def epstein_frame(j: PairJets) -> EpsteinFrame:
     """The Epstein frame of already assembled pair jets."""
-    f = EpsteinFrame(
+    return EpsteinFrame(
         x=RT2INV * (j.sigma - j.eta),
         n=RT2INV * (j.sigma + j.eta),
         x_dx=RT2INV * (j.sigma_x - j.eta_x),
@@ -428,10 +412,6 @@ def epstein_frame(j: PairJets) -> EpsteinFrame:
         n_dx=RT2INV * (j.sigma_x + j.eta_x),
         n_dy=RT2INV * (j.sigma_y + j.eta_y),
     )
-    if j.sigma_t is not None:
-        f.x_dt = RT2INV * (j.sigma_t - j.eta_t)
-        f.n_dt = RT2INV * (j.sigma_t + j.eta_t)
-    return f
 
 
 def frame_constraint_residuals(f: EpsteinFrame):

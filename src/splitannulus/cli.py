@@ -267,12 +267,20 @@ def load_config(path):
     return cfg
 
 
+def _open_out(path):
+    """``path`` opened for writing; one that cannot be is a config error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}")
+
+
 def write_report(report, out):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
 
 
@@ -395,13 +403,13 @@ def _verify_checks(seed, sign_flip=False):
 
     gf = lorentz.flat()
     lhs = liouville.action(gf.scaled_by(u2), gf, fine_grid, refine=False).value
-    rhs = 0.5 * grid.integrate(lambda x, y: u2.dx(x, y) * u2.dy(x, y))
+    rhs = 0.5 * grid.integrate(lambda x, y: (j := u2.jet(x, y)).vx * j.vy)
     add("flat_closed_form", abs(lhs - rhs), 1e-12)
 
     add("variational_2d",
         liouville.variational_residual(g0, bump, 1e-3, grid), 1e-12)
 
-    data = adsgeom.isotropic_from_metric(h)
+    data = adsgeom.IsotropicSurfaceData(h)
     add("isotropic_relations", data.constraint_residuals(xs, ys), 1e-9)
     add("metric_realization", data.metric_realization_residual(xs, ys), 1e-8)
     add("envelope_incidence",
@@ -490,11 +498,11 @@ def cmd_epstein(args):
     s = np.linspace(box[0], box[1], ns[0])
     t = np.linspace(box[2], box[3], ns[1])
     S, T = np.meshgrid(s, t, indexing="ij")
-    data = adsgeom.isotropic_from_metric(g)
+    data = adsgeom.IsotropicSurfaceData(g)
     frame = adsgeom.epstein_lift(data, S, T)
     res = adsgeom.frame_constraint_residuals(frame)
     out = args.out or "epstein.csv"
-    with open(out, "w") as fh:
+    with _open_out(out) as fh:
         fh.write("s,t,x1,x2,x3,x4,n1,n2,n3,n4\n")
         for idx in np.ndindex(S.shape):
             row = [S[idx], T[idx], *frame.x[idx], *frame.n[idx]]

@@ -192,15 +192,6 @@ class ScalarField:
     def value(self, x, y):
         return self.jet(x, y).v
 
-    def dx(self, x, y):
-        return self.jet(x, y).vx
-
-    def dy(self, x, y):
-        return self.jet(x, y).vy
-
-    def dxy(self, x, y):
-        return self.jet(x, y).vxy
-
     # arithmetic ----------------------------------------------------------
     # adding the zero constant returns the other operand, so sums such as
     # ``h.u - g.u`` build no jets of zeros

@@ -19,13 +19,14 @@ five-point stencil, exact to degree 4, gives d up to roundoff.
 
 The W-volume of a lens cobordism integrates the pulled-back volume form
 over chart x [0, 1] (orientation dx ^ dy ^ dt) minus the boundary alpha
-difference; the interpolation is the Epstein family of e^{2 s(t) u} g0.
+difference; the interpolation is the Epstein family of e^{2 t u} g0.
 Both parts are one density on the chart: per node, alpha at the first
 path time, plus the t-quadrature of the bulk integrand, minus alpha at
-the last.  Only w = s(t) u changes with t, so that density runs the
+the last.  Only w = t u changes with t, so that density runs the
 per-grid step ``IsotropicSurfaceData.node_jets`` once on the nodes it
-receives and shares it across every t-slice; each slice then costs only
-the per-t assembly of the Epstein frame.
+receives and shares it across every t-slice.  Each bulk slice then costs
+the per-t assembly of the pair and one det4 of the lift x and its
+derivatives; only the two boundary slices build a full Epstein frame.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 
 from .adsgeom import (
     GRAM,
+    RT2INV,
     IsotropicSurfaceData,
-    NodeJets,
     det4,
     epstein_frame,
     frame_constraint_residuals,
@@ -302,36 +303,21 @@ def fundamental_equations_residual(rng, sign_flip=False):
 class LensCobordism:
     """Epstein lens between g0-conformal metrics differing on a box.
 
-    The interpolation is t -> Epstein surface of e^{2 s(t) u} g0 with
-    s(0) = 0, s(1) = 1 (s = id by default); both boundary surfaces are
-    holonomic and agree outside the support of u.
+    The interpolation is t -> Epstein surface of e^{2 t u} g0 for t in
+    [0, 1]; both boundary surfaces are holonomic and agree outside the
+    support of u.
     """
 
     metric: SplitMetric           # e^{2u} g0; the lens runs from g0 to it
     box: tuple                    # chart rectangle containing supp u
-    reparam: tuple = None         # (s(t), s'(t)) callables
 
     def __post_init__(self):
         self.data = IsotropicSurfaceData(self.metric)
         self._validate()
 
-    def path(self, t):
-        if self.reparam is None:
-            return t, 1.0
-        s, ds = self.reparam
-        return s(t), ds(t)
-
     def frame(self, x, y, t):
-        return self.frame_on(self.data.node_jets(x, y), t)
-
-    def frame_on(self, nodes: NodeJets, t):
-        """The frame at path time t from the per-grid jets of its nodes."""
-        s, ds = self.path(t)
-        fr = epstein_frame(self.data.assemble(nodes, s))
-        if ds != 1.0:
-            fr.x_dt = ds * fr.x_dt
-            fr.n_dt = ds * fr.n_dt
-        return fr
+        """The Epstein frame at path time t."""
+        return epstein_frame(self.data.jets(x, y, t))
 
     def _validate(self, samples=64, tol=1e-8):
         rng = np.random.default_rng(7)
@@ -372,8 +358,10 @@ def _alpha_boundary_density(frame):
     )
 
 
-def _bulk_density(frame):
-    return det4(frame.x, frame.x_dx, frame.x_dy, frame.x_dt)
+def _bulk_density(j):
+    """det(x, d_x x, d_y x, d_t x) of the lift x = (sigma - eta)/sqrt2."""
+    return det4(RT2INV * (j.sigma - j.eta), RT2INV * (j.sigma_x - j.eta_x),
+                RT2INV * (j.sigma_y - j.eta_y), RT2INV * (j.sigma_t - j.eta_t))
 
 
 W_SCHEME = "gauss12"
@@ -397,15 +385,16 @@ def _w_value(lens, grid, a=0.0, b=1.0):
     """W of the lens between path times a and b on one ``w_grid`` rule,
     with one gauss12 cell in t on [a, b]."""
     ts, weights = _axis_nodes(((a, b),), 1, W_SCHEME)
+    data = lens.data
 
     def density(x, y):
-        # the t-independent jets once per grid, then one t-slice frame at a
-        # time next to them
-        nodes = lens.data.node_jets(x, y)
-        tot = _alpha_boundary_density(lens.frame_on(nodes, a))
+        # the t-independent jets once per grid, then one t-slice at a time
+        # next to them
+        nodes = data.node_jets(x, y)
+        tot = _alpha_boundary_density(epstein_frame(data.assemble(nodes, a)))
         for t, w in zip(ts, weights):
-            tot += w * _bulk_density(lens.frame_on(nodes, t))
-        return tot - _alpha_boundary_density(lens.frame_on(nodes, b))
+            tot += w * _bulk_density(data.assemble(nodes, t))
+        return tot - _alpha_boundary_density(epstein_frame(data.assemble(nodes, b)))
 
     return grid.integrate(density)
 

@@ -109,7 +109,7 @@ def test_criterion_04_flat_closed_form():
         b1, b2 = _bumps(rng, 2, amp=0.6)
         u = b1 + b2  # non-separable factor
         lhs = LV.action(gf.scaled_by(u), gf, grid, refine=False).value
-        rhs = 0.5 * grid.integrate(lambda x, y: u.dx(x, y) * u.dy(x, y))
+        rhs = 0.5 * grid.integrate(lambda x, y: (j := u.jet(x, y)).vx * j.vy)
         worst = max(worst, abs(lhs - rhs))
     report(4, "flat closed form", worst <= 1e-6,
            f"max residual over 5 factors = {worst:.3e} <= 1e-6")
@@ -210,7 +210,7 @@ def test_criterion_10_isotropic_relations():
     metrics = [G0] + [G0.scaled_by(u) for u in _bumps(rng, 3, amp=0.6)]
     worst_c = worst_m = 0.0
     for m in metrics:
-        data = A.isotropic_from_metric(m)
+        data = A.IsotropicSurfaceData(m)
         worst_c = max(worst_c, data.constraint_residuals(x, y))
         worst_m = max(worst_m, data.metric_realization_residual(x, y))
     ok = worst_c <= 1e-9 and worst_m <= 1e-9
@@ -225,7 +225,7 @@ def test_criterion_11_envelope_incidence():
     y = rng.uniform(2.02, 2.98, 1000)
     worst = 0.0
     for u in [0.0 * F.product_xy()] + _bumps(rng, 3, amp=0.6):
-        data = A.isotropic_from_metric(G0.scaled_by(u))
+        data = A.IsotropicSurfaceData(G0.scaled_by(u))
         worst = max(worst, A.envelope_incidence_residual(data, x, y))
     report(11, "envelope horosphere incidence", worst <= 1e-9,
            f"max |<sigma, x> + sqrt(2)/2| = {worst:.3e} <= 1e-9")
@@ -265,7 +265,7 @@ def test_criterion_14_classical_formula():
     s = rng.uniform(-0.8, 0.8, 40)
     t = rng.uniform(0.1, 1.2, 40)
     geo = FM.classical_formula_residual(A.difference_frame(x_g, n_g, s, t))
-    data = A.isotropic_from_metric(
+    data = A.IsotropicSurfaceData(
         G0.scaled_by(F.bump_field((0.5, 2.5), (0.42, 0.42), 0.4))
     )
     s2 = rng.uniform(0.1, 0.9, 40)

@@ -1,5 +1,6 @@
 """Signature (2,2) algebra, isotropic surfaces, Epstein lifts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,13 +43,13 @@ def test_segre_pairing_closed_form(x, y, xp, yp):
 
 @pytest.mark.parametrize("metric", [G0, L.flat(), *PERTURBED])
 def test_isotropic_constraints(metric):
-    data = A.isotropic_from_metric(metric)
+    data = A.IsotropicSurfaceData(metric)
     assert data.constraint_residuals(XS, YS) <= 1e-9
     assert data.metric_realization_residual(XS, YS) <= 1e-8
 
 
 def test_g0_closed_forms_at_point():
-    data = A.isotropic_from_metric(G0)
+    data = A.IsotropicSurfaceData(G0)
     j = data.jets(np.array(0.0), np.array(1.0))
     assert np.allclose(j.sigma, [0, 0, -1, -1])      # -(E21 + E22)
     assert np.allclose(j.eta, [0, -1, 0, -1])        # -(E12 + E22)
@@ -58,8 +59,8 @@ def test_g0_closed_forms_at_point():
 
 
 def test_conformal_sigma_is_scaled_base():
-    data0 = A.isotropic_from_metric(G0)
-    datau = A.isotropic_from_metric(G0.scaled_by(BUMP))
+    data0 = A.IsotropicSurfaceData(G0)
+    datau = A.IsotropicSurfaceData(G0.scaled_by(BUMP))
     j0 = data0.jets(XS[:50], YS[:50])
     ju = datau.jets(XS[:50], YS[:50])
     eu = np.exp(BUMP.value(XS[:50], YS[:50]))[..., None]
@@ -67,8 +68,8 @@ def test_conformal_sigma_is_scaled_base():
 
 
 def test_first_form_scales_quadratically():
-    data0 = A.isotropic_from_metric(G0)
-    datau = A.isotropic_from_metric(G0.scaled_by(BUMP))
+    data0 = A.IsotropicSurfaceData(G0)
+    datau = A.IsotropicSurfaceData(G0.scaled_by(BUMP))
     j0 = data0.jets(XS[:100], YS[:100])
     ju = datau.jets(XS[:100], YS[:100])
     e2u = np.exp(2 * BUMP.value(XS[:100], YS[:100]))
@@ -78,7 +79,7 @@ def test_first_form_scales_quadratically():
 
 
 def test_eta_derivatives_match_finite_differences():
-    data = A.isotropic_from_metric(PERTURBED[2])
+    data = A.IsotropicSurfaceData(PERTURBED[2])
     x, y = XS[:20], YS[:20]
     h = 1e-6
     j = data.jets(x, y)
@@ -91,7 +92,7 @@ def test_eta_derivatives_match_finite_differences():
 def test_path_derivatives_match_finite_differences():
     # the lens interpolation t -> pair of e^{2 t u} g0 carries analytic
     # time derivatives; cross-check them against central differences
-    data = A.isotropic_from_metric(PERTURBED[0])
+    data = A.IsotropicSurfaceData(PERTURBED[0])
     x, y = XS[:20], YS[:20]
     t0, h = 0.6, 1e-6
     j = data.jets(x, y, t=t0)
@@ -103,7 +104,7 @@ def test_path_derivatives_match_finite_differences():
 
 def test_epstein_frame_constraints():
     for metric in (G0, *PERTURBED):
-        data = A.isotropic_from_metric(metric)
+        data = A.IsotropicSurfaceData(metric)
         frame = A.epstein_lift(data, XS, YS)
         assert A.frame_constraint_residuals(frame) <= 1e-10
 
@@ -134,13 +135,13 @@ def _frames_equal(f, g, tol):
 def test_split_evaluation_matches_direct_lift(metric):
     # the per-grid step once, then the per-t assembly at several t, agrees
     # with a direct lift evaluated point by point
-    data = A.isotropic_from_metric(metric)
+    data = A.IsotropicSurfaceData(metric)
     x, y = XS[:40], YS[:40]
     nodes = data.node_jets(x, y)
     for t in (0.0, 0.3, 1.0):
         split = A.epstein_frame(data.assemble(nodes, t))
         for i in (0, 17, 39):
-            direct = A.epstein_lift(data, x[i], y[i], t)
+            direct = A.epstein_frame(data.jets(x[i], y[i], t))
             point = A.EpsteinFrame(**{k: v[i] for k, v in vars(split).items()})
             _frames_equal(point, direct, 1e-14)
 
@@ -152,32 +153,19 @@ def test_reference_pair_jets_are_stored_component_major():
     for v in A._segre_jets(x, y):
         assert v.shape == (7, 5, 4) and np.moveaxis(v, -1, 0).flags.c_contiguous
     lens = FM.LensCobordism(PERTURBED[0], (0, 1, 2, 3))
-    frame = lens.frame_on(lens.data.node_jets(x, y), 0.3)
+    frame = lens.frame(x, y, 0.3)
     for v in vars(frame).values():
         assert np.moveaxis(v, -1, 0).flags.c_contiguous
 
 
-def test_split_evaluation_reparametrized_lens():
-    s, ds = (lambda t: t * t * (3 - 2 * t)), (lambda t: 6 * t * (1 - t))
-    lens = FM.LensCobordism(PERTURBED[0], (0, 1, 2, 3), reparam=(s, ds))
-    x, y = XS[:40], YS[:40]
-    nodes = lens.data.node_jets(x, y)
-    for t in (0.0, 0.3, 1.0):
-        direct = A.epstein_lift(lens.data, x, y, s(t))
-        direct.x_dt = ds(t) * direct.x_dt
-        direct.n_dt = ds(t) * direct.n_dt
-        _frames_equal(lens.frame_on(nodes, t), direct, 1e-14)
-        _frames_equal(lens.frame(x, y, t), direct, 1e-14)
-
-
 def test_envelope_incidence():
     for metric in (G0, *PERTURBED):
-        data = A.isotropic_from_metric(metric)
+        data = A.IsotropicSurfaceData(metric)
         assert A.envelope_incidence_residual(data, XS, YS) <= 1e-9
 
 
 def test_infinity_forms_g0_matrix():
-    data = A.isotropic_from_metric(G0)
+    data = A.IsotropicSurfaceData(G0)
     forms = A.infinity_forms(data, XS[:30], YS[:30])
     off = 1.0 / (XS[:30] - YS[:30]) ** 2
     assert np.max(np.abs(forms.Istar[..., 0, 0])) <= 1e-12
@@ -187,21 +175,22 @@ def test_infinity_forms_g0_matrix():
 
 def test_shape_operator_relations():
     for metric in (G0, *PERTURBED):
-        data = A.isotropic_from_metric(metric)
+        data = A.IsotropicSurfaceData(metric)
         forms = A.infinity_forms(data, XS[:200], YS[:200])
         assert forms.shape_consistency_residual() <= 1e-8
 
 
 def test_dual_of_dual_is_sigma():
-    data = A.isotropic_from_metric(PERTURBED[0])
+    data = A.IsotropicSurfaceData(PERTURBED[0])
     j = data.jets(XS[:50], YS[:50])
-    swapped = A.PairJets(j.eta, j.eta_x, j.eta_y, j.sigma, j.sigma_x, j.sigma_y)
+    swapped = A.PairJets(j.eta, j.eta_x, j.eta_y, j.sigma, j.sigma_x, j.sigma_y,
+                         j.eta_t, j.sigma_t)
     twice = A.dual_by_linear_solve(swapped)
     assert np.max(np.abs(twice - j.sigma)) <= 1e-9
 
 
 def test_dual_linear_solve_matches_closed_form():
-    data = A.isotropic_from_metric(PERTURBED[1])
+    data = A.IsotropicSurfaceData(PERTURBED[1])
     j = data.jets(XS[:50], YS[:50])
     eta = A.dual_by_linear_solve(j)
     assert np.max(np.abs(eta - j.eta)) <= 1e-9
@@ -209,12 +198,12 @@ def test_dual_linear_solve_matches_closed_form():
 
 def test_dual_refuses_a_rank_deficient_point():
     # at the third point sigma's derivatives vanish: rank 1, not 3
-    data = A.isotropic_from_metric(PERTURBED[1])
+    data = A.IsotropicSurfaceData(PERTURBED[1])
     j = data.jets(XS[:5], YS[:5])
     sx, sy = j.sigma_x.copy(), j.sigma_y.copy()
     sx[2] = sy[2] = 0.0
     with pytest.raises(SingularDual):
-        A.dual_by_linear_solve(A.PairJets(j.sigma, sx, sy, j.eta, j.eta_x, j.eta_y))
+        A.dual_by_linear_solve(dataclasses.replace(j, sigma_x=sx, sigma_y=sy))
 
 
 def test_orthogonal_unit_is_batched_and_refuses_a_timelike_normal():
@@ -233,7 +222,7 @@ def test_orthogonal_unit_is_batched_and_refuses_a_timelike_normal():
 def test_sigma_unique_up_to_sign():
      # pointwise-scaled construction agrees with the family up to global sign
     for metric in (G0, PERTURBED[0]):
-        data = A.isotropic_from_metric(metric)
+        data = A.IsotropicSurfaceData(metric)
         j = data.jets(XS[:200], YS[:200])
         other = A.sigma_by_pointwise_scaling(metric, XS[:200], YS[:200])
         same = np.max(np.abs(other - j.sigma))
@@ -243,7 +232,7 @@ def test_sigma_unique_up_to_sign():
 
 def test_envelope_metric_combination():
     # induced metric of the envelope = I*/2 + II* + III*/2
-    data = A.isotropic_from_metric(PERTURBED[0])
+    data = A.IsotropicSurfaceData(PERTURBED[0])
     x, y = XS[:100], YS[:100]
     j = data.jets(x, y)
     forms = A.infinity_forms(data, x, y)

@@ -665,6 +665,25 @@ def test_missing_config_is_config_error(tmp_path):
                      "--out", "-"]) == 2
 
 
+@pytest.mark.parametrize("command, ini", [
+    ("action", ACTION_INI), ("verify", None), ("curve", CURVE_INI),
+    ("epstein", EPSTEIN_INI),
+], ids=["action", "verify", "curve", "epstein"])
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys, command, ini,
+                                                  where):
+    # exit 1 means a failed identity; a path that cannot be written is a
+    # bad config
+    out = tmp_path / "nope" / "out.json" if where == "missing_directory" else tmp_path
+    args = [command, "--out", str(out)]
+    if ini is not None:
+        args += ["--config", _write(tmp_path, "c.ini", ini)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}")
+    assert err.count("\n") == 1
+
+
 def test_removed_flags_are_argparse_errors(tmp_path):
     # --seed and --tolerance-scale took no part in these subcommands, and
     # no caller of verify scaled its tolerances

@@ -9,7 +9,9 @@ import pytest
 from splitannulus import curves as C, fields as F, liouville as LV, lorentz as L
 from splitannulus.errors import (
     CoincidentPoints,
+    DegeneratePairing,
     NonPositiveB,
+    NonSmoothB,
     NotC3AtPoint,
     SClassFail,
 )
@@ -276,13 +278,13 @@ def test_envelope_degenerate_reporting():
     # the de Sitter envelope collapses to a single point (its Epstein
     # map is constant), so every sample reports degenerate; a conformal
     # bump makes it immersed inside the support but not outside
-    data = A.isotropic_from_metric(L.desitter())
+    data = A.IsotropicSurfaceData(L.desitter())
     forms = A.infinity_forms(data, np.array([0.3, 0.5]), np.array([2.4, 2.6]))
     assert np.all(forms.envelope_degenerate())
     frame = A.epstein_lift(data, np.array([0.3, 0.8]), np.array([2.4, 2.9]))
     assert np.max(np.abs(frame.x - frame.x[0])) <= 1e-12
     g = L.desitter().scaled_by(F.bump_field((0.5, 2.5), (0.42, 0.42), 0.6))
-    forms2 = A.infinity_forms(A.isotropic_from_metric(g),
+    forms2 = A.infinity_forms(A.IsotropicSurfaceData(g),
                               np.array([0.5, 0.05]), np.array([2.5, 2.95]))
     assert list(forms2.envelope_degenerate()) == [False, True]
 
@@ -321,6 +323,27 @@ def test_conic_density_is_circle_metric():
     b = C.psl3_conic().crossratio()
     s, t = 0.2, 1.9
     assert b.density(s, t) == pytest.approx(2.0 / (s - t) ** 2, abs=1e-10)
+
+
+def test_affine_conic_has_no_curve_action():
+    # curve actions integrate over the angle torus, which the affine chart
+    # does not cover
+    with pytest.raises(NonSmoothB, match="angle torus"):
+        C.curve_action(C.psl3_conic())
+
+
+def test_pairing_that_vanishes_off_the_diagonal_is_refused():
+    # l(s) also meets the curve at x(s + 1), so <l(0)|x(1)> = 0 sits in a
+    # crossratio denominator
+    def pairing(s, t):
+        d = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
+        return d ** 2 * (d - 1.0)
+
+    curve = C.PSL3Curve(pairing, lambda t, s: 2.0 / (t - s) ** 2)
+    b = curve.crossratio()
+    assert np.isfinite(b(0.0, 0.5, 2.0, 3.0))
+    with pytest.raises(DegeneratePairing, match="off the diagonal"):
+        b(0.0, 1.0, 0.0, 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_field_arithmetic_jets():
     x, y = 0.45, 2.4
     s = a + 2.0 * b - 1.0
     assert s.value(x, y) == pytest.approx(a.value(x, y) + 2 * b.value(x, y) - 1)
-    assert s.dxy(x, y) == pytest.approx(a.dxy(x, y) + 2 * b.dxy(x, y))
+    assert s.jet(x, y).vxy == pytest.approx(a.jet(x, y).vxy + 2 * b.jet(x, y).vxy)
 
 
 def _masked_jet(f, x, y):

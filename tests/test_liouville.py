@@ -30,7 +30,7 @@ def test_flat_closed_form():
     # S(e^{2u} g, g) = (1/2) int du/dx du/dy over the flat reference
     u = U1 + U2
     lhs = LV.action(GF.scaled_by(u), GF, GRID).value
-    rhs = 0.5 * GRID.integrate(lambda x, y: u.dx(x, y) * u.dy(x, y))
+    rhs = 0.5 * GRID.integrate(lambda x, y: (j := u.jet(x, y)).vx * j.vy)
     assert abs(lhs - rhs) <= 1e-6
 
 
