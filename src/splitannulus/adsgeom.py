@@ -319,30 +319,30 @@ class IsotropicSurfaceData:
         return PairJets(sigma, sigma_x, sigma_y, eta, eta_x, eta_y,
                         col(u) * sigma, emw * h_t - col(u) * eta)
 
-    def constraint_residuals(self, x, y):
-        """Max residual of the six defining relations at sample points."""
-        j = self.jets(x, y)
-        res = [
-            pair(j.sigma, j.sigma),
-            pair(j.sigma_x, j.sigma),
-            pair(j.sigma_y, j.sigma),
-            pair(j.eta, j.eta),
-            pair(j.eta, j.sigma) - 1.0,
-            pair(j.eta, j.sigma_x),
-            pair(j.eta, j.sigma_y),
-        ]
-        return float(np.max(np.abs(np.stack(res))))
 
-    def metric_realization_residual(self, x, y):
-        """|<d sigma, d sigma> - metric tensor| entrywise, maxed."""
-        j = self.jets(x, y)
-        target = self.metric.bilinear_xy(x, y)
-        res = [
-            pair(j.sigma_x, j.sigma_x),
-            pair(j.sigma_y, j.sigma_y),
-            pair(j.sigma_x, j.sigma_y) - target,
-        ]
-        return float(np.max(np.abs(np.stack(res))))
+def pair_constraint_residuals(j: PairJets):
+    """Max residual of the six defining relations of assembled pair jets."""
+    res = [
+        pair(j.sigma, j.sigma),
+        pair(j.sigma_x, j.sigma),
+        pair(j.sigma_y, j.sigma),
+        pair(j.eta, j.eta),
+        pair(j.eta, j.sigma) - 1.0,
+        pair(j.eta, j.sigma_x),
+        pair(j.eta, j.sigma_y),
+    ]
+    return float(np.max(np.abs(np.stack(res))))
+
+
+def metric_realization_residual(j: PairJets, target):
+    """|<d sigma, d sigma> - metric tensor| entrywise, maxed; ``target`` is
+    the metric's ``bilinear_xy`` at the points of ``j``."""
+    res = [
+        pair(j.sigma_x, j.sigma_x),
+        pair(j.sigma_y, j.sigma_y),
+        pair(j.sigma_x, j.sigma_y) - target,
+    ]
+    return float(np.max(np.abs(np.stack(res))))
 
 
 def sigma_by_pointwise_scaling(g: SplitMetric, x, y):
@@ -428,9 +428,8 @@ def frame_constraint_residuals(f: EpsteinFrame):
     return float(np.max(np.abs(np.stack(res))))
 
 
-def envelope_incidence_residual(data: IsotropicSurfaceData, x, y):
+def envelope_incidence_residual(j: PairJets):
     """<sigma, x_pt> + sqrt(2)/2: horosphere membership of the envelope."""
-    j = data.jets(x, y)
     x_pt = RT2INV * (j.sigma - j.eta)
     return float(np.max(np.abs(pair(j.sigma, x_pt) + RT2INV)))
 

@@ -15,7 +15,9 @@ orthogonal triples.  Pullback commutes with d, so d of a form restricted
 to the constraint manifold is the ambient d on constant vector fields,
 read on tangent vectors.  Along a line the coefficients of beta, alpha
 and omega are polynomials of degree 3, 2 and 1 in the point, so the
-five-point stencil, exact to degree 4, gives d up to roundoff.
+five-point stencil, exact to degree 4, gives d up to roundoff.  The forms
+take points and vectors stacked on leading axes, so d evaluates a form
+once on its whole stencil.
 
 The W-volume of a lens cobordism integrates the pulled-back volume form
 over chart x [0, 1] (orientation dx ^ dy ^ dt) minus the boundary alpha
@@ -27,6 +29,8 @@ per-grid step ``IsotropicSurfaceData.node_jets`` once on the nodes it
 receives and shares it across every t-slice.  Each bulk slice then costs
 the per-t assembly of the pair and one det4 of the lift x and its
 derivatives; only the two boundary slices build a full Epstein frame.
+``w_value`` is W on one level of the lens's rule, and ``w_volume`` its
+two-level trail.
 """
 
 from __future__ import annotations
@@ -161,48 +165,58 @@ def check_ut_tangent(p, v, tol=1e-8):
         raise NotTangent(f"UT tangency residual {res}")
 
 
+# The forms below index components on the last axis, so points and
+# vectors stacked on leading axes broadcast; the tangency checks take one
+# point and its vectors.
+
 def omega3(p, u, v, w, check=True):
     if check:
         for vec in (u, v, w):
             check_ut_tangent(p, vec)
-    return float(det4(p[:4], u[:4], v[:4], w[:4]))
+    return det4(p[..., :4], u[..., :4], v[..., :4], w[..., :4])
 
 
 def alpha2(p, u, v, check=True):
     if check:
         for vec in (u, v):
             check_ut_tangent(p, vec)
-    x, n = p[:4], p[4:8]
-    return float(0.25 * (det4(x, n, u[4:], v[:4]) + det4(x, n, u[:4], v[4:])))
+    x, n = p[..., :4], p[..., 4:8]
+    return 0.25 * (det4(x, n, u[..., 4:], v[..., :4])
+                   + det4(x, n, u[..., :4], v[..., 4:]))
 
 
 def theta(i, p, u, v, check=True):
     if check:
         for vec in (u, v):
             check_ut_tangent(p, vec)
-    x, n = p[:4], p[4:8]
+    x, n = p[..., :4], p[..., 4:8]
     if i == 1:
-        return float(det4(x, n, u[:4], v[:4]))
+        return det4(x, n, u[..., :4], v[..., :4])
     if i == 2:
-        return float(det4(x, n, u[4:], v[4:]))
+        return det4(x, n, u[..., 4:], v[..., 4:])
     raise ValueError("theta index must be 1 or 2")
 
 
 def xstar(p, u):
-    return float(pair(p[:4], u[4:8]))
+    return pair(p[..., :4], u[..., 4:8])
 
 
 def nstar(p, u):
-    return float(pair(u[:4], p[4:8]))
+    return pair(u[..., :4], p[..., 4:8])
+
+
+def beta(f, w):
+    """beta(w) = -det(x, n, u, w3) on the frame space, unchecked."""
+    return -det4(f[..., :4], f[..., 4:8], f[..., 8:12], w[..., 8:12])
 
 
 def beta1(f, w, tol=1e-8):
-    """beta(w) = -det(x, n, u, w3) on the frame space."""
+    """beta(w) on a frame tangent; NotTangent off the constraint kernel."""
     rows = _constraint_rows_frame(f)
     res = np.max(np.abs(rows @ w))
     if res > tol:
         raise NotTangent(f"frame tangency residual {res}")
-    return float(-det4(f[:4], f[4:8], f[8:12], w[8:12]))
+    return float(beta(f, w))
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +226,11 @@ def beta1(f, w, tol=1e-8):
 def exterior_derivative(form, base, vectors):
     """d(form) at ``base`` on the tangent vectors ``vectors``.
 
-    ``form(point, vecs)`` evaluates the k-form at an ambient point on
-    ambient vectors.  Pullback commutes with d, so on the constraint
-    manifold d(form) is the ambient d on constant vector fields,
+    ``form(points, vecs)`` evaluates the k-form on points stacked on
+    leading axes, with each vector of ``vecs`` stacked beside them (the
+    leading axes broadcast), and returns values that broadcast to one per
+    point.  Pullback commutes with d, so on the constraint manifold
+    d(form) is the ambient d on constant vector fields,
 
         d form(v_0, ..., v_k) = sum_j (-1)^j D_{v_j} form(..., ^v_j, ...),
 
@@ -223,25 +239,32 @@ def exterior_derivative(form, base, vectors):
     to roundoff when the coefficient is a polynomial of degree at most
     four along the line: beta's is cubic, alpha's quadratic, omega's
     linear.
+
+    ``form`` is called once, on the (k + 1, 4) stencil points
+    base + s v_j, each row j carrying the vector set that leaves v_j out.
+    The stencil combination and the alternating sum are Python floats,
+    taken in the order of the sum above.
     """
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    vectors = np.array(vectors, dtype=float)
+    count = len(vectors)
+    # h = 1/2: f(h), f(-h), f(2h), f(-2h)
+    steps = np.array([0.5, -0.5, 1.0, -1.0])
+    points = base + steps[:, None] * vectors[:, None, :]
+    # the i-th vector of the set that leaves v_j out is v_{i + (i >= j)}
+    vecs = [vectors[[i + (i >= j) for j in range(count)], None, :]
+            for i in range(count - 1)]
+    values = np.broadcast_to(form(points, vecs), points.shape[:-1]).tolist()
     total = 0.0
-    for j, v in enumerate(vectors):
-        rest = vectors[:j] + vectors[j + 1:]
-
-        def f(s):
-            return form(base + s * v, rest)
-
-        # h = 1/2, so 12 h = 6
-        stencil = 8.0 * (f(0.5) - f(-0.5)) - (f(1.0) - f(-1.0))
-        total += (-1) ** j * stencil / 6.0
+    for j, (fp, fm, f2p, f2m) in enumerate(values):
+        # 12 h = 6
+        total += (-1) ** j * (8.0 * (fp - fm) - (f2p - f2m)) / 6.0
     return total
 
 
-def _wedge_1_2(gamma, th, u, v, w):
-    return (
-        gamma(u) * th(v, w) - gamma(v) * th(u, w) + gamma(w) * th(u, v)
-    )
+def _wedge_1_2(gamma, th):
+    """(gamma ^ th)(u, v, w) from gamma at (u, v, w) and th at
+    ((v, w), (u, w), (u, v))."""
+    return gamma[0] * th[0] - gamma[1] * th[1] + gamma[2] * th[2]
 
 
 def fundamental_equations_residual(rng, sign_flip=False):
@@ -262,17 +285,19 @@ def fundamental_equations_residual(rng, sign_flip=False):
     and antisymmetrizing yields det(x,n,w2,v2) - det(x,n,w1,v1).  The
     ``sign_flip`` switch deliberately tests the wrong sign so the
     verification suite can prove it would catch one.
+
+    Each term is one array evaluation: d by ``exterior_derivative``, the
+    thetas of each equation by one det4 call, x* and n* by one pair call
+    each.
     """
     f = random_frame_point(rng)
     v = random_frame_tangent(rng, f)
     w = random_frame_tangent(rng, f)
-    dbeta = exterior_derivative(
-        lambda pt, vecs: -float(det4(pt[:4], pt[4:8], pt[8:12], vecs[0][8:12])),
-        f, [v, w],
-    )
-    p = f[:8]
-    vp, wp = v[:8], w[:8]
-    rhs1 = theta(2, p, vp, wp, check=False) - theta(1, p, vp, wp, check=False)
+    dbeta = exterior_derivative(lambda pt, vecs: beta(pt, vecs[0]), f, [v, w])
+    # theta2(v, w), theta1(v, w) on the UT parts
+    th2, th1 = det4(f[:4], f[4:8], np.stack([v[4:8], v[:4]]),
+                    np.stack([w[4:8], w[:4]])).tolist()
+    rhs1 = th2 - th1
     if sign_flip:
         rhs1 = -rhs1
     r1 = abs(dbeta - rhs1)
@@ -281,16 +306,16 @@ def fundamental_equations_residual(rng, sign_flip=False):
     a = random_ut_tangent(rng, q)
     b = random_ut_tangent(rng, q)
     c = random_ut_tangent(rng, q)
-    dalpha = exterior_derivative(
-        lambda pt, vecs: alpha2(pt, vecs[0], vecs[1], check=False),
-        q, [a, b, c],
-    )
-    rhs = 0.5 * (
-        _wedge_1_2(lambda t: nstar(q, t),
-                   lambda s, t: theta(2, q, s, t, check=False), a, b, c)
-        - _wedge_1_2(lambda t: xstar(q, t),
-                     lambda s, t: theta(1, q, s, t, check=False), a, b, c)
-    )
+    dalpha = exterior_derivative(lambda pt, vecs: alpha2(pt, vecs[0], vecs[1],
+                                                         check=False),
+                                 q, [a, b, c])
+    # theta2, then theta1, on the pairs (b, c), (a, c), (a, b)
+    abc = np.stack([a, b, c])
+    s, t = abc[[1, 0, 0]], abc[[2, 2, 1]]
+    th = det4(q[:4], q[4:8], np.concatenate([s[:, 4:], s[:, :4]]),
+              np.concatenate([t[:, 4:], t[:, :4]])).tolist()
+    rhs = 0.5 * (_wedge_1_2(nstar(q, abc).tolist(), th[:3])
+                 - _wedge_1_2(xstar(q, abc).tolist(), th[3:]))
     r2 = abs(dalpha - rhs)
     return r1, r2
 
@@ -381,9 +406,15 @@ def w_grid(lens: LensCobordism, level: int) -> QuadratureGrid:
                     x_breaks=xb, y_breaks=yb)
 
 
-def _w_value(lens, grid, a=0.0, b=1.0):
+def w_value(lens: LensCobordism, grid: QuadratureGrid, a=0.0, b=1.0) -> float:
     """W of the lens between path times a and b on one ``w_grid`` rule,
-    with one gauss12 cell in t on [a, b]."""
+    with one gauss12 cell in t on [a, b].
+
+    ``w_volume`` and ``w_volume_split`` compose it; a caller that needs
+    one level only, such as verify's W = S check at ``w_grid(lens,
+    level + 1)``, calls it directly and gets the same bits as the
+    ``value`` of ``w_volume`` at ``level``.
+    """
     ts, weights = _axis_nodes(((a, b),), 1, W_SCHEME)
     data = lens.data
 
@@ -414,7 +445,7 @@ def w_volume(lens: LensCobordism, grid: QuadratureGrid,
     is accepted for old callers and changes nothing.
     """
     coarse = w_grid(lens, grid.level)
-    return refinement_trail(lambda gr: _w_value(lens, gr),
+    return refinement_trail(lambda gr: w_value(lens, gr),
                             (coarse, coarse.refine()), "w-volume")
 
 
@@ -427,9 +458,9 @@ def w_volume_split(lens: LensCobordism, grid):
     error (the boundary terms telescope).
     """
     gr = w_grid(lens, grid.level)
-    return (_w_value(lens, gr, 0.0, 0.5),
-            _w_value(lens, gr, 0.5, 1.0),
-            _w_value(lens, gr))
+    return (w_value(lens, gr, 0.0, 0.5),
+            w_value(lens, gr, 0.5, 1.0),
+            w_value(lens, gr))
 
 
 def classical_formula_residual(f) -> float:

@@ -210,9 +210,10 @@ def test_criterion_10_isotropic_relations():
     metrics = [G0] + [G0.scaled_by(u) for u in _bumps(rng, 3, amp=0.6)]
     worst_c = worst_m = 0.0
     for m in metrics:
-        data = A.IsotropicSurfaceData(m)
-        worst_c = max(worst_c, data.constraint_residuals(x, y))
-        worst_m = max(worst_m, data.metric_realization_residual(x, y))
+        j = A.IsotropicSurfaceData(m).jets(x, y)
+        worst_c = max(worst_c, A.pair_constraint_residuals(j))
+        worst_m = max(worst_m, A.metric_realization_residual(
+            j, m.bilinear_xy(x, y)))
     ok = worst_c <= 1e-9 and worst_m <= 1e-9
     report(10, "isotropic/dual relations and realization", ok,
            f"constraints {worst_c:.3e}, realization {worst_m:.3e} <= 1e-9 "
@@ -225,8 +226,8 @@ def test_criterion_11_envelope_incidence():
     y = rng.uniform(2.02, 2.98, 1000)
     worst = 0.0
     for u in [0.0 * F.product_xy()] + _bumps(rng, 3, amp=0.6):
-        data = A.IsotropicSurfaceData(G0.scaled_by(u))
-        worst = max(worst, A.envelope_incidence_residual(data, x, y))
+        j = A.IsotropicSurfaceData(G0.scaled_by(u)).jets(x, y)
+        worst = max(worst, A.envelope_incidence_residual(j))
     report(11, "envelope horosphere incidence", worst <= 1e-9,
            f"max |<sigma, x> + sqrt(2)/2| = {worst:.3e} <= 1e-9")
 

@@ -43,9 +43,9 @@ def test_segre_pairing_closed_form(x, y, xp, yp):
 
 @pytest.mark.parametrize("metric", [G0, L.flat(), *PERTURBED])
 def test_isotropic_constraints(metric):
-    data = A.IsotropicSurfaceData(metric)
-    assert data.constraint_residuals(XS, YS) <= 1e-9
-    assert data.metric_realization_residual(XS, YS) <= 1e-8
+    j = A.IsotropicSurfaceData(metric).jets(XS, YS)
+    assert A.pair_constraint_residuals(j) <= 1e-9
+    assert A.metric_realization_residual(j, metric.bilinear_xy(XS, YS)) <= 1e-8
 
 
 def test_g0_closed_forms_at_point():
@@ -160,8 +160,8 @@ def test_reference_pair_jets_are_stored_component_major():
 
 def test_envelope_incidence():
     for metric in (G0, *PERTURBED):
-        data = A.IsotropicSurfaceData(metric)
-        assert A.envelope_incidence_residual(data, XS, YS) <= 1e-9
+        j = A.IsotropicSurfaceData(metric).jets(XS, YS)
+        assert A.envelope_incidence_residual(j) <= 1e-9
 
 
 def test_infinity_forms_g0_matrix():

@@ -618,6 +618,33 @@ def test_verify_takes_each_action_once(monkeypatch):
     assert levels == [1] * 7
 
 
+def test_verify_reads_one_pair_jet_and_one_w_level(monkeypatch):
+    # the four pair-jet checks share one assembly on the 400-point sample,
+    # and W = S takes the lens's rule at the grid's level + 1 alone
+    from splitannulus import adsgeom, forms
+
+    sizes, levels = [], []
+    jets, w_value = adsgeom.IsotropicSurfaceData.jets, forms.w_value
+
+    def counted_jets(self, x, y, t=1.0):
+        sizes.append(np.broadcast(x, y).size)
+        return jets(self, x, y, t)
+
+    def counted_w_value(lens, grid, *args):
+        levels.append(grid.level)
+        return w_value(lens, grid, *args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("verify ran the two-level W trail")
+
+    monkeypatch.setattr(adsgeom.IsotropicSurfaceData, "jets", counted_jets)
+    monkeypatch.setattr(forms, "w_value", counted_w_value)
+    monkeypatch.setattr(forms, "w_volume", refused)
+    cli._verify_checks(0)
+    assert sizes.count(400) == 1
+    assert levels == [1]
+
+
 def test_verify_check_entries_carry_four_keys():
     for check in cli._verify_checks(0):
         assert set(check) == {"identity", "residual", "tolerance", "pass"}
@@ -658,6 +685,55 @@ def test_verify_sign_flip_fails(tmp_path):
     rep = json.loads(out.read_text())
     failed = [c["identity"] for c in rep["checks"] if not c["pass"]]
     assert failed == ["fundamental_equation_dbeta"]
+
+
+# float.hex of the residuals that read the shared pair jets, the stacked
+# exterior derivative and the one-level W
+_VERIFY_RESIDUAL_BITS = {
+    0: {
+        "fundamental_equation_dbeta": "0x1.0610000000000p-45",
+        "fundamental_equation_dalpha": "0x1.8c40000000000p-47",
+        "isotropic_relations": "0x1.0000000000000p-44",
+        "metric_realization": "0x1.0000000000000p-48",
+        "envelope_incidence": "0x1.d000000000000p-49",
+        "epstein_contact": "0x1.8000000000000p-43",
+        "w_volume_equals_action": "0x1.c600000000000p-48",
+    },
+    193: {
+        "fundamental_equation_dbeta": "0x1.f800000000000p-46",
+        "fundamental_equation_dalpha": "0x1.4000000000000p-50",
+        "isotropic_relations": "0x1.0000000000000p-44",
+        "metric_realization": "0x1.0000000000000p-48",
+        "envelope_incidence": "0x1.3000000000000p-49",
+        "epstein_contact": "0x1.5000000000000p-42",
+        "w_volume_equals_action": "0x1.c600000000000p-48",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_VERIFY_RESIDUAL_BITS))
+def test_verify_residual_bits_pinned(seed):
+    checks = {c["identity"]: c for c in cli._verify_checks(seed)}
+    pinned = _VERIFY_RESIDUAL_BITS[seed]
+    assert {name: checks[name]["residual"].hex() for name in pinned} == pinned
+    # seed 193 fails classical_formula alone (ROADMAP item 3)
+    failed = {name: c["residual"] for name, c in checks.items() if not c["pass"]}
+    assert failed == ({} if seed == 0 else
+                      {"classical_formula": 3.051493048911169e-06})
+
+
+def test_epstein_refuses_standard_output(tmp_path, capsys, monkeypatch):
+    # the CSV and its sidecar are two files: `--out -` is a bad config and
+    # leaves no file named `-` or `-.json` behind
+    cfg = _write(tmp_path, "e.ini", EPSTEIN_INI)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert cli.main(["epstein", "--config", cfg, "--out", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert list(work.iterdir()) == []
 
 
 def test_missing_config_is_config_error(tmp_path):

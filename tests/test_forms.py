@@ -159,7 +159,7 @@ def test_so_q_invariance_of_forms():
 def test_d_of_constant_form_in_flat_chart():
     # a constant 1-form on flat space is closed
     coeffs = np.array([0.3, -1.2, 0.7])
-    form = lambda p, vecs: float(coeffs @ vecs[0])
+    form = lambda p, vecs: vecs[0] @ coeffs
     base = np.array([0.1, 0.2, 0.3])
     v1 = np.array([1.0, 0.0, 0.5])
     v2 = np.array([0.0, 1.0, -0.3])
@@ -173,21 +173,23 @@ def test_omega_is_closed():
         p = FM.random_ut_point(rng)
         vs = [FM.random_ut_tangent(rng, p) for _ in range(4)]
         dom = FM.exterior_derivative(
-            lambda pt, vecs: float(
-                A.det4(pt[:4], vecs[0][:4], vecs[1][:4], vecs[2][:4])
-            ),
-            p, vs,
-        )
+            lambda pt, vecs: FM.omega3(pt, *vecs, check=False), p, vs)
         assert abs(dom) <= 1e-12
+
+
+def _quartic_coeffs(p):
+    # coefficients of degree 4 along every line
+    x, y, z = np.moveaxis(p, -1, 0)
+    return np.stack([x ** 4, x * y ** 3, x * x * z * z + y ** 4], axis=-1)
+
+
+def _quartic_form(p, vecs):
+    return np.sum(_quartic_coeffs(p) * vecs[0], axis=-1)
 
 
 def test_exterior_derivative_exact_on_quartics():
     # the 1-form c(p) . u has coefficients of degree 4 along every line,
     # and d of it is v1 . J v0 - v0 . J v1 with J the Jacobian of c
-    def c(p):
-        x, y, z = p
-        return np.array([x ** 4, x * y ** 3, x * x * z * z + y ** 4])
-
     def jac(p):
         x, y, z = p
         return np.array([[4 * x ** 3, 0.0, 0.0],
@@ -197,10 +199,105 @@ def test_exterior_derivative_exact_on_quartics():
     rng = np.random.default_rng(23)
     for _ in range(20):
         base, v0, v1 = rng.uniform(-0.8, 0.8, (3, 3))
-        val = FM.exterior_derivative(lambda p, vecs: float(c(p) @ vecs[0]),
-                                     base, [v0, v1])
+        val = FM.exterior_derivative(_quartic_form, base, [v0, v1])
         j = jac(base)
         assert abs(val - (v1 @ j @ v0 - v0 @ j @ v1)) <= 1e-13
+
+
+def _looped_exterior_derivative(form, base, vectors):
+    # the five-point stencil one point at a time: each call sees one point
+    # and the vector set that leaves v_j out
+    total = 0.0
+    for j, v in enumerate(vectors):
+        rest = vectors[:j] + vectors[j + 1:]
+
+        def f(s):
+            return float(form(base + s * v, rest))
+
+        stencil = 8.0 * (f(0.5) - f(-0.5)) - (f(1.0) - f(-1.0))
+        total += (-1) ** j * stencil / 6.0
+    return total
+
+
+def _beta_form(pt, vecs):
+    return FM.beta(pt, vecs[0])
+
+
+def _alpha_form(pt, vecs):
+    return FM.alpha2(pt, *vecs, check=False)
+
+
+def _stencil_configs(seed):
+    # (form, base, vectors): beta on a frame, alpha on UT, the quartic
+    rng = np.random.default_rng(seed)
+    f = FM.random_frame_point(rng)
+    q = FM.random_ut_point(rng)
+    base, *quartic = rng.uniform(-0.8, 0.8, (3, 3))
+    return [
+        (_beta_form, f, [FM.random_frame_tangent(rng, f) for _ in range(2)]),
+        (_alpha_form, q, [FM.random_ut_tangent(rng, q) for _ in range(3)]),
+        (_quartic_form, base, quartic),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_exterior_derivative_matches_the_per_point_loop(seed):
+    for form, base, vectors in _stencil_configs(seed):
+        stacked = FM.exterior_derivative(form, base, vectors)
+        assert stacked.hex() == _looped_exterior_derivative(
+            form, base, vectors).hex()
+
+
+def test_exterior_derivative_calls_the_form_once(monkeypatch):
+    # every stencil point of every vector in one call: (k + 1, 4) points
+    for form, base, vectors in _stencil_configs(0):
+        shapes = []
+
+        def counted(pt, vecs):
+            shapes.append(pt.shape[:-1])
+            return form(pt, vecs)
+
+        FM.exterior_derivative(counted, base, vectors)
+        assert shapes == [(len(vectors), 4)]
+
+
+def _looped_fundamental_equations(rng, sign_flip=False):
+    # the residuals with every form, theta, x* and n* taken one vector
+    # (pair) at a time, in the wedge's order
+    f = FM.random_frame_point(rng)
+    v = FM.random_frame_tangent(rng, f)
+    w = FM.random_frame_tangent(rng, f)
+    dbeta = _looped_exterior_derivative(_beta_form, f, [v, w])
+    p, vp, wp = f[:8], v[:8], w[:8]
+    rhs1 = (float(FM.theta(2, p, vp, wp, check=False))
+            - float(FM.theta(1, p, vp, wp, check=False)))
+    if sign_flip:
+        rhs1 = -rhs1
+    r1 = abs(dbeta - rhs1)
+
+    q = FM.random_ut_point(rng)
+    a, b, c = (FM.random_ut_tangent(rng, q) for _ in range(3))
+    dalpha = _looped_exterior_derivative(_alpha_form, q, [a, b, c])
+
+    def wedge(gamma, i):
+        def th(s, t):
+            return float(FM.theta(i, q, s, t, check=False))
+        g = [float(gamma(q, t)) for t in (a, b, c)]
+        return g[0] * th(b, c) - g[1] * th(a, c) + g[2] * th(a, b)
+
+    rhs = 0.5 * (wedge(FM.nstar, 2) - wedge(FM.xstar, 1))
+    return r1, abs(dalpha - rhs)
+
+
+@pytest.mark.parametrize("sign_flip", [False, True])
+def test_fundamental_equations_match_the_per_point_loop(sign_flip):
+    # same residuals bit for bit, same draws left for the caller
+    rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+    for _ in range(8):
+        got = FM.fundamental_equations_residual(rng, sign_flip=sign_flip)
+        ref = _looped_fundamental_equations(ref_rng, sign_flip=sign_flip)
+        assert [r.hex() for r in got] == [r.hex() for r in ref]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_fundamental_equations():
@@ -299,7 +396,7 @@ def test_w_volume_carries_its_two_level_trail(lens):
     assert len(wv.trail) == 2 and wv.trail[1] == wv.value
     assert wv.error_estimate == abs(wv.trail[1] - wv.trail[0])
     assert wv.grid == FM.w_grid(lens, 1).describe()
-    assert wv.trail == [FM._w_value(lens, FM.w_grid(lens, level))
+    assert wv.trail == [FM.w_value(lens, FM.w_grid(lens, level))
                         for level in (0, 1)]
 
 
