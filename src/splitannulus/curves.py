@@ -20,8 +20,7 @@ family weights are measured, never assumed.
 
 Shipped families: the PO(2,2) crossratio of a pair of circle maps and
 the PSL3 flag-curve crossratio of a pointed convex curve.  Both carry
-exact metric densities; a finite-difference density is available for
-families without one.
+exact metric densities; a crossratio without one has no density.
 """
 
 from __future__ import annotations
@@ -50,38 +49,13 @@ from .fields import (
     ScalarField,
     UniformizingFactor,
 )
-from .liouville import ActionValue, _monotone_density, sclass_report, torus_trail
+from .liouville import ActionValue, sclass_report, torus_density, torus_trail
 from .lorentz import SplitMetric, desitter
 
 
 # ---------------------------------------------------------------------------
-# Classical crossratio and diamonds
+# Diamonds
 # ---------------------------------------------------------------------------
-
-def _bracket(p, q):
-    """[p, q] for projective points in affine coordinates (inf allowed)."""
-    p_inf = np.isinf(p)
-    q_inf = np.isinf(q)
-    # homogeneous reps (p, 1) and (1, 0) for infinity
-    p1 = np.where(p_inf, 1.0, p)
-    p2 = np.where(p_inf, 0.0, 1.0)
-    q1 = np.where(q_inf, 1.0, q)
-    q2 = np.where(q_inf, 0.0, 1.0)
-    return p1 * q2 - p2 * q1
-
-
-def classical_crossratio(a, b, c, d):
-    """(a-c)(b-d) / ((a-b)(c-d)), normalized by [0, 1, x, inf] = x."""
-    a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
-    pts = np.stack(np.broadcast_arrays(a, b, c, d))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if np.any(np.abs(_bracket(pts[i], pts[j])) < 1e-13):
-                raise CoincidentPoints("crossratio needs pairwise distinct points")
-    num = _bracket(a, c) * _bracket(b, d)
-    den = _bracket(a, b) * _bracket(c, d)
-    return num / den
-
 
 def diamond_ratio(x, y, X, Y, coords="affine"):
     """D(x-X) D(y-Y) / (D(x-Y) D(y-X)) with the coordinate difference D
@@ -112,7 +86,7 @@ class Diamond:
 
 
 class Crossratio:
-    """A positive crossratio with an optional exact metric density."""
+    """A positive crossratio, with its exact metric density if it has one."""
 
     def __init__(self, fn, family="custom", coords="affine", exact_density=None):
         self.fn = fn
@@ -157,37 +131,12 @@ class Crossratio:
         x, y, X, Y = self._cyclic_samples(rng, samples, 4, (0.05, 1.0), 0.05, 2.0)
         return bool(np.all(self.fn(x, y, X, Y) > 1.0))
 
-    def density(self, s, t, step=1e-5):
-        """Metric density rho(s, t); exact when the family supplies it."""
-        if self._exact_density is not None:
-            return self._exact_density(s, t)
-        return self._fd_density(s, t, step)
-
-    def _fd_density(self, s, t, step):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        # base slots placed cyclically: x before s, X between s and t
-        if self.coords == "angle":
-            gap = np.remainder(t - s, math.pi)
-            X = s + 0.5 * gap
-            x = s - 0.5 * (math.pi - gap)
-        else:
-            X = 0.5 * (s + t)
-            x = s - np.abs(t - s)
-
-        def logb(yy, YY):
-            vals = self.fn(x, yy, X, YY)
-            if np.any(vals <= 0):
-                raise NonPositiveB("crossratio not positive where log is needed")
-            return np.log(vals)
-
-        num = (
-            logb(s + step, t + step)
-            - logb(s + step, t - step)
-            - logb(s - step, t + step)
-            + logb(s - step, t - step)
-        )
-        return num / (4.0 * step ** 2)
+    def density(self, s, t):
+        """The exact metric density rho(s, t) of the family."""
+        if self._exact_density is None:
+            raise NonSmoothB(f"the {self.family} crossratio has no exact "
+                             "metric density")
+        return self._exact_density(s, t)
 
 
 def reference_crossratio(coords="affine"):
@@ -359,15 +308,6 @@ class PSL3Curve:
         self.log_pairing_dst = log_pairing_dst
         self.coords = coords
 
-    def incidence_residual(self, ts, step=1e-6):
-        """x(t) on l(t) and l(t) tangent there (both should vanish)."""
-        inc = np.abs(self.pairing(ts, ts))
-        tang = np.abs(
-            (self.pairing(ts, ts + step) - self.pairing(ts, ts - step))
-            / (2 * step)
-        )
-        return float(np.max(inc)), float(np.max(tang))
-
     def crossratio(self) -> Crossratio:
         def fn(t1, t2, s1, s2):
             num = self.pairing(s1, t1) * self.pairing(s2, t2)
@@ -441,8 +381,8 @@ def curve_action(curve, levels=3, check_sclass=True) -> ActionValue:
             failing = [k for k, ok in report.clauses.items() if not ok]
             raise SClassFail(failing[0], f"S-class clauses failed: {failing}")
 
-    density = _monotone_density(g, g_circle, g_circle.factor_relative_to(g))
-    return torus_trail(density, limit, levels, "curve", breaks, report)
+    return torus_trail(torus_density(g, g_circle), limit, levels, "curve",
+                       breaks, report)
 
 
 def reparam_invariance_residual(curve: PO22Curve, phi: CircleMap,

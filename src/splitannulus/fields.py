@@ -426,20 +426,21 @@ class UniformizingFactor(ScalarField):
         self.chart = CHARTS[phi.coords]
 
     def _jet(self, x, y):
-        phi = self.phi
-        same = None
-        if isinstance(phi, PiecewiseMobiusAngleMap):
-            same = phi.piece_index(x) == phi.piece_index(y)
-        fx, f1x, f2x, f3x = phi.jets(x)
-        fy, f1y, f2y, f3y = phi.jets(y)
+        jx, jy = self.phi.jets(x), self.phi.jets(y)
+        # a piecewise map's jets name the piece of every angle
+        same = (jx.piece == jy.piece
+                if isinstance(self.phi, PiecewiseMobiusAngleMap) else None)
+        fx, f1x, f2x, f3x = jx
+        fy, f1y, f2y, f3y = jy
         d = x - y
         dd = fx - fy
         diff, diff1 = self.chart.diff, self.chart.diff1
         sd, sD = diff(d), diff(dd)
+        sd2, sD2 = sd ** 2, sD ** 2
         cot_d = diff1(d) / sd
         cot_D = diff1(dd) / sD
-        inv2_d, inv2_D = 1.0 / sd ** 2, 1.0 / sD ** 2
-        v = 0.5 * np.log(sd ** 2 * f1x * f1y / sD ** 2)
+        inv2_d, inv2_D = 1.0 / sd2, 1.0 / sD2
+        v = 0.5 * np.log(sd2 * f1x * f1y / sD2)
         ax = f2x / (2.0 * f1x)
         ay = f2y / (2.0 * f1y)
         sx = f3x / (2.0 * f1x) - f2x ** 2 / (2.0 * f1x ** 2)
@@ -648,11 +649,13 @@ class SineFlowMap(CircleMap):
     def jets(self, t):
         t = np.asarray(t, dtype=float)
         a, k = self.a, self.k
+        kt = k * t
+        sin, cos = np.sin(kt), np.cos(kt)
         return (
-            t + a * np.sin(k * t),
-            1.0 + a * k * np.cos(k * t),
-            -a * k ** 2 * np.sin(k * t),
-            -a * k ** 3 * np.cos(k * t),
+            t + a * sin,
+            1.0 + a * k * cos,
+            -a * k ** 2 * sin,
+            -a * k ** 3 * cos,
         )
 
 
@@ -743,6 +746,17 @@ class ComposedMap(CircleMap):
         )
 
 
+class PieceJets(tuple):
+    """The jets (phi, phi', phi'', phi''') of a piecewise map, with
+    ``piece``: the index of the arc that holds each angle (reduced mod pi),
+    whose piece gave the jets there."""
+
+    def __new__(cls, jets, piece):
+        self = super().__new__(cls, jets)
+        self.piece = piece
+        return self
+
+
 class PiecewiseMobiusAngleMap(CircleMap):
     """A piecewise SL(2)-projective circle map on the angle line.
 
@@ -814,12 +828,8 @@ class PiecewiseMobiusAngleMap(CircleMap):
                       len(bps) - 1)
         return shift, tr, idx
 
-    def piece_index(self, t):
-        """Index of the arc containing angle t (reduced mod pi): the piece
-        whose jets ``jets`` returns at t."""
-        return self._locate(np.asarray(t, dtype=float))[2]
-
     def jets(self, t):
+        """The jets, as ``PieceJets`` that also name the piece of each t."""
         t_in = np.asarray(t, dtype=float)
         shift, tr, idx = self._locate(np.atleast_1d(t_in).ravel())
         phi = np.empty_like(tr)
@@ -834,7 +844,8 @@ class PiecewiseMobiusAngleMap(CircleMap):
             phi[sel] = self._lifted(i, tr[sel], raw)
             d1[sel], d2[sel], d3[sel] = a, b, c
         out = (phi + shift * math.pi, d1, d2, d3)
-        return tuple(c.reshape(t_in.shape) for c in out)
+        return PieceJets((c.reshape(t_in.shape) for c in out),
+                         idx.reshape(t_in.shape))
 
     def jets_checked(self, t):
         """Like ``jets`` but refuses breakpoints (no third derivative there)."""

@@ -46,13 +46,13 @@ class SplitMetric:
         self.reference = reference
         self.u = as_field(u if u is not None else 0.0)
         self.coords = coords
-        self._ref_factor = (DeSitterLogFactor(coords) if reference == DESITTER
-                            else ConstantField(0.0))
+        self.ref_factor = (DeSitterLogFactor(coords) if reference == DESITTER
+                           else ConstantField(0.0))
 
     # -- jets ---------------------------------------------------------------
     def total_factor_jet(self, x, y) -> Jet2:
         # the sum folds a zero u (or a flat reference) away
-        return (self.u + self._ref_factor).jet(x, y)
+        return (self.u + self.ref_factor).jet(x, y)
 
     def density(self, x, y):
         return np.exp(2.0 * self.total_factor_jet(x, y).v)

@@ -855,6 +855,38 @@ def test_torus_trails_pinned(tmp_path, command, ini, level, pinned):
     assert {key: rep[key] for key in pinned} == pinned
 
 
+_UNI_REPORT_GRID = {
+    UNIFORMIZING_INI: [[0.0, 0.7853981633974483],
+                       [0.7853981633974483, 1.5707963267948966],
+                       [1.5707963267948966, 3.141592653589793]],
+    FOUR_PIECE_UNI_INI: [[0.3, 1.0], [1.0, 1.8], [1.8, 2.5],
+                         [2.5, 3.441592653589793]],
+}
+
+
+@pytest.mark.parametrize("ini, trail, error", [
+    (UNIFORMIZING_INI, _UNI_TRAIL, 3.97548591268837e-11),
+    (FOUR_PIECE_UNI_INI, _FOUR_PIECE_UNI_TRAIL, 1.8789044174265467e-13),
+], ids=["sineflow", "four_piece"])
+def test_uniformizing_report_bytes_pinned(tmp_path, ini, trail, error):
+    # the whole level-2 report, byte for byte: its monotone value comes
+    # from one jet of the pulled-back factor per node
+    cfg = _write(tmp_path, "u.ini", ini)
+    out = tmp_path / "u.json"
+    assert cli.main(["action", "--config", cfg, "--grid-level", "2",
+                     "--out", str(out)]) == 0
+    expected = {
+        "error_estimate": error,
+        "grid": {"arcs": _UNI_REPORT_GRID[ini], "level": 2, "order": 16},
+        "refinement_trail": trail,
+        "schema_version": 2,
+        "subcommand": "action",
+        "uniformizing": True,
+        "values": {"definition": trail[-1], "monotone": trail[-1]},
+    }
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("seed", [30, 65, 75, 103])
 def test_verify_seeds_that_once_failed_pass(tmp_path, seed):
     # 30, 75 and 103: their classical_formula residuals exceeded 1e-8 with

@@ -397,11 +397,30 @@ def test_piece_index_names_the_piece_jets_evaluates():
             t = b
             for _ in range(steps):
                 t = float(np.nextafter(t, direction * np.inf))
-            i = int(pm.piece_index(t))
-            d2 = pm.jets(np.array([t]))[2][0]
+            j = pm.jets(np.array([t]))
+            i, d2 = int(j.piece[0]), j[2][0]
             assert d2 == pytest.approx(ends[i], rel=1e-9)
             mid = np.mean(pm._arc(i))
             assert float(u.value(t, mid)) == 0.0
+
+
+def test_jets_name_the_piece_of_every_angle():
+    # the piece holds the angle reduced into [b0, b0 + pi), for arrays and
+    # 0-d angles alike, and the 0-d same-piece zero holds
+    pm = F.four_piece_c1_map()
+    ts = np.random.default_rng(8).uniform(-1.0, 4.0, (3, 50))
+    pieces = pm.jets(ts).piece
+    assert pieces.shape == ts.shape
+    b0 = pm.breakpoints[0]
+    for t, i in zip(ts.ravel(), pieces.ravel()):
+        lo, hi = pm._arc(int(i))
+        assert lo <= b0 + (t - b0) % math.pi < hi
+    for t, i in ((0.6, 0), (pm.breakpoints[1], 1), (-2.0, 1)):
+        piece = pm.jets(t).piece
+        assert np.shape(piece) == () and piece == i
+    u = F.UniformizingFactor(pm)
+    assert float(u.value(0.6, 0.62)) == 0.0
+    assert float(u.value(0.6, 2.0)) != 0.0
 
 
 def test_scalar_callers_match_batched_bits():
@@ -410,7 +429,7 @@ def test_scalar_callers_match_batched_bits():
     ts = np.random.default_rng(5).uniform(0.3, 0.3 + math.pi, 200)
     pm = F.four_piece_c1_map()
     batched = pm.jets(ts)
-    for k, i in enumerate(pm.piece_index(ts)):
+    for k, i in enumerate(batched.piece):
         assert pm.jets_at_piece(int(i), float(ts[k])) == tuple(
             float(c[k]) for c in batched)
     for phi in (F.AngleMobiusMap(np.array([[1.3, 0.2], [0.1, 0.9]])), _CubeFlow(),

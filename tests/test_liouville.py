@@ -218,6 +218,42 @@ def test_vb_nondecreasing_in_refinement():
     assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
 
 
+def _vb_by_segments(f, curve, refinement):
+    # one evaluation per vertical segment, summed in curve order
+    total = 0.0
+    n = 2 ** refinement
+    for a, b in curve.vertical_segments():
+        ys = np.linspace(a.y, b.y, n + 1)
+        vals = f.value(np.full_like(ys, a.x), ys)
+        total += float(np.sum(np.abs(np.diff(vals))))
+    return total
+
+
+@pytest.mark.parametrize("f", [U1, F.UniformizingFactor(F.four_piece_c1_map())],
+                         ids=["bump", "four_piece"])
+def test_vb_evaluates_once_per_refinement(f):
+    # both vertical segments of the S-class curve in one call, with the
+    # bits of one call per segment
+    curve = LV._VB_CURVE
+    assert len(curve.vertical_segments()) == 2
+    calls = []
+    value = f.value
+
+    def spy(x, y):
+        calls.append(np.shape(x))
+        return value(x, y)
+
+    for r in range(8):
+        calls.clear()
+        f.value = spy
+        try:
+            got = LV.vb(f, curve, r)
+        finally:
+            del f.value
+        assert calls == [(2 * (2 ** r + 1),)]
+        assert got.hex() == _vb_by_segments(f, curve, r).hex()
+
+
 def test_vb_difference_bound():
     # |VB(f, P0) - VB(f, P1)| <= (1/2) int |box f| da, curve independent
     p0 = F.diamond_curve(0.1, 0.9, 2.1, 2.9)
@@ -244,6 +280,48 @@ def test_sclass_uniformizing_passes_with_quadratic_decay():
     assert rep.verdict
     ratios = [a / b for a, b in zip(rep.boundary_decay, rep.boundary_decay[1:])]
     assert all(r > 2.5 for r in ratios)  # quadratic decay in practice
+
+
+def _sampled_maxima(u):
+    # the band maxima and the sup off the bands, one evaluation per sample
+    # set, drawn in the S-class report's order
+    rng = np.random.default_rng(20240901)
+    th = rng.uniform(0.0, math.pi, LV._SAMPLES)
+    maxima = []
+    for j in range(LV._N_BANDS):
+        w_hi = LV._BAND_WIDTH / 2 ** j
+        offs = (rng.uniform(w_hi / 2.0, w_hi, LV._SAMPLES)
+                * rng.choice([-1, 1], LV._SAMPLES))
+        maxima.append(float(np.max(np.abs(u.value(th, th + offs)))))
+    off = rng.uniform(LV._BAND_WIDTH, math.pi - LV._BAND_WIDTH, LV._SAMPLES)
+    sup = float(np.max(np.abs(u.value(th, th + off))))
+    return maxima, max(sup, max(maxima))
+
+
+@pytest.mark.parametrize("phi", [F.SineFlowMap(0.3, 2), F.four_piece_c1_map()],
+                         ids=["sine", "four_piece"])
+def test_sclass_evaluates_u_once_on_all_samples(phi):
+    # the five bands and the sup sample are one (6, 600) evaluation, with
+    # the bits of six separate ones
+    g0a = L.desitter(coords="angle")
+    h = L.pullback_metric(g0a, phi)
+    u = h.factor_relative_to(g0a)
+    sizes = []
+    jet = u.jet
+
+    def spy(x, y):
+        sizes.append(np.broadcast(x, y).shape)
+        return jet(x, y)
+
+    u.jet = spy
+    rep = LV.sclass_report(g0a, h)
+    del u.jet
+    n = LV._SAMPLES
+    assert sizes.count((LV._N_BANDS + 1, n)) == 1
+    assert sizes.count((n,)) == 0
+    maxima, sup = _sampled_maxima(u)
+    assert [m.hex() for m in rep.boundary_decay] == [m.hex() for m in maxima]
+    assert rep.sup_u.hex() == sup.hex()
 
 
 def test_sclass_evaluates_u_once_on_the_bulk_grid():
@@ -298,6 +376,15 @@ def test_uniformizing_action_sine_vanishes():
     assert all(m <= 1e-11 for m in mags[2:])
     end = next(i for i, m in enumerate(mags) if m < 1e-11)
     assert all(b < a for a, b in zip(mags[:end], mags[1:end + 1]))
+
+
+def test_torus_density_needs_a_bare_reference():
+    g0a = L.desitter(coords="angle")
+    h = g0a.scaled_by(0.2)
+    with pytest.raises(IncompatibleMetrics):
+        LV.torus_density(g0a, h)
+    with pytest.raises(IncompatibleMetrics):
+        LV.torus_density(L.desitter(), g0a)
 
 
 def test_uniformizing_formulas_agree():
