@@ -130,9 +130,10 @@ F_PLUS2 = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
 F_MINUS1 = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
 F_MINUS2 = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 _DIAG_P = np.column_stack([F_PLUS1, F_PLUS2, F_MINUS1, F_MINUS2])
+_SO_Q_SCALE = 0.7  # each rotation angle and boost rapidity in [-0.7, 0.7]
 
 
-def random_so_q(rng, scale=0.7):
+def random_so_q(rng):
     """A random element of SO0(q) from elementary rotations and boosts."""
     r = np.eye(4)
 
@@ -150,7 +151,7 @@ def random_so_q(rng, scale=0.7):
     # indices in the diagonal basis: 0,1 positive; 2,3 negative
     for (i, j, rot) in ((0, 1, True), (2, 3, True), (0, 2, False),
                         (1, 3, False), (0, 3, False), (1, 2, False)):
-        r = r @ plane(i, j, rot, rng.uniform(-scale, scale))
+        r = r @ plane(i, j, rot, rng.uniform(-_SO_Q_SCALE, _SO_Q_SCALE))
     return _DIAG_P @ r @ np.linalg.inv(_DIAG_P)
 
 
@@ -448,6 +449,9 @@ def _pair_matrix(ax, ay, bx, by):
     )
 
 
+_ENVELOPE_DET_TOL = 1e-10
+
+
 @dataclass
 class InfinityForms:
     Istar: np.ndarray
@@ -468,13 +472,14 @@ class InfinityForms:
         sym = 0.5 * (self.IIstar + np.swapaxes(self.IIstar, -1, -2))
         return 0.5 * self.Istar + sym + 0.5 * self.IIIstar
 
-    def envelope_degenerate(self, tol=1e-10):
-        """Mask of sample points where the envelope fails to immerse.
+    def envelope_degenerate(self):
+        """Mask of sample points where the envelope fails to immerse:
+        |det| of the envelope metric at most ``_ENVELOPE_DET_TOL``.
 
         The envelope metric may degenerate; points are reported, not
         classified.
         """
-        return np.abs(np.linalg.det(self.envelope_metric())) <= tol
+        return np.abs(np.linalg.det(self.envelope_metric())) <= _ENVELOPE_DET_TOL
 
 
 def infinity_forms(data: IsotropicSurfaceData, x, y) -> InfinityForms:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -384,12 +385,13 @@ def _verify_checks(seed, sign_flip=False):
         * lorentz.dalembertian_values(g0, f, x50, y50))), 1e-10)
 
     # every action is the refined value of the level-0 rule of the `action`
-    # subcommand: gauss8 on 2 cells per axis, cut at the bumps' break lines.
-    # One integral on its refinement, and S(g0, h) serves three checks
+    # subcommand ([grid]'s default cells and scheme), cut at the bumps'
+    # break lines.  One integral on its refinement, and S(g0, h) serves
+    # three checks
     u2 = bump + fields.bump_field((0.6, 2.6), (0.3, 0.3), -0.35)
     xb, yb = fields.union_lines((bump, w, u2))
-    grid = fields.box_grid((0, 1, 2, 3), 0, base_cells=2, scheme="gauss8",
-                           x_breaks=xb, y_breaks=yb)
+    grid = fields.box_grid((0, 1, 2, 3), 0, base_cells=_GRID["base_cells"][1],
+                           scheme=_GRID["scheme"][1], x_breaks=xb, y_breaks=yb)
     fine_grid = grid.refine()
     h = g0.scaled_by(bump)
     s_g0h = liouville.action(g0, h, fine_grid, refine=False).value
@@ -555,6 +557,7 @@ def cmd_curve(args):
     return 0
 
 
+@functools.cache  # one parser per process: parsing does not change it
 def build_parser():
     p = argparse.ArgumentParser(
         prog="splitannulus",

@@ -116,65 +116,24 @@ def _broadcast_zero(x, y):
     return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
 
 
-def _true_run(mask):
-    """The slice of the True entries of a 1-d mask, or None when they do
-    not form one contiguous run."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return slice(0, 0)
-    if idx[-1] - idx[0] + 1 != idx.size:
-        return None
-    return slice(idx[0], idx[-1] + 1)
-
-
 class ScalarField:
     """A real function on an annulus chart with exact partials.
 
     Subclasses implement ``_jet(x, y) -> Jet2``.  It must broadcast ``x``
     against ``y`` and return components of the broadcast shape, so an
-    open mesh, (n, 1) against (1, m), gives (n, m) jets.  An optional
-    support box clips the field (and all partials) to zero outside a
-    compact rectangle: ``jet`` then calls ``_jet`` only on the nodes
-    inside the closed box and writes zeros everywhere else, so ``_jet``
-    never sees an outside node.  On an open mesh whose in-box rows and
-    columns are contiguous (as on sorted grid axes) ``_jet`` gets them
-    as an open mesh too; other inputs are gathered into flat arrays.
+    open mesh, (n, 1) against (1, m), gives (n, m) jets; ``jet`` hands it
+    every node it is given.  A field's ``support_box`` is metadata: a
+    closed rectangle outside which the field and all its partials vanish,
+    which the quadrature reads to evaluate the field on that block only,
+    and whose edges are the field's break lines.  A bump vanishes there by
+    its own formula; ``ClippedField`` is the one field that cuts another
+    to its box when evaluated.
     """
 
     support_box = None  # (x0, x1, y0, y1) or None
 
     def jet(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.support_box is None:
-            return self._jet(x, y)
-        x0, x1, y0, y1 = self.support_box
-        if x.ndim == y.ndim == 2 and x.shape[1] == y.shape[0] == 1:
-            rows = _true_run((x[:, 0] >= x0) & (x[:, 0] <= x1))
-            cols = _true_run((y[0] >= y0) & (y[0] <= y1))
-            if rows is not None and cols is not None:
-                return self._mesh_jet(x, y, rows, cols)
-        x, y = np.broadcast_arrays(x, y)
-        idx = np.flatnonzero((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
-        j = self._jet(x.ravel()[idx], y.ravel()[idx])
-        out = []
-        for c in j:
-            full = np.zeros(x.size)
-            full[idx] = c
-            out.append(full.reshape(x.shape))
-        return Jet2(*out)
-
-    def _mesh_jet(self, x, y, rows, cols):
-        # the in-box block of an open mesh, written back by slices
-        shape = (x.shape[0], y.shape[1])
-        if rows.stop - rows.start == shape[0] and cols.stop - cols.start == shape[1]:
-            return self._jet(x, y)
-        out = []
-        for c in self._jet(x[rows], y[:, cols]):
-            full = np.zeros(shape)
-            full[rows, cols] = c
-            out.append(full)
-        return Jet2(*out)
+        return self._jet(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def _jet(self, x, y):
         raise NotImplementedError
@@ -254,10 +213,6 @@ def union_lines(fs):
 
 
 def _union_box(a, b):
-    if _is_zero_field(a):
-        return b.support_box
-    if _is_zero_field(b):
-        return a.support_box
     if a.support_box is None or b.support_box is None:
         return None
     ax0, ax1, ay0, ay1 = a.support_box
@@ -274,7 +229,9 @@ class SumField(ScalarField):
         ja, jb = self.a.jet(x, y), self.b.jet(x, y)
         return Jet2(*(ca + cb for ca, cb in zip(ja, jb)))
 
-    def jet(self, x, y):  # components already clip themselves
+    # the base method, repeated so that ``perfbench/spans.py`` can wrap a
+    # sum's jet by name apart from its leaves'
+    def jet(self, x, y):
         return self._jet(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def break_lines(self):
@@ -289,6 +246,7 @@ class ScaledField(ScalarField):
     def _jet(self, x, y):
         return Jet2(*(self.c * comp for comp in self.a.jet(x, y)))
 
+    # the base method, repeated for ``perfbench/spans.py`` as on SumField
     def jet(self, x, y):
         return self._jet(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
@@ -362,7 +320,8 @@ class BumpField(ScalarField):
         # each axis is clamped and raised on its own, so on an open mesh the
         # powers cost O(rows + columns) and only the products O(rows * columns);
         # with p >= 3 every factor below vanishes at |X| = 1, so the clamp
-        # makes every component exactly zero off the open box
+        # makes every component exactly zero off the open box: it is the
+        # bump's only clip
         X = np.clip((x - self.cx) / self.hx, -1.0, 1.0)
         Y = np.clip((y - self.cy) / self.hy, -1.0, 1.0)
         p = self.p
@@ -377,8 +336,13 @@ class BumpField(ScalarField):
         gy2 = (-2.0 * p * sy1
                + 4.0 * p * (p - 1) * Y ** 2 * sy ** (p - 2)) / self.hy ** 2
         a = self.amp
-        return Jet2(a * gx * gy, a * gx1 * gy, a * gx * gy1, a * gx1 * gy1,
-                    a * gx2 * gy, a * gx * gy2)
+        j = (a * gx * gy, a * gx1 * gy, a * gx * gy1, a * gx1 * gy1,
+             a * gx2 * gy, a * gx * gy2)
+        # a negative factor leaves -0.0 off the box; adding 0.0 turns every
+        # -0.0 into the +0.0 of the zero extension and keeps every other
+        # value's bits (in place on the fresh arrays, 0-d inputs give scalars)
+        return Jet2(*(np.add(c, 0.0, out=c if isinstance(c, np.ndarray) else None)
+                      for c in j))
 
 
 def bump_field(center, halfwidth, amplitude=1.0, power=4):
@@ -522,8 +486,21 @@ class ClippedField(ScalarField):
         self.support_box = tuple(float(b) for b in box)
 
     def _jet(self, x, y):
-        # the base-class jet() calls this on the nodes inside the box only
-        return self.inner.jet(x, y)
+        # the inner field sees only the nodes inside the closed box: all of
+        # them as given (the block ``integrate`` hands a boxed field), else
+        # gathered flat and scattered into zeros of the broadcast shape
+        x0, x1, y0, y1 = self.support_box
+        inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+        if np.all(inside):
+            return self.inner.jet(x, y)
+        x, y = np.broadcast_arrays(x, y)
+        idx = np.flatnonzero(inside)
+        out = []
+        for c in self.inner.jet(x.ravel()[idx], y.ravel()[idx]):
+            full = np.zeros(x.size)
+            full[idx] = c
+            out.append(full.reshape(x.shape))
+        return Jet2(*out)
 
     def break_lines(self):
         # the box edges, and the inner field's lines that cross the box

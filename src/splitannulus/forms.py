@@ -157,11 +157,14 @@ def random_frame_tangent(rng, f):
 # The forms
 # ---------------------------------------------------------------------------
 
-def check_ut_tangent(p, v, tol=1e-8):
+_TANGENCY_TOL = 1e-8  # of check_ut_tangent and beta1
+
+
+def check_ut_tangent(p, v):
     x, n = p[:4], p[4:8]
     res = max(abs(pair(v[:4], x)), abs(pair(v[4:], n)),
               abs(pair(v[:4], n) + pair(x, v[4:])))
-    if res > tol:
+    if res > _TANGENCY_TOL:
         raise NotTangent(f"UT tangency residual {res}")
 
 
@@ -210,11 +213,11 @@ def beta(f, w):
     return -det4(f[..., :4], f[..., 4:8], f[..., 8:12], w[..., 8:12])
 
 
-def beta1(f, w, tol=1e-8):
+def beta1(f, w):
     """beta(w) on a frame tangent; NotTangent off the constraint kernel."""
     rows = _constraint_rows_frame(f)
     res = np.max(np.abs(rows @ w))
-    if res > tol:
+    if res > _TANGENCY_TOL:
         raise NotTangent(f"frame tangency residual {res}")
     return float(beta(f, w))
 
@@ -324,6 +327,12 @@ def fundamental_equations_residual(rng, sign_flip=False):
 # Lens cobordisms and the W-volume
 # ---------------------------------------------------------------------------
 
+# a lens checks its boundary frames' contact residual at this many seeded
+# points of its box, and u's jet at as many points of each support-box edge
+_LENS_CHECK_SAMPLES = 64
+_LENS_CHECK_TOL = 1e-8
+
+
 @dataclass
 class LensCobordism:
     """Epstein lens between g0-conformal metrics differing on a box.
@@ -344,7 +353,8 @@ class LensCobordism:
         """The Epstein frame at path time t."""
         return epstein_frame(self.data.jets(x, y, t))
 
-    def _validate(self, samples=64, tol=1e-8):
+    def _validate(self):
+        samples, tol = _LENS_CHECK_SAMPLES, _LENS_CHECK_TOL
         rng = np.random.default_rng(7)
         x0, x1, y0, y1 = self.box
         xs = rng.uniform(x0, x1, samples)

@@ -395,6 +395,22 @@ def test_negative_grid_level_flag_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    cfg = _write(tmp_path, "e.ini", EPSTEIN_INI)
+    for name in ("one", "two"):
+        assert cli.main(["epstein", "--config", cfg,
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    # the shared parser still rejects a bad argv after a good one
+    cfg = _write(tmp_path, "a.ini", ACTION_INI)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["action", "--config", cfg, "--grid-level", "x", "--out", "-"])
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_empty_rectangle_rejected(tmp_path):
     bad = EPSTEIN_INI.replace("box = 0 1 2 3\nsamples", "box = 1 1 2 3\nsamples")
     cfg = _write(tmp_path, "d.ini", bad)

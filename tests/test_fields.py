@@ -140,7 +140,8 @@ def test_field_arithmetic_jets():
 
 
 def _masked_jet(f, x, y):
-    """Reference jet: ``_jet`` on every node, then zero outside the box."""
+    """Reference jet: the unclipped jet on every node (a clipped field's
+    inner jet), then zero outside the box."""
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     if isinstance(f, F.SumField):
         return [a + b for a, b in zip(_masked_jet(f.a, x, y), _masked_jet(f.b, x, y))]
@@ -148,7 +149,8 @@ def _masked_jet(f, x, y):
         return [f.c * c for c in _masked_jet(f.a, x, y)]
     x0, x1, y0, y1 = f.support_box
     inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
-    return [np.where(inside, c, 0.0) for c in f._jet(x, y)]
+    j = f.inner.jet(x, y) if isinstance(f, F.ClippedField) else f._jet(x, y)
+    return [np.where(inside, c, 0.0) for c in j]
 
 
 _BUMP = F.bump_field((0.5, 2.5), (0.3, 0.25), 0.6)
@@ -158,6 +160,10 @@ _GATHERED_FIELDS = [
     + F.bump_field((0.7, 2.7), (0.25, 0.2), 0.3),
     -0.7 * _BUMP,
     F.with_support_box(F.product_xy(), (0.2, 0.8, 2.1, 2.6)),
+    # the lowest power with a C^2 join, and a higher one, each zero off its
+    # box by the clamp alone
+    F.bump_field((0.55, 2.45), (0.25, 0.3), 0.8, power=3),
+    F.bump_field((0.45, 2.55), (0.3, 0.2), -0.5, power=6),
 ]
 _rng = np.random.default_rng(7)
 _GATHER_POINTS = [
@@ -188,24 +194,6 @@ def test_all_outside_gives_exact_zeros(field):
     for c in field.jet(x, y):
         assert c.shape == (12, 5)
         assert np.all(c == 0.0)
-
-
-def test_bump_jet_sees_only_box_nodes(monkeypatch):
-    seen = []
-    original = F.BumpField._jet
-
-    def spy(self, x, y):
-        seen.append((np.array(x), np.array(y)))
-        return original(self, x, y)
-
-    monkeypatch.setattr(F.BumpField, "_jet", spy)
-    x, y = _GATHER_POINTS[0]
-    _BUMP.jet(x, y)
-    x0, x1, y0, y1 = _BUMP.support_box
-    inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
-    (sx, sy), = seen
-    assert sx.shape == (int(np.count_nonzero(inside)),)
-    assert np.array_equal(sx, x[inside]) and np.array_equal(sy, y[inside])
 
 
 _POLY = F.PolynomialField([[0.1, 0.2, -0.3], [0.5, 0.0, 0.4], [0.2, -0.1, 0.0]])
@@ -244,26 +232,44 @@ def test_open_mesh_jet_matches_flat_nodes(kind, boxed):
         assert np.array_equal(m, f.reshape(X.shape))
 
 
-def test_boxed_jet_keeps_the_open_mesh(monkeypatch):
-    seen = []
-    original = F.BumpField._jet
+class _Recorder(F.ScalarField):
+    """A field that records the nodes its jet is asked for."""
 
-    def spy(self, x, y):
-        seen.append((x, y, original(self, x, y)))
-        return seen[-1][2]
+    def __init__(self, inner):
+        self.inner, self.seen = inner, []
 
-    monkeypatch.setattr(F.BumpField, "_jet", spy)
+    def _jet(self, x, y):
+        self.seen.append((x, y))
+        return self.inner.jet(x, y)
+
+
+@pytest.mark.parametrize("xy", [_GATHER_POINTS[0], _AFFINE_MESH], ids=["flat", "mesh"])
+def test_clipped_inner_sees_only_box_nodes(xy):
+    box = x0, x1, y0, y1 = (0.2, 0.8, 2.1, 2.6)
+    rec = _Recorder(_POLY)
+    clipped = F.with_support_box(rec, box)
+    x, y = np.broadcast_arrays(*xy)
+    inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+    assert 0 < np.count_nonzero(inside) < inside.size
+    got = clipped.jet(*xy)
+    (sx, sy), = rec.seen
+    assert np.array_equal(sx, x[inside]) and np.array_equal(sy, y[inside])
+    for g, r in zip(got, _POLY.jet(x, y)):
+        assert g.shape == x.shape
+        assert np.array_equal(g, np.where(inside, r, 0.0))
+
+
+def test_clipped_field_passes_an_in_box_block_through():
+    # the block ``integrate`` hands a boxed field lies inside its box: the
+    # inner field gets the open mesh as it is
     x, y = _AFFINE_MESH
-    x0, x1, y0, y1 = _BUMP.support_box
-    rows = (x[:, 0] >= x0) & (x[:, 0] <= x1)
-    cols = (y[0] >= y0) & (y[0] <= y1)
-    assert 0 < np.count_nonzero(rows) < rows.size
-    _BUMP.jet(x, y)
-    (sx, sy, _), = seen
-    assert np.array_equal(sx, x[rows]) and np.array_equal(sy, y[:, cols])
-    # a mesh inside the box is passed through, and its jets are not copied
-    got = _BUMP.jet(x[rows], y[:, cols])
-    assert all(g is r for g, r in zip(got, seen[1][2]))
+    rows, cols = (x[:, 0] >= 0.2) & (x[:, 0] <= 0.8), (y[0] >= 2.1) & (y[0] <= 2.6)
+    bx, by = x[rows], y[:, cols]
+    rec = _Recorder(_POLY)
+    j = F.with_support_box(rec, (0.2, 0.8, 2.1, 2.6)).jet(bx, by)
+    (sx, sy), = rec.seen
+    assert sx is bx and sy is by
+    assert j.v.shape == (bx.size, by.size)
 
 
 @pytest.mark.parametrize("zero", [0, 0.0, F.ConstantField(0.0)])
@@ -312,6 +318,9 @@ def test_bump_jet_is_zero_off_the_open_box():
     for c, ref in zip(b._jet(x, y), closed):
         assert c.shape == inside.shape and np.all(c[~inside] == 0.0)
         assert np.array_equal(c[inside], ref[inside])
+        # the zeros are those of the zero extension, +0.0, although the
+        # amplitude is negative
+        assert not np.any(np.signbit(c[~inside]))
 
 
 # ---------------------------------------------------------------------------
