@@ -245,6 +245,66 @@ class NodeJets:
     u: Jet2
 
 
+@dataclass
+class LiftPath:
+    """The lift sqrt2 x = sigma - eta along the lens path t -> t u, as
+    coefficient planes in t built once per node set.
+
+    With w = t u, sigma = e^{tu} sigma-hat and eta = e^{-tu} h, where h
+    and its x, y partials are quadratics in t: ``h`` holds (H0, H1, H2)
+    of h = H0 + t (H1 + t H2), and ``h_x``, ``h_y`` the same for h_x and
+    h_y.  ``lift(t)`` then evaluates one slice with no jet assembly.
+    """
+
+    u: np.ndarray          # u, u_x, u_y as per-node columns
+    u_x: np.ndarray
+    u_y: np.ndarray
+    sigma: np.ndarray      # sigma-hat and its partials
+    sigma_x: np.ndarray
+    sigma_y: np.ndarray
+    h: tuple
+    h_x: tuple
+    h_y: tuple
+
+    def lift(self, t):
+        """sqrt2 (x, x_x, x_y, x_t) of the lift at path time t.
+
+        Fresh temporaries cost a slice more than its arithmetic, so after
+        the first product of each term every step runs in place.
+        """
+        ep, em = np.exp(t * self.u), np.exp(-t * self.u)
+        h = _quadratic(self.h, t)
+        h_t = self.h[2] * (2 * t)
+        h_t += self.h[1]
+
+        def row(c, s_d, h_d):
+            # e^{tu} (s_d + c sigma) - e^{-tu} (h_d - c h)
+            head = c * self.sigma
+            if s_d is not None:
+                head += s_d
+            head *= ep
+            tail = c * h
+            np.subtract(h_d, tail, out=tail)
+            tail *= em
+            head -= tail
+            return head
+
+        x = ep * self.sigma
+        x -= em * h
+        return (x, row(t * self.u_x, self.sigma_x, _quadratic(self.h_x, t)),
+                row(t * self.u_y, self.sigma_y, _quadratic(self.h_y, t)),
+                row(self.u, None, h_t))
+
+
+def _quadratic(c, t):
+    """c[0] + t (c[1] + t c[2]) as one new array."""
+    out = c[2] * t
+    out += c[1]
+    out *= t
+    out += c[0]
+    return out
+
+
 class IsotropicSurfaceData:
     """The isotropic/dual pair realizing a compatible metric.
 
@@ -255,9 +315,12 @@ class IsotropicSurfaceData:
 
     The evaluation has two steps.  The per-grid step ``node_jets(x, y)``
     builds the reference-pair jets and the jet of u, which do not depend
-    on t; the per-t step ``assemble(nodes, t)`` forms (sigma, eta) from
-    them with w = t u.  ``jets`` is their composition, so a caller that
-    visits many t on the same nodes runs the per-grid step once.
+    on t.  A per-t step then reads them with w = t u: ``assemble(nodes,
+    t)`` forms the full pair (sigma, eta), and ``lift_path(nodes, a, b)``
+    the coefficient planes of the lift x alone, from which each t in
+    [a, b] costs a quadratic in t.  ``jets`` is node_jets then assemble,
+    so a caller that visits many t on the same nodes runs the per-grid
+    step once.
     """
 
     def __init__(self, metric: SplitMetric):
@@ -319,6 +382,42 @@ class IsotropicSurfaceData:
         )
         return PairJets(sigma, sigma_x, sigma_y, eta, eta_x, eta_y,
                         col(u) * sigma, emw * h_t - col(u) * eta)
+
+    def lift_path(self, nodes: NodeJets, a, b) -> LiftPath:
+        """The lift's coefficient planes for path times t in [a, b].
+
+        Each coefficient is the t or t^2 term of ``assemble``'s h, h_x
+        and h_y at w = t u.  |t u| <= max|u| max(|a|, |b|) on all of
+        [a, b], so one check here covers every slice's e^{+-tu}.
+        """
+        base, ju = nodes.base, nodes.u
+        w_max = float(np.max(np.abs(ju.v))) * max(abs(a), abs(b))
+        if w_max > _EXP_MAX:
+            raise NonFiniteDensity(f"conformal factor {w_max:.6g} "
+                                   f"exceeds {_EXP_MAX:.6g}: e^w overflows")
+        M, Mx, My = base["M"], base["M_x"], base["M_y"]
+        u, ux, uy = ju.v, ju.vx, ju.vy
+        uxx, uxy, uyy = ju.vxx, ju.vxy, ju.vyy
+        s, s_x, s_y = base["sigma"], base["sigma_x"], base["sigma_y"]
+
+        def col(v):
+            return v[..., None]
+
+        m_ux, m_uy, m_uxy = col(M * ux), col(M * uy), col(M * ux * uy)
+        h = (base["eta"], -m_uy * s_x - m_ux * s_y, -m_uxy * s)
+        h_x = (
+            base["eta_x"],
+            -col(Mx * uy + M * uxy) * s_x - m_uy * base["sigma_xx"]
+            - col(Mx * ux + M * uxx) * s_y - m_ux * base["sigma_xy"],
+            -col(Mx * ux * uy + M * (uxx * uy + ux * uxy)) * s - m_uxy * s_x,
+        )
+        h_y = (
+            base["eta_y"],
+            -col(My * uy + M * uyy) * s_x - m_uy * base["sigma_xy"]
+            - col(My * ux + M * uxy) * s_y - m_ux * base["sigma_yy"],
+            -col(My * ux * uy + M * (uxy * uy + ux * uyy)) * s - m_uxy * s_y,
+        )
+        return LiftPath(col(u), col(ux), col(uy), s, s_x, s_y, h, h_x, h_y)
 
 
 def pair_constraint_residuals(j: PairJets):

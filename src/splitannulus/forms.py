@@ -26,11 +26,12 @@ Both parts are one density on the chart: per node, alpha at the first
 path time, plus the t-quadrature of the bulk integrand, minus alpha at
 the last.  Only w = t u changes with t, so that density runs the
 per-grid step ``IsotropicSurfaceData.node_jets`` once on the nodes it
-receives and shares it across every t-slice.  Each bulk slice then costs
-the per-t assembly of the pair and one det4 of the lift x and its
-derivatives; only the two boundary slices build a full Epstein frame.
-``w_value`` is W on one level of the lens's rule, and ``w_volume`` its
-two-level trail.
+receives, and from it builds the lift's coefficient planes
+(``IsotropicSurfaceData.lift_path``) once.  Each bulk slice then costs
+e^{+-tu} times quadratics in t on those planes and one det4 of the lift
+x and its derivatives; only the two boundary slices assemble the pair
+and build a full Epstein frame.  ``w_value`` is W on one level of the
+lens's rule, and ``w_volume`` its two-level trail.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import numpy as np
 
 from .adsgeom import (
     GRAM,
-    RT2INV,
     IsotropicSurfaceData,
     det4,
     epstein_frame,
@@ -393,12 +393,6 @@ def _alpha_boundary_density(frame):
     )
 
 
-def _bulk_density(j):
-    """det(x, d_x x, d_y x, d_t x) of the lift x = (sigma - eta)/sqrt2."""
-    return det4(RT2INV * (j.sigma - j.eta), RT2INV * (j.sigma_x - j.eta_x),
-                RT2INV * (j.sigma_y - j.eta_y), RT2INV * (j.sigma_t - j.eta_t))
-
-
 W_SCHEME = "gauss12"
 
 
@@ -420,6 +414,12 @@ def w_value(lens: LensCobordism, grid: QuadratureGrid, a=0.0, b=1.0) -> float:
     """W of the lens between path times a and b on one ``w_grid`` rule,
     with one gauss12 cell in t on [a, b].
 
+    Per density call the boundary frames at a and b come from the
+    assembled pair, and each of the 12 bulk slices from the lift's
+    coefficient planes: ``LiftPath.lift(t)`` gives sqrt2 times the rows
+    of det(x, d_x x, d_y x, d_t x), so the slice weighs their det4 by
+    w / 4.  NonFiniteDensity if e^{tu} could overflow on [a, b].
+
     ``w_volume`` and ``w_volume_split`` compose it; a caller that needs
     one level only, such as verify's W = S check at ``w_grid(lens,
     level + 1)``, calls it directly and gets the same bits as the
@@ -429,12 +429,13 @@ def w_value(lens: LensCobordism, grid: QuadratureGrid, a=0.0, b=1.0) -> float:
     data = lens.data
 
     def density(x, y):
-        # the t-independent jets once per grid, then one t-slice at a time
-        # next to them
+        # the t-independent jets and the lift's coefficient planes once per
+        # grid, then one t-slice at a time from them
         nodes = data.node_jets(x, y)
+        path = data.lift_path(nodes, a, b)
         tot = _alpha_boundary_density(epstein_frame(data.assemble(nodes, a)))
         for t, w in zip(ts, weights):
-            tot += w * _bulk_density(data.assemble(nodes, t))
+            tot += 0.25 * w * det4(*path.lift(t))
         return tot - _alpha_boundary_density(epstein_frame(data.assemble(nodes, b)))
 
     return grid.integrate(density)

@@ -713,7 +713,7 @@ _VERIFY_RESIDUAL_BITS = {
         "metric_realization": "0x1.0000000000000p-48",
         "envelope_incidence": "0x1.d000000000000p-49",
         "epstein_contact": "0x1.8000000000000p-43",
-        "w_volume_equals_action": "0x1.c600000000000p-48",
+        "w_volume_equals_action": "0x1.6600000000000p-48",
     },
     193: {
         "fundamental_equation_dbeta": "0x1.f800000000000p-46",
@@ -722,7 +722,7 @@ _VERIFY_RESIDUAL_BITS = {
         "metric_realization": "0x1.0000000000000p-48",
         "envelope_incidence": "0x1.3000000000000p-49",
         "epstein_contact": "0x1.5000000000000p-42",
-        "w_volume_equals_action": "0x1.c600000000000p-48",
+        "w_volume_equals_action": "0x1.6600000000000p-48",
     },
 }
 

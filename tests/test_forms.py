@@ -7,6 +7,7 @@ from splitannulus import adsgeom as A, fields as F, forms as FM
 from splitannulus import liouville as LV, lorentz as L
 from splitannulus.errors import (
     NonCompactDifference,
+    NonFiniteDensity,
     NotTangent,
 )
 
@@ -378,12 +379,12 @@ def test_w_volume_equals_the_deep_action(u, level):
 def test_roadmap_lens_trail_bits(lens):
     # the level-0 trail of the ROADMAP bump, bit for bit
     wv = FM.w_volume(lens, F.box_grid(BOX, level=0))
-    assert [v.hex() for v in wv.trail] == ["-0x1.5666a126d4220p-7",
-                                           "-0x1.5666aa1c60cc0p-7"]
+    assert [v.hex() for v in wv.trail] == ["-0x1.5666a126d3d60p-7",
+                                           "-0x1.5666aa1c60dc0p-7"]
 
 
 def test_w_volume_regression(lens):
-    # the deep action reference of tests/test_cli.py; measured 3.8e-17
+    # the deep action reference of tests/test_cli.py; measured 4.8e-16
     wv = FM.w_volume(lens, F.box_grid(BOX, level=0))
     assert abs(wv.value - (-0.01044925028032247)) <= 1e-15
 
@@ -444,25 +445,77 @@ def test_w_volume_integrates_once_per_grid(lens, monkeypatch):
 
 def test_w_density_builds_only_the_two_boundary_frames(lens, monkeypatch):
     # alpha reads the full Epstein frame at both ends; each of the 12 bulk
-    # t-slices takes det4 of the lift x straight from the assembled pair
-    frames = []
+    # t-slices takes det4 of the lift x from the per-node coefficient
+    # planes, with no assembled pair
+    frames, assembled = [], []
     epstein_frame = FM.epstein_frame
+    assemble = A.IsotropicSurfaceData.assemble
     integrate = F.QuadratureGrid.integrate
 
     def counted_frame(j):
         frames[-1] += 1
         return epstein_frame(j)
 
+    def counted_assemble(self, nodes, t):
+        assembled[-1] += 1
+        return assemble(self, nodes, t)
+
     def counted_integrate(self, density, support=None):
         def seen(x, y):
             frames.append(0)
+            assembled.append(0)
             return density(x, y)
         return integrate(self, seen, support)
 
     monkeypatch.setattr(FM, "epstein_frame", counted_frame)
+    monkeypatch.setattr(A.IsotropicSurfaceData, "assemble", counted_assemble)
     monkeypatch.setattr(F.QuadratureGrid, "integrate", counted_integrate)
     FM.w_volume(lens, F.box_grid(BOX, level=0))
     assert frames == [2, 2]
+    assert assembled == [2, 2]
+
+
+def _bulk_density(j):
+    """det(x, d_x x, d_y x, d_t x) of the lift x = (sigma - eta)/sqrt2,
+    read off the assembled pair jets."""
+    return A.det4(A.RT2INV * (j.sigma - j.eta), A.RT2INV * (j.sigma_x - j.eta_x),
+                  A.RT2INV * (j.sigma_y - j.eta_y), A.RT2INV * (j.sigma_t - j.eta_t))
+
+
+@pytest.mark.parametrize("metric", [G0, L.flat()], ids=["desitter", "flat"])
+@pytest.mark.parametrize("u", [
+    BUMP,
+    BUMP + F.bump_field((0.2, 2.75), (0.15, 0.2), -0.3),
+], ids=["roadmap_bump", "two_bumps"])
+def test_lift_path_slices_match_the_assembled_bulk_density(metric, u):
+    # the W density's bulk slice from the coefficient planes against the
+    # same det4 of the assembled pair, on the level-0 rule's nodes.  The
+    # densities reach 4e3 and the two-bump terms 2e9, so the difference
+    # is bounded against the product over the four rows of |sigma_k| +
+    # |eta_k|: measured 4.5e-17
+    lens = FM.LensCobordism(metric.scaled_by(u), BOX)
+    grid = FM.w_grid(lens, 0)
+    nodes = lens.data.node_jets(grid.x_nodes[:, None], grid.y_nodes[None, :])
+    path = lens.data.lift_path(nodes, 0.0, 1.0)
+
+    def size(v, w):
+        return np.linalg.norm(v, axis=-1) + np.linalg.norm(w, axis=-1)
+
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+        j = lens.data.assemble(nodes, t)
+        terms = (size(j.sigma, j.eta) * size(j.sigma_x, j.eta_x)
+                 * size(j.sigma_y, j.eta_y) * size(j.sigma_t, j.eta_t))
+        diff = np.abs(0.25 * A.det4(*path.lift(t)) - _bulk_density(j))
+        assert np.all(diff <= 4e-16 * terms), t
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 3000.0), (-3000.0, 1.0)])
+def test_lift_path_refuses_an_overflowing_range(lens, a, b):
+    # max|u| max(|a|, |b|) = 1050 passes _EXP_MAX = 354.9, and the late
+    # slices' e^{tu} would overflow past 709.8: the check runs once per
+    # density, before any slice
+    with pytest.raises(NonFiniteDensity, match="e\\^w overflows"):
+        FM.w_value(lens, FM.w_grid(lens, 0), a, b)
 
 
 def test_w_volume_density_sees_under_3000_nodes(lens, monkeypatch):
