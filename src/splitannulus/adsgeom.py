@@ -31,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateIstar,
-    IncompatibleMetrics,
-    NonFiniteDensity,
-    NotUnitNormal,
-    SingularDual,
-)
+from .errors import DegenerateIstar, IncompatibleMetrics, NonFiniteDensity
 from .fields import Jet2
 from .lorentz import DESITTER, FLAT, SplitMetric
 
@@ -221,7 +215,7 @@ _EXP_MAX = 0.5 * math.log(np.finfo(float).max)
 
 @dataclass
 class PairJets:
-    """sigma, eta and their first derivatives in x, y and path time t."""
+    """sigma, eta and their first derivatives in x and y."""
 
     sigma: np.ndarray
     sigma_x: np.ndarray
@@ -229,8 +223,6 @@ class PairJets:
     eta: np.ndarray
     eta_x: np.ndarray
     eta_y: np.ndarray
-    sigma_t: np.ndarray
-    eta_t: np.ndarray
 
 
 @dataclass
@@ -309,7 +301,7 @@ class IsotropicSurfaceData:
     """The isotropic/dual pair realizing a compatible metric.
 
     ``jets(x, y, t)`` evaluates, in closed form, (sigma, eta) of
-    e^{2 t u} (reference) and their first derivatives in x, y and t.
+    e^{2 t u} (reference) and their first derivatives in x and y.
     t = 1, the default, is the metric itself; a lens cobordism runs from
     t = 0 to t = 1.
 
@@ -374,14 +366,7 @@ class IsotropicSurfaceData:
         eta = emw * h
         eta_x = emw * (h_x - col(wx) * h)
         eta_y = emw * (h_y - col(wy) * h)
-
-        u, ux, uy = ju.v, ju.vx, ju.vy
-        h_t = (
-            -col(M * uy) * b["sigma_x"] - col(M * ux) * b["sigma_y"]
-            - col(M * (ux * wy + wx * uy)) * b["sigma"]
-        )
-        return PairJets(sigma, sigma_x, sigma_y, eta, eta_x, eta_y,
-                        col(u) * sigma, emw * h_t - col(u) * eta)
+        return PairJets(sigma, sigma_x, sigma_y, eta, eta_x, eta_y)
 
     def lift_path(self, nodes: NodeJets, a, b) -> LiftPath:
         """The lift's coefficient planes for path times t in [a, b].
@@ -443,39 +428,6 @@ def metric_realization_residual(j: PairJets, target):
         pair(j.sigma_x, j.sigma_y) - target,
     ]
     return float(np.max(np.abs(np.stack(res))))
-
-
-def sigma_by_pointwise_scaling(g: SplitMetric, x, y):
-    """Independent construction: scale the Segre section pointwise.
-
-    lambda is solved per point from the realization equation
-    lambda^2 <s_x, s_y> = rho/2 (positive branch for x > y), without the
-    closed-form factor used by the family constructor.
-    """
-    lam2 = 0.5 * g.density(x, y)
-    lam = np.sign(np.asarray(x) - np.asarray(y)) * np.sqrt(lam2)
-    return lam[..., None] * segre(x, y)
-
-
-def dual_by_linear_solve(j: PairJets):
-    """Solve the dual-surface conditions at each point independently.
-
-    Three linear conditions (<., sigma> = 1, <., d sigma> = 0) leave a
-    line eta_p + t sigma; isotropy fixes t linearly because sigma is
-    isotropic.  Rank deficiency raises SingularDual.
-    """
-    rows = np.stack(
-        [j.sigma @ GRAM, j.sigma_x @ GRAM, j.sigma_y @ GRAM], axis=-2
-    )
-    # the least-norm solution of rows . eta_p = (1, 0, 0) from the SVD of
-    # every 3 x 4 system; a singular value at or below 4 eps of the largest
-    # drops the rank, as numpy's lstsq counts it
-    u, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    if np.any(sv[..., -1] <= 4 * np.finfo(float).eps * sv[..., 0]):
-        raise SingularDual("dual system rank-deficient")
-    eta_p = np.einsum("...k,...kj->...j", u[..., 0, :] / sv, vt)
-    t = -0.5 * qform(eta_p)
-    return eta_p + t[..., None] * j.sigma
 
 
 # ---------------------------------------------------------------------------
@@ -594,88 +546,8 @@ def infinity_forms(data: IsotropicSurfaceData, x, y) -> InfinityForms:
 
 
 # ---------------------------------------------------------------------------
-# Typical holonomic surfaces (classical fundamental forms)
+# Classical fundamental forms
 # ---------------------------------------------------------------------------
-
-def totally_geodesic_slice():
-    """The AdS2 slice orthogonal to the unit spacelike direction F_PLUS2.
-
-    Points a f1 + b f2 + c f3 with -a^2 + b^2 - c^2 = -1 in the frame
-    f1 = F_MINUS1, f2 = F_PLUS1, f3 = F_MINUS2; the normal is constant,
-    so II = III = 0.
-    """
-
-    def x_fn(s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        r = np.sqrt(1.0 + s ** 2)
-        return (
-            (r * np.cos(t))[..., None] * F_MINUS1
-            + s[..., None] * F_PLUS1
-            + (r * np.sin(t))[..., None] * F_MINUS2
-        )
-
-    def n_fn(s, t):
-        shp = np.broadcast(np.asarray(s), np.asarray(t)).shape
-        return np.broadcast_to(F_PLUS2, shp + (4,)).copy()
-
-    return x_fn, n_fn
-
-
-def graph_perturbed_slice(eps=0.05):
-    """A non-geodesic perturbation of the slice, normal solved pointwise."""
-    base_x, _ = totally_geodesic_slice()
-
-    def x_fn(s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        raw = base_x(s, t) + (
-            eps * np.sin(1.3 * s) * np.cos(t)
-        )[..., None] * F_PLUS2
-        scale = np.sqrt(-qform(raw))
-        return raw / scale[..., None]
-
-    def n_fn(s, t, step=1e-5):
-        xs = x_fn(s, t)
-        tx = (x_fn(s + step, t) - x_fn(s - step, t)) / (2 * step)
-        ty = (x_fn(s, t + step) - x_fn(s, t - step)) / (2 * step)
-        n = _orthogonal_unit(xs, tx, ty)
-        return n
-
-    return x_fn, n_fn
-
-
-def _orthogonal_unit(x, t1, t2):
-    """The q-unit vector orthogonal to x, t1, t2 (vectorized)."""
-    rows = np.stack([x @ GRAM, t1 @ GRAM, t2 @ GRAM], axis=-2)
-    v = np.linalg.svd(rows)[2][..., -1, :]
-    qv = qform(v)
-    if np.any(qv <= 0):
-        raise NotUnitNormal("orthogonal direction is not spacelike")
-    return v / np.sqrt(qv)[..., None]
-
-
-def difference_frame(x_fn, n_fn, s, t, step=1e-4) -> EpsteinFrame:
-    """x, n and their first derivatives by central differences.
-
-    For surfaces given only pointwise, such as the synthetic slices, which
-    have no closed-form jets; NotUnitNormal if the supplied normal fails
-    its constraints.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x = x_fn(s, t)
-    n = n_fn(s, t)
-    if np.max(np.abs(qform(n) - 1.0)) > 1e-6 or np.max(np.abs(pair(x, n))) > 1e-6:
-        raise NotUnitNormal("n is not a unit normal field")
-    return EpsteinFrame(
-        x, n,
-        x_dx=(x_fn(s + step, t) - x_fn(s - step, t)) / (2 * step),
-        x_dy=(x_fn(s, t + step) - x_fn(s, t - step)) / (2 * step),
-        n_dx=(n_fn(s + step, t) - n_fn(s - step, t)) / (2 * step),
-        n_dy=(n_fn(s, t + step) - n_fn(s, t - step)) / (2 * step),
-    )
-
 
 def fundamental_forms(f: EpsteinFrame):
     """I, II, III and the shape operator of a surface frame.
@@ -689,16 +561,3 @@ def fundamental_forms(f: EpsteinFrame):
     # B in the coordinate tangent frame: columns solve I . B_j = II_j
     b = np.linalg.solve(i_mat, 0.5 * (ii_mat + np.swapaxes(ii_mat, -1, -2)))
     return i_mat, ii_mat, iii_mat, b
-
-
-def typical_holonomic_residual(x_fn, n_fn, s, t, step=1e-4):
-    """|I*(lift) - (I + 2 II + III)/2| entrywise, maxed over samples."""
-    f = difference_frame(x_fn, n_fn, s, t, step)
-    i_mat, ii_mat, iii_mat, _ = fundamental_forms(f)
-    lift1 = RT2INV * (f.x_dx + f.n_dx)
-    lift2 = RT2INV * (f.x_dy + f.n_dy)
-    istar = _pair_matrix(lift1, lift2, lift1, lift2)
-    classical = 0.5 * (
-        i_mat + ii_mat + np.swapaxes(ii_mat, -1, -2) + iii_mat
-    )
-    return float(np.max(np.abs(istar - classical)))

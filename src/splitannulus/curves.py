@@ -381,8 +381,9 @@ def curve_action(curve, levels=3, check_sclass=True) -> ActionValue:
             failing = [k for k, ok in report.clauses.items() if not ok]
             raise SClassFail(failing[0], f"S-class clauses failed: {failing}")
 
-    return torus_trail(torus_density(g, g_circle), limit, levels, "curve",
-                       breaks, report)
+    av = torus_trail(torus_density(g, g_circle), limit, levels, "curve", breaks)
+    av.sclass = report
+    return av
 
 
 def reparam_invariance_residual(curve: PO22Curve, phi: CircleMap,

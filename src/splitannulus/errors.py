@@ -10,7 +10,7 @@ class DiagonalPoint(SplitAnnulusError):
 
 
 class OutOfChart(SplitAnnulusError):
-    """Point requires a chart transition the object does not support."""
+    """Point lies outside the chart or interval an object is defined on."""
 
 
 class NonFiniteDensity(SplitAnnulusError):
@@ -33,16 +33,8 @@ class NotC3AtPoint(NotC3):
     """Third derivative requested at a breakpoint of a piecewise map."""
 
 
-class SingularDual(SplitAnnulusError):
-    """Linear system for the dual isotropic surface is rank deficient."""
-
-
 class DegenerateIstar(SplitAnnulusError):
     """First fundamental form at infinity is singular at a point."""
-
-
-class NotUnitNormal(SplitAnnulusError):
-    """Surface normal fails the unit/orthogonality constraints."""
 
 
 class NotTangent(SplitAnnulusError):

@@ -37,23 +37,7 @@ DIAG_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
-# Mobius maps of the affine line
-# ---------------------------------------------------------------------------
-
-def mobius_apply(m, x):
-    """Apply the projective map with matrix ``m`` to affine coordinates."""
-    a, b, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
-    den = c * x + d
-    return (a * x + b) / den
-
-
-def mobius_inverse(m):
-    a, b, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
-    return np.array([[d, -b], [-c, a]], dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# Annulus points and chart transitions
+# Annulus points
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -66,15 +50,6 @@ class AnnulusPoint:
     def __post_init__(self):
         if abs(self.x - self.y) <= DIAG_TOL:
             raise DiagonalPoint(f"({self.x}, {self.y}) lies on the diagonal")
-
-
-def transition(m, p: AnnulusPoint) -> AnnulusPoint:
-    """Apply a shared Mobius chart rotation to both factors of a point."""
-    x = mobius_apply(m, p.x)
-    y = mobius_apply(m, p.y)
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise OutOfChart("chart rotation sends the point to infinity")
-    return AnnulusPoint(float(x), float(y))
 
 
 class _Chart(NamedTuple):
@@ -171,16 +146,10 @@ class ScalarField:
             return self
         return self + ScaledField(other, -1.0)
 
-    def __rsub__(self, other):
-        return as_field(other) - self
-
     def __mul__(self, c):
         return ScaledField(self, float(c))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScaledField(self, -1.0)
 
 
 class ConstantField(ScalarField):
@@ -349,11 +318,6 @@ def bump_field(center, halfwidth, amplitude=1.0, power=4):
     return BumpField(center, halfwidth, amplitude, power)
 
 
-def unit_mass_bump(center, halfwidth, power=4):
-    b = BumpField(center, halfwidth, 1.0, power)
-    return BumpField(center, halfwidth, 1.0 / b.mass(), power)
-
-
 class DeSitterLogFactor(ScalarField):
     """v0(x, y) = (1/2) log(2 / D(x - y)^2), the de Sitter conformal factor,
     with D the coordinate difference of the chart ``coords``."""
@@ -434,27 +398,6 @@ class UniformizingFactor(ScalarField):
         f, f1, f2, f3 = self.phi.jets(x.reshape(-1))
         s = f3 / f1 - 1.5 * (f2 / f1) ** 2 + self.chart.cocycle(f1)
         return (s / 12.0).reshape(x.shape)
-
-
-class LogSinDiagField(ScalarField):
-    """c * log|sin(x - y)|: unbounded near the diagonal (S-class failure)."""
-
-    def __init__(self, c=-1.0):
-        self.c = float(c)
-
-    def _jet(self, x, y):
-        d = x - y
-        s2 = np.sin(d) ** 2
-        cot = np.cos(d) / np.sin(d)
-        c = self.c
-        return Jet2(
-            0.5 * c * np.log(s2),
-            c * cot,
-            -c * cot,
-            c / s2,
-            -c / s2,
-            -c / s2,
-        )
 
 
 class PullbackField(ScalarField):
@@ -547,30 +490,6 @@ class IdentityMap(CircleMap):
         one = np.ones_like(t)
         zero = np.zeros_like(t)
         return t, one, zero, zero
-
-
-class MobiusMap(CircleMap):
-    """phi(x) = (a x + b)/(c x + d) on an affine chart, det > 0."""
-
-    def __init__(self, m):
-        m = np.asarray(m, dtype=float)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det <= 0:
-            raise ValueError("Mobius matrix must have positive determinant")
-        self.m = m / math.sqrt(det)
-
-    def jets(self, t):
-        t = np.asarray(t, dtype=float)
-        a, b = self.m[0]
-        c, d = self.m[1]
-        den = c * t + d
-        if np.any(np.abs(den) < 1e-13):
-            raise OutOfChart("Mobius pole inside evaluation set")
-        phi = (a * t + b) / den
-        d1 = 1.0 / den ** 2
-        d2 = -2.0 * c / den ** 3
-        d3 = 6.0 * c ** 2 / den ** 4
-        return phi, d1, d2, d3
 
 
 class AngleMobiusMap(CircleMap):
@@ -1042,32 +961,6 @@ def diamond_curve(x0, x1, y0, y1):
             AnnulusPoint(x1, y0),
         )
     )
-
-
-def normalize_polygonal(p: PolygonalCurve) -> PolygonalCurve:
-    """Minimal representing tuple tracing the same point set.
-
-    Repeated adjacent vertices bound a degenerate segment; dropping the
-    pair joins the two neighbouring collinear segments.
-    """
-    pts = list(p.vertices)
-    changed = True
-    while changed and len(pts) > 4:
-        changed = False
-        n = len(pts)
-        for i in range(n):
-            a, b = pts[i], pts[(i + 1) % n]
-            if a.x == b.x and a.y == b.y:
-                hi, lo = max(i, (i + 1) % n), min(i, (i + 1) % n)
-                if hi == n - 1 and lo == 0:
-                    del pts[n - 1]
-                    del pts[0]
-                else:
-                    del pts[hi]
-                    del pts[lo]
-                changed = True
-                break
-    return PolygonalCurve(tuple(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,6 @@ class ActionValue:
     trail: list = dc_field(default_factory=list)
     sclass: SClassReport = None  # the S-class check made on the way, if any
 
-    def __float__(self):
-        return self.value
-
 
 # The densities keep only the vxy component of each total-factor jet, so
 # the other five components are freed before the next jet is built.
@@ -80,7 +77,7 @@ def _monotone_density(g, h, u):
     return density
 
 
-def refinement_trail(integral, grids, formula, sclass=None) -> ActionValue:
+def refinement_trail(integral, grids, formula) -> ActionValue:
     """``integral`` on ``grids`` from coarse to fine, each grid taken from
     the iterable after the integral on the previous one: the value is the
     finest integral, the error estimate the last step (|I_0| for a single
@@ -90,7 +87,7 @@ def refinement_trail(integral, grids, formula, sclass=None) -> ActionValue:
     for grid in grids:
         trail.append(integral(grid))
     err = abs(trail[-1] - trail[-2]) if len(trail) > 1 else abs(trail[-1])
-    return ActionValue(trail[-1], err, grid.describe(), formula, trail, sclass)
+    return ActionValue(trail[-1], err, grid.describe(), formula, trail)
 
 
 def _action(grid, refine, formula, u, density):
@@ -335,15 +332,14 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
 # Actions over the torus
 # ---------------------------------------------------------------------------
 
-def torus_trail(density, limit, levels, formula, breaks=(),
-                sclass=None) -> ActionValue:
+def torus_trail(density, limit, levels, formula, breaks=()) -> ActionValue:
     """``density`` over the full torus by ``ArcPairRule`` on the arcs cut
     at ``breaks``, at levels 0..``levels``.  The density is 0/0 on the
     diagonal, and ``limit(x)`` is its limit there.
     """
     rules = (ArcPairRule(breaks, lv) for lv in range(levels + 1))
     return refinement_trail(lambda rule: rule.integrate(density, limit),
-                            rules, formula, sclass)
+                            rules, formula)
 
 
 def torus_density(g: SplitMetric, h: SplitMetric):

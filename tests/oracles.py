@@ -1,0 +1,213 @@
+"""Independent reference constructions and fixtures for the tests.
+
+None of this is a program path.  The sigma and eta references solve the
+realization and duality conditions point by point, so they must stay
+independent of the closed-form jets of ``adsgeom`` that they check;
+``test_adsgeom`` enforces that by reading this module's names.  The
+synthetic slices are surfaces given only pointwise, whose frames come by
+central differences.  The affine Mobius map and the log-sine factor are
+fixtures the CLI never builds.
+"""
+
+import math
+
+import numpy as np
+
+from splitannulus import adsgeom as A, fields as F
+from splitannulus.errors import OutOfChart
+
+
+# ---------------------------------------------------------------------------
+# isotropic and dual surfaces, point by point
+# ---------------------------------------------------------------------------
+
+def sigma_by_pointwise_scaling(g, x, y):
+    """Scale the Segre section pointwise.
+
+    lambda is solved per point from the realization equation
+    lambda^2 <s_x, s_y> = rho/2 (positive branch for x > y), without the
+    closed-form factor used by the family constructor.
+    """
+    lam2 = 0.5 * g.density(x, y)
+    lam = np.sign(np.asarray(x) - np.asarray(y)) * np.sqrt(lam2)
+    return lam[..., None] * A.segre(x, y)
+
+
+def dual_by_linear_solve(j):
+    """Solve the dual-surface conditions at each point independently.
+
+    Three linear conditions (<., sigma> = 1, <., d sigma> = 0) leave a
+    line eta_p + t sigma; isotropy fixes t linearly because sigma is
+    isotropic.  Rank deficiency raises ValueError.
+    """
+    rows = np.stack(
+        [j.sigma @ A.GRAM, j.sigma_x @ A.GRAM, j.sigma_y @ A.GRAM], axis=-2
+    )
+    # the least-norm solution of rows . eta_p = (1, 0, 0) from the SVD of
+    # every 3 x 4 system; a singular value at or below 4 eps of the largest
+    # drops the rank, as numpy's lstsq counts it
+    u, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    if np.any(sv[..., -1] <= 4 * np.finfo(float).eps * sv[..., 0]):
+        raise ValueError("dual system rank-deficient")
+    eta_p = np.einsum("...k,...kj->...j", u[..., 0, :] / sv, vt)
+    t = -0.5 * A.qform(eta_p)
+    return eta_p + t[..., None] * j.sigma
+
+
+# ---------------------------------------------------------------------------
+# typical holonomic surfaces given pointwise
+# ---------------------------------------------------------------------------
+
+def totally_geodesic_slice():
+    """The AdS2 slice orthogonal to the unit spacelike direction F_PLUS2.
+
+    Points a f1 + b f2 + c f3 with -a^2 + b^2 - c^2 = -1 in the frame
+    f1 = F_MINUS1, f2 = F_PLUS1, f3 = F_MINUS2; the normal is constant,
+    so II = III = 0.
+    """
+
+    def x_fn(s, t):
+        s = np.asarray(s, dtype=float)
+        t = np.asarray(t, dtype=float)
+        r = np.sqrt(1.0 + s ** 2)
+        return (
+            (r * np.cos(t))[..., None] * A.F_MINUS1
+            + s[..., None] * A.F_PLUS1
+            + (r * np.sin(t))[..., None] * A.F_MINUS2
+        )
+
+    def n_fn(s, t):
+        shp = np.broadcast(np.asarray(s), np.asarray(t)).shape
+        return np.broadcast_to(A.F_PLUS2, shp + (4,)).copy()
+
+    return x_fn, n_fn
+
+
+def graph_perturbed_slice(eps=0.05):
+    """A non-geodesic perturbation of the slice, normal solved pointwise."""
+    base_x, _ = totally_geodesic_slice()
+
+    def x_fn(s, t):
+        s = np.asarray(s, dtype=float)
+        t = np.asarray(t, dtype=float)
+        raw = base_x(s, t) + (
+            eps * np.sin(1.3 * s) * np.cos(t)
+        )[..., None] * A.F_PLUS2
+        scale = np.sqrt(-A.qform(raw))
+        return raw / scale[..., None]
+
+    def n_fn(s, t, step=1e-5):
+        xs = x_fn(s, t)
+        tx = (x_fn(s + step, t) - x_fn(s - step, t)) / (2 * step)
+        ty = (x_fn(s, t + step) - x_fn(s, t - step)) / (2 * step)
+        return orthogonal_unit(xs, tx, ty)
+
+    return x_fn, n_fn
+
+
+def orthogonal_unit(x, t1, t2):
+    """The q-unit vector orthogonal to x, t1, t2 (vectorized); ValueError
+    if that direction is not spacelike."""
+    rows = np.stack([x @ A.GRAM, t1 @ A.GRAM, t2 @ A.GRAM], axis=-2)
+    v = np.linalg.svd(rows)[2][..., -1, :]
+    qv = A.qform(v)
+    if np.any(qv <= 0):
+        raise ValueError("orthogonal direction is not spacelike")
+    return v / np.sqrt(qv)[..., None]
+
+
+def difference_frame(x_fn, n_fn, s, t, step=1e-4):
+    """x, n and their first derivatives by central differences; ValueError
+    if the supplied normal fails its constraints."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    x = x_fn(s, t)
+    n = n_fn(s, t)
+    if (np.max(np.abs(A.qform(n) - 1.0)) > 1e-6
+            or np.max(np.abs(A.pair(x, n))) > 1e-6):
+        raise ValueError("n is not a unit normal field")
+    return A.EpsteinFrame(
+        x, n,
+        x_dx=(x_fn(s + step, t) - x_fn(s - step, t)) / (2 * step),
+        x_dy=(x_fn(s, t + step) - x_fn(s, t - step)) / (2 * step),
+        n_dx=(n_fn(s + step, t) - n_fn(s - step, t)) / (2 * step),
+        n_dy=(n_fn(s, t + step) - n_fn(s, t - step)) / (2 * step),
+    )
+
+
+def typical_holonomic_residual(x_fn, n_fn, s, t, step=1e-4):
+    """|I*(lift) - (I + 2 II + III)/2| entrywise, maxed over samples."""
+    f = difference_frame(x_fn, n_fn, s, t, step)
+    i_mat, ii_mat, iii_mat, _ = A.fundamental_forms(f)
+    lift1 = A.RT2INV * (f.x_dx + f.n_dx)
+    lift2 = A.RT2INV * (f.x_dy + f.n_dy)
+    istar = A._pair_matrix(lift1, lift2, lift1, lift2)
+    classical = 0.5 * (
+        i_mat + ii_mat + np.swapaxes(ii_mat, -1, -2) + iii_mat
+    )
+    return float(np.max(np.abs(istar - classical)))
+
+
+# ---------------------------------------------------------------------------
+# fields and maps of the affine chart
+# ---------------------------------------------------------------------------
+
+def mobius_apply(m, x):
+    """Apply the projective map with matrix ``m`` to affine coordinates."""
+    a, b, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
+    return (a * x + b) / (c * x + d)
+
+
+def mobius_inverse(m):
+    a, b, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
+    return np.array([[d, -b], [-c, a]], dtype=float)
+
+
+class MobiusMap(F.CircleMap):
+    """phi(x) = (a x + b)/(c x + d) on an affine chart, det > 0."""
+
+    def __init__(self, m):
+        m = np.asarray(m, dtype=float)
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if det <= 0:
+            raise ValueError("Mobius matrix must have positive determinant")
+        self.m = m / math.sqrt(det)
+
+    def jets(self, t):
+        t = np.asarray(t, dtype=float)
+        a, b = self.m[0]
+        c, d = self.m[1]
+        den = c * t + d
+        if np.any(np.abs(den) < 1e-13):
+            raise OutOfChart("Mobius pole inside evaluation set")
+        phi = (a * t + b) / den
+        d1 = 1.0 / den ** 2
+        d2 = -2.0 * c / den ** 3
+        d3 = 6.0 * c ** 2 / den ** 4
+        return phi, d1, d2, d3
+
+
+class LogSinDiagField(F.ScalarField):
+    """c * log|sin(x - y)|: unbounded near the diagonal (S-class failure)."""
+
+    def __init__(self, c=-1.0):
+        self.c = float(c)
+
+    def _jet(self, x, y):
+        d = x - y
+        s2 = np.sin(d) ** 2
+        cot = np.cos(d) / np.sin(d)
+        c = self.c
+        return F.Jet2(
+            0.5 * c * np.log(s2),
+            c * cot,
+            -c * cot,
+            c / s2,
+            -c / s2,
+            -c / s2,
+        )
+
+
+def unit_mass_bump(center, halfwidth, power=4):
+    b = F.BumpField(center, halfwidth, 1.0, power)
+    return F.BumpField(center, halfwidth, 1.0 / b.mass(), power)

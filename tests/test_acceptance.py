@@ -35,6 +35,8 @@ from splitannulus import forms as FM
 from splitannulus import liouville as LV
 from splitannulus import lorentz as L
 
+import oracles as O
+
 RNG_SEED = 20240810
 BOX = (0, 1, 2, 3)
 G0 = L.desitter()
@@ -130,15 +132,15 @@ def test_criterion_05_chasles():
 
 
 def test_criterion_06_split_invariance():
-    phi = F.MobiusMap(np.array([[1.0, 0.15], [0.08, 1.05]]))
+    phi = O.MobiusMap(np.array([[1.0, 0.15], [0.08, 1.05]]))
     u1 = F.bump_field((0.5, 2.5), (0.4, 0.4), 0.5)
     u2 = F.bump_field((0.4, 2.42), (0.3, 0.3), -0.35)
     g = G0.scaled_by(u1)
     h = G0.scaled_by(u1 + u2)
     grid = F.box_grid(BOX, level=3)
-    minv = F.mobius_inverse(phi.m)
-    cx = sorted(F.mobius_apply(minv, v) for v in (0.0, 1.0))
-    cy = sorted(F.mobius_apply(minv, v) for v in (2.0, 3.0))
+    minv = O.mobius_inverse(phi.m)
+    cx = sorted(O.mobius_apply(minv, v) for v in (0.0, 1.0))
+    cy = sorted(O.mobius_apply(minv, v) for v in (2.0, 3.0))
     pulled = F.box_grid((cx[0], cx[1], cy[0], cy[1]), level=3)
     res = LV.split_invariance_residual(g, h, phi, grid, pulled)
     report(6, "split invariance under Mobius", res <= 1e-6,
@@ -262,10 +264,10 @@ def test_criterion_13_w_volume_vs_action():
 
 def test_criterion_14_classical_formula():
     rng = np.random.default_rng(RNG_SEED + 11)
-    x_g, n_g = A.totally_geodesic_slice()
+    x_g, n_g = O.totally_geodesic_slice()
     s = rng.uniform(-0.8, 0.8, 40)
     t = rng.uniform(0.1, 1.2, 40)
-    geo = FM.classical_formula_residual(A.difference_frame(x_g, n_g, s, t))
+    geo = FM.classical_formula_residual(O.difference_frame(x_g, n_g, s, t))
     data = A.IsotropicSurfaceData(
         G0.scaled_by(F.bump_field((0.5, 2.5), (0.42, 0.42), 0.4))
     )
@@ -283,7 +285,7 @@ def test_criterion_15_schwarzian_asymptotics():
     # where u/eps^2 -> 1/6); convergence is first order in eps
     maps = [
         (F.tan_chart_map(), np.linspace(-0.6, 0.6, 9)),
-        (F.MobiusMap(np.array([[1.2, 0.3], [0.1, 1.0]])),
+        (O.MobiusMap(np.array([[1.2, 0.3], [0.1, 1.0]])),
          np.linspace(-0.6, 0.6, 9)),
         (F.SineFlowMap(0.3, 2), np.linspace(0.1, 2.9, 9)),
     ]

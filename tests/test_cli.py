@@ -1,6 +1,7 @@
 """CLI subcommands: reports, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitannulus import cli, fields
+from splitannulus.errors import NotTangent
 
 ACTION_INI = """
 [metric.g]
@@ -371,6 +373,29 @@ def test_overflowing_factor_is_a_numerical_failure(tmp_path):
     assert not out.exists()
 
 
+def test_conformal_factor_past_exp_max_is_a_numerical_failure(tmp_path, capsys):
+    # u = 400 passes 354.891, half the log of the largest double: the pair
+    # assembly refuses it by name before any exp, although e^400 is finite
+    ini = EPSTEIN_INI.replace("kind = bump\ncenter = 0.5 2.5\nhalfwidth = 0.4 0.4\n"
+                              "amplitude = 0.3", "kind = constant\nvalue = 400")
+    cfg = _write(tmp_path, "c.ini", ini)
+    out = tmp_path / "c.csv"
+    assert cli.main(["epstein", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: conformal factor 400 "
+                                       "exceeds 354.891: e^w overflows\n")
+    assert not out.exists()
+
+
+def test_any_other_package_error_exits_3_on_one_line(monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise NotTangent("u is not tangent at p")
+
+    monkeypatch.setattr(cli, "_verify_checks", refused)
+    assert cli.main(["verify", "--out", "-"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: u is not tangent at p\n")
+
+
 @pytest.mark.parametrize("command, ini", [
     pytest.param("epstein", EPSTEIN_INI.replace("box = 0 1 2 3", "box = 0 1 2 1e300"),
                  id="epstein_box_1e300"),
@@ -428,6 +453,20 @@ def test_epstein_mesh(tmp_path):
     assert len(lines) == 1 + 16 * 16
     sidecar = json.loads((tmp_path / "mesh.csv.json").read_text())
     assert sidecar["max_constraint_residual"] <= 1e-9
+
+
+# sha256 of the CSV and of its JSON sidecar for EPSTEIN_INI
+_EPSTEIN_SHA256 = ("5e84b808305fd312cac7f156b3afaafb62f5ab4ef80360f14519090d3e537438",
+                   "8e3ffc66eda02d53f998f9de54de5fd45038fcdf00ab012897966bef4185822d")
+
+
+def test_epstein_bytes_pinned(tmp_path):
+    cfg = _write(tmp_path, "e.ini", EPSTEIN_INI)
+    out = tmp_path / "mesh.csv"
+    assert cli.main(["epstein", "--config", cfg, "--out", str(out)]) == 0
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (out, tmp_path / "mesh.csv.json"))
+    assert got == _EPSTEIN_SHA256
 
 
 def test_curve_report(tmp_path):

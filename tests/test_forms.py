@@ -8,8 +8,11 @@ from splitannulus import liouville as LV, lorentz as L
 from splitannulus.errors import (
     NonCompactDifference,
     NonFiniteDensity,
+    NotHolonomicBoundary,
     NotTangent,
 )
+
+import oracles as O
 
 RNG = np.random.default_rng(31)
 G0 = L.desitter()
@@ -475,11 +478,18 @@ def test_w_density_builds_only_the_two_boundary_frames(lens, monkeypatch):
     assert assembled == [2, 2]
 
 
-def _bulk_density(j):
+def _path_derivatives(data, nodes, t, eps=1e-30):
+    """(sigma_t, eta_t) of the pair assembled at path time t by complex
+    step, Im j(t + i eps) / eps, which subtracts nothing."""
+    j = data.assemble(nodes, complex(t, eps))
+    return j.sigma.imag / eps, j.eta.imag / eps
+
+
+def _bulk_density(j, sigma_t, eta_t):
     """det(x, d_x x, d_y x, d_t x) of the lift x = (sigma - eta)/sqrt2,
-    read off the assembled pair jets."""
+    read off the assembled pair jets and their path derivatives."""
     return A.det4(A.RT2INV * (j.sigma - j.eta), A.RT2INV * (j.sigma_x - j.eta_x),
-                  A.RT2INV * (j.sigma_y - j.eta_y), A.RT2INV * (j.sigma_t - j.eta_t))
+                  A.RT2INV * (j.sigma_y - j.eta_y), A.RT2INV * (sigma_t - eta_t))
 
 
 @pytest.mark.parametrize("metric", [G0, L.flat()], ids=["desitter", "flat"])
@@ -492,7 +502,7 @@ def test_lift_path_slices_match_the_assembled_bulk_density(metric, u):
     # same det4 of the assembled pair, on the level-0 rule's nodes.  The
     # densities reach 4e3 and the two-bump terms 2e9, so the difference
     # is bounded against the product over the four rows of |sigma_k| +
-    # |eta_k|: measured 4.5e-17
+    # |eta_k|: measured 4.3e-17, with the path derivatives by complex step
     lens = FM.LensCobordism(metric.scaled_by(u), BOX)
     grid = FM.w_grid(lens, 0)
     nodes = lens.data.node_jets(grid.x_nodes[:, None], grid.y_nodes[None, :])
@@ -503,9 +513,10 @@ def test_lift_path_slices_match_the_assembled_bulk_density(metric, u):
 
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         j = lens.data.assemble(nodes, t)
+        sigma_t, eta_t = _path_derivatives(lens.data, nodes, t)
         terms = (size(j.sigma, j.eta) * size(j.sigma_x, j.eta_x)
-                 * size(j.sigma_y, j.eta_y) * size(j.sigma_t, j.eta_t))
-        diff = np.abs(0.25 * A.det4(*path.lift(t)) - _bulk_density(j))
+                 * size(j.sigma_y, j.eta_y) * size(sigma_t, eta_t))
+        diff = np.abs(0.25 * A.det4(*path.lift(t)) - _bulk_density(j, sigma_t, eta_t))
         assert np.all(diff <= 4e-16 * terms), t
 
 
@@ -565,6 +576,15 @@ def test_noncompact_difference_rejected():
         FM.LensCobordism(G0.scaled_by(u), BOX)
 
 
+def test_non_holonomic_boundary_rejected():
+    # the frame relations hold for any jet values at a point, so only
+    # rounding breaks them: at u = 20, sigma ~ e^20 and eta ~ e^-20, and
+    # the t = 1 frame's residual reads 64 against 1e-8
+    u = F.bump_field((0.5, 2.5), (0.42, 0.42), 20.0)
+    with pytest.raises(NotHolonomicBoundary, match="contact residual"):
+        FM.LensCobordism(G0.scaled_by(u), BOX)
+
+
 @pytest.mark.parametrize("u", [
     F.with_support_box(F.PolynomialField([[0.1, 0.2], [0.5, -0.3]]),
                        (0.3, 0.7, 2.3, 2.6)),
@@ -598,10 +618,10 @@ def test_variational_3d_zero_factor():
 # ---------------------------------------------------------------------------
 
 def test_classical_formula_geodesic_slice():
-    x_fn, n_fn = A.totally_geodesic_slice()
+    x_fn, n_fn = O.totally_geodesic_slice()
     s = RNG.uniform(-0.8, 0.8, 30)
     t = RNG.uniform(0.1, 1.2, 30)
-    frame = A.difference_frame(x_fn, n_fn, s, t)
+    frame = O.difference_frame(x_fn, n_fn, s, t)
     assert FM.classical_formula_residual(frame) == 0.0
     assert np.max(np.abs(FM.mean_curvature(frame))) == 0.0
 

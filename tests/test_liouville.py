@@ -8,6 +8,8 @@ import pytest
 from splitannulus import fields as F, liouville as LV, lorentz as L
 from splitannulus.errors import IncompatibleMetrics
 
+import oracles as O
+
 G0 = L.desitter()
 GF = L.flat()
 BOX = (0, 1, 2, 3)
@@ -70,11 +72,11 @@ def test_refinement_trail_rules():
             events.append(("integrate", grid.level))
             return values[grid.level]
 
-        return LV.refinement_trail(integral, grids(values), "f", sclass="s")
+        return LV.refinement_trail(integral, grids(values), "f")
 
     av = ladder([1.0, 0.5, 0.375])
     assert (av.value, av.error_estimate, av.trail) == (0.375, 0.125, [1.0, 0.5, 0.375])
-    assert (av.grid, av.formula, av.sclass) == ({"level": 2}, "f", "s")
+    assert (av.grid, av.formula, av.sclass) == ({"level": 2}, "f", None)
     # one grid at a time: each is taken after the previous integral
     assert events == [("take", 0), ("integrate", 0), ("take", 1),
                       ("integrate", 1), ("take", 2), ("integrate", 2)]
@@ -140,12 +142,12 @@ def test_action_skips_diagonal_nodes_outside_support():
 
 def test_split_invariance_under_mobius():
     m = np.array([[1.0, 0.15], [0.08, 1.05]])
-    phi = F.MobiusMap(m)
+    phi = O.MobiusMap(m)
     g = G0.scaled_by(U1)
     h = G0.scaled_by(U1 + U2)
-    minv = F.mobius_inverse(phi.m)
-    corners = [F.mobius_apply(minv, v) for v in (0.0, 1.0)]
-    corners_y = [F.mobius_apply(minv, v) for v in (2.0, 3.0)]
+    minv = O.mobius_inverse(phi.m)
+    corners = [O.mobius_apply(minv, v) for v in (0.0, 1.0)]
+    corners_y = [O.mobius_apply(minv, v) for v in (2.0, 3.0)]
     pulled_box = (min(corners), max(corners), min(corners_y), max(corners_y))
     pulled_grid = F.box_grid(pulled_box, level=2)
     res = LV.split_invariance_residual(g, h, phi, GRID, pulled_grid)
@@ -353,7 +355,7 @@ def test_sclass_evaluates_u_once_on_the_bulk_grid():
 
 def test_sclass_log_factor_fails_boundedness():
     g0a = L.desitter(coords="angle")
-    h = g0a.scaled_by(F.LogSinDiagField(-0.5))
+    h = g0a.scaled_by(O.LogSinDiagField(-0.5))
     rep = LV.sclass_report(g0a, h)
     assert not rep.verdict
     assert not rep.clauses["1_bounded"]
