@@ -97,14 +97,6 @@ def gram_signature():
 assert np.allclose(gram_signature(), (-1.0, -1.0, 1.0, 1.0), atol=1e-12)
 
 
-def segre(x, y):
-    """(x e1 + e2) (x) (y e1 + e2) in coordinates (xy, x, y, 1)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    one = np.ones(np.broadcast(x, y).shape)
-    return np.stack([x * y, x, y, one], axis=-1)
-
-
 def _segre_jets(x, y):
     """s and its partials d/dx, d/dy, d2/dxdy as (..., 4) arrays stored
     component-major, so that every array derived from them multiplies a
@@ -161,16 +153,21 @@ class _DeSitterBase:
         # roles of the two returned partials exchanged
         st, st_y, st_x, _ = _segre_jets(y, x)
         d = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float))[..., None]
+        # each power of d, and each quotient that recurs, formed once: d is
+        # negative on the lens nodes, where numpy's d ** 3 costs a pow call
+        # per node
+        d2, d3 = d ** 2, d ** 3
+        s_d2, s_d3, st_d2 = s / d2, 2 * s / d3, st / d2
         out = {}
         out["sigma"] = s / d
-        out["sigma_x"] = a / d - s / d ** 2
-        out["sigma_y"] = b / d + s / d ** 2
-        out["sigma_xx"] = -2 * a / d ** 2 + 2 * s / d ** 3
-        out["sigma_xy"] = c / d + (a - b) / d ** 2 - 2 * s / d ** 3
-        out["sigma_yy"] = 2 * b / d ** 2 + 2 * s / d ** 3
+        out["sigma_x"] = a / d - s_d2
+        out["sigma_y"] = b / d + s_d2
+        out["sigma_xx"] = -2 * a / d2 + s_d3
+        out["sigma_xy"] = c / d + (a - b) / d2 - s_d3
+        out["sigma_yy"] = 2 * b / d2 + s_d3
         out["eta"] = st / d
-        out["eta_x"] = st_x / d - st / d ** 2
-        out["eta_y"] = st_y / d + st / d ** 2
+        out["eta_x"] = st_x / d - st_d2
+        out["eta_y"] = st_y / d + st_d2
         dd = d[..., 0]
         out["M"] = dd ** 2          # 1 / (base bilinear value)
         out["M_x"] = 2 * dd

@@ -207,16 +207,18 @@ class LogMeanExpField(ScalarField):
             + wb * (2 * j2.vx * j2.vy + j2.vxy)
             - 2.0 * vx * vy
         )
-        vxx = (
-            wa * (2 * j1.vx ** 2 + j1.vxx)
-            + wb * (2 * j2.vx ** 2 + j2.vxx)
-            - 2.0 * vx ** 2
-        )
-        vyy = (
-            wa * (2 * j1.vy ** 2 + j1.vyy)
-            + wb * (2 * j2.vy ** 2 + j2.vyy)
-            - 2.0 * vy ** 2
-        )
+
+        def vxx():
+            return (wa * (2 * j1.vx ** 2 + j1.vxx)
+                    + wb * (2 * j2.vx ** 2 + j2.vxx)
+                    - 2.0 * vx ** 2)
+
+        def vyy():
+            return (wa * (2 * j1.vy ** 2 + j1.vyy)
+                    + wb * (2 * j2.vy ** 2 + j2.vyy)
+                    - 2.0 * vy ** 2)
+
+        # the second pure partials are formed only when read
         return Jet2(0.5 * np.log(0.5 * s), vx, vy, vxy, vxx, vyy)
 
 

@@ -48,7 +48,8 @@ class ChartBreakdown(SplitAnnulusError):
 
 
 class NotHolonomicBoundary(SplitAnnulusError):
-    """Cobordism boundary map violates the contact condition."""
+    """Cobordism boundary map violates the contact condition, or is built
+    from a conformal factor whose jet is not its derivative."""
 
 
 class NonCompactDifference(SplitAnnulusError):

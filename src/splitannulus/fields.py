@@ -72,19 +72,47 @@ CHARTS = {
 # Scalar fields with exact jets
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Jet2:
-    """Second order jet of a scalar field at (possibly arrays of) points."""
+_JET_COMPONENTS = ("v", "vx", "vy", "vxy", "vxx", "vyy")
 
-    v: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    vxy: np.ndarray
-    vxx: np.ndarray
-    vyy: np.ndarray
+
+class Jet2:
+    """Second order jet of a scalar field at (possibly arrays of) points.
+
+    Each component is handed over as a value or as a zero-argument
+    callable; a callable is called when its component is first read, and
+    its result is kept.  So a reader that takes ``v`` and ``vxy`` never
+    forms the other four, and a numerical fault in a component nobody
+    reads does not raise.  Iterating yields all six, in the order
+    ``(v, vx, vy, vxy, vxx, vyy)``.
+    """
+
+    __slots__ = _JET_COMPONENTS + ("_lazy",)
+
+    def __init__(self, v, vx, vy, vxy, vxx, vyy):
+        lazy = {}
+        for name, c in zip(_JET_COMPONENTS, (v, vx, vy, vxy, vxx, vyy)):
+            if callable(c):
+                lazy[name] = c
+            else:
+                setattr(self, name, c)
+        self._lazy = lazy
+
+    def __getattr__(self, name):
+        # reached only for a component whose slot is still empty
+        if name not in _JET_COMPONENTS:
+            raise AttributeError(name)
+        value = self._lazy[name]()
+        setattr(self, name, value)
+        del self._lazy[name]
+        return value
 
     def __iter__(self):
-        return iter((self.v, self.vx, self.vy, self.vxy, self.vxx, self.vyy))
+        return (getattr(self, name) for name in _JET_COMPONENTS)
+
+
+def _componentwise(fn):
+    """The jet whose component ``name`` is ``fn(name)``, built when read."""
+    return Jet2(*(functools.partial(fn, name) for name in _JET_COMPONENTS))
 
 
 def _broadcast_zero(x, y):
@@ -97,7 +125,12 @@ class ScalarField:
     Subclasses implement ``_jet(x, y) -> Jet2``.  It must broadcast ``x``
     against ``y`` and return components of the broadcast shape, so an
     open mesh, (n, 1) against (1, m), gives (n, m) jets; ``jet`` hands it
-    every node it is given.  A field's ``support_box`` is metadata: a
+    every node it is given.  A component may be handed to ``Jet2`` as a
+    callable, which runs when the component is first read, so a reader
+    pays only for the partials it takes, and a numerical fault in a
+    component nobody reads does not raise; each callable must evaluate
+    the expression the component always has, so that the bits do not
+    depend on which partials were read before it.  A field's ``support_box`` is metadata: a
     closed rectangle outside which the field and all its partials vanish,
     which the quadrature reads to evaluate the field on that block only,
     and whose edges are the field's break lines.  A bump vanishes there by
@@ -196,7 +229,7 @@ class SumField(ScalarField):
 
     def _jet(self, x, y):
         ja, jb = self.a.jet(x, y), self.b.jet(x, y)
-        return Jet2(*(ca + cb for ca, cb in zip(ja, jb)))
+        return _componentwise(lambda name: getattr(ja, name) + getattr(jb, name))
 
     # the base method, repeated so that ``perfbench/spans.py`` can wrap a
     # sum's jet by name apart from its leaves'
@@ -213,7 +246,8 @@ class ScaledField(ScalarField):
         self.support_box = a.support_box
 
     def _jet(self, x, y):
-        return Jet2(*(self.c * comp for comp in self.a.jet(x, y)))
+        j, c = self.a.jet(x, y), self.c
+        return _componentwise(lambda name: c * getattr(j, name))
 
     # the base method, repeated for ``perfbench/spans.py`` as on SumField
     def jet(self, x, y):
@@ -239,14 +273,8 @@ class PolynomialField(ScalarField):
         cxy = P.polyder(cx, axis=1) if cx.shape[1] > 1 else np.zeros((1, 1))
         cxx = P.polyder(cx, axis=0) if cx.shape[0] > 1 else np.zeros((1, 1))
         cyy = P.polyder(cy, axis=1) if cy.shape[1] > 1 else np.zeros((1, 1))
-        return Jet2(
-            P.polyval2d(x, y, c),
-            P.polyval2d(x, y, cx),
-            P.polyval2d(x, y, cy),
-            P.polyval2d(x, y, cxy),
-            P.polyval2d(x, y, cxx),
-            P.polyval2d(x, y, cyy),
-        )
+        return Jet2(*(functools.partial(P.polyval2d, x, y, k)
+                      for k in (c, cx, cy, cxy, cxx, cyy)))
 
 
 def product_xy():
@@ -278,13 +306,6 @@ class BumpField(ScalarField):
             self.cy + self.hy,
         )
 
-    def mass(self):
-        """Closed form of the integral of the field over the plane."""
-        p = self.p
-        # int_{-1}^{1} (1 - s^2)^p ds = 2^{2p+1} (p!)^2 / (2p+1)!
-        one_d = 2.0 ** (2 * p + 1) * math.factorial(p) ** 2 / math.factorial(2 * p + 1)
-        return self.amp * self.hx * self.hy * one_d ** 2
-
     def _jet(self, x, y):
         # each axis is clamped and raised on its own, so on an open mesh the
         # powers cost O(rows + columns) and only the products O(rows * columns);
@@ -305,13 +326,19 @@ class BumpField(ScalarField):
         gy2 = (-2.0 * p * sy1
                + 4.0 * p * (p - 1) * Y ** 2 * sy ** (p - 2)) / self.hy ** 2
         a = self.amp
-        j = (a * gx * gy, a * gx1 * gy, a * gx * gy1, a * gx1 * gy1,
-             a * gx2 * gy, a * gx * gy2)
-        # a negative factor leaves -0.0 off the box; adding 0.0 turns every
-        # -0.0 into the +0.0 of the zero extension and keeps every other
-        # value's bits (in place on the fresh arrays, 0-d inputs give scalars)
-        return Jet2(*(np.add(c, 0.0, out=c if isinstance(c, np.ndarray) else None)
-                      for c in j))
+
+        def product(fx, fy):
+            # a negative factor leaves -0.0 off the box; adding 0.0 turns
+            # every -0.0 into the +0.0 of the zero extension and keeps every
+            # other value's bits (in place on the fresh array, 0-d inputs
+            # give scalars)
+            c = a * fx * fy
+            return np.add(c, 0.0, out=c if isinstance(c, np.ndarray) else None)
+
+        # the per-axis factors above cost O(rows + columns); each full-mesh
+        # product is formed when its component is read
+        return Jet2(*(functools.partial(product, fx, fy) for fx, fy in (
+            (gx, gy), (gx1, gy), (gx, gy1), (gx1, gy1), (gx2, gy), (gx, gy2))))
 
 
 def bump_field(center, halfwidth, amplitude=1.0, power=4):
@@ -329,9 +356,11 @@ class DeSitterLogFactor(ScalarField):
         d = x - y
         s = self.chart.diff(d)
         s2 = s ** 2
-        cot = self.chart.diff1(d) / s
-        q = 1.0 / s2
-        return Jet2(0.5 * np.log(2.0 / s2), -cot, cot, -q, q, q)
+        # shared by two and three components: built once, when first read
+        cot = functools.cache(lambda: self.chart.diff1(d) / s)
+        q = functools.cache(lambda: 1.0 / s2)
+        return Jet2(lambda: 0.5 * np.log(2.0 / s2), lambda: -cot(), cot,
+                    lambda: -q(), q, q)
 
 
 class UniformizingFactor(ScalarField):
@@ -365,25 +394,33 @@ class UniformizingFactor(ScalarField):
         diff, diff1 = self.chart.diff, self.chart.diff1
         sd, sD = diff(d), diff(dd)
         sd2, sD2 = sd ** 2, sD ** 2
-        cot_d = diff1(d) / sd
-        cot_D = diff1(dd) / sD
-        inv2_d, inv2_D = 1.0 / sd2, 1.0 / sD2
-        v = 0.5 * np.log(sd2 * f1x * f1y / sD2)
-        ax = f2x / (2.0 * f1x)
-        ay = f2y / (2.0 * f1y)
-        sx = f3x / (2.0 * f1x) - f2x ** 2 / (2.0 * f1x ** 2)
-        sy = f3y / (2.0 * f1y) - f2y ** 2 / (2.0 * f1y ** 2)
-        j = Jet2(
-            v,
-            cot_d + ax - f1x * cot_D,
-            -cot_d + ay + f1y * cot_D,
-            inv2_d - f1x * f1y * inv2_D,
-            -inv2_d + sx - f2x * cot_D + f1x ** 2 * inv2_D,
-            -inv2_d + sy + f2y * cot_D + f1y ** 2 * inv2_D,
-        )
+        # the intermediates that several components share, each built once,
+        # when the first of them is read
+        cot_d = functools.cache(lambda: diff1(d) / sd)
+        cot_D = functools.cache(lambda: diff1(dd) / sD)
+        inv2_d = functools.cache(lambda: 1.0 / sd2)
+        inv2_D = functools.cache(lambda: 1.0 / sD2)
+
+        def vx():
+            return cot_d() + f2x / (2.0 * f1x) - f1x * cot_D()
+
+        def vy():
+            return -cot_d() + f2y / (2.0 * f1y) + f1y * cot_D()
+
+        def vxx():
+            sx = f3x / (2.0 * f1x) - f2x ** 2 / (2.0 * f1x ** 2)
+            return -inv2_d() + sx - f2x * cot_D() + f1x ** 2 * inv2_D()
+
+        def vyy():
+            sy = f3y / (2.0 * f1y) - f2y ** 2 / (2.0 * f1y ** 2)
+            return -inv2_d() + sy + f2y * cot_D() + f1y ** 2 * inv2_D()
+
+        parts = (lambda: 0.5 * np.log(sd2 * f1x * f1y / sD2), vx, vy,
+                 lambda: inv2_d() - f1x * f1y * inv2_D(), vxx, vyy)
         if same is not None:
-            j = Jet2(*(np.where(same, 0.0, c) for c in j))
-        return j
+            # the same-piece nodes are cut to zero in each component read
+            parts = (functools.partial(_where_zero, same, c) for c in parts)
+        return Jet2(*parts)
 
     def diagonal_limit_density(self, x):
         """Limit of u * (de Sitter density) / (x - y)^2-free form.
@@ -400,6 +437,10 @@ class UniformizingFactor(ScalarField):
         return (s / 12.0).reshape(x.shape)
 
 
+def _where_zero(mask, component):
+    return np.where(mask, 0.0, component())
+
+
 class PullbackField(ScalarField):
     """(u o Phi)(x, y) = u(phi(x), phi(y)) for a diagonal split map."""
 
@@ -412,12 +453,12 @@ class PullbackField(ScalarField):
         py, dpy, d2py, _ = self.phi.jets(y)
         j = self.inner.jet(px, py)
         return Jet2(
-            j.v,
-            j.vx * dpx,
-            j.vy * dpy,
-            j.vxy * dpx * dpy,
-            j.vxx * dpx ** 2 + j.vx * d2px,
-            j.vyy * dpy ** 2 + j.vy * d2py,
+            lambda: j.v,
+            lambda: j.vx * dpx,
+            lambda: j.vy * dpy,
+            lambda: j.vxy * dpx * dpy,
+            lambda: j.vxx * dpx ** 2 + j.vx * d2px,
+            lambda: j.vyy * dpy ** 2 + j.vy * d2py,
         )
 
 
@@ -509,24 +550,30 @@ class AngleMobiusMap(CircleMap):
         self.m = m / math.sqrt(det)
 
     def jets(self, t):
-        t = np.asarray(t, dtype=float)
-        # w = M v and w' = M v' for v = (cos t, sin t), written out
-        # elementwise rather than as a matrix product, so that an angle gets
-        # the same bits whatever array it comes in; w'' = -w
-        (a, b), (c, d) = self.m
-        cos, sin = np.cos(t), np.sin(t)
-        wx, wy = a * cos + b * sin, c * cos + d * sin
-        wpx, wpy = b * cos - a * sin, d * cos - c * sin
-        n2 = wx ** 2 + wy ** 2
-        dot1 = wx * wpx + wy * wpy            # <w, w'>
-        # |w'|^2 and <w, w''> = -|w|^2
-        np2 = wpx ** 2 + wpy ** 2
-        phi = np.arctan2(wy, wx)
-        d1 = 1.0 / n2
-        # d/dt |w|^2 = 2<w,w'> ; d/dt <w,w'> = |w'|^2 - |w|^2
-        d2 = -2.0 * dot1 / n2 ** 2
-        d3 = -2.0 * (np2 - n2) / n2 ** 2 + 8.0 * dot1 ** 2 / n2 ** 3
-        return phi, d1, d2, d3
+        return _mobius_angle_jets(self.m, np.asarray(t, dtype=float))
+
+
+def _mobius_angle_jets(m, t):
+    """The raw angle of M v(t) and its first three derivatives in t, for
+    the matrix entries m = ((a, b), (c, d)): numbers, or arrays of the
+    shape of t that give every angle its own matrix."""
+    # w = M v and w' = M v' for v = (cos t, sin t), written out
+    # elementwise rather than as a matrix product, so that an angle gets
+    # the same bits whatever array it comes in; w'' = -w
+    (a, b), (c, d) = m
+    cos, sin = np.cos(t), np.sin(t)
+    wx, wy = a * cos + b * sin, c * cos + d * sin
+    wpx, wpy = b * cos - a * sin, d * cos - c * sin
+    n2 = wx ** 2 + wy ** 2
+    dot1 = wx * wpx + wy * wpy            # <w, w'>
+    # |w'|^2 and <w, w''> = -|w|^2
+    np2 = wpx ** 2 + wpy ** 2
+    phi = np.arctan2(wy, wx)
+    d1 = 1.0 / n2
+    # d/dt |w|^2 = 2<w,w'> ; d/dt <w,w'> = |w'|^2 - |w|^2
+    d2 = -2.0 * dot1 / n2 ** 2
+    d3 = -2.0 * (np2 - n2) / n2 ** 2 + 8.0 * dot1 ** 2 / n2 ** 3
+    return phi, d1, d2, d3
 
 
 class SineFlowMap(CircleMap):
@@ -672,6 +719,9 @@ class PiecewiseMobiusAngleMap(CircleMap):
             raise ValueError("need one matrix per arc")
         self.breakpoints = tuple(bps)
         self.pieces = [AngleMobiusMap(m) for m in matrices]
+        # the matrix entries as (2, 2, pieces): indexed by piece on the last
+        # axis, they give every angle its piece's entries
+        self._entries = np.stack([p.m for p in self.pieces], axis=-1)
         self._lift_pieces()
         self._validate()
 
@@ -706,11 +756,11 @@ class PiecewiseMobiusAngleMap(CircleMap):
             self._mids.append(start + span / 2)
             end = start + span
 
-    def _lifted(self, i, t, raw):
-        """The raw angles of piece i at the angles t, moved onto the lift by
-        the multiple of pi that brings them within pi/2 of the middle of
-        the lifted image arc."""
-        mid = (self._mids[i] if len(self.pieces) > 1
+    def _lifted(self, idx, t, raw):
+        """The raw angles of the pieces idx at the angles t, moved onto the
+        lift by the multiple of pi that brings them within pi/2 of the
+        middle of the lifted image arc."""
+        mid = (np.asarray(self._mids)[idx] if len(self.pieces) > 1
                else np.where(t < self._half, *self._mids))
         return raw - math.pi * np.round((raw - mid) / math.pi)
 
@@ -728,18 +778,9 @@ class PiecewiseMobiusAngleMap(CircleMap):
         """The jets, as ``PieceJets`` that also name the piece of each t."""
         t_in = np.asarray(t, dtype=float)
         shift, tr, idx = self._locate(np.atleast_1d(t_in).ravel())
-        phi = np.empty_like(tr)
-        d1 = np.empty_like(tr)
-        d2 = np.empty_like(tr)
-        d3 = np.empty_like(tr)
-        for i, piece in enumerate(self.pieces):
-            sel = idx == i
-            if not np.any(sel):
-                continue
-            raw, a, b, c = piece.jets(tr[sel])
-            phi[sel] = self._lifted(i, tr[sel], raw)
-            d1[sel], d2[sel], d3[sel] = a, b, c
-        out = (phi + shift * math.pi, d1, d2, d3)
+        # one evaluation for all angles, each with its piece's matrix
+        raw, d1, d2, d3 = _mobius_angle_jets(self._entries[..., idx], tr)
+        out = (self._lifted(idx, tr, raw) + shift * math.pi, d1, d2, d3)
         return PieceJets((c.reshape(t_in.shape) for c in out),
                          idx.reshape(t_in.shape))
 

@@ -331,6 +331,38 @@ def fundamental_equations_residual(rng, sign_flip=False):
 # points of its box, and u's jet at as many points of each support-box edge
 _LENS_CHECK_SAMPLES = 64
 _LENS_CHECK_TOL = 1e-8
+# at the same seeded points, u's vx, vy and vxy against central differences
+# of its value with this step, relative to the largest of them: the lenses
+# of the tier-1 suite read at most 1.0e-6 (a clipped polynomial, refused
+# for its box edge) and their bumps 5.3e-8, so the tolerance keeps a margin
+# of 100, while a partial reported twice over reads 0.2 to 0.5
+_LENS_JET_STEP = 1e-5
+_LENS_JET_TOL = 1e-4
+
+
+def jet_gap(u, x, y):
+    """The largest gap between u's reported vx, vy and vxy and central
+    differences of its value at the points (x, y), relative to the largest
+    of those values; 0 where they all vanish.  A point whose stencil meets
+    a break line of u is left out: u need not be smooth across one."""
+    h = _LENS_JET_STEP
+    xb, yb = u.break_lines()
+    keep = np.ones(x.shape, dtype=bool)
+    for c in xb:
+        keep &= np.abs(x - c) > 2 * h
+    for c in yb:
+        keep &= np.abs(y - c) > 2 * h
+    x, y = x[keep], y[keep]
+    # the stencil (+-h, 0), (0, +-h) and (+-h, +-h), one row each
+    sx = np.array([1, -1, 0, 0, 1, 1, -1, -1])[:, None]
+    sy = np.array([0, 0, 1, -1, 1, -1, 1, -1])[:, None]
+    v = u.value(x + h * sx, y + h * sy)
+    fd = np.stack([(v[0] - v[1]) / (2 * h), (v[2] - v[3]) / (2 * h),
+                   (v[4] - v[5] - v[6] + v[7]) / (4 * h ** 2)])
+    j = u.jet(x, y)
+    got = np.stack([j.vx, j.vy, j.vxy])
+    scale = max(np.max(np.abs(fd), initial=0.0), np.max(np.abs(got), initial=0.0))
+    return float(np.max(np.abs(fd - got))) / scale if scale > 0 else 0.0
 
 
 @dataclass
@@ -363,6 +395,12 @@ class LensCobordism:
             res = frame_constraint_residuals(self.frame(xs, ys, t))
             if res > tol:
                 raise NotHolonomicBoundary(f"contact residual {res}")
+        # the frame relations hold for any jet values at a point, so a jet
+        # that is not u's derivative passes them: it is checked on its own
+        gap = jet_gap(self.metric.u, xs, ys)
+        if gap > _LENS_JET_TOL:
+            raise NotHolonomicBoundary(
+                f"conformal factor's jet is {gap:.3g} off its central differences")
         # the boundary frames agree off u's support box, where every boxed
         # field's jets are exact zeros
         if self.metric.u.support_box is None:

@@ -56,9 +56,6 @@ class ActionValue:
     sclass: SClassReport = None  # the S-class check made on the way, if any
 
 
-# The densities keep only the vxy component of each total-factor jet, so
-# the other five components are freed before the next jet is built.
-
 def _definition_density(g, u):
     def density(x, y):
         gxy = g.total_factor_jet(x, y).vxy

@@ -6,7 +6,8 @@ independent of the closed-form jets of ``adsgeom`` that they check;
 ``test_adsgeom`` enforces that by reading this module's names.  The
 synthetic slices are surfaces given only pointwise, whose frames come by
 central differences.  The affine Mobius map and the log-sine factor are
-fixtures the CLI never builds.
+fixtures the CLI never builds, and the Segre section and the mass of a
+bump are closed forms the tests compare against.
 """
 
 import math
@@ -21,6 +22,14 @@ from splitannulus.errors import OutOfChart
 # isotropic and dual surfaces, point by point
 # ---------------------------------------------------------------------------
 
+def segre(x, y):
+    """(x e1 + e2) (x) (y e1 + e2) in coordinates (xy, x, y, 1)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    one = np.ones(np.broadcast(x, y).shape)
+    return np.stack([x * y, x, y, one], axis=-1)
+
+
 def sigma_by_pointwise_scaling(g, x, y):
     """Scale the Segre section pointwise.
 
@@ -30,7 +39,7 @@ def sigma_by_pointwise_scaling(g, x, y):
     """
     lam2 = 0.5 * g.density(x, y)
     lam = np.sign(np.asarray(x) - np.asarray(y)) * np.sqrt(lam2)
-    return lam[..., None] * A.segre(x, y)
+    return lam[..., None] * segre(x, y)
 
 
 def dual_by_linear_solve(j):
@@ -208,6 +217,14 @@ class LogSinDiagField(F.ScalarField):
         )
 
 
+def bump_mass(b):
+    """Closed form of the integral of the bump ``b`` over the plane."""
+    p = b.p
+    # int_{-1}^{1} (1 - s^2)^p ds = 2^{2p+1} (p!)^2 / (2p+1)!
+    one_d = 2.0 ** (2 * p + 1) * math.factorial(p) ** 2 / math.factorial(2 * p + 1)
+    return b.amp * b.hx * b.hy * one_d ** 2
+
+
 def unit_mass_bump(center, halfwidth, power=4):
     b = F.BumpField(center, halfwidth, 1.0, power)
-    return F.BumpField(center, halfwidth, 1.0 / b.mass(), power)
+    return F.BumpField(center, halfwidth, 1.0 / bump_mass(b), power)

@@ -32,15 +32,15 @@ def test_gram_signature():
 
 
 def test_segre_values():
-    assert np.allclose(A.segre(0, 0), [0, 0, 0, 1])
-    assert np.allclose(A.segre(1, 2), [2, 1, 2, 1])
-    assert A.qform(A.segre(1.3, -0.4)) == pytest.approx(0.0, abs=1e-14)
+    assert np.allclose(O.segre(0, 0), [0, 0, 0, 1])
+    assert np.allclose(O.segre(1, 2), [2, 1, 2, 1])
+    assert A.qform(O.segre(1.3, -0.4)) == pytest.approx(0.0, abs=1e-14)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
 def test_segre_pairing_closed_form(x, y, xp, yp):
-    lhs = A.pair(A.segre(x, y), A.segre(xp, yp))
+    lhs = A.pair(O.segre(x, y), O.segre(xp, yp))
     assert lhs == pytest.approx(-(x - xp) * (y - yp), abs=1e-9, rel=1e-9)
 
 

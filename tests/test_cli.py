@@ -386,6 +386,24 @@ def test_conformal_factor_past_exp_max_is_a_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fault_in_a_read_jet_component_exits_3(tmp_path, monkeypatch, capsys):
+    # a component is built when read, inside main's errstate: a division by
+    # zero there is still a numerical failure
+    bump_jet = fields.BumpField._jet
+
+    def faulty(self, x, y):
+        j = bump_jet(self, x, y)
+        return fields.Jet2(j.v, j.vx, j.vy, lambda: j.vxy / np.zeros_like(j.vxy),
+                           j.vxx, j.vyy)
+
+    monkeypatch.setattr(fields.BumpField, "_jet", faulty)
+    cfg = _write(tmp_path, "a.ini", ACTION_INI)
+    out = tmp_path / "r.json"
+    assert cli.main(["action", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: divide by zero")
+    assert not out.exists()
+
+
 def test_any_other_package_error_exits_3_on_one_line(monkeypatch, capsys):
     def refused(*args, **kwargs):
         raise NotTangent("u is not tangent at p")

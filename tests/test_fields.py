@@ -8,6 +8,7 @@ import pytest
 
 from splitannulus import cli
 from splitannulus import fields as F
+from splitannulus.curves import LogMeanExpField
 from splitannulus.errors import DiagonalPoint, NotC3AtPoint, NotCyclic
 
 import oracles as O
@@ -55,7 +56,10 @@ def check_field_derivatives(f, points, step=1e-5):
     Returns the worst relative error beyond the floating-point floor of
     the stencil: the cross difference divides four O(|f|) values by
     4 step^2, so eps * max|f| / step^2 of the discrepancy is roundoff,
-    not a derivative defect.
+    not a derivative defect.  ``vxx`` and ``vyy`` are compared with
+    central differences of the reported ``vx`` and ``vy``, which the first
+    differences check against the value: a second difference of the value
+    would carry roundoff of about eps / step^2 = 2e-6, above the bound.
     """
     eps = np.finfo(float).eps
     worst = 0.0
@@ -70,14 +74,22 @@ def check_field_derivatives(f, points, step=1e-5):
         fd_xy = (corners[3] - corners[2] - corners[1] + corners[0]) / (
             4 * step ** 2
         )
+        xm, xp = f.jet(x - step, y).vx, f.jet(x + step, y).vx
+        ym, yp = f.jet(x, y - step).vy, f.jet(x, y + step).vy
+        fd_xx = (xp - xm) / (2 * step)
+        fd_yy = (yp - ym) / (2 * step)
         scale = max(1.0, abs(j.v), abs(j.vx), abs(j.vy), abs(j.vxy))
+        scale_pure = max(scale, abs(j.vxx), abs(j.vyy))
         floor1 = eps * max(map(abs, corners)) / step
         floor2 = eps * max(map(abs, corners)) / step ** 2
+        floor_pure = eps * max(abs(xm), abs(xp), abs(ym), abs(yp)) / step
         worst = max(
             worst,
             max(abs(fd_x - j.vx) - floor1, 0.0) / scale,
             max(abs(fd_y - j.vy) - floor1, 0.0) / scale,
             max(abs(fd_xy - j.vxy) - floor2, 0.0) / scale,
+            max(abs(fd_xx - j.vxx) - floor_pure, 0.0) / scale_pure,
+            max(abs(fd_yy - j.vyy) - floor_pure, 0.0) / scale_pure,
         )
     return worst
 
@@ -94,19 +106,55 @@ def check_field_derivatives(f, points, step=1e-5):
                     O.MobiusMap(np.array([[1.1, 0.1], [0.05, 1.0]]))),
     F.UniformizingFactor(F.SineFlowMap(0.3, 2)),
     O.LogSinDiagField(-0.5),
+    F.UniformizingFactor(F.four_piece_c1_map()),
+    LogMeanExpField(F.UniformizingFactor(F.SineFlowMap(0.3, 2)),
+                    F.UniformizingFactor(F.four_piece_c1_map())),
+    -0.7 * F.bump_field((0.5, 2.5), (0.45, 0.45), 0.7),
+    F.with_support_box(F.PolynomialField([[0.1, 0.2], [0.5, -0.3], [0.2, 0.0]]),
+                       (0.2, 0.8, 2.1, 2.9)),
 ])
 def test_derivative_consistency(field):
-    # reported partials agree with central differences at 100 points
+    # all five reported partials agree with central differences at 100
+    # points, so a component built from the wrong intermediate is caught
     rng = np.random.default_rng(42)
-    if getattr(field, "angle", False) or isinstance(
-        field, (F.UniformizingFactor, O.LogSinDiagField)
-    ):
+    if isinstance(field, (F.UniformizingFactor, O.LogSinDiagField, LogMeanExpField)):
         pts = [(a, a + g) for a, g in zip(rng.uniform(0, 3, 100),
                                           rng.uniform(0.4, 1.2, 100))]
     else:
         pts = list(zip(rng.uniform(0.05, 0.95, 100),
                        rng.uniform(2.05, 2.95, 100)))
     assert check_field_derivatives(field, pts) <= 1e-6
+
+
+def test_jet_builds_a_component_once_when_read():
+    calls = []
+
+    def component(name, value):
+        def build():
+            calls.append(name)
+            return value
+        return build
+
+    j = F.Jet2(1.0, component("vx", 2.0), 3.0, component("vxy", 4.0),
+               component("vxx", 5.0), 6.0)
+    assert calls == []
+    assert (j.vxy, j.vxy, j.v) == (4.0, 4.0, 1.0)
+    assert calls == ["vxy"]
+    assert tuple(j) == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    assert calls == ["vxy", "vx", "vxx"]
+
+
+def test_jet_component_that_raises_raises_again():
+    # a failed build leaves the component unbuilt, not missing
+    def fault():
+        raise FloatingPointError("divide by zero")
+
+    j = F.Jet2(0.0, 0.0, 0.0, fault, 0.0, 0.0)
+    for _ in range(2):
+        with pytest.raises(FloatingPointError):
+            j.vxy
+    with pytest.raises(AttributeError):
+        j.vz
 
 
 def test_field_arithmetic_jets():
@@ -864,7 +912,7 @@ def test_default_action_rule_aligned_with_a_bump_is_exact():
                        scheme)
     assert plain.x_nodes.size == aligned.x_nodes.size
     assert plain.y_nodes.size == aligned.y_nodes.size
-    mass = bump.mass()
+    mass = O.bump_mass(bump)
     got = aligned.integrate(bump.value, support=bump.support_box)
     assert abs(got - mass) <= 1e-14 * mass
     off = plain.integrate(bump.value, support=bump.support_box)

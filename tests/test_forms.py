@@ -585,6 +585,30 @@ def test_non_holonomic_boundary_rejected():
         FM.LensCobordism(G0.scaled_by(u), BOX)
 
 
+class _MisreportedBump(F.BumpField):
+    """The roadmap bump with one partial of its jet scaled by ``factor``."""
+
+    def __init__(self, name, factor):
+        super().__init__((0.5, 2.5), (0.42, 0.42), 0.35)
+        self.name, self.factor = name, factor
+
+    def _jet(self, x, y):
+        j = super()._jet(x, y)
+        parts = {n: getattr(j, n) for n in ("v", "vx", "vy", "vxy", "vxx", "vyy")}
+        parts[self.name] = self.factor * parts[self.name]
+        return F.Jet2(**parts)
+
+
+@pytest.mark.parametrize("name", ["vx", "vy", "vxy"])
+def test_lens_refuses_a_jet_that_is_not_the_derivative(name):
+    # the frame relations hold for any jet values at a point, so a bump
+    # that reports twice one of its partials passes the contact check; the
+    # central differences of its value at the same points do not
+    FM.LensCobordism(G0.scaled_by(_MisreportedBump(name, 1.0)), BOX)
+    with pytest.raises(NotHolonomicBoundary, match="central differences"):
+        FM.LensCobordism(G0.scaled_by(_MisreportedBump(name, 2.0)), BOX)
+
+
 @pytest.mark.parametrize("u", [
     F.with_support_box(F.PolynomialField([[0.1, 0.2], [0.5, -0.3]]),
                        (0.3, 0.7, 2.3, 2.6)),

@@ -36,6 +36,30 @@ def test_flat_closed_form():
     assert abs(lhs - rhs) <= 1e-6
 
 
+class _UnreadPartials(F.ScalarField):
+    """U1 with every partial but v and vxy replaced by a fault."""
+
+    support_box = U1.support_box
+
+    def _jet(self, x, y):
+        j = U1.jet(x, y)
+
+        def fault():
+            raise AssertionError("an action density read an unused partial")
+
+        return F.Jet2(lambda: j.v, fault, fault, lambda: j.vxy, fault, fault)
+
+
+def test_action_densities_read_only_v_and_vxy():
+    # F_g = -2 v_xy dx^dy and d(du o I) = 2 u_xy dx^dy: the action reads
+    # the factor and its mixed partial, and the other four components are
+    # never formed
+    h = G0.scaled_by(_UnreadPartials())
+    for action in (LV.action, LV.action_monotone):
+        got, want = action(G0, h, GRID), action(G0, G0.scaled_by(U1), GRID)
+        assert got.trail == want.trail
+
+
 def test_definition_equals_monotone():
     for base in (G0, GF):
         h = base.scaled_by(U1)
