@@ -46,10 +46,20 @@ SCHEMA_VERSION = 2
 _REQUIRED = object()
 _SIGNS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 
+# The largest requests taken, each refused as a bad config before any
+# array is built: a grid level (``[grid] level`` or ``--grid-level``; a
+# curve's Gauss order is 8 + 4 * level per arc), the nodes per axis of the
+# finest grid of the action's ladder (a 2048 x 2048 plane is 32 MiB per
+# array), and the points of an Epstein sample (512 x 512 peaks near 330 MiB).
+MAX_LEVEL = 16
+MAX_AXIS_NODES = 2048
+MAX_SAMPLES = 2 ** 18
 
-def _numbers(count=None, kind=float, sign=None):
+
+def _numbers(count=None, kind=float, sign=None, most=None):
     """Parser of ``count`` (if given) finite numbers, each of ``sign``
-    (a key of ``_SIGNS``) if given, separated by whitespace or commas."""
+    (a key of ``_SIGNS``) and at most ``most`` if given, separated by
+    whitespace or commas."""
     def parse(text):
         vals = [kind(tok) for tok in text.replace(",", " ").split()]
         if count is not None and len(vals) != count:
@@ -58,13 +68,15 @@ def _numbers(count=None, kind=float, sign=None):
             raise ValueError("numbers must be finite")
         if sign is not None and not all(map(_SIGNS[sign], vals)):
             raise ValueError(f"numbers must be {sign}")
+        if most is not None and not all(v <= most for v in vals):
+            raise ValueError(f"numbers must be at most {most}")
         return vals
 
     return parse
 
 
-def _number(kind=float, sign=None):
-    parse = _numbers(1, kind, sign)
+def _number(kind=float, sign=None, most=None):
+    parse = _numbers(1, kind, sign, most)
 
     def number(text):  # the name shows in argparse's messages
         return parse(text)[0]
@@ -115,6 +127,16 @@ def _off_diagonal_box(text):
     return box
 
 
+def _samples(text):
+    """Parser of two positive sample counts with at most MAX_SAMPLES
+    points in all."""
+    ns = _numbers(2, int, "positive")(text)
+    if ns[0] * ns[1] > MAX_SAMPLES:
+        raise ValueError(f"{ns[0]} x {ns[1]} samples are more than "
+                         f"{MAX_SAMPLES} points")
+    return ns
+
+
 def _images(text):
     """Parser of 3 or 4 four-piece images; a missing fourth is solved for."""
     images = _numbers()(text)
@@ -160,13 +182,13 @@ _METRIC = {
 }
 _GRID = {
     "box": (_box, (0.0, 1.0, 2.0, 3.0)),
-    "level": (_number(int, "nonnegative"), 2),
+    "level": (_number(int, "nonnegative", MAX_LEVEL), 2),
     "base_cells": (_number(int, "positive"), 2),
     "scheme": (_scheme, "gauss8"),
 }
 _EPSTEIN = {
     "box": (_off_diagonal_box, (0.0, 1.0, 2.0, 3.0)),
-    "samples": (_numbers(2, int, "positive"), (32, 32)),
+    "samples": (_samples, (32, 32)),
     "tolerance": (_number(sign="positive"), 1e-8),
 }
 
@@ -234,10 +256,24 @@ def parse_metric(cfg, name):
 
 
 def parse_grid(cfg, level_override=None, x_breaks=(), y_breaks=()):
+    """The level-0 grid of [grid], cut at the break lines, and the level
+    that [grid], or ``level_override``, asks for.
+
+    The action refines the grid to one level above that one, whose axes
+    hold base_cells * 2**(level + 1) cells of the scheme's Gauss points:
+    more than MAX_AXIS_NODES is a ConfigError, raised before any array is
+    built.
+    """
     kw = _read("grid", _items(cfg, "grid"), _GRID)
+    level = kw.pop("level")
     if level_override is not None:
-        kw["level"] = level_override
-    return fields.box_grid(**kw, x_breaks=x_breaks, y_breaks=y_breaks)
+        level = level_override
+    nodes = kw["base_cells"] * 2 ** (level + 1) * fields.gauss_order(kw["scheme"])
+    if nodes > MAX_AXIS_NODES:
+        raise ConfigError(f"[grid] with base_cells {kw['base_cells']} and "
+                          f"{kw['scheme']} at level {level} needs {nodes} nodes "
+                          f"per axis, more than {MAX_AXIS_NODES}")
+    return fields.box_grid(**kw, x_breaks=x_breaks, y_breaks=y_breaks), level
 
 
 def parse_curve(cfg):
@@ -305,15 +341,17 @@ def cmd_action(args):
         "subcommand": "action",
         "values": {},
     }
-    top = args.grid_level if args.grid_level is not None else parse_grid(cfg).level
     # every integrand is smooth off the break lines of the factors, so the
     # grid cells end there
     xb, yb = fields.union_lines(m.u for m in (g, h, k) if m is not None)
+    base, top = parse_grid(cfg, args.grid_level, x_breaks=xb, y_breaks=yb)
     # S(g, h) once per level 0..top+1: the value at level lv+1 is the
     # refined value of level lv, so the trail, the definition value, its
     # error estimate and the Chasles term S(g, h) all come from one ladder.
     # The other integrals are taken on the finest grid only.
-    grids = [parse_grid(cfg, lv, x_breaks=xb, y_breaks=yb) for lv in range(top + 2)]
+    grids = [base]
+    for _ in range(top + 1):
+        grids.append(grids[-1].refine())
     av = liouville.refinement_trail(
         lambda grid: liouville.action(g, h, grid, refine=False).value,
         grids, "definition")
@@ -511,11 +549,12 @@ def cmd_epstein(args):
     frame = adsgeom.epstein_lift(data, S, T)
     res = adsgeom.frame_constraint_residuals(frame)
     out = args.out or "epstein.csv"
+    # one row per sample, in the order of np.ndindex, as Python floats
+    rows = np.column_stack([S.ravel(), T.ravel(), frame.x.reshape(S.size, 4),
+                            frame.n.reshape(S.size, 4)]).tolist()
     with _open_out(out) as fh:
         fh.write("s,t,x1,x2,x3,x4,n1,n2,n3,n4\n")
-        for idx in np.ndindex(S.shape):
-            row = [S[idx], T[idx], *frame.x[idx], *frame.n[idx]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "epstein",

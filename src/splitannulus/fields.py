@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -472,19 +471,22 @@ class ClippedField(ScalarField):
     def _jet(self, x, y):
         # the inner field sees only the nodes inside the closed box: all of
         # them as given (the block ``integrate`` hands a boxed field), else
-        # gathered flat and scattered into zeros of the broadcast shape
+        # gathered flat, with each component scattered into zeros of the
+        # broadcast shape when it is read
         x0, x1, y0, y1 = self.support_box
         inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
         if np.all(inside):
             return self.inner.jet(x, y)
         x, y = np.broadcast_arrays(x, y)
         idx = np.flatnonzero(inside)
-        out = []
-        for c in self.inner.jet(x.ravel()[idx], y.ravel()[idx]):
+        j = self.inner.jet(x.ravel()[idx], y.ravel()[idx])
+
+        def scatter(name):
             full = np.zeros(x.size)
-            full[idx] = c
-            out.append(full.reshape(x.shape))
-        return Jet2(*out)
+            full[idx] = getattr(j, name)
+            return full.reshape(x.shape)
+
+        return _componentwise(scatter)
 
     def break_lines(self):
         # the box edges, and the inner field's lines that cross the box
@@ -1022,29 +1024,53 @@ def _unit_rule(p):
     return s, w
 
 
+# the box-grid schemes by name: "gauss{p}" for 1 <= p <= MAX_GAUSS_ORDER
+_GAUSS_SCHEMES = {f"gauss{p}": p for p in range(1, MAX_GAUSS_ORDER + 1)}
+
+
 def gauss_order(scheme):
     """The order p of a box-grid scheme ``"gauss{p}"``, 1 <= p <= 16."""
-    m = re.fullmatch(r"gauss([1-9][0-9]*)", scheme)
-    if m is None or int(m.group(1)) > MAX_GAUSS_ORDER:
+    p = _GAUSS_SCHEMES.get(scheme)
+    if p is None:
         raise ValueError(f"scheme {scheme!r} is not gauss{{p}} with "
                          f"1 <= p <= {MAX_GAUSS_ORDER}")
-    return int(m.group(1))
+    return p
 
 
 def _axis_nodes(segments, cells, scheme):
     """Sorted per-axis nodes and weights: each segment cut into uniform
     cells (about ``cells`` over all segments, at least one per segment),
-    each cell carrying the Gauss rule of ``scheme``."""
+    each cell carrying the Gauss rule of ``scheme``.
+
+    All cells of all segments are formed in one array pass.  A segment
+    [lo, hi] of n cells has the edges of ``np.linspace(lo, hi, n + 1)``:
+    k * step + lo with step = (hi - lo) / n (k / n * (hi - lo) + lo where
+    that step underflows to zero), and hi itself at the end.
+    """
     s, w = _unit_rule(gauss_order(scheme))
-    nodes, weights = [], []
-    total = sum(hi - lo for lo, hi in segments)
-    for lo, hi in segments:
-        n = max(1, int(round(cells * (hi - lo) / total)))
-        edges = np.linspace(lo, hi, n + 1)
-        h = np.diff(edges)[:, None]
-        nodes.append((edges[:-1, None] + s * h).ravel())
-        weights.append((w * h).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
+    lengths = [hi - lo for lo, hi in segments]
+    total = sum(lengths)
+    counts = [max(1, round(cells * d / total)) for d in lengths]
+    seg = np.array(segments)
+    lo = seg[:, :1]
+    n = np.array(counts, dtype=float)[:, None]
+    # one row of edges per segment, aligned right: edge k of a segment of n
+    # cells sits in column k + max(counts) - n, so every segment ends in the
+    # last column, and the columns before its first edge are padding
+    k = np.arange(-max(counts), 1.0) + n
+    delta = seg[:, 1:] - lo
+    step = delta / n
+    if all(d / c for d, c in zip(lengths, counts)):
+        edges = k * step + lo
+    else:
+        edges = np.where(step == 0, k / n * delta, k * step) + lo
+    edges[:, -1] = seg[:, 1]
+    left, h = edges[:, :-1], edges[:, 1:] - edges[:, :-1]
+    if len(counts) > 1:  # a single segment has no padding
+        keep = k[:, 1:] > 0
+        left, h = left[keep], h[keep]
+    left, h = left.reshape(-1, 1), h.reshape(-1, 1)
+    return (left + s * h).ravel(), (w * h).ravel()
 
 
 class QuadratureGrid:
@@ -1158,6 +1184,16 @@ def box_grid(box, level=0, base_cells=32, scheme="gauss2", x_breaks=(),
     )
 
 
+# per block kind of ``ArcPairRule`` (0 tensor, 1 Duffy corner, 2 its mirror)
+# and tile slot: the unit patterns of the x and y offsets (0: s along x,
+# 1: s along y, 2: their product) and of the weights (0: tensor, 1: Duffy),
+# and whether the slot holds a tile
+_ARC_X = np.array([[0, 0], [0, 2], [2, 0]])
+_ARC_Y = np.array([[1, 1], [2, 0], [0, 2]])
+_ARC_W = np.array([[0, 0], [1, 1], [1, 1]])
+_ARC_TILES = np.array([[True, False], [True, True], [True, True]])
+
+
 class ArcPairRule:
     """Gauss-Legendre quadrature over the torus [0, pi)^2 by ordered pairs
     of arcs of the angle line, for an integrand that is 0/0 on the
@@ -1182,33 +1218,41 @@ class ArcPairRule:
             lo, hi = arcs[i]
             arcs[i:i + 1] = [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
         self.arcs = tuple(arcs)
-        s, ws = _unit_rule(self.order)
+        p, n = self.order, len(arcs)
+        s, ws = _unit_rule(p)
+        # a block's offsets and weights are patterns on the unit square,
+        # each flat in row-major order: s along x, s along y and their
+        # product; the tensor weights and those of a Duffy triangle
+        sx = np.broadcast_to(s[:, None], (p, p))
         ww = np.outer(ws, ws)
-        # the Duffy triangles at the unit square's corner (0, 0): offsets, weights
-        far = np.broadcast_to(s[:, None], ww.shape)
-        duffy = (np.concatenate([far, far * s]), np.concatenate([far * s, far]),
-                 np.concatenate([far * ww] * 2))
-        n, off = len(arcs), ~np.eye(self.order, dtype=bool)
-        blocks, diag = [], []
-        for i, (lo, hi) in enumerate(arcs):
-            for j, (lo_j, hi_j) in enumerate(arcs):
-                a, b = hi - lo, hi_j - lo_j
-                if j == (i + 1) % n:  # corner (hi, lo_j)
-                    dx, dy, w = duffy
-                    x, y = hi - a * dx, lo_j + b * dy
-                elif i == (j + 1) % n:  # the block (j, i), x and y swapped
-                    dy, dx, w = duffy
-                    x, y = lo + a * dx, hi_j - b * dy
-                else:
-                    x, y = np.meshgrid(lo + a * s, lo_j + b * s, indexing="ij")
-                    w = ww
-                    if i == j:
-                        diag.append((np.diag(x), a * b * np.diag(w)))
-                        x, y, w = x[off], y[off], w[off]
-                blocks.append((x, y, a * b * w))
-        self.x, self.y, self.w = (np.concatenate([np.ravel(c) for c in cs])
-                                  for cs in zip(*blocks))
-        self.diag, self.diag_w = (np.concatenate(cs) for cs in zip(*diag))
+        unit = np.stack([sx, sx.T, sx * s]).reshape(3, -1)
+        wunit = np.stack([ww, sx * ww]).reshape(2, -1)
+        lo, hi = np.array(arcs).T
+        a = hi - lo
+        # the kind of the block (i, j): 1 for a Duffy corner (hi_i, lo_j),
+        # 2 for its mirror, 0 for the tensor rule; every block has two tile
+        # slots, in which a Duffy block puts its two triangles
+        r = np.arange(n)
+        kind = ((r == (r[:, None] + 1) % n)
+                + 2 * (r[:, None] == (r + 1) % n))
+        fwd, back = kind == 1, kind == 2
+        # x = lo_i + a_i * offset, or hi_i - a_i * offset at a Duffy corner;
+        # y likewise from the end of arc j
+        x0 = np.where(fwd, hi[:, None], lo[:, None])[..., None, None]
+        xa = np.where(fwd, -a[:, None], a[:, None])[..., None, None]
+        y0 = np.where(back, hi, lo)[..., None, None]
+        ya = np.where(back, -a, a)[..., None, None]
+        x = x0 + xa * unit[_ARC_X[kind]]
+        y = y0 + ya * unit[_ARC_Y[kind]]
+        w = (a[:, None] * a)[..., None, None] * wunit[_ARC_W[kind]]
+        # the tiles in use, less the diagonal of each arc paired with
+        # itself, in block order: the blocks' concatenation
+        keep = np.broadcast_to(_ARC_TILES[kind][..., None], x.shape).copy()
+        diag = r[:, None], r[:, None], 0, np.arange(0, p * p, p + 1)
+        keep[diag] = False
+        keep = keep.ravel()
+        self.x, self.y, self.w = (c.ravel()[keep] for c in (x, y, w))
+        self.diag, self.diag_w = x[diag].ravel(), w[diag].ravel()
 
     def describe(self):
         return {"level": self.level, "order": self.order,

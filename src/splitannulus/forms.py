@@ -57,7 +57,7 @@ from .errors import (
     NotHolonomicBoundary,
     NotTangent,
 )
-from .fields import QuadratureGrid, _axis_nodes, box_grid
+from .fields import QuadratureGrid, _unit_rule, box_grid, gauss_order
 from .liouville import ActionValue, refinement_trail
 from .lorentz import SplitMetric, curvature
 
@@ -463,7 +463,8 @@ def w_value(lens: LensCobordism, grid: QuadratureGrid, a=0.0, b=1.0) -> float:
     level + 1)``, calls it directly and gets the same bits as the
     ``value`` of ``w_volume`` at ``level``.
     """
-    ts, weights = _axis_nodes(((a, b),), 1, W_SCHEME)
+    t01, w01 = _unit_rule(gauss_order(W_SCHEME))  # the rule on [0, 1]
+    ts, weights = a + t01 * (b - a), w01 * (b - a)
     data = lens.data
 
     def density(x, y):

@@ -7,7 +7,9 @@ independent of the closed-form jets of ``adsgeom`` that they check;
 synthetic slices are surfaces given only pointwise, whose frames come by
 central differences.  The affine Mobius map and the log-sine factor are
 fixtures the CLI never builds, and the Segre section and the mass of a
-bump are closed forms the tests compare against.
+bump are closed forms the tests compare against.  The quadrature rules
+are built here the plain way, a segment or a block of arcs at a time, as
+references for the array builds of ``fields``.
 """
 
 import math
@@ -228,3 +230,54 @@ def bump_mass(b):
 def unit_mass_bump(center, halfwidth, power=4):
     b = F.BumpField(center, halfwidth, 1.0, power)
     return F.BumpField(center, halfwidth, 1.0 / bump_mass(b), power)
+
+
+# ---------------------------------------------------------------------------
+# quadrature rules, one segment or one block at a time
+# ---------------------------------------------------------------------------
+
+def axis_nodes(segments, cells, scheme):
+    """``fields._axis_nodes`` segment by segment: each segment's cells end
+    at the edges of ``np.linspace`` over it."""
+    s, w = F._unit_rule(F.gauss_order(scheme))
+    nodes, weights = [], []
+    total = sum(hi - lo for lo, hi in segments)
+    for lo, hi in segments:
+        n = max(1, int(round(cells * (hi - lo) / total)))
+        edges = np.linspace(lo, hi, n + 1)
+        h = np.diff(edges)[:, None]
+        nodes.append((edges[:-1, None] + s * h).ravel())
+        weights.append((w * h).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def arc_pair_nodes(rule):
+    """The nodes and weights of ``rule`` (an ``ArcPairRule``) built block
+    by block over its arcs: (x, y, w, diag, diag_w)."""
+    arcs, n = rule.arcs, len(rule.arcs)
+    s, ws = F._unit_rule(rule.order)
+    ww = np.outer(ws, ws)
+    # the Duffy triangles at the unit square's corner (0, 0): offsets, weights
+    far = np.broadcast_to(s[:, None], ww.shape)
+    duffy = (np.concatenate([far, far * s]), np.concatenate([far * s, far]),
+             np.concatenate([far * ww] * 2))
+    off = ~np.eye(rule.order, dtype=bool)
+    blocks, diag = [], []
+    for i, (lo, hi) in enumerate(arcs):
+        for j, (lo_j, hi_j) in enumerate(arcs):
+            a, b = hi - lo, hi_j - lo_j
+            if j == (i + 1) % n:  # corner (hi, lo_j)
+                dx, dy, w = duffy
+                x, y = hi - a * dx, lo_j + b * dy
+            elif i == (j + 1) % n:  # the block (j, i), x and y swapped
+                dy, dx, w = duffy
+                x, y = lo + a * dx, hi_j - b * dy
+            else:
+                x, y = np.meshgrid(lo + a * s, lo_j + b * s, indexing="ij")
+                w = ww
+                if i == j:
+                    diag.append((np.diag(x), a * b * np.diag(w)))
+                    x, y, w = x[off], y[off], w[off]
+            blocks.append((x, y, a * b * w))
+    x, y, w = (np.concatenate([np.ravel(c) for c in cs]) for cs in zip(*blocks))
+    return (x, y, w) + tuple(np.concatenate(cs) for cs in zip(*diag))

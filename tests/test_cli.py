@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitannulus import cli, fields
-from splitannulus.errors import NotTangent
+from splitannulus.errors import ConfigError, NotTangent
 
 ACTION_INI = """
 [metric.g]
@@ -331,6 +331,14 @@ _SINEFLOW = "family = po22\nkind = sineflow\namplitude = 0.3\nfrequency = 2"
     pytest.param("epstein", EPSTEIN_INI, "[metric.g]\nreference = desitter",
                  "[metric.g]\nreference = desitter\ncoords = angle",
                  ("[metric.g]", "'coords'"), id="epstein_angle_coords"),
+    # requests far beyond the bounds are refused before any array is built
+    pytest.param("action", ACTION_INI, "level = 1",
+                 "level = 1\nbase_cells = 1000000000000",
+                 ("[grid]", f"more than {cli.MAX_AXIS_NODES}"), id="base_cells_huge"),
+    pytest.param("epstein", EPSTEIN_INI, "samples = 16 16",
+                 "samples = 1000000 1000000",
+                 ("[epstein]", "'samples'", f"more than {cli.MAX_SAMPLES}"),
+                 id="samples_huge"),
 ])
 def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, command, base,
                                                     old, new, words):
@@ -436,6 +444,39 @@ def test_negative_grid_level_flag_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["action", "--config", cfg, "--grid-level", "-1", "--out", "-"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["action", "curve"])
+def test_huge_grid_level_flag_rejected(tmp_path, capsys, command):
+    # refused by the parser itself, so the subcommand never runs
+    cfg = _write(tmp_path, "a.ini", ACTION_INI)
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, "--config", cfg,
+                                       "--grid-level", "1000000"])
+    assert exc.value.code == 2
+    assert "--grid-level" in capsys.readouterr().err
+
+
+def test_huge_grid_level_in_the_config_rejected(tmp_path):
+    # parse_grid builds the level-0 grid alone, so a missing bound fails at
+    # once here instead of refining a million times
+    cfg = cli.load_config(_write(tmp_path, "a.ini",
+                                 ACTION_INI.replace("level = 1", "level = 1000000")))
+    with pytest.raises(ConfigError, match=f"'level' in \\[grid\\]: numbers must "
+                                          f"be at most {cli.MAX_LEVEL}"):
+        cli.parse_grid(cfg)
+
+
+def test_grid_level_override_checks_the_node_bound(tmp_path):
+    # ACTION_INI's 2 gauss8 cells reach MAX_AXIS_NODES per axis at level 7,
+    # the finest grid of the ladder to level 6; only the level-0 grid is built
+    cfg = cli.load_config(_write(tmp_path, "a.ini", ACTION_INI))
+    grid, level = cli.parse_grid(cfg, 6)
+    assert (grid.level, level) == (0, 6)
+    assert 2 * 2 ** (level + 1) * 8 == cli.MAX_AXIS_NODES
+    with pytest.raises(ConfigError, match=f"needs 4096 nodes per axis, more "
+                                          f"than {cli.MAX_AXIS_NODES}"):
+        cli.parse_grid(cfg, 7)
 
 
 def test_main_builds_the_parser_once(tmp_path, capsys):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitannulus import cli
 from splitannulus import fields as F
@@ -898,6 +900,59 @@ def test_gauss_rule_is_exact_to_degree_2p_minus_1(p):
     for k in range(2 * p):
         exact = (1.3 ** (k + 1) - (-0.7) ** (k + 1)) / (k + 1)
         assert abs(float(np.sum(w * x ** k)) - exact) <= 1e-14 * max(1.0, abs(exact))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ends of 1 to 10 segments laid end to end, anywhere from the subnormals to
+# a few hundred, so that a step may also underflow to zero
+_SEGMENT_ENDS = st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=11,
+                         unique=True).map(sorted)
+
+
+@pytest.mark.parametrize("p", range(1, F.MAX_GAUSS_ORDER + 1))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(ends=_SEGMENT_ENDS, cells=st.integers(1, 600))
+# subnormal segments whose step underflows to zero
+@example(ends=[0.0, 5e-324], cells=3)
+@example(ends=[-2e-323, 5e-324, 2.5e-323], cells=11)
+def test_axis_nodes_match_the_segment_by_segment_build(p, ends, cells):
+    # the one array pass gives every node and weight the bits of each
+    # segment's own np.linspace cells
+    segments = tuple(zip(ends[:-1], ends[1:]))
+    got = F._axis_nodes(segments, cells, f"gauss{p}")
+    want = O.axis_nodes(segments, cells, f"gauss{p}")
+    assert all(map(_same_bits, got, want))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(breaks=st.lists(st.floats(-10.0, 10.0), max_size=8),
+       level=st.integers(0, 3))
+def test_arc_pair_rule_matches_the_block_by_block_build(breaks, level):
+    # the broadcast build keeps the block order: the nodes, weights and
+    # diagonals that integrate's sums see have the loop's bits, in order
+    rule = F.ArcPairRule(breaks, level)
+    want = O.arc_pair_nodes(rule)
+    got = (rule.x, rule.y, rule.w, rule.diag, rule.diag_w)
+    assert all(map(_same_bits, got, want))
+
+
+@pytest.mark.parametrize("breaks", [(), (0.3, 0.7)], ids=["plain", "breaks"])
+def test_refined_grid_is_the_box_grid_of_the_next_level(breaks):
+    # the action's ladder refines its level-0 grid: each rung has the bits
+    # and the description of the box grid of its level
+    def grid(level):
+        return F.box_grid((0, 1, 2, 3), level, 2, "gauss8", x_breaks=breaks,
+                          y_breaks=[2 + b for b in breaks])
+
+    rung = grid(0)
+    for level in range(1, 4):
+        rung, want = rung.refine(), grid(level)
+        assert rung.describe() == want.describe()
+        assert all(_same_bits(getattr(rung, k), getattr(want, k))
+                   for k in ("x_nodes", "x_weights", "y_nodes", "y_weights"))
 
 
 def test_default_action_rule_aligned_with_a_bump_is_exact():

@@ -60,6 +60,37 @@ def test_action_densities_read_only_v_and_vxy():
         assert got.trail == want.trail
 
 
+class _Spy(F.ScalarField):
+    """``inner`` recording the name of each jet component it builds."""
+
+    def __init__(self, inner, built):
+        self.inner, self.built = inner, built
+
+    def _jet(self, x, y):
+        j = self.inner.jet(x, y)
+
+        def build(name):
+            self.built.append(name)
+            return getattr(j, name)
+
+        return F._componentwise(build)
+
+
+def test_clipped_factor_in_a_sum_builds_only_what_the_action_reads():
+    # the clipped field's box is smaller than the sum's, so it is handed
+    # nodes outside it: it gathers the inside, and scatters only the v and
+    # vxy that the action reads, on the grid and its refinement
+    inner = F.bump_field((0.45, 2.45), (0.2, 0.2), 0.3)
+    box = (0.3, 0.6, 2.3, 2.6)
+    bump = F.bump_field((0.5, 2.5), (0.42, 0.42), 0.35)
+    built = []
+    spied = LV.action(G0, G0.scaled_by(F.with_support_box(_Spy(inner, built), box)
+                                       + bump), GRID)
+    assert sorted(built) == ["v", "v", "vxy", "vxy"]
+    plain = LV.action(G0, G0.scaled_by(F.with_support_box(inner, box) + bump), GRID)
+    assert spied.trail == plain.trail
+
+
 def test_definition_equals_monotone():
     for base in (G0, GF):
         h = base.scaled_by(U1)
