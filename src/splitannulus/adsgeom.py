@@ -184,7 +184,7 @@ class _FlatBase:
         e11 = np.zeros_like(s)
         e11[..., 0] = 1.0
         rt2 = math.sqrt(2.0)
-        out = {
+        return {
             "sigma": sg * s / rt2,
             "sigma_x": sg * a / rt2,
             "sigma_y": sg * b / rt2,
@@ -198,7 +198,6 @@ class _FlatBase:
             "M_x": np.zeros(sgn.shape),
             "M_y": np.zeros(sgn.shape),
         }
-        return out
 
 
 # (sigma-hat, eta-hat) jets of each reference metric
@@ -325,44 +324,18 @@ class IsotropicSurfaceData:
         return NodeJets(self.base.jets(x, y), self.metric.u.jet(x, y))
 
     def assemble(self, nodes: NodeJets, t) -> PairJets:
-        b, ju = nodes.base, nodes.u
-        w = t * ju.v
-        wx, wy = t * ju.vx, t * ju.vy
-        wxx, wxy, wyy = t * ju.vxx, t * ju.vxy, t * ju.vyy
-        M, Mx, My = b["M"], b["M_x"], b["M_y"]
-        if np.any(np.abs(w) > _EXP_MAX):
-            raise NonFiniteDensity(f"conformal factor {np.max(np.abs(w)):.6g} "
-                                   f"exceeds {_EXP_MAX:.6g}: e^w overflows")
+        b, jw = nodes.base, [t * c for c in nodes.u]  # w's jet, w = t u
+        w, wx, wy = jw[:3]
+        _check_exp(float(np.max(np.abs(w), initial=0.0)))
         ew = np.exp(w)[..., None]
-
-        def col(v):
-            return v[..., None]
-
         sigma = ew * b["sigma"]
-        sigma_x = ew * (col(wx) * b["sigma"] + b["sigma_x"])
-        sigma_y = ew * (col(wy) * b["sigma"] + b["sigma_y"])
-
-        m_wx, m_wy = col(M * wx), col(M * wy)
-        m_wxy = col(M * wx * wy)
-        h = b["eta"] - m_wy * b["sigma_x"] - m_wx * b["sigma_y"] - m_wxy * b["sigma"]
-        h_x = (
-            b["eta_x"]
-            - col(Mx * wy + M * wxy) * b["sigma_x"] - m_wy * b["sigma_xx"]
-            - col(Mx * wx + M * wxx) * b["sigma_y"] - m_wx * b["sigma_xy"]
-            - col(Mx * wx * wy + M * (wxx * wy + wx * wxy)) * b["sigma"]
-            - m_wxy * b["sigma_x"]
-        )
-        h_y = (
-            b["eta_y"]
-            - col(My * wy + M * wyy) * b["sigma_x"] - m_wy * b["sigma_xy"]
-            - col(My * wx + M * wxy) * b["sigma_y"] - m_wx * b["sigma_yy"]
-            - col(My * wx * wy + M * (wxy * wy + wx * wyy)) * b["sigma"]
-            - m_wxy * b["sigma_y"]
-        )
+        sigma_x = ew * (wx[..., None] * b["sigma"] + b["sigma_x"])
+        sigma_y = ew * (wy[..., None] * b["sigma"] + b["sigma_y"])
+        h, h_x, h_y = (_less(t1 + t2, eta) for eta, t1, t2 in _eta_terms(b, jw))
         emw = np.exp(-w)[..., None]
         eta = emw * h
-        eta_x = emw * (h_x - col(wx) * h)
-        eta_y = emw * (h_y - col(wy) * h)
+        eta_x = emw * (h_x - wx[..., None] * h)
+        eta_y = emw * (h_y - wy[..., None] * h)
         return PairJets(sigma, sigma_x, sigma_y, eta, eta_x, eta_y)
 
     def lift_path(self, nodes: NodeJets, a, b) -> LiftPath:
@@ -373,33 +346,45 @@ class IsotropicSurfaceData:
         [a, b], so one check here covers every slice's e^{+-tu}.
         """
         base, ju = nodes.base, nodes.u
-        w_max = float(np.max(np.abs(ju.v))) * max(abs(a), abs(b))
-        if w_max > _EXP_MAX:
-            raise NonFiniteDensity(f"conformal factor {w_max:.6g} "
-                                   f"exceeds {_EXP_MAX:.6g}: e^w overflows")
-        M, Mx, My = base["M"], base["M_x"], base["M_y"]
-        u, ux, uy = ju.v, ju.vx, ju.vy
-        uxx, uxy, uyy = ju.vxx, ju.vxy, ju.vyy
-        s, s_x, s_y = base["sigma"], base["sigma_x"], base["sigma_y"]
+        _check_exp(float(np.max(np.abs(ju.v))) * max(abs(a), abs(b)))
+        h, h_x, h_y = ((eta, _less(t1), _less(t2)) for eta, t1, t2 in
+                       _eta_terms(base, ju))
+        return LiftPath(*(v[..., None] for v in (ju.v, ju.vx, ju.vy)), base["sigma"],
+                        base["sigma_x"], base["sigma_y"], h, h_x, h_y)
 
-        def col(v):
-            return v[..., None]
 
-        m_ux, m_uy, m_uxy = col(M * ux), col(M * uy), col(M * ux * uy)
-        h = (base["eta"], -m_uy * s_x - m_ux * s_y, -m_uxy * s)
-        h_x = (
-            base["eta_x"],
-            -col(Mx * uy + M * uxy) * s_x - m_uy * base["sigma_xx"]
-            - col(Mx * ux + M * uxx) * s_y - m_ux * base["sigma_xy"],
-            -col(Mx * ux * uy + M * (uxx * uy + ux * uxy)) * s - m_uxy * s_x,
-        )
-        h_y = (
-            base["eta_y"],
-            -col(My * uy + M * uyy) * s_x - m_uy * base["sigma_xy"]
-            - col(My * ux + M * uxy) * s_y - m_ux * base["sigma_yy"],
-            -col(My * ux * uy + M * (uxy * uy + ux * uyy)) * s - m_uxy * s_y,
-        )
-        return LiftPath(col(u), col(ux), col(uy), s, s_x, s_y, h, h_x, h_y)
+def _check_exp(w_max):
+    if w_max > _EXP_MAX:  # then e^w may overflow
+        raise NonFiniteDensity(f"conformal factor {w_max:.6g} "
+                               f"exceeds {_EXP_MAX:.6g}: e^w overflows")
+
+
+def _eta_terms(b, jet):
+    """h = e^w eta and its x and y partials from the base jets ``b`` and
+    w's jet (w, w_x, w_y, w_xy, w_xx, w_yy), one row each: (eta-hat plane,
+    pairs linear in w, pairs quadratic in w), where h is eta-hat less c p
+    over each factor pair (per-node column c, base plane p) in order."""
+    M, Mx, My, _, wx, wy, wxy, wxx, wyy = (
+        v[..., None] for v in (b["M"], b["M_x"], b["M_y"], *jet))
+    s, s_x, s_y, s_xy = b["sigma"], b["sigma_x"], b["sigma_y"], b["sigma_xy"]
+    m_wx, m_wy, m_wxy = M * wx, M * wy, M * wx * wy
+    yield b["eta"], [(m_wy, s_x), (m_wx, s_y)], [(m_wxy, s)]
+    yield (b["eta_x"], [(Mx * wy + M * wxy, s_x), (m_wy, b["sigma_xx"]),
+                        (Mx * wx + M * wxx, s_y), (m_wx, s_xy)],
+           [(Mx * wx * wy + M * (wxx * wy + wx * wxy), s), (m_wxy, s_x)])
+    yield (b["eta_y"], [(My * wy + M * wyy, s_x), (m_wy, s_xy),
+                        (My * wx + M * wxy, s_y), (m_wx, b["sigma_yy"])],
+           [(My * wx * wy + M * (wxy * wy + wx * wyy), s), (m_wxy, s_y)])
+
+
+def _less(pairs, head=None):
+    """head - c0 p0 - c1 p1 - ..., in place after the first product; with
+    no head, -c0 p0 - c1 p1 - ..., the first column negated."""
+    (c, p), *rest = pairs
+    out = -c * p if head is None else head - c * p
+    for c, p in rest:
+        out -= c * p
+    return out
 
 
 def pair_constraint_residuals(j: PairJets):
@@ -479,8 +464,7 @@ def frame_constraint_residuals(f: EpsteinFrame):
 
 def envelope_incidence_residual(j: PairJets):
     """<sigma, x_pt> + sqrt(2)/2: horosphere membership of the envelope."""
-    x_pt = RT2INV * (j.sigma - j.eta)
-    return float(np.max(np.abs(pair(j.sigma, x_pt) + RT2INV)))
+    return float(np.max(np.abs(pair(j.sigma, epstein_frame(j).x) + RT2INV)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,12 @@ _SIGNS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 # array is built: a grid level (``[grid] level`` or ``--grid-level``; a
 # curve's Gauss order is 8 + 4 * level per arc), the nodes per axis of the
 # finest grid of the action's ladder (a 2048 x 2048 plane is 32 MiB per
-# array), and the points of an Epstein sample (512 x 512 peaks near 330 MiB).
+# array), the 2 n^2 p^2 node slots of the finest torus rule on n arcs of
+# order p (2^21 peak near 360 MiB), and the points of an Epstein sample
+# (512 x 512 peaks near 330 MiB).
 MAX_LEVEL = 16
 MAX_AXIS_NODES = 2048
+MAX_TORUS_SLOTS = 2 ** 21
 MAX_SAMPLES = 2 ** 18
 
 
@@ -116,6 +119,8 @@ def _box(text):
     box = _numbers(4)(text)
     if not (box[1] > box[0] and box[3] > box[2]):
         raise ValueError("must be x0 x1 y0 y1 with x1 > x0, y1 > y0")
+    if not all(map(math.isfinite, (box[1] - box[0], box[3] - box[2]))):
+        raise ValueError("a side x1 - x0 or y1 - y0 overflows")
     return box
 
 
@@ -276,6 +281,15 @@ def parse_grid(cfg, level_override=None, x_breaks=(), y_breaks=()):
     return fields.box_grid(**kw, x_breaks=x_breaks, y_breaks=y_breaks), level
 
 
+def _check_torus(section, breaks, level):
+    """A ConfigError if ``ArcPairRule(breaks, level)`` exceeds MAX_TORUS_SLOTS."""
+    arcs, p = fields.ArcPairRule.layout(breaks, level)
+    slots = 2 * (len(arcs) * p) ** 2
+    if slots > MAX_TORUS_SLOTS:
+        raise ConfigError(f"[{section}] with {len(arcs)} arcs at level {level} needs "
+                          f"{slots} torus node slots, more than {MAX_TORUS_SLOTS}")
+
+
 def parse_curve(cfg):
     family, items = _pick("curve", _items(cfg, "curve"), ("po22", "psl3_conic"),
                           "po22", key="family")
@@ -353,8 +367,7 @@ def cmd_action(args):
     for _ in range(top + 1):
         grids.append(grids[-1].refine())
     av = liouville.refinement_trail(
-        lambda grid: liouville.action(g, h, grid, refine=False).value,
-        grids, "definition")
+        lambda grid: liouville.action(g, h, grid, refine=False).value, grids)
     fine = grids[-1]
     report["values"]["definition"] = av.value
     report["values"]["monotone"] = liouville.action_monotone(
@@ -376,6 +389,7 @@ def _cmd_action_uniformizing(cfg, args):
     """Action between a pulled-back de Sitter metric and g0 on the torus."""
     phi = _parse_circle_map("uniformizing", cfg["uniformizing"])
     level = args.grid_level if args.grid_level is not None else 3
+    _check_torus("uniformizing", phi.breakpoints, level)
     av = liouville.uniformizing_action(phi, levels=level)
     av_def = liouville.uniformizing_action(phi, levels=level,
                                            formula="definition")
@@ -572,6 +586,7 @@ def cmd_curve(args):
     cfg = load_config(args.config)
     curve = parse_curve(cfg)
     level = args.grid_level if args.grid_level is not None else 2
+    _check_torus("curve", curve.breakpoints() if curve.family == "po22" else (), level)
     try:
         av = curves.curve_action(curve, levels=level)
     except SClassFail as exc:

@@ -48,6 +48,7 @@ from .fields import (
     PiecewiseMobiusAngleMap,
     ScalarField,
     UniformizingFactor,
+    _schwarzian,
 )
 from .liouville import ActionValue, sclass_report, torus_density, torus_trail
 from .lorentz import SplitMetric, desitter
@@ -167,7 +168,7 @@ def schwarzian(phi: CircleMap, x):
     _, d1, d2, d3 = phi.jets_checked(x) if checked else phi.jets(x)
     if np.any(d1 <= 0):
         raise NotC3AtPoint("phi' must be positive")
-    return d3 / d1 - 1.5 * (d2 / d1) ** 2
+    return _schwarzian(d1, d2, d3)
 
 
 def schwarzian_decay_residual(phi: CircleMap, x, eps):
@@ -383,7 +384,7 @@ def curve_action(curve, levels=3, check_sclass=True) -> ActionValue:
             failing = [k for k, ok in report.clauses.items() if not ok]
             raise SClassFail(failing[0], f"S-class clauses failed: {failing}")
 
-    av = torus_trail(torus_density(g, g_circle), limit, levels, "curve", breaks)
+    av = torus_trail(torus_density(g, g_circle), limit, levels, breaks)
     av.sclass = report
     return av
 

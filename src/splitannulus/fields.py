@@ -230,10 +230,7 @@ class SumField(ScalarField):
         ja, jb = self.a.jet(x, y), self.b.jet(x, y)
         return _componentwise(lambda name: getattr(ja, name) + getattr(jb, name))
 
-    # the base method, repeated so that ``perfbench/spans.py`` can wrap a
-    # sum's jet by name apart from its leaves'
-    def jet(self, x, y):
-        return self._jet(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    jet = ScalarField.jet  # its own entry, which ``perfbench/spans.py`` wraps
 
     def break_lines(self):
         return union_lines((self.a, self.b))
@@ -248,9 +245,7 @@ class ScaledField(ScalarField):
         j, c = self.a.jet(x, y), self.c
         return _componentwise(lambda name: c * getattr(j, name))
 
-    # the base method, repeated for ``perfbench/spans.py`` as on SumField
-    def jet(self, x, y):
-        return self._jet(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    jet = ScalarField.jet  # as on SumField
 
     def break_lines(self):
         return self.a.break_lines()
@@ -296,8 +291,8 @@ class BumpField(ScalarField):
         self.p = int(power)
         if self.p < 3:
             raise ValueError("power >= 3 required for a C^2 join")
-        if not (self.hx > 0 and self.hy > 0):
-            raise ValueError("halfwidth must be positive")
+        if not all(h > 0 and math.isfinite(h * h) for h in (self.hx, self.hy)):
+            raise ValueError("halfwidth must be positive, and its square finite")
         self.support_box = (
             self.cx - self.hx,
             self.cx + self.hx,
@@ -431,9 +426,14 @@ class UniformizingFactor(ScalarField):
         # a 0-d x goes through the array loops as one element: numpy's
         # scalar powers can differ from them in the last bits
         x = np.asarray(x, dtype=float)
-        f, f1, f2, f3 = self.phi.jets(x.reshape(-1))
-        s = f3 / f1 - 1.5 * (f2 / f1) ** 2 + self.chart.cocycle(f1)
+        _, f1, f2, f3 = self.phi.jets(x.reshape(-1))
+        s = _schwarzian(f1, f2, f3) + self.chart.cocycle(f1)
         return (s / 12.0).reshape(x.shape)
+
+
+def _schwarzian(d1, d2, d3):
+    """The Schwarzian d3/d1 - (3/2)(d2/d1)^2 of a map from its derivatives."""
+    return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
 
 def _where_zero(mask, component):
@@ -840,9 +840,8 @@ def mobius_through(a, target_a, b, target_b, deriv_a):
     pB = np.array([math.cos(target_b), math.sin(target_b)])
     s = np.linalg.inv(np.column_stack([pa, pb]))
     t_inv = np.column_stack([pA, pB])
-    # angle derivative of x -> M x at a is det(M)/|M pa|^2 (|pa| = 1)
     base = t_inv @ s
-    d_base = np.linalg.det(base) / np.dot(base @ pa, base @ pa)
+    d_base = _end_derivative(base, a)
     # M pa = mu * pA, so |M pa|^2 scales by mu^2 while det scales by mu:
     # the angle derivative at a is d_base / mu
     mu = d_base / float(deriv_a)
@@ -1210,15 +1209,9 @@ class ArcPairRule:
     """
 
     def __init__(self, breaks=(), level=0):
-        self.level, self.order = int(level), 8 + 4 * int(level)
-        edges = sorted({b % math.pi for b in breaks}) or [0.0]
-        arcs = list(zip(edges, edges[1:] + [edges[0] + math.pi]))
-        while len(arcs) < 3:
-            i = max(range(len(arcs)), key=lambda k: arcs[k][1] - arcs[k][0])
-            lo, hi = arcs[i]
-            arcs[i:i + 1] = [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
-        self.arcs = tuple(arcs)
-        p, n = self.order, len(arcs)
+        self.level = int(level)
+        self.arcs, self.order = self.layout(breaks, level)
+        p, n = self.order, len(self.arcs)
         s, ws = _unit_rule(p)
         # a block's offsets and weights are patterns on the unit square,
         # each flat in row-major order: s along x, s along y and their
@@ -1227,7 +1220,7 @@ class ArcPairRule:
         ww = np.outer(ws, ws)
         unit = np.stack([sx, sx.T, sx * s]).reshape(3, -1)
         wunit = np.stack([ww, sx * ww]).reshape(2, -1)
-        lo, hi = np.array(arcs).T
+        lo, hi = np.array(self.arcs).T
         a = hi - lo
         # the kind of the block (i, j): 1 for a Duffy corner (hi_i, lo_j),
         # 2 for its mirror, 0 for the tensor rule; every block has two tile
@@ -1253,6 +1246,17 @@ class ArcPairRule:
         keep = keep.ravel()
         self.x, self.y, self.w = (c.ravel()[keep] for c in (x, y, w))
         self.diag, self.diag_w = x[diag].ravel(), w[diag].ravel()
+
+    @staticmethod
+    def layout(breaks=(), level=0):
+        """The arcs and the Gauss order of the rule, without building it."""
+        edges = sorted({b % math.pi for b in breaks}) or [0.0]
+        arcs = list(zip(edges, edges[1:] + [edges[0] + math.pi]))
+        while len(arcs) < 3:
+            i = max(range(len(arcs)), key=lambda k: arcs[k][1] - arcs[k][0])
+            lo, hi = arcs[i]
+            arcs[i:i + 1] = [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
+        return tuple(arcs), 8 + 4 * int(level)
 
     def describe(self):
         return {"level": self.level, "order": self.order,

@@ -43,6 +43,7 @@ import numpy as np
 
 from .adsgeom import (
     GRAM,
+    EpsteinFrame,
     IsotropicSurfaceData,
     det4,
     epstein_frame,
@@ -183,9 +184,9 @@ def alpha2(p, u, v, check=True):
     if check:
         for vec in (u, v):
             check_ut_tangent(p, vec)
-    x, n = p[..., :4], p[..., 4:8]
-    return 0.25 * (det4(x, n, u[..., 4:], v[..., :4])
-                   + det4(x, n, u[..., :4], v[..., 4:]))
+    # alpha(u, v) is alpha's density on a frame at p with d_x = u, d_y = v
+    return _alpha_boundary_density(EpsteinFrame(p[..., :4], p[..., 4:8], u[..., :4],
+                                                v[..., :4], u[..., 4:], v[..., 4:]))
 
 
 def theta(i, p, u, v, check=True):
@@ -424,11 +425,9 @@ class LensCobordism:
         return max(x0, bx0), min(x1, bx1), max(y0, by0), min(y1, by1)
 
 
-def _alpha_boundary_density(frame):
-    x, n = frame.x, frame.n
-    return 0.25 * (
-        det4(x, n, frame.n_dx, frame.x_dy) + det4(x, n, frame.x_dx, frame.n_dy)
-    )
+def _alpha_boundary_density(f):
+    """alpha(d_x, d_y) = (det(x, n, n_dx, x_dy) + det(x, n, x_dx, n_dy)) / 4."""
+    return 0.25 * (det4(f.x, f.n, f.n_dx, f.x_dy) + det4(f.x, f.n, f.x_dx, f.n_dy))
 
 
 W_SCHEME = "gauss12"
@@ -495,8 +494,7 @@ def w_volume(lens: LensCobordism, grid: QuadratureGrid,
     is accepted for old callers and changes nothing.
     """
     coarse = w_grid(lens, grid.level)
-    return refinement_trail(lambda gr: w_value(lens, gr),
-                            (coarse, coarse.refine()), "w-volume")
+    return refinement_trail(lambda gr: w_value(lens, gr), (coarse, coarse.refine()))
 
 
 def w_volume_split(lens: LensCobordism, grid):

@@ -51,7 +51,6 @@ class ActionValue:
     value: float
     error_estimate: float
     grid: dict
-    formula: str = "definition"
     trail: list = dc_field(default_factory=list)
     sclass: SClassReport = None  # the S-class check made on the way, if any
 
@@ -74,7 +73,7 @@ def _monotone_density(g, h, u):
     return density
 
 
-def refinement_trail(integral, grids, formula) -> ActionValue:
+def refinement_trail(integral, grids) -> ActionValue:
     """``integral`` on ``grids`` from coarse to fine, each grid taken from
     the iterable after the integral on the previous one: the value is the
     finest integral, the error estimate the last step (|I_0| for a single
@@ -84,16 +83,16 @@ def refinement_trail(integral, grids, formula) -> ActionValue:
     for grid in grids:
         trail.append(integral(grid))
     err = abs(trail[-1] - trail[-2]) if len(trail) > 1 else abs(trail[-1])
-    return ActionValue(trail[-1], err, grid.describe(), formula, trail)
+    return ActionValue(trail[-1], err, grid.describe(), trail)
 
 
-def _action(grid, refine, formula, u, density):
+def _action(grid, refine, u, density):
     def integral(gr):
         return gr.integrate(density, support=u.support_box)
 
     if not refine:
-        return ActionValue(integral(grid), float("nan"), grid.describe(), formula)
-    return refinement_trail(integral, (grid, grid.refine()), formula)
+        return ActionValue(integral(grid), float("nan"), grid.describe())
+    return refinement_trail(integral, (grid, grid.refine()))
 
 
 def action(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
@@ -104,14 +103,14 @@ def action(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
     difference to the coarse value is the reported error estimate.
     """
     u = h.factor_relative_to(g)
-    return _action(grid, refine, "definition", u, _definition_density(g, u))
+    return _action(grid, refine, u, _definition_density(g, u))
 
 
 def action_monotone(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
                     refine: bool = True) -> ActionValue:
     """S(g, h) by the monotonicity formula (both curvature forms)."""
     u = h.factor_relative_to(g)
-    return _action(grid, refine, "monotone", u, _monotone_density(g, h, u))
+    return _action(grid, refine, u, _monotone_density(g, h, u))
 
 
 def chasles_residual(g, h, k, grid, refine=True) -> float:
@@ -329,14 +328,13 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
 # Actions over the torus
 # ---------------------------------------------------------------------------
 
-def torus_trail(density, limit, levels, formula, breaks=()) -> ActionValue:
+def torus_trail(density, limit, levels, breaks=()) -> ActionValue:
     """``density`` over the full torus by ``ArcPairRule`` on the arcs cut
     at ``breaks``, at levels 0..``levels``.  The density is 0/0 on the
     diagonal, and ``limit(x)`` is its limit there.
     """
     rules = (ArcPairRule(breaks, lv) for lv in range(levels + 1))
-    return refinement_trail(lambda rule: rule.integrate(density, limit),
-                            rules, formula)
+    return refinement_trail(lambda rule: rule.integrate(density, limit), rules)
 
 
 def torus_density(g: SplitMetric, h: SplitMetric):
@@ -379,4 +377,4 @@ def uniformizing_action(phi, levels=3, formula="monotone") -> ActionValue:
     else:
         density = _definition_density(g, g0.factor_relative_to(g))
     return torus_trail(density, UniformizingFactor(phi).diagonal_limit_density,
-                       levels, formula, phi.breakpoints)
+                       levels, phi.breakpoints)

@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -339,6 +340,12 @@ _SINEFLOW = "family = po22\nkind = sineflow\namplitude = 0.3\nfrequency = 2"
                  "samples = 1000000 1000000",
                  ("[epstein]", "'samples'", f"more than {cli.MAX_SAMPLES}"),
                  id="samples_huge"),
+    # finite numbers whose difference or square is not
+    pytest.param("action", ACTION_INI, "box = 0 1 2 3", "box = -1e308 1e308 2 3",
+                 ("[grid]", "'box'", "overflows"), id="box_side_overflows"),
+    pytest.param("action", ACTION_INI, "halfwidth = 0.42 0.42",
+                 "halfwidth = 1e200 1e200", ("[metric.h.u]", "halfwidth", "square finite"),
+                 id="halfwidth_overflows"),
 ])
 def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, command, base,
                                                     old, new, words):
@@ -967,6 +974,53 @@ def test_torus_trails_pinned(tmp_path, command, ini, level, pinned):
                      "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert {key: rep[key] for key in pinned} == pinned
+
+
+def _identity_pieces(section, count):
+    breaks = " ".join(repr(math.pi * i / count) for i in range(count))
+    return (f"{section}\nkind = piecewise\nbreaks = {breaks}\nmatrices =\n"
+            + "    1 0 0 1\n" * count)
+
+
+@pytest.mark.parametrize("command, section", [
+    ("curve", "[curve]\nfamily = po22"), ("action", "[uniformizing]"),
+], ids=["curve", "uniformizing"])
+def test_many_torus_pieces_refused_before_any_rule(tmp_path, capsys, monkeypatch,
+                                                   command, section):
+    # 40 arcs of 72 nodes at level 16 would form 2 * 40^2 * 72^2 = 16.6e6
+    # node slots; no rule may be built
+    def refused(*args, **kwargs):
+        raise AssertionError("an ArcPairRule was built")
+
+    monkeypatch.setattr(fields.ArcPairRule, "__init__", refused)
+    cfg = _write(tmp_path, "p.ini", _identity_pieces(section, 40))
+    start = time.perf_counter()
+    assert cli.main([command, "--config", cfg, "--grid-level", "16", "--out", "-"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"more than {cli.MAX_TORUS_SLOTS}" in err
+
+
+@pytest.mark.parametrize("command, ini, action", [
+    ("curve", FOUR_PIECE_INI, (cli.curves, "curve_action")),
+    ("action", FOUR_PIECE_UNI_INI, (cli.liouville, "uniformizing_action")),
+], ids=["curve", "uniformizing"])
+def test_four_piece_map_at_the_top_level_is_within_the_torus_bound(
+        tmp_path, monkeypatch, command, ini, action):
+    # 4 arcs of 72 nodes form 165888 node slots: the config passes the
+    # check and reaches the action, stubbed here
+    class Reached(Exception):
+        pass
+
+    def reached(*args, levels, **kwargs):
+        raise Reached(levels)
+
+    monkeypatch.setattr(*action, reached)
+    cfg = _write(tmp_path, "f.ini", ini)
+    with pytest.raises(Reached, match=f"^{cli.MAX_LEVEL}$"):
+        cli.main([command, "--config", cfg, "--grid-level", str(cli.MAX_LEVEL),
+                  "--out", "-"])
 
 
 _UNI_REPORT_GRID = {

@@ -552,6 +552,20 @@ def test_w_volume_chasles_split(lens):
     assert abs(w1 + w2 - wf) <= 1.5e-14
 
 
+@pytest.mark.parametrize("reference, pinned", [
+    (L.DESITTER, ["-0x1.5666a9a68ddf0p-8", "-0x1.566698a71a140p-8",
+                  "-0x1.5666a126d3d60p-7"]),
+    (L.FLAT, ["0x1.b625680000000p-35", "0x1.0d511d0000000p-29",
+              "0x1.1429b31000000p-29"]),
+], ids=["desitter", "flat"])
+def test_w_volume_split_bits(reference, pinned):
+    # the halves read the pair jets at t = 1/2, which no other pin does
+    g0 = L.desitter() if reference == L.DESITTER else L.flat()
+    lens = FM.LensCobordism(g0.scaled_by(BUMP), BOX)
+    got = FM.w_volume_split(lens, F.box_grid(BOX, level=0))
+    assert [v.hex() for v in got] == pinned
+
+
 @pytest.mark.parametrize("u", [
     BUMP,
     BUMP + F.bump_field((0.2, 2.75), (0.15, 0.2), -0.3),

@@ -127,11 +127,11 @@ def test_refinement_trail_rules():
             events.append(("integrate", grid.level))
             return values[grid.level]
 
-        return LV.refinement_trail(integral, grids(values), "f")
+        return LV.refinement_trail(integral, grids(values))
 
     av = ladder([1.0, 0.5, 0.375])
     assert (av.value, av.error_estimate, av.trail) == (0.375, 0.125, [1.0, 0.5, 0.375])
-    assert (av.grid, av.formula, av.sclass) == ({"level": 2}, "f", None)
+    assert (av.grid, av.sclass) == ({"level": 2}, None)
     # one grid at a time: each is taken after the previous integral
     assert events == [("take", 0), ("integrate", 0), ("take", 1),
                       ("integrate", 1), ("take", 2), ("integrate", 2)]

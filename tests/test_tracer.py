@@ -23,6 +23,13 @@ def test_tracer_wraps_the_package():
         # a cut that drops one of these keywords fails here
         LV.action(g0, h, action_grid, refine=False)
         FM.w_volume(lens, F.box_grid(box, level=0), t_cells=12)
+        # a sum and a scaled field each get spans of their own
+        bump = F.bump_field((0.5, 2.5), (0.42, 0.42), 0.35)
+        (bump + F.bump_field((0.6, 2.6), (0.1, 0.1), -0.3)).jet(0.5, 2.5)
+        (2.0 * bump).jet(0.5, 2.5)
+    names = {name for _, _, name, *_ in tracer.spans}
+    assert {"splitannulus.fields.SumField.jet",
+            "splitannulus.fields.ScaledField.jet"} <= names
     metrics = tracer.layer_metrics()
     for key in ("liouville.action.calls", "forms.w_volume.s"):
         assert metrics[key] > 0, key
