@@ -64,10 +64,12 @@ def _numbers(count=None, kind=float, sign=None, most=None):
     (a key of ``_SIGNS``) and at most ``most`` if given, separated by
     whitespace or commas."""
     def parse(text):
-        vals = [kind(tok) for tok in text.replace(",", " ").split()]
+        toks = text.replace(",", " ").split()
+        vals = [kind(tok) for tok in toks]
         if count is not None and len(vals) != count:
             raise ValueError(f"expected {count} numbers, got {len(vals)}")
-        if not all(math.isfinite(v) for v in vals):
+        # checked as floats: an integer beyond the float range reads as inf
+        if not all(math.isfinite(float(tok)) for tok in toks):
             raise ValueError("numbers must be finite")
         if sign is not None and not all(map(_SIGNS[sign], vals)):
             raise ValueError(f"numbers must be {sign}")
@@ -390,13 +392,11 @@ def _cmd_action_uniformizing(cfg, args):
     phi = _parse_circle_map("uniformizing", cfg["uniformizing"])
     level = args.grid_level if args.grid_level is not None else 3
     _check_torus("uniformizing", phi.breakpoints, level)
-    av = liouville.uniformizing_action(phi, levels=level)
-    av_def = liouville.uniformizing_action(phi, levels=level,
-                                           formula="definition")
+    av, definition = liouville.uniformizing_action(phi, levels=level)
     report = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "action",
-        "values": {"definition": av_def.value, "monotone": av.value},
+        "values": {"definition": definition, "monotone": av.value},
         "error_estimate": av.error_estimate,
         "refinement_trail": av.trail,
         "grid": av.grid,

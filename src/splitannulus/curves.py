@@ -50,7 +50,7 @@ from .fields import (
     UniformizingFactor,
     _schwarzian,
 )
-from .liouville import ActionValue, sclass_report, torus_density, torus_trail
+from .liouville import ActionValue, action_density, sclass_report, torus_trail
 from .lorentz import SplitMetric, desitter
 
 
@@ -384,7 +384,8 @@ def curve_action(curve, levels=3, check_sclass=True) -> ActionValue:
             failing = [k for k, ok in report.clauses.items() if not ok]
             raise SClassFail(failing[0], f"S-class clauses failed: {failing}")
 
-    av = torus_trail(torus_density(g, g_circle), limit, levels, breaks)
+    av, _ = torus_trail(action_density(g, g_circle, monotone=True), limit, levels,
+                        breaks)
     av.sclass = report
     return av
 

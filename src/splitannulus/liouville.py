@@ -17,12 +17,9 @@ Both densities carry u as a factor, so they vanish wherever u does: the
 action integrals evaluate them only inside ``u.support_box`` (the union
 box of a sum of bumps), and on every node for a u with no box.
 
-The torus actions (curves, uniformizing metrics) pair g = e^{2f} g_ref
-with the bare reference h = g_ref, so u = -f and ``torus_density`` takes
-the monotone density from one jet of f and one of the reference factor
-per node.  The grid ``action_monotone``, which verify compares with the
-definition, keeps ``_monotone_density`` and its separate jets of v_g,
-v_h and u.
+Both come from ``action_density``, one jet per node of each field they
+sum, for the grid actions and for the torus actions (curves, uniformizing
+metrics), which pair g = e^{2f} g_ref with the bare reference g_ref.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ import numpy as np
 from .errors import IncompatibleMetrics, NotC3
 from .fields import (
     ArcPairRule,
+    Jet2,
     PolygonalCurve,
     QuadratureGrid,
     ScalarField,
@@ -55,20 +53,37 @@ class ActionValue:
     sclass: SClassReport = None  # the S-class check made on the way, if any
 
 
-def _definition_density(g, u):
+_ZERO_JET = Jet2(*(None,) * 6)  # the zero constant's: ``_plus`` folds its parts
+
+
+def _plus(a, b):
+    """a + b, with None folded away as ``ScalarField.__add__`` folds zero."""
+    if a is None:
+        return 0.0 if b is None else b
+    return a if b is None else a + b
+
+
+def _minus(a, b):
+    """a + (-1.0) b, as ``ScalarField.__sub__`` forms it, folded as in ``_plus``."""
+    return _plus(a, None if b is None else -1.0 * b)
+
+
+def action_density(g, h, monotone=False):
+    """The density of S(g, h), defining or monotone: per node one jet of each
+    of g.u, h.u and the reference factor r that is not the zero constant,
+    summed to v_g = g.u + r, v_h = h.u + r and u = h.u + (-1.0) g.u in the
+    order of ``SumField`` and ``ScaledField``, keeping the bits of their jets."""
+    h.factor_relative_to(g)  # metrics of different kinds raise here
+    gu, hu, ref = (None if _is_zero_field(f) else f for f in (g.u, h.u, g.ref_factor))
+
     def density(x, y):
-        gxy = g.total_factor_jet(x, y).vxy
-        ju = u.jet(x, y)
-        return ju.v * (gxy + 0.5 * ju.vxy)
-
-    return density
-
-
-def _monotone_density(g, h, u):
-    def density(x, y):
-        gxy = g.total_factor_jet(x, y).vxy
-        hxy = h.total_factor_jet(x, y).vxy
-        return 0.5 * u.jet(x, y).v * (gxy + hxy)
+        # the reference's jet, and the arrays it shares, go once r_xy is read
+        rxy = None if ref is None else ref.jet(x, y).vxy
+        jg, jh = (_ZERO_JET if f is None else f.jet(x, y) for f in (gu, hu))
+        u, gxy = _minus(jh.v, jg.v), _plus(jg.vxy, rxy)
+        if monotone:
+            return 0.5 * u * (gxy + _plus(jh.vxy, rxy))
+        return u * (gxy + 0.5 * _minus(jh.vxy, jg.vxy))
 
     return density
 
@@ -86,7 +101,10 @@ def refinement_trail(integral, grids) -> ActionValue:
     return ActionValue(trail[-1], err, grid.describe(), trail)
 
 
-def _action(grid, refine, u, density):
+def _action(g, h, grid, refine, monotone=False):
+    u = h.factor_relative_to(g)
+    density = action_density(g, h, monotone)
+
     def integral(gr):
         return gr.integrate(density, support=u.support_box)
 
@@ -102,15 +120,13 @@ def action(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
     With ``refine`` the value is taken on a once-refined grid and the
     difference to the coarse value is the reported error estimate.
     """
-    u = h.factor_relative_to(g)
-    return _action(grid, refine, u, _definition_density(g, u))
+    return _action(g, h, grid, refine)
 
 
 def action_monotone(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
                     refine: bool = True) -> ActionValue:
     """S(g, h) by the monotonicity formula (both curvature forms)."""
-    u = h.factor_relative_to(g)
-    return _action(grid, refine, u, _monotone_density(g, h, u))
+    return _action(g, h, grid, refine, monotone=True)
 
 
 def chasles_residual(g, h, k, grid, refine=True) -> float:
@@ -328,53 +344,36 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
 # Actions over the torus
 # ---------------------------------------------------------------------------
 
-def torus_trail(density, limit, levels, breaks=()) -> ActionValue:
+def torus_trail(density, limit, levels, breaks=()):
     """``density`` over the full torus by ``ArcPairRule`` on the arcs cut
-    at ``breaks``, at levels 0..``levels``.  The density is 0/0 on the
-    diagonal, and ``limit(x)`` is its limit there.
+    at ``breaks``, at levels 0..``levels``, and the finest rule.  The
+    density is 0/0 on the diagonal, and ``limit(x)`` is its limit there.
     """
+    finest = []  # one rule is held at a time
+
+    def integral(rule):
+        finest[:] = [rule]
+        return rule.integrate(density, limit)
+
     rules = (ArcPairRule(breaks, lv) for lv in range(levels + 1))
-    return refinement_trail(lambda rule: rule.integrate(density, limit), rules)
+    return refinement_trail(integral, rules), finest[0]
 
 
-def torus_density(g: SplitMetric, h: SplitMetric):
-    """The monotone density of S(g, h) for h its bare reference metric.
-
-    With f = g.u and the reference factor r, u = -f, v_g = f + r and
-    v_h = r, so the density (1/2) u ((v_g)_xy + (v_h)_xy) needs one jet of
-    f and one of r per node.  Its operations run in the order of
-    ``_monotone_density``, which takes f twice, so the bits are the same;
-    v_h is r's jet, never v_g's plus u's.
-    """
-    if not (g.compatible(h) and _is_zero_field(h.u)):
-        raise IncompatibleMetrics("the torus density needs h a bare reference "
-                                  "metric of g's kind")
-    f, ref = g.u, h.ref_factor
-
-    def density(x, y):
-        jf = f.jet(x, y)
-        rxy = ref.jet(x, y).vxy
-        return 0.5 * (-1.0 * jf.v) * ((jf.vxy + rxy) + rxy)
-
-    return density
-
-
-def uniformizing_action(phi, levels=3, formula="monotone") -> ActionValue:
-    """S(Phi* g0, g0) over the full torus for a piecewise C^3 circle map.
+def uniformizing_action(phi, levels=3):
+    """S(Phi* g0, g0) over the full torus for a piecewise C^3 circle map:
+    the monotone formula's trail over levels 0..``levels`` (Gauss order
+    8 + 4 * level) and the defining formula's value on its finest rule.
 
     The raw integrand is 0/0 on the diagonal, where ``ArcPairRule`` takes
     its limit, a twelfth of the projective Schwarzian; the rule's arcs
     end at the map's breakpoints.  The value converges to zero for any
-    uniformizing metric; the refinement trail over levels 0..``levels``
-    (Gauss order 8 + 4 * level) is reported.
+    uniformizing metric.
     """
     if phi.coords != "angle":
         raise NotC3("uniformizing action runs on angle-coordinate maps")
     g0 = desitter(coords="angle")
     g = pullback_metric(g0, phi)
-    if formula == "monotone":
-        density = torus_density(g, g0)
-    else:
-        density = _definition_density(g, g0.factor_relative_to(g))
-    return torus_trail(density, UniformizingFactor(phi).diagonal_limit_density,
-                       levels, phi.breakpoints)
+    limit = UniformizingFactor(phi).diagonal_limit_density
+    av, rule = torus_trail(action_density(g, g0, monotone=True), limit, levels,
+                           phi.breakpoints)
+    return av, rule.integrate(action_density(g, g0), limit)

@@ -30,6 +30,7 @@ from .fields import (
     PullbackField,
     ScalarField,
     UniformizingFactor,
+    _is_zero_field,
     as_field,
 )
 
@@ -93,12 +94,11 @@ def pullback_metric(g: SplitMetric, phi) -> SplitMetric:
     """
     if phi.coords != g.coords:
         raise IncompatibleMetrics("map and metric use different coordinates")
-    u_new = PullbackField(g.u, phi)
-    if g.reference == DESITTER:
-        u_new = u_new + UniformizingFactor(phi)
-    else:
+    if g.reference != DESITTER:
         raise IncompatibleMetrics("pullback implemented over the de Sitter reference")
-    return SplitMetric(g.reference, u_new, coords=g.coords)
+    # the zero constant pulls back to itself, which the sum folds away
+    u = g.u if _is_zero_field(g.u) else PullbackField(g.u, phi)
+    return SplitMetric(g.reference, u + UniformizingFactor(phi), coords=g.coords)
 
 
 @dataclass

@@ -194,7 +194,7 @@ def test_criterion_08_criticality():
 
 def test_criterion_09_uniformizing_vanishing():
     # the trail converges geometrically to roundoff, where it stops falling
-    av = LV.uniformizing_action(F.SineFlowMap(0.3, 2), levels=3)
+    av, _ = LV.uniformizing_action(F.SineFlowMap(0.3, 2), levels=3)
     mags = [abs(v) for v in av.trail]
     small = all(m <= 1e-11 for m in mags[2:])
     decreasing = _decreasing_to_floor(mags, 1e-11)

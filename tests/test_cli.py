@@ -244,6 +244,9 @@ _SINEFLOW = "family = po22\nkind = sineflow\namplitude = 0.3\nfrequency = 2"
                  ("[metric.k.u]", "'rows'"), id="short_row"),
     pytest.param("action", ACTION_INI, "amplitude = 0.35",
                  "amplitude = 0.35\npower = 2", ("[metric.h.u]",), id="power_2"),
+    pytest.param("action", ACTION_INI, "amplitude = 0.35",
+                 "amplitude = 0.35\npower = 1" + "0" * 400,
+                 ("[metric.h.u]", "'power'", "finite"), id="power_huge_integer"),
     pytest.param("action", ACTION_INI, "level = 1", "level = one",
                  ("[grid]", "'level'"), id="level_one"),
     pytest.param("action", ACTION_INI, "level = 1", "level = -1", ("level",),
@@ -455,13 +458,15 @@ def test_negative_grid_level_flag_rejected(tmp_path):
 
 @pytest.mark.parametrize("command", ["action", "curve"])
 def test_huge_grid_level_flag_rejected(tmp_path, capsys, command):
-    # refused by the parser itself, so the subcommand never runs
+    # refused by the parser itself, so the subcommand never runs; an
+    # integer beyond the float range too
     cfg = _write(tmp_path, "a.ini", ACTION_INI)
-    with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args([command, "--config", cfg,
-                                       "--grid-level", "1000000"])
-    assert exc.value.code == 2
-    assert "--grid-level" in capsys.readouterr().err
+    for level in ("1000000", "1" + "0" * 400):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, "--config", cfg,
+                                           "--grid-level", level])
+        assert exc.value.code == 2
+        assert "--grid-level" in capsys.readouterr().err
 
 
 def test_huge_grid_level_in_the_config_rejected(tmp_path):
@@ -1023,6 +1028,12 @@ def test_four_piece_map_at_the_top_level_is_within_the_torus_bound(
                   "--out", "-"])
 
 
+# a projective map: no mask sets its factor to zero, so the factor is
+# roundoff of either sign all over the torus, and a zero whose sign flipped
+# on the way to the density could move the report
+MOBIUS_UNI_INI = "[uniformizing]\nkind = mobius\nmatrix = 1.4 0.3 0.2 0.9\n"
+_MOBIUS_UNI_TRAIL = [8.90923052311616e-14, -6.939069692334944e-14,
+                     -3.02365496582624e-14]
 _UNI_REPORT_GRID = {
     UNIFORMIZING_INI: [[0.0, 0.7853981633974483],
                        [0.7853981633974483, 1.5707963267948966],
@@ -1030,12 +1041,14 @@ _UNI_REPORT_GRID = {
     FOUR_PIECE_UNI_INI: [[0.3, 1.0], [1.0, 1.8], [1.8, 2.5],
                          [2.5, 3.441592653589793]],
 }
+_UNI_REPORT_GRID[MOBIUS_UNI_INI] = _UNI_REPORT_GRID[UNIFORMIZING_INI]
 
 
 @pytest.mark.parametrize("ini, trail, error", [
     (UNIFORMIZING_INI, _UNI_TRAIL, 3.97548591268837e-11),
     (FOUR_PIECE_UNI_INI, _FOUR_PIECE_UNI_TRAIL, 1.8789044174265467e-13),
-], ids=["sineflow", "four_piece"])
+    (MOBIUS_UNI_INI, _MOBIUS_UNI_TRAIL, 3.9154147265087046e-14),
+], ids=["sineflow", "four_piece", "mobius"])
 def test_uniformizing_report_bytes_pinned(tmp_path, ini, trail, error):
     # the whole level-2 report, byte for byte: its monotone value comes
     # from one jet of the pulled-back factor per node
@@ -1053,6 +1066,30 @@ def test_uniformizing_report_bytes_pinned(tmp_path, ini, trail, error):
         "values": {"definition": trail[-1], "monotone": trail[-1]},
     }
     assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_uniformizing_action_builds_one_rule_per_level(tmp_path, monkeypatch, level):
+    # the monotone trail and the definition value share one ladder of rules,
+    # and the pullback of the bare de Sitter metric holds no zero factor
+    rules, zero_jets = [], []
+    init = fields.ArcPairRule.__init__
+
+    def counted(self, *args, **kwargs):
+        rules.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.ArcPairRule, "__init__", counted)
+    for cls in (fields.PullbackField, fields.ConstantField):
+        def noted(self, x, y, jet=cls._jet):
+            zero_jets.append(type(self).__name__)
+            return jet(self, x, y)
+
+        monkeypatch.setattr(cls, "_jet", noted)
+    cfg = _write(tmp_path, "u.ini", UNIFORMIZING_INI)
+    assert cli.main(["action", "--config", cfg, "--grid-level", str(level),
+                     "--out", str(tmp_path / "u.json")]) == 0
+    assert (len(rules), zero_jets) == (level + 1, [])
 
 
 @pytest.mark.parametrize("seed", [30, 65, 75, 103])

@@ -571,15 +571,17 @@ def test_curve_path_bits_pinned(name):
 
 
 _TORUS_ACTIONS = {
-    # (the factor f of g = e^{2f} g0, the action over the torus)
+    # (the factor f of g = e^{2f} g0, the action over the torus, its
+    # integrals: one per level, and a uniformizing action's definition
+    # value on the finest rule)
     "curve_four_piece": (C.LogMeanExpField, lambda: C.curve_action(
-        _CURVES["four_piece"](), levels=2, check_sclass=False)),
+        _CURVES["four_piece"](), levels=2, check_sclass=False), 3),
     "curve_sine_0.3": (C.LogMeanExpField, lambda: C.curve_action(
-        _CURVES["sine_0.3"](), levels=2, check_sclass=False)),
+        _CURVES["sine_0.3"](), levels=2, check_sclass=False), 3),
     "uniformizing_four_piece": (F.UniformizingFactor, lambda: LV.uniformizing_action(
-        F.four_piece_c1_map(), levels=2)),
+        F.four_piece_c1_map(), levels=2), 4),
     "uniformizing_sine_0.3": (F.UniformizingFactor, lambda: LV.uniformizing_action(
-        F.SineFlowMap(0.3, 2), levels=2)),
+        F.SineFlowMap(0.3, 2), levels=2), 4),
 }
 
 
@@ -587,7 +589,7 @@ _TORUS_ACTIONS = {
 def test_torus_density_takes_one_factor_jet_per_call(name, monkeypatch):
     # one jet of f per density call, where the monotone density took it
     # for v_g and again for u
-    factor, run = _TORUS_ACTIONS[name]
+    factor, run, integrals = _TORUS_ACTIONS[name]
     jets, calls = [], []
     factor_jet = factor._jet
     integrate = F.ArcPairRule.integrate
@@ -603,7 +605,7 @@ def test_torus_density_takes_one_factor_jet_per_call(name, monkeypatch):
     monkeypatch.setattr(factor, "_jet", counted_jet)
     monkeypatch.setattr(F.ArcPairRule, "integrate", counted_integrate)
     run()
-    assert len(calls) == 3
+    assert len(calls) == integrals
     assert len(jets) == len(calls)
 
 
@@ -679,7 +681,7 @@ def test_four_piece_action_invariant_under_hyperbolic_precomposition():
 
 
 def test_four_piece_uniformizing_action_vanishes():
-    av = LV.uniformizing_action(F.four_piece_c1_map(), levels=2)
+    av, _ = LV.uniformizing_action(F.four_piece_c1_map(), levels=2)
     assert abs(av.value) <= 1e-10
 
 

@@ -1,5 +1,6 @@
 """Liouville action, VB, S-class, variational and uniformizing checks."""
 
+import collections
 import math
 
 import numpy as np
@@ -26,6 +27,37 @@ def test_action_of_identical_metrics_is_zero():
 def test_action_incompatible_references():
     with pytest.raises(IncompatibleMetrics):
         LV.action(G0, GF, GRID)
+
+
+def _leaf_jets_per_integral(monkeypatch, run):
+    """The bump jets per ``QuadratureGrid.integrate`` call of ``run()``, by
+    bump, and the de Sitter factor's jets under the key "ref"."""
+    jets, calls = collections.Counter(), []
+    for cls in (F.BumpField, F.DeSitterLogFactor):
+        def counted(self, x, y, jet=cls._jet):
+            jets[self if isinstance(self, F.BumpField) else "ref"] += 1
+            return jet(self, x, y)
+
+        monkeypatch.setattr(cls, "_jet", counted)
+    integrate = F.QuadratureGrid.integrate
+
+    def counted_integrate(self, *args, **kwargs):
+        calls.append(1)
+        return integrate(self, *args, **kwargs)
+
+    monkeypatch.setattr(F.QuadratureGrid, "integrate", counted_integrate)
+    run()
+    return {key: n / len(calls) for key, n in jets.items()}
+
+
+def test_grid_densities_take_one_jet_per_leaf_field(monkeypatch):
+    # a field in two of the sums v_g, v_h and u is evaluated once per node
+    h = G0.scaled_by(U1)
+    k = G0.scaled_by(U2 + U3)
+    assert _leaf_jets_per_integral(
+        monkeypatch, lambda: LV.action_monotone(G0, h, GRID)) == {U1: 1, "ref": 1}
+    assert _leaf_jets_per_integral(
+        monkeypatch, lambda: LV.action(h, k, GRID)) == {U1: 1, U2: 1, U3: 1, "ref": 1}
 
 
 def test_flat_closed_form():
@@ -422,33 +454,29 @@ def test_sclass_log_factor_fails_boundedness():
 
 def test_uniformizing_action_mobius_exact_zero():
     phi = F.AngleMobiusMap(np.array([[1.4, 0.3], [0.2, 0.9]]))
-    av = LV.uniformizing_action(phi, levels=1)
+    av, _ = LV.uniformizing_action(phi, levels=1)
     assert abs(av.value) <= 1e-12
 
 
 def test_uniformizing_action_sine_vanishes():
     # the trail falls geometrically until it reaches roundoff
-    av = LV.uniformizing_action(F.SineFlowMap(0.3, 2), levels=3)
+    av, _ = LV.uniformizing_action(F.SineFlowMap(0.3, 2), levels=3)
     mags = [abs(v) for v in av.trail]
     assert all(m <= 1e-11 for m in mags[2:])
     end = next(i for i, m in enumerate(mags) if m < 1e-11)
     assert all(b < a for a, b in zip(mags[:end], mags[1:end + 1]))
 
 
-def test_torus_density_needs_a_bare_reference():
+def test_actions_refuse_metrics_in_other_coords():
     g0a = L.desitter(coords="angle")
-    h = g0a.scaled_by(0.2)
-    with pytest.raises(IncompatibleMetrics):
-        LV.torus_density(g0a, h)
-    with pytest.raises(IncompatibleMetrics):
-        LV.torus_density(L.desitter(), g0a)
+    for action in (LV.action, LV.action_monotone):
+        with pytest.raises(IncompatibleMetrics):
+            action(G0, g0a, GRID)
 
 
 def test_uniformizing_formulas_agree():
-    a = LV.uniformizing_action(F.SineFlowMap(0.25, 2), levels=2)
-    b = LV.uniformizing_action(F.SineFlowMap(0.25, 2), levels=2,
-                               formula="definition")
-    assert abs(a.value - b.value) <= 1e-9
+    av, definition = LV.uniformizing_action(F.SineFlowMap(0.25, 2), levels=2)
+    assert abs(av.value - definition) <= 1e-9
 
 
 def test_near_diagonal_integrand_limit():
