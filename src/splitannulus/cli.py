@@ -50,8 +50,8 @@ _SIGNS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 # array is built: a grid level (``[grid] level`` or ``--grid-level``; a
 # curve's Gauss order is 8 + 4 * level per arc), the nodes per axis of the
 # finest grid of the action's ladder (a 2048 x 2048 plane is 32 MiB per
-# array), the 2 n^2 p^2 node slots of the finest torus rule on n arcs of
-# order p (2^21 peak near 360 MiB), and the points of an Epstein sample
+# array), the node slots of the finest torus rule, as ``ArcPairRule.layout``
+# counts them (2^21 peak near 360 MiB), and the points of an Epstein sample
 # (512 x 512 peaks near 330 MiB).
 MAX_LEVEL = 16
 MAX_AXIS_NODES = 2048
@@ -266,27 +266,30 @@ def parse_grid(cfg, level_override=None, x_breaks=(), y_breaks=()):
     """The level-0 grid of [grid], cut at the break lines, and the level
     that [grid], or ``level_override``, asks for.
 
-    The action refines the grid to one level above that one, whose axes
-    hold base_cells * 2**(level + 1) cells of the scheme's Gauss points:
-    more than MAX_AXIS_NODES is a ConfigError, raised before any array is
-    built.
+    The action refines the grid to one level above that one: an axis of
+    more than MAX_AXIS_NODES nodes there, as ``fields.box_grid_nodes``
+    counts them (one cell at least per segment), is a ConfigError, raised
+    before any array is built.
     """
     kw = _read("grid", _items(cfg, "grid"), _GRID)
     level = kw.pop("level")
     if level_override is not None:
         level = level_override
-    nodes = kw["base_cells"] * 2 ** (level + 1) * fields.gauss_order(kw["scheme"])
+    kw.update(x_breaks=x_breaks, y_breaks=y_breaks)
+    try:
+        nodes = max(fields.box_grid_nodes(**kw, level=level + 1))
+    except OverflowError:  # more cells than a float can count
+        nodes = math.inf
     if nodes > MAX_AXIS_NODES:
         raise ConfigError(f"[grid] with base_cells {kw['base_cells']} and "
                           f"{kw['scheme']} at level {level} needs {nodes} nodes "
                           f"per axis, more than {MAX_AXIS_NODES}")
-    return fields.box_grid(**kw, x_breaks=x_breaks, y_breaks=y_breaks), level
+    return fields.box_grid(**kw), level
 
 
 def _check_torus(section, breaks, level):
     """A ConfigError if ``ArcPairRule(breaks, level)`` exceeds MAX_TORUS_SLOTS."""
-    arcs, p = fields.ArcPairRule.layout(breaks, level)
-    slots = 2 * (len(arcs) * p) ** 2
+    arcs, _, slots = fields.ArcPairRule.layout(breaks, level)
     if slots > MAX_TORUS_SLOTS:
         raise ConfigError(f"[{section}] with {len(arcs)} arcs at level {level} needs "
                           f"{slots} torus node slots, more than {MAX_TORUS_SLOTS}")
@@ -586,7 +589,7 @@ def cmd_curve(args):
     cfg = load_config(args.config)
     curve = parse_curve(cfg)
     level = args.grid_level if args.grid_level is not None else 2
-    _check_torus("curve", curve.breakpoints() if curve.family == "po22" else (), level)
+    _check_torus("curve", curve.breakpoints(), level)
     try:
         av = curves.curve_action(curve, levels=level)
     except SClassFail as exc:
@@ -627,7 +630,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_action)
 
     sp = sub.add_parser("verify", help="run the identity suite")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_number(int, "nonnegative"), default=0)
     sp.add_argument("--self-test-sign-flip", action="store_true",
                     help="flip a sign in the frame equation to prove the "
                          "suite can fail")

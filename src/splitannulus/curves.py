@@ -324,9 +324,23 @@ class PSL3Curve:
             exact_density=lambda s, t: self.log_pairing_dst(t, s),
         )
 
+    def breakpoints(self):
+        return ()
+
+    def circle_metric(self) -> SplitMetric:
+        if self.coords != "angle":
+            raise NonSmoothB("curve actions integrate over the angle torus")
+        return desitter(coords="angle")
+
     def conformal_factor(self) -> ScalarField:
         """Factor against the measured circle metric (conic: zero)."""
         return ConstantField(0.0)
+
+    def metric(self) -> SplitMetric:
+        return self.circle_metric().scaled_by(self.conformal_factor())
+
+    def diagonal_limit_density(self, x):
+        return np.zeros_like(x)
 
 
 def psl3_conic(coords="affine") -> PSL3Curve:
@@ -364,19 +378,8 @@ def curve_action(curve, levels=3, check_sclass=True) -> ActionValue:
     integrand on the diagonal (identically zero on projective pieces);
     level ``lv`` of the trail has Gauss order 8 + 4 * lv.
     """
-    if isinstance(curve, PSL3Curve):
-        if curve.coords != "angle":
-            raise NonSmoothB("curve actions integrate over the angle torus")
-        u = curve.conformal_factor()
-        g_circle = desitter(coords="angle")
-        g = g_circle.scaled_by(u)
-        breaks, limit = (), np.zeros_like
-    else:
-        g_circle = curve.circle_metric()
-        g = curve.metric()
-        breaks = curve.breakpoints()
-        limit = curve.diagonal_limit_density
-
+    g_circle = curve.circle_metric()
+    g = curve.metric()
     report = None
     if check_sclass:
         report = sclass_report(g_circle, g)
@@ -384,8 +387,8 @@ def curve_action(curve, levels=3, check_sclass=True) -> ActionValue:
             failing = [k for k, ok in report.clauses.items() if not ok]
             raise SClassFail(failing[0], f"S-class clauses failed: {failing}")
 
-    av, _ = torus_trail(action_density(g, g_circle, monotone=True), limit, levels,
-                        breaks)
+    av, _ = torus_trail(action_density(g, g_circle, monotone=True),
+                        curve.diagonal_limit_density, levels, curve.breakpoints())
     av.sclass = report
     return av
 

@@ -1015,8 +1015,8 @@ MAX_GAUSS_ORDER = 16
 @functools.lru_cache(maxsize=None)
 def _unit_rule(p):
     """The p-point Gauss-Legendre nodes and weights on [0, 1], from
-    ``leggauss``: the one node table of every rule in the package (box
-    grid axes, the W-volume's t-rule and ``ArcPairRule``)."""
+    ``leggauss``: the one node table of the package, read by ``_axis_nodes``
+    (box grid axes, the W-volume's t-rule) and ``ArcPairRule``."""
     s, w = np.polynomial.legendre.leggauss(p)
     s, w = (s + 1.0) / 2, w / 2
     s.flags.writeable = w.flags.writeable = False
@@ -1036,6 +1036,12 @@ def gauss_order(scheme):
     return p
 
 
+def _cell_counts(segments, cells):
+    """Cells per segment: about ``cells`` in all, by length, at least one each."""
+    total = sum(hi - lo for lo, hi in segments)
+    return [max(1, round(cells * (hi - lo) / total)) for lo, hi in segments]
+
+
 def _axis_nodes(segments, cells, scheme):
     """Sorted per-axis nodes and weights: each segment cut into uniform
     cells (about ``cells`` over all segments, at least one per segment),
@@ -1047,9 +1053,7 @@ def _axis_nodes(segments, cells, scheme):
     that step underflows to zero), and hi itself at the end.
     """
     s, w = _unit_rule(gauss_order(scheme))
-    lengths = [hi - lo for lo, hi in segments]
-    total = sum(lengths)
-    counts = [max(1, round(cells * d / total)) for d in lengths]
+    counts = _cell_counts(segments, cells)
     seg = np.array(segments)
     lo = seg[:, :1]
     n = np.array(counts, dtype=float)[:, None]
@@ -1059,7 +1063,7 @@ def _axis_nodes(segments, cells, scheme):
     k = np.arange(-max(counts), 1.0) + n
     delta = seg[:, 1:] - lo
     step = delta / n
-    if all(d / c for d, c in zip(lengths, counts)):
+    if np.all(step):
         edges = k * step + lo
     else:
         edges = np.where(step == 0, k / n * delta, k * step) + lo
@@ -1097,12 +1101,6 @@ class QuadratureGrid:
         self.y_nodes, self.y_weights = _axis_nodes(self.y_segments, self.cells, scheme)
 
     # -- descriptors ------------------------------------------------------
-    @property
-    def area(self):
-        ax = sum(hi - lo for lo, hi in self.x_segments)
-        ay = sum(hi - lo for lo, hi in self.y_segments)
-        return ax * ay
-
     @property
     def W(self):
         """The n x m weight plane, built when read.  The package itself
@@ -1160,27 +1158,36 @@ class QuadratureGrid:
                             * np.sum(v * self.y_weights[cols], axis=1)))
 
 
-def box_grid(box, level=0, base_cells=32, scheme="gauss2", x_breaks=(),
-             y_breaks=()):
-    """Grid over a rectangle [x0, x1] x [y0, y1] at a refinement level,
-    with ``base_cells * 2**level`` cells per axis of the ``scheme`` rule.
-
-    The lines ``x_breaks`` and ``y_breaks`` inside the box (for example
-    ``union_lines`` of the integrand's factors) end segments, so that no
-    cell straddles one.
-    """
+def _box_segments(box, x_breaks, y_breaks):
+    """The segments of the box's axes, cut at the break lines inside it."""
     x0, x1, y0, y1 = map(float, box)
     if not (x1 > x0 and y1 > y0):
         raise ValueError("empty rectangle")
     xb = sorted({x0, x1, *(b for b in x_breaks if x0 < b < x1)})
     yb = sorted({y0, y1, *(b for b in y_breaks if y0 < b < y1)})
-    return QuadratureGrid(
-        list(zip(xb[:-1], xb[1:])),
-        list(zip(yb[:-1], yb[1:])),
-        base_cells * 2 ** level,
-        scheme=scheme,
-        level=level,
-    )
+    return list(zip(xb[:-1], xb[1:])), list(zip(yb[:-1], yb[1:]))
+
+
+def box_grid(box, level=0, base_cells=32, scheme="gauss2", x_breaks=(),
+             y_breaks=()):
+    """Grid over a rectangle [x0, x1] x [y0, y1] at a refinement level,
+    with about ``base_cells * 2**level`` cells per axis of ``scheme``.
+
+    The lines ``x_breaks`` and ``y_breaks`` inside the box (for example
+    ``union_lines`` of the integrand's factors) end segments, so that no
+    cell straddles one.
+    """
+    return QuadratureGrid(*_box_segments(box, x_breaks, y_breaks),
+                          base_cells * 2 ** level, scheme=scheme, level=level)
+
+
+def box_grid_nodes(box, level=0, base_cells=32, scheme="gauss2", x_breaks=(),
+                   y_breaks=()):
+    """The nodes per axis (x, y) of ``box_grid`` with these arguments,
+    counted without forming any array."""
+    p = gauss_order(scheme)
+    return tuple(p * sum(_cell_counts(segments, base_cells * 2 ** level))
+                 for segments in _box_segments(box, x_breaks, y_breaks))
 
 
 # per block kind of ``ArcPairRule`` (0 tensor, 1 Duffy corner, 2 its mirror)
@@ -1210,7 +1217,7 @@ class ArcPairRule:
 
     def __init__(self, breaks=(), level=0):
         self.level = int(level)
-        self.arcs, self.order = self.layout(breaks, level)
+        self.arcs, self.order, _ = self.layout(breaks, level)
         p, n = self.order, len(self.arcs)
         s, ws = _unit_rule(p)
         # a block's offsets and weights are patterns on the unit square,
@@ -1249,14 +1256,16 @@ class ArcPairRule:
 
     @staticmethod
     def layout(breaks=(), level=0):
-        """The arcs and the Gauss order of the rule, without building it."""
+        """The arcs, the Gauss order p and the node slots of the rule (two
+        tiles of p^2 per ordered pair of arcs), without building it."""
         edges = sorted({b % math.pi for b in breaks}) or [0.0]
         arcs = list(zip(edges, edges[1:] + [edges[0] + math.pi]))
         while len(arcs) < 3:
             i = max(range(len(arcs)), key=lambda k: arcs[k][1] - arcs[k][0])
             lo, hi = arcs[i]
             arcs[i:i + 1] = [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
-        return tuple(arcs), 8 + 4 * int(level)
+        p = 8 + 4 * int(level)
+        return tuple(arcs), p, 2 * (len(arcs) * p) ** 2
 
     def describe(self):
         return {"level": self.level, "order": self.order,

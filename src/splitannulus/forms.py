@@ -58,7 +58,7 @@ from .errors import (
     NotHolonomicBoundary,
     NotTangent,
 )
-from .fields import QuadratureGrid, _unit_rule, box_grid, gauss_order
+from .fields import QuadratureGrid, _axis_nodes, box_grid
 from .liouville import ActionValue, refinement_trail
 from .lorentz import SplitMetric, curvature
 
@@ -440,7 +440,7 @@ def w_grid(lens: LensCobordism, level: int) -> QuadratureGrid:
     there and d_t x = 0), so the rule covers that box clipped to the lens
     box: 2 * 2**level gauss12 cells per axis, cut at u's break lines.  It
     is built from the lens alone, not from the action's grids, so the W
-    and S pipelines share only the 1D node table.
+    and S pipelines share only the rules of ``fields``.
     """
     xb, yb = lens.metric.u.break_lines()
     return box_grid(lens.support(), level, base_cells=2, scheme=W_SCHEME,
@@ -449,7 +449,7 @@ def w_grid(lens: LensCobordism, level: int) -> QuadratureGrid:
 
 def w_value(lens: LensCobordism, grid: QuadratureGrid, a=0.0, b=1.0) -> float:
     """W of the lens between path times a and b on one ``w_grid`` rule,
-    with one gauss12 cell in t on [a, b].
+    with one gauss12 cell in t on [a, b], the t-rule of ``_axis_nodes``.
 
     Per density call the boundary frames at a and b come from the
     assembled pair, and each of the 12 bulk slices from the lift's
@@ -462,8 +462,7 @@ def w_value(lens: LensCobordism, grid: QuadratureGrid, a=0.0, b=1.0) -> float:
     level + 1)``, calls it directly and gets the same bits as the
     ``value`` of ``w_volume`` at ``level``.
     """
-    t01, w01 = _unit_rule(gauss_order(W_SCHEME))  # the rule on [0, 1]
-    ts, weights = a + t01 * (b - a), w01 * (b - a)
+    ts, weights = _axis_nodes(((a, b),), 1, W_SCHEME)
     data = lens.data
 
     def density(x, y):

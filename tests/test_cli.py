@@ -339,6 +339,11 @@ _SINEFLOW = "family = po22\nkind = sineflow\namplitude = 0.3\nfrequency = 2"
     pytest.param("action", ACTION_INI, "level = 1",
                  "level = 1\nbase_cells = 1000000000000",
                  ("[grid]", f"more than {cli.MAX_AXIS_NODES}"), id="base_cells_huge"),
+    # the finest grid's cells are beyond the float range
+    pytest.param("action", ACTION_INI, "level = 1",
+                 "level = 1\nbase_cells = 1" + "0" * 308,
+                 ("[grid]", f"more than {cli.MAX_AXIS_NODES}"),
+                 id="base_cells_beyond_float"),
     pytest.param("epstein", EPSTEIN_INI, "samples = 16 16",
                  "samples = 1000000 1000000",
                  ("[epstein]", "'samples'", f"more than {cli.MAX_SAMPLES}"),
@@ -469,6 +474,15 @@ def test_huge_grid_level_flag_rejected(tmp_path, capsys, command):
         assert "--grid-level" in capsys.readouterr().err
 
 
+def test_negative_seed_rejected(capsys):
+    # refused by the parser, as a negative --grid-level is, before the
+    # random generator sees it
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["verify", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_huge_grid_level_in_the_config_rejected(tmp_path):
     # parse_grid builds the level-0 grid alone, so a missing bound fails at
     # once here instead of refining a million times
@@ -489,6 +503,22 @@ def test_grid_level_override_checks_the_node_bound(tmp_path):
     with pytest.raises(ConfigError, match=f"needs 4096 nodes per axis, more "
                                           f"than {cli.MAX_AXIS_NODES}"):
         cli.parse_grid(cfg, 7)
+
+
+def test_node_bound_counts_a_cell_for_every_segment(tmp_path):
+    # 400 bumps of halfwidth 0.001, 0.00245 apart, cut each axis into 801
+    # segments; none is wide enough for any of the 4 cells of level 1, and
+    # each still takes one, so the finest grid has 801 * 8 nodes per axis
+    rows = "".join(f"    {c!r} {c + 2.0!r} 0.001 0.001 0.1\n"
+                   for c in (0.01 + 0.00245 * i for i in range(400)))
+    cfg = cli.load_config(_write(tmp_path, "b.ini", (
+        "[metric.h.u]\nkind = bumps\nrows =\n" + rows
+        + "\n[grid]\nbox = 0 1 2 3\nlevel = 0\nbase_cells = 2\nscheme = gauss8\n")))
+    xb, yb = cli.parse_field(cfg, "metric.h.u").break_lines()
+    assert (len(xb), len(yb)) == (800, 800)
+    with pytest.raises(ConfigError, match=f"at level 0 needs 6408 nodes per axis, "
+                                          f"more than {cli.MAX_AXIS_NODES}"):
+        cli.parse_grid(cfg, x_breaks=xb, y_breaks=yb)
 
 
 def test_main_builds_the_parser_once(tmp_path, capsys):

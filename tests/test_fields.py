@@ -675,8 +675,8 @@ def test_integrate_desitter_density_closed_form():
 
 
 def test_weights_sum_to_area():
-    grid = F.box_grid((0, 1, 2, 3), level=2)
-    assert abs(np.sum(grid.x_weights) * np.sum(grid.y_weights) - grid.area) <= 1e-12
+    grid = F.box_grid((0, 1, 2, 3), level=2)  # area 1
+    assert abs(np.sum(grid.x_weights) * np.sum(grid.y_weights) - 1.0) <= 1e-12
 
 
 def test_refinement_ratio_second_order_plus():
@@ -777,7 +777,7 @@ def test_integrate_without_support_follows_the_same_node_rule():
         return np.ones_like(x)
 
     grid = F.box_grid((0, 1, 2, 3), level=0, base_cells=8)
-    assert grid.integrate(density) == pytest.approx(grid.area)
+    assert grid.integrate(density) == pytest.approx(1.0)  # the box's area
     (sx, sy), = seen
     assert sx.shape == (16, 1) and sy.shape == (1, 16)
     assert np.array_equal(sx[:, 0], grid.x_nodes)
@@ -937,6 +937,38 @@ def test_arc_pair_rule_matches_the_block_by_block_build(breaks, level):
     want = O.arc_pair_nodes(rule)
     got = (rule.x, rule.y, rule.w, rule.diag, rule.diag_w)
     assert all(map(_same_bits, got, want))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(x_ends=_SEGMENT_ENDS, y_ends=_SEGMENT_ENDS,
+       outside=st.lists(st.floats(-1e3, 1e3), max_size=3),
+       base_cells=st.integers(1, 40), level=st.integers(0, 4),
+       p=st.integers(1, F.MAX_GAUSS_ORDER))
+# subnormal segments, and a segment too short for any of its share of cells
+@example(x_ends=[0.0, 5e-324, 1e-300, 1.0], y_ends=[-2e-323, 5e-324, 2.5e-323],
+         outside=[], base_cells=3, level=2, p=8)
+@example(x_ends=[0.0, 0.001, 0.999, 1.0], y_ends=[2.0, 3.0], outside=[2.5],
+         base_cells=1, level=0, p=1)
+def test_box_grid_nodes_counts_the_grid_box_grid_builds(x_ends, y_ends, outside,
+                                                        base_cells, level, p):
+    # the count behind the CLI's node bound forms the segments and the cells
+    # of the build, one cell at least per segment, and no array
+    box = (x_ends[0], x_ends[-1], y_ends[0], y_ends[-1])
+    args = (box, level, base_cells, f"gauss{p}", x_ends[1:-1] + outside,
+            y_ends[1:-1] + outside)
+    grid = F.box_grid(*args)
+    assert F.box_grid_nodes(*args) == (grid.x_nodes.size, grid.y_nodes.size)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(breaks=st.lists(st.floats(-10.0, 10.0), max_size=40),
+       level=st.integers(0, cli.MAX_LEVEL))
+def test_arc_pair_rule_slots_are_two_tiles_per_pair_of_arcs(breaks, level):
+    # the torus bound's count: each ordered pair of the n arcs of order p
+    # takes two tiles of p^2 node slots, 2 (n p)^2 in all
+    arcs, p, slots = F.ArcPairRule.layout(breaks, level)
+    assert p == 8 + 4 * level
+    assert slots == 2 * (len(arcs) * p) ** 2
 
 
 @pytest.mark.parametrize("breaks", [(), (0.3, 0.7)], ids=["plain", "breaks"])
