@@ -50,12 +50,13 @@ _SIGNS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 # array is built: a grid level (``[grid] level`` or ``--grid-level``; a
 # curve's Gauss order is 8 + 4 * level per arc), the nodes per axis of the
 # finest grid of the action's ladder (a 2048 x 2048 plane is 32 MiB per
-# array), the node slots of the finest torus rule, as ``ArcPairRule.layout``
-# counts them (2^21 peak near 360 MiB), and the points of an Epstein sample
-# (512 x 512 peaks near 330 MiB).
+# array), the nodes per axis of the finest torus rule, as
+# ``ArcPairRule.layout`` counts them (1024, 32 arcs at level 6, peaks near
+# 335 MiB), and the points of an Epstein sample (512 x 512 peaks near
+# 330 MiB).
 MAX_LEVEL = 16
 MAX_AXIS_NODES = 2048
-MAX_TORUS_SLOTS = 2 ** 21
+MAX_TORUS_NODES = 1024
 MAX_SAMPLES = 2 ** 18
 
 
@@ -288,11 +289,12 @@ def parse_grid(cfg, level_override=None, x_breaks=(), y_breaks=()):
 
 
 def _check_torus(section, breaks, level):
-    """A ConfigError if ``ArcPairRule(breaks, level)`` exceeds MAX_TORUS_SLOTS."""
-    arcs, _, slots = fields.ArcPairRule.layout(breaks, level)
-    if slots > MAX_TORUS_SLOTS:
+    """A ConfigError if ``ArcPairRule(breaks, level)`` has more than
+    MAX_TORUS_NODES nodes per axis."""
+    arcs, _, nodes = fields.ArcPairRule.layout(breaks, level)
+    if nodes > MAX_TORUS_NODES:
         raise ConfigError(f"[{section}] with {len(arcs)} arcs at level {level} needs "
-                          f"{slots} torus node slots, more than {MAX_TORUS_SLOTS}")
+                          f"{nodes} torus nodes per axis, more than {MAX_TORUS_NODES}")
 
 
 def parse_curve(cfg):
@@ -310,10 +312,17 @@ def _parse_circle_map(section, items):
     return _build(section, ctor, _read(section, items, table))
 
 
+# the sections some subcommand reads; one file may serve several
+_SECTIONS = {*(f"metric.{m}{u}" for m in "ghk" for u in ("", ".u")), "grid",
+             "epstein", "curve", "uniformizing"}
+
+
 def load_config(path):
     # values are plain numbers and names: a '%' is a bad value, not the
-    # start of an interpolation that fails on read
-    cfg = configparser.ConfigParser(interpolation=None)
+    # start of an interpolation that fails on read.  No header can name the
+    # default section "", so a [DEFAULT] section is an ordinary one, not
+    # keys read into every other section
+    cfg = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = cfg.read(path)
     except configparser.Error as exc:
@@ -321,6 +330,17 @@ def load_config(path):
     if not read:
         raise ConfigError(f"cannot read config {path}")
     return cfg
+
+
+def _check_sections(cfg):
+    """A ConfigError for a section that no subcommand reads, such as a
+    misspelled one, and for a factor ``[metric.*.u]`` without its metric:
+    each would otherwise be skipped without a word."""
+    for section in cfg.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]: no subcommand reads it")
+        if section.endswith(".u") and section[:-2] not in cfg:
+            raise ConfigError(f"section [{section}] without [{section[:-2]}]")
 
 
 def _open_out(path):
@@ -346,6 +366,7 @@ def write_report(report, out):
 
 def cmd_action(args):
     cfg = load_config(args.config)
+    _check_sections(cfg)
     if "uniformizing" in cfg:
         return _cmd_action_uniformizing(cfg, args)
     g = parse_metric(cfg, "g")
@@ -553,6 +574,7 @@ def cmd_epstein(args):
         raise ConfigError("epstein writes a CSV and a JSON sidecar and cannot "
                           "write to standard output: give --out a file path")
     cfg = load_config(args.config)
+    _check_sections(cfg)
     g = parse_metric(cfg, "g")
     if g.coords != "affine":
         raise ConfigError(f"bad value {g.coords!r} for 'coords' in [metric.g]: "
@@ -587,6 +609,7 @@ def cmd_epstein(args):
 
 def cmd_curve(args):
     cfg = load_config(args.config)
+    _check_sections(cfg)
     curve = parse_curve(cfg)
     level = args.grid_level if args.grid_level is not None else 2
     _check_torus("curve", curve.breakpoints(), level)

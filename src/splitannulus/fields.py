@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -222,18 +223,24 @@ def _union_box(a, b):
 
 
 class SumField(ScalarField):
+    """a + b with its ``terms`` held flat: those of a sum ``a``, then b as
+    one term even if it is a sum.  Each jet component adds the terms left
+    to right, the order of the binary sums, and no walk over a long sum
+    recurses once per term."""
+
     def __init__(self, a, b):
-        self.a, self.b = a, b
+        self.terms = (a.terms if isinstance(a, SumField) else (a,)) + (b,)
         self.support_box = _union_box(a, b)
 
     def _jet(self, x, y):
-        ja, jb = self.a.jet(x, y), self.b.jet(x, y)
-        return _componentwise(lambda name: getattr(ja, name) + getattr(jb, name))
+        jets = [f.jet(x, y) for f in self.terms]
+        return _componentwise(lambda name: functools.reduce(
+            operator.add, (getattr(j, name) for j in jets)))
 
     jet = ScalarField.jet  # its own entry, which ``perfbench/spans.py`` wraps
 
     def break_lines(self):
-        return union_lines((self.a, self.b))
+        return union_lines(self.terms)
 
 
 class ScaledField(ScalarField):
@@ -1190,14 +1197,13 @@ def box_grid_nodes(box, level=0, base_cells=32, scheme="gauss2", x_breaks=(),
                  for segments in _box_segments(box, x_breaks, y_breaks))
 
 
-# per block kind of ``ArcPairRule`` (0 tensor, 1 Duffy corner, 2 its mirror)
-# and tile slot: the unit patterns of the x and y offsets (0: s along x,
-# 1: s along y, 2: their product) and of the weights (0: tensor, 1: Duffy),
-# and whether the slot holds a tile
-_ARC_X = np.array([[0, 0], [0, 2], [2, 0]])
-_ARC_Y = np.array([[1, 1], [2, 0], [0, 2]])
-_ARC_W = np.array([[0, 0], [1, 1], [1, 1]])
-_ARC_TILES = np.array([[True, False], [True, True], [True, True]])
+# the tiles of ``ArcPairRule`` per block kind (0 tensor, 1 Duffy corner, 2
+# its mirror): the kind, then the unit patterns of the x and y offsets (0: s
+# along x, 1: s along y, 2: their product) and of the weights (0: tensor,
+# 1: Duffy)
+_ARC_TILES = np.array([[0, 0, 1, 0],
+                       [1, 0, 2, 1], [1, 2, 0, 1],
+                       [2, 2, 0, 1], [2, 0, 2, 1]])
 
 
 class ArcPairRule:
@@ -1213,6 +1219,9 @@ class ArcPairRule:
     a 1/r corner singularity (Duffy, SIAM J. Numer. Anal. 19, 1982).  Other
     pairs get the tensor rule, whose nodes with x = y on an arc paired with
     itself take ``limit``.  No node given to the density has x = y mod pi.
+    With n arcs the rule forms the (n^2 + 2n) p^2 nodes it keeps, one tile
+    of p^2 per tensor block and two per Duffy block; ``layout`` counts the
+    n p nodes per torus axis without building them.
     """
 
     def __init__(self, breaks=(), level=0):
@@ -1229,35 +1238,34 @@ class ArcPairRule:
         wunit = np.stack([ww, sx * ww]).reshape(2, -1)
         lo, hi = np.array(self.arcs).T
         a = hi - lo
-        # the kind of the block (i, j): 1 for a Duffy corner (hi_i, lo_j),
-        # 2 for its mirror, 0 for the tensor rule; every block has two tile
-        # slots, in which a Duffy block puts its two triangles
+        # the kind of block (i, j), row-major: 1 for a Duffy corner
+        # (hi_i, lo_j), 2 for its mirror, 0 for the tensor rule; a block
+        # takes the table rows of its kind, so tile t is row[t] of the
+        # table in block block[t], the tiles in block order
         r = np.arange(n)
         kind = ((r == (r[:, None] + 1) % n)
-                + 2 * (r[:, None] == (r + 1) % n))
-        fwd, back = kind == 1, kind == 2
+                + 2 * (r[:, None] == (r + 1) % n)).ravel()
+        block, row = np.nonzero(kind[:, None] == _ARC_TILES[:, 0])
+        k, px, py, pw = _ARC_TILES[row].T
+        i, j = block // n, block % n
         # x = lo_i + a_i * offset, or hi_i - a_i * offset at a Duffy corner;
         # y likewise from the end of arc j
-        x0 = np.where(fwd, hi[:, None], lo[:, None])[..., None, None]
-        xa = np.where(fwd, -a[:, None], a[:, None])[..., None, None]
-        y0 = np.where(back, hi, lo)[..., None, None]
-        ya = np.where(back, -a, a)[..., None, None]
-        x = x0 + xa * unit[_ARC_X[kind]]
-        y = y0 + ya * unit[_ARC_Y[kind]]
-        w = (a[:, None] * a)[..., None, None] * wunit[_ARC_W[kind]]
-        # the tiles in use, less the diagonal of each arc paired with
-        # itself, in block order: the blocks' concatenation
-        keep = np.broadcast_to(_ARC_TILES[kind][..., None], x.shape).copy()
-        diag = r[:, None], r[:, None], 0, np.arange(0, p * p, p + 1)
-        keep[diag] = False
-        keep = keep.ravel()
-        self.x, self.y, self.w = (c.ravel()[keep] for c in (x, y, w))
-        self.diag, self.diag_w = x[diag].ravel(), w[diag].ravel()
+        fwd, back = k == 1, k == 2
+        x = (np.where(fwd, hi[i], lo[i])[:, None]
+             + np.where(fwd, -a[i], a[i])[:, None] * unit[px])
+        y = (np.where(back, hi[j], lo[j])[:, None]
+             + np.where(back, -a[j], a[j])[:, None] * unit[py])
+        w = (a[i] * a[j])[:, None] * wunit[pw]
+        # every node but the diagonal (the flat places k (p + 1)) of each
+        # arc paired with itself, in tile order: the blocks' concatenation
+        keep = (i != j)[:, None] | (np.arange(p * p) % (p + 1) != 0)
+        self.x, self.y, self.w = x[keep], y[keep], w[keep]
+        self.diag, self.diag_w = x[~keep], w[~keep]
 
     @staticmethod
     def layout(breaks=(), level=0):
-        """The arcs, the Gauss order p and the node slots of the rule (two
-        tiles of p^2 per ordered pair of arcs), without building it."""
+        """The arcs, the Gauss order p and the rule's nodes per torus axis
+        (p on each of the n arcs, n * p), without building it."""
         edges = sorted({b % math.pi for b in breaks}) or [0.0]
         arcs = list(zip(edges, edges[1:] + [edges[0] + math.pi]))
         while len(arcs) < 3:
@@ -1265,7 +1273,7 @@ class ArcPairRule:
             lo, hi = arcs[i]
             arcs[i:i + 1] = [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
         p = 8 + 4 * int(level)
-        return tuple(arcs), p, 2 * (len(arcs) * p) ** 2
+        return tuple(arcs), p, len(arcs) * p
 
     def describe(self):
         return {"level": self.level, "order": self.order,

@@ -406,9 +406,15 @@ class LensCobordism:
         # field's jets are exact zeros
         if self.metric.u.support_box is None:
             raise NonCompactDifference("conformal factor has no support box")
+        # W integrates over that box clipped to the lens box, which must not
+        # be empty
+        x0, x1, y0, y1 = self.support()
+        if not (x0 < x1 and y0 < y1):
+            raise NonCompactDifference(
+                f"conformal factor's support box {self.metric.u.support_box} "
+                f"does not meet the lens box {self.box}")
         # and W = S needs u to be C^2 across the edge of that box, so every
         # component of its jet must vanish there
-        x0, x1, y0, y1 = self.support()
         r = np.linspace(0.0, 1.0, samples)
         ex, ey = x0 + (x1 - x0) * r, y0 + (y1 - y0) * r
         xs = np.concatenate([ex, ex, np.full(samples, x0), np.full(samples, x1)])

@@ -1,12 +1,15 @@
 """CLI subcommands: reports, exit codes, determinism."""
 
 import contextlib
+import functools
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -364,6 +367,85 @@ def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, command, b
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert all(w in err for w in words)
+
+
+def _exits_2_naming(tmp_path, capsys, command, ini, words):
+    cfg = _write(tmp_path, "bad.ini", ini)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert all(w in err for w in words)
+
+
+@pytest.mark.parametrize("command, base, old, new, words", [
+    # read as the zero factor, the action reported 0.0 with exit 0
+    pytest.param("action", ACTION_INI, "[metric.h.u]", "[metric.h.uu]",
+                 ("unknown section [metric.h.uu]",), id="misspelled_factor"),
+    # read as the default box and samples
+    pytest.param("epstein", EPSTEIN_INI, "[epstein]", "[epstien]",
+                 ("unknown section [epstien]",), id="misspelled_epstein"),
+    # its keys were read into every other section
+    pytest.param("epstein", EPSTEIN_INI, "[epstein]", "[DEFAULT]\nreference = flat\n"
+                 "[epstein]", ("unknown section [DEFAULT]",), id="default_section"),
+    # without [metric.k] the action skipped its Chasles check and the factor
+    pytest.param("action", ACTION_INI, "[metric.k]\nreference = desitter\n", "",
+                 ("[metric.k.u] without [metric.k]",), id="factor_without_metric"),
+])
+def test_section_no_subcommand_reads_is_a_config_error(tmp_path, capsys, command,
+                                                       base, old, new, words):
+    assert old in base
+    _exits_2_naming(tmp_path, capsys, command, base.replace(old, new), words)
+
+
+def test_one_config_serves_action_and_epstein(tmp_path):
+    cfg = _write(tmp_path, "both.ini",
+                 ACTION_INI + "\n[epstein]\nbox = 0 1 2 3\nsamples = 4 4\n")
+    assert cli.main(["action", "--config", cfg, "--grid-level", "0",
+                     "--out", str(tmp_path / "a.json")]) == 0
+    assert cli.main(["epstein", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 0
+
+
+@pytest.mark.parametrize("command, ini, words", [
+    pytest.param("curve", "[curve]\nfamily = po22\nkind = sineflow\nfrequency = 3",
+                 ("[curve]", "frequency must be even"), id="sineflow_odd_frequency"),
+    pytest.param("action", "[uniformizing]\nkind = sineflow\namplitude = 0.5",
+                 ("[uniformizing]", "|amplitude * frequency| < 1"),
+                 id="sineflow_not_monotone"),
+    pytest.param("curve", "[curve]\nfamily = po22\nkind = mobius\nmatrix = 1 0 0 -1",
+                 ("[curve]", "positive determinant"), id="mobius_reflection"),
+    pytest.param("action", "[uniformizing]\nkind = piecewise\nbreaks = 0.3 1.0\n"
+                 "matrices = 1 0 0 1", ("[uniformizing]", "one matrix per arc"),
+                 id="piecewise_matrix_count"),
+    # both pieces fix the angles 0 and pi/2, with derivatives 1 and 4 there
+    pytest.param("curve", "[curve]\nfamily = po22\nkind = piecewise\n"
+                 f"breaks = 0 {math.pi / 2!r}\nmatrices =\n    1 0 0 1\n    2 0 0 0.5",
+                 ("[curve]", "C1 mismatch"), id="piecewise_c1_mismatch"),
+    pytest.param("action", "[uniformizing]\nkind = four_piece\n"
+                 "images = 0.3 1.35 1.8 2.6", ("[uniformizing]", "do not balance"),
+                 id="four_piece_unbalanced"),
+])
+def test_circle_map_checks_exit_2(tmp_path, capsys, command, ini, words):
+    _exits_2_naming(tmp_path, capsys, command, ini + "\n", words)
+
+
+@pytest.mark.parametrize("rows", [600, 5000])
+@pytest.mark.parametrize("command, tail, code", [
+    # the bumps' break lines put the grid past the node bound
+    ("action", "[metric.h]\nreference = desitter\n[grid]\nlevel = 0\n", 2),
+    ("epstein", "[epstein]\nsamples = 8 8\n", 0),
+], ids=["action", "epstein"])
+def test_many_bumps_end_in_an_exit_code(tmp_path, capsys, rows, command, tail, code):
+    # a bumps field is a sum with one term per row: no walk over it may
+    # recurse once per row (600 rows ended in RecursionError)
+    lines = "".join(f"    {0.2 + 0.6 * i / rows!r} {2.2 + 0.6 * i / rows!r} 0.1 0.1 "
+                    f"{(-1) ** i * 0.01!r}\n" for i in range(rows))
+    cfg = _write(tmp_path, "b.ini", "[metric.g]\nreference = desitter\n[metric.g.u]\n"
+                 f"kind = bumps\nrows =\n{lines}{tail}")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert f"more than {cli.MAX_AXIS_NODES}" in err
 
 
 def _run_cli(*args, environ=os.environ):
@@ -1022,8 +1104,8 @@ def _identity_pieces(section, count):
 ], ids=["curve", "uniformizing"])
 def test_many_torus_pieces_refused_before_any_rule(tmp_path, capsys, monkeypatch,
                                                    command, section):
-    # 40 arcs of 72 nodes at level 16 would form 2 * 40^2 * 72^2 = 16.6e6
-    # node slots; no rule may be built
+    # 40 arcs of 72 nodes at level 16 would have 2880 nodes per torus axis;
+    # no rule may be built
     def refused(*args, **kwargs):
         raise AssertionError("an ArcPairRule was built")
 
@@ -1034,7 +1116,7 @@ def test_many_torus_pieces_refused_before_any_rule(tmp_path, capsys, monkeypatch
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
-    assert f"more than {cli.MAX_TORUS_SLOTS}" in err
+    assert f"more than {cli.MAX_TORUS_NODES}" in err
 
 
 @pytest.mark.parametrize("command, ini, action", [
@@ -1043,8 +1125,8 @@ def test_many_torus_pieces_refused_before_any_rule(tmp_path, capsys, monkeypatch
 ], ids=["curve", "uniformizing"])
 def test_four_piece_map_at_the_top_level_is_within_the_torus_bound(
         tmp_path, monkeypatch, command, ini, action):
-    # 4 arcs of 72 nodes form 165888 node slots: the config passes the
-    # check and reaches the action, stubbed here
+    # 4 arcs of 72 nodes have 288 nodes per torus axis: the config passes
+    # the check and reaches the action, stubbed here
     class Reached(Exception):
         pass
 
@@ -1361,3 +1443,20 @@ def test_generated_configs_exit_by_the_contract(case):
         # a value that breaks its key's check is a config error naming both
         name, key = broken
         assert f"for {key!r} in [{name}]" in err.getvalue()
+
+
+_README_NAME = re.compile(r"\b(cli|fields|forms|liouville|lorentz|adsgeom|curves|errors)"
+                          r"((?:\.[A-Za-z_]\w*)+)")
+
+
+def test_every_package_name_the_readme_quotes_resolves():
+    # a renamed constant or function must not leave stale text behind
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    names = {m.group(0): m.groups() for m in _README_NAME.finditer(readme)}
+    assert len(names) >= 23
+    missing = [name for name, (module, path) in sorted(names.items())
+               if functools.reduce(lambda obj, attr: getattr(obj, attr, None),
+                                   path[1:].split("."),
+                                   importlib.import_module(f"splitannulus.{module}"))
+               is None]
+    assert missing == []

@@ -1,5 +1,6 @@
 """Charts, fields, circle maps, polygonal curves and quadrature."""
 
+import functools
 import math
 import warnings
 
@@ -173,7 +174,8 @@ def _masked_jet(f, x, y):
     inner jet), then zero outside the box."""
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     if isinstance(f, F.SumField):
-        return [a + b for a, b in zip(_masked_jet(f.a, x, y), _masked_jet(f.b, x, y))]
+        return functools.reduce(lambda a, b: [c + d for c, d in zip(a, b)],
+                                (_masked_jet(t, x, y) for t in f.terms))
     if isinstance(f, F.ScaledField):
         return [f.c * c for c in _masked_jet(f.a, x, y)]
     x0, x1, y0, y1 = f.support_box
@@ -963,12 +965,13 @@ def test_box_grid_nodes_counts_the_grid_box_grid_builds(x_ends, y_ends, outside,
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(breaks=st.lists(st.floats(-10.0, 10.0), max_size=40),
        level=st.integers(0, cli.MAX_LEVEL))
-def test_arc_pair_rule_slots_are_two_tiles_per_pair_of_arcs(breaks, level):
-    # the torus bound's count: each ordered pair of the n arcs of order p
-    # takes two tiles of p^2 node slots, 2 (n p)^2 in all
-    arcs, p, slots = F.ArcPairRule.layout(breaks, level)
+def test_arc_pair_rule_nodes_per_axis_keep_the_torus_verdicts(breaks, level):
+    # the torus bound's count: p nodes on each of the n arcs, n p per axis;
+    # its bound refuses what 2 (n p)^2 > 2^21 padded node slots refused
+    arcs, p, nodes = F.ArcPairRule.layout(breaks, level)
     assert p == 8 + 4 * level
-    assert slots == 2 * (len(arcs) * p) ** 2
+    assert nodes == len(arcs) * p
+    assert (nodes <= cli.MAX_TORUS_NODES) == (2 * nodes ** 2 <= 2 ** 21)
 
 
 @pytest.mark.parametrize("breaks", [(), (0.3, 0.7)], ids=["plain", "breaks"])

@@ -590,6 +590,16 @@ def test_noncompact_difference_rejected():
         FM.LensCobordism(G0.scaled_by(u), BOX)
 
 
+@pytest.mark.parametrize("box", [(2, 3, 4, 5), (0.92, 2, 2, 3)],
+                         ids=["apart", "sharing_an_edge"])
+def test_lens_box_that_misses_the_factor_is_refused(box):
+    # W's rule covers u's support box clipped to the lens box; an empty one
+    # is refused when the lens is built, not by the rule's build
+    u = F.bump_field((0.5, 2.5), (0.42, 0.42), 0.35)
+    with pytest.raises(NonCompactDifference, match="does not meet the lens box"):
+        FM.LensCobordism(G0.scaled_by(u), box)
+
+
 def test_non_holonomic_boundary_rejected():
     # the frame relations hold for any jet values at a point, so only
     # rounding breaks them: at u = 20, sigma ~ e^20 and eta ~ e^-20, and
