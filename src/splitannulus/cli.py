@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -49,11 +50,14 @@ _SIGNS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 # The largest requests taken, each refused as a bad config before any
 # array is built: a grid level (``[grid] level`` or ``--grid-level``; a
 # curve's Gauss order is 8 + 4 * level per arc), the nodes per axis of the
-# finest grid of the action's ladder (a 2048 x 2048 plane is 32 MiB per
-# array), the nodes per axis of the finest torus rule, as
-# ``ArcPairRule.layout`` counts them (1024, 32 arcs at level 6, peaks near
-# 335 MiB), and the points of an Epstein sample (512 x 512 peaks near
-# 330 MiB).
+# finest grid of the action's ladder, the nodes per axis of the finest
+# torus rule, as ``ArcPairRule.layout`` counts them, and the points of an
+# Epstein sample.  Integrands run in blocks of ``fields.BLOCK_NODES``, so
+# at these bounds a process peaks (resident set, 2-vCPU x86-64, numpy
+# 2.4) near 38 MiB for an action up to a 2048 x 2048 grid, of which the
+# interpreter with numpy and the package is about 36 MiB; near 125 MiB for
+# a curve of 32 arcs at level 6 (1024 nodes per axis), most of it the
+# rule's own node arrays; and near 67 MiB for a 512 x 512 Epstein sample.
 MAX_LEVEL = 16
 MAX_AXIS_NODES = 2048
 MAX_TORUS_NODES = 1024
@@ -318,6 +322,10 @@ _SECTIONS = {*(f"metric.{m}{u}" for m in "ghk" for u in ("", ".u")), "grid",
 
 
 def load_config(path):
+    """The config at ``path``.  A ConfigError if it cannot be read, or if
+    it has a section that no subcommand reads, such as a misspelled one,
+    or a factor ``[metric.*.u]`` without its metric: each would otherwise
+    be skipped without a word."""
     # values are plain numbers and names: a '%' is a bad value, not the
     # start of an interpolation that fails on read.  No header can name the
     # default section "", so a [DEFAULT] section is an ordinary one, not
@@ -329,18 +337,12 @@ def load_config(path):
         raise ConfigError(f"malformed config {path}: {exc}")
     if not read:
         raise ConfigError(f"cannot read config {path}")
-    return cfg
-
-
-def _check_sections(cfg):
-    """A ConfigError for a section that no subcommand reads, such as a
-    misspelled one, and for a factor ``[metric.*.u]`` without its metric:
-    each would otherwise be skipped without a word."""
     for section in cfg.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]: no subcommand reads it")
         if section.endswith(".u") and section[:-2] not in cfg:
             raise ConfigError(f"section [{section}] without [{section[:-2]}]")
+    return cfg
 
 
 def _open_out(path):
@@ -366,7 +368,6 @@ def write_report(report, out):
 
 def cmd_action(args):
     cfg = load_config(args.config)
-    _check_sections(cfg)
     if "uniformizing" in cfg:
         return _cmd_action_uniformizing(cfg, args)
     g = parse_metric(cfg, "g")
@@ -574,7 +575,6 @@ def cmd_epstein(args):
         raise ConfigError("epstein writes a CSV and a JSON sidecar and cannot "
                           "write to standard output: give --out a file path")
     cfg = load_config(args.config)
-    _check_sections(cfg)
     g = parse_metric(cfg, "g")
     if g.coords != "affine":
         raise ConfigError(f"bad value {g.coords!r} for 'coords' in [metric.g]: "
@@ -583,17 +583,28 @@ def cmd_epstein(args):
                          _EPSTEIN).values()
     s = np.linspace(box[0], box[1], ns[0])
     t = np.linspace(box[2], box[3], ns[1])
-    S, T = np.meshgrid(s, t, indexing="ij")
     data = adsgeom.IsotropicSurfaceData(g)
-    frame = adsgeom.epstein_lift(data, S, T)
-    res = adsgeom.frame_constraint_residuals(frame)
     out = args.out or "epstein.csv"
-    # one row per sample, in the order of np.ndindex, as Python floats
-    rows = np.column_stack([S.ravel(), T.ravel(), frame.x.reshape(S.size, 4),
-                            frame.n.reshape(S.size, 4)]).tolist()
-    with _open_out(out) as fh:
-        fh.write("s,t,x1,x2,x3,x4,n1,n2,n3,n4\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    total = ns[0] * ns[1]
+    res = 0.0  # the largest constraint residual of any block
+    fh = _open_out(out)
+    try:
+        with fh:
+            fh.write("s,t,x1,x2,x3,x4,n1,n2,n3,n4\n")
+            # the samples in the order of np.ndindex, lifted and written
+            # fields.BLOCK_NODES at a time, one row each, as Python floats
+            for lo in range(0, total, fields.BLOCK_NODES):
+                i, j = np.divmod(np.arange(lo, min(lo + fields.BLOCK_NODES, total)),
+                                 ns[1])
+                S, T = s[i], t[j]
+                frame = adsgeom.epstein_lift(data, S, T)
+                res = np.maximum(res, adsgeom.frame_constraint_residuals(frame))
+                rows = np.column_stack([S, T, frame.x, frame.n]).tolist()
+                fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    except BaseException:
+        os.remove(out)  # a failed lift leaves no partial CSV
+        raise
+    res = float(res)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "epstein",
@@ -609,7 +620,6 @@ def cmd_epstein(args):
 
 def cmd_curve(args):
     cfg = load_config(args.config)
-    _check_sections(cfg)
     curve = parse_curve(cfg)
     level = args.grid_level if args.grid_level is not None else 2
     _check_torus("curve", curve.breakpoints(), level)

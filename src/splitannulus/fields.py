@@ -1083,6 +1083,32 @@ def _axis_nodes(segments, cells, scheme):
     return (left + s * h).ravel(), (w * h).ravel()
 
 
+# The most nodes an integrand is evaluated on at once.  Every integral
+# walks its nodes in blocks of at most this many, so peak memory does not
+# grow with the rule, and adds the blocks' sums in numpy's pairwise order,
+# so it keeps the bits of one evaluation on every node.  Densities must be
+# pointwise for this to hold.
+BLOCK_NODES = 2 ** 14
+
+
+def _pairwise(block_sum, n, lo=0):
+    """The float64 sum of the n terms lo .. lo + n - 1, from
+    ``block_sum(a, b)``, the ``np.sum`` of terms a .. b - 1 (or of each
+    row's), called on blocks of at most ``BLOCK_NODES`` terms.
+
+    numpy sums n > 128 contiguous terms as the sum of the first n2 and of
+    the last n - n2, with n2 = n // 2 rounded down to a multiple of 8, and
+    at most 128 in one unrolled loop (pairwise summation: Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 4).  Blocks cut at
+    those points and added in the same tree give the bits of ``np.sum``
+    over all n terms, as long as ``BLOCK_NODES`` >= 128.
+    """
+    if n <= BLOCK_NODES:
+        return block_sum(lo, lo + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(block_sum, half, lo) + _pairwise(block_sum, n - half, lo + half)
+
+
 class QuadratureGrid:
     """Tensor-product quadrature over a chart rectangle.
 
@@ -1144,25 +1170,39 @@ class QuadratureGrid:
         ``density`` is evaluated on one block of nodes: the index block of
         ``support = (x0, x1, y0, y1)``, a closed box outside which it is
         known to vanish, or the whole grid without a box; other nodes
-        contribute nothing.  The block reaches ``density`` as an open mesh,
-        x nodes (n, 1) and y nodes (1, m), and the result is broadcast to
-        (n, m).
+        contribute nothing.  The block reaches ``density`` in row blocks
+        of at most ``BLOCK_NODES`` nodes, each as an open mesh, x nodes
+        (r, 1) and y nodes (1, m), and each result is broadcast to (r, m);
+        a block with no node is not evaluated.
 
         The values v reduce as sum_i xw[i] * (sum_j yw[j] * v[i, j]), each
         sum numpy's pairwise ``np.sum``: deterministic for a fixed grid and
-        independent of the BLAS library and its threads.  A support box
-        changes which zeros take part in the sums, so the value agrees with
-        the whole-grid one to summation roundoff, not bit for bit.
+        independent of the BLAS library and its threads.  A row sum is the
+        same in any row block (a row longer than ``BLOCK_NODES`` is cut by
+        ``_pairwise``), so the value has the bits of one evaluation on the
+        whole block.  A support box changes which zeros take part in the
+        sums, so the value agrees with the whole-grid one to summation
+        roundoff, not bit for bit.
         """
         rows, cols = (slice(None), slice(None)) if support is None else (
             self._support_block(support))
-        xn, yn = self.x_nodes[rows], self.y_nodes[cols]
-        v = np.broadcast_to(np.asarray(
-            density(xn[:, None], yn[None, :]), dtype=float), (xn.size, yn.size))
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteDensity("density is not finite on quadrature nodes")
-        return float(np.sum(self.x_weights[rows]
-                            * np.sum(v * self.y_weights[cols], axis=1)))
+        xn, yn, yw = self.x_nodes[rows], self.y_nodes[cols], self.y_weights[cols]
+        n, m = xn.size, yn.size
+        if not (n and m):
+            return 0.0
+        step = max(1, BLOCK_NODES // m)
+
+        def row_sums(x, lo, hi):
+            v = np.broadcast_to(np.asarray(density(x, yn[None, lo:hi]), dtype=float),
+                                (x.size, hi - lo))
+            if not np.all(np.isfinite(v)):
+                raise NonFiniteDensity("density is not finite on quadrature nodes")
+            return np.sum(v * yw[lo:hi], axis=1)
+
+        sums = np.concatenate([
+            _pairwise(lambda lo, hi: row_sums(xn[i:i + step, None], lo, hi), m)
+            for i in range(0, n, step)])
+        return float(np.sum(self.x_weights[rows] * sums))
 
 
 def _box_segments(box, x_breaks, y_breaks):
@@ -1281,9 +1321,17 @@ class ArcPairRule:
 
     def integrate(self, density, limit):
         """The weighted sum of ``density`` on the off-diagonal nodes, as
-        flat arrays, plus that of ``limit`` on the same-arc diagonals."""
-        v = np.asarray(density(self.x, self.y), dtype=float)
-        d = np.asarray(limit(self.diag), dtype=float)
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
-            raise NonFiniteDensity("density or its diagonal limit is not finite")
-        return float(np.sum(v * self.w) + np.sum(d * self.diag_w))
+        flat arrays, plus that of ``limit`` on the same-arc diagonals, each
+        evaluated in blocks of at most ``BLOCK_NODES`` nodes with the bits
+        of one ``np.sum`` over all of them (``_pairwise``)."""
+        def total(fn, weights, *nodes):
+            def block_sum(lo, hi):
+                v = np.asarray(fn(*(a[lo:hi] for a in nodes)), dtype=float)
+                if not np.all(np.isfinite(v)):
+                    raise NonFiniteDensity("density or its diagonal limit is not finite")
+                return np.sum(v * weights[lo:hi])
+
+            return _pairwise(block_sum, weights.size)
+
+        return float(total(density, self.w, self.x, self.y)
+                     + total(limit, self.diag_w, self.diag))

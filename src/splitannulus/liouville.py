@@ -271,10 +271,11 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
     dyadically; (3): box_g u bounded and integrable; (4): a finite VB on a
     polygonal curve, converged under dyadic refinement.
 
-    Each sample set is one evaluation: u once on the five band samples
-    and the sup sample stacked as rows, one jet of u on the bulk grid for
-    both norms of clause (3), and one value call per VB refinement for
-    all vertical segments of the curve.
+    Each sample set is evaluated once: u once on the five band samples
+    and the sup sample stacked as rows, one jet of u per node of the bulk
+    grid for both norms of clause (3), taken block by block as
+    ``QuadratureGrid.integrate`` walks it, and one value call per VB
+    refinement for all vertical segments of the curve.
     """
     u = h.factor_relative_to(g)
     if g.coords != "angle":
@@ -304,16 +305,19 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
     # pi-periodic, so y = x + d >= pi needs no wrap
     w = _BAND_WIDTH / 2 ** _N_BANDS
     bulk_grid = box_grid((0.0, math.pi, w, math.pi - w), level=1, base_cells=48)
-    dal = []  # box_g u on the nodes of the L1 integral, from its one jet of u
+    # max |box_g u| over the nodes of the L1 integral, block by block, from
+    # the integral's one jet of u per node
+    linf = 0.0
 
     def l1_density(x, d):
+        nonlocal linf
         y = x + d
         uxy2 = 2.0 * u.jet(x, y).vxy
-        dal.append(uxy2 / g.density(x, y))
+        linf = np.maximum(linf, np.max(np.abs(uxy2 / g.density(x, y))))
         return np.abs(uxy2)
 
     l1 = bulk_grid.integrate(l1_density)
-    linf = float(np.max(np.abs(dal[0])))
+    linf = float(linf)
 
     vb_val, vb_ok = vb_converged(u, _VB_CURVE)
 

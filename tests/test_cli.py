@@ -594,7 +594,7 @@ def test_node_bound_counts_a_cell_for_every_segment(tmp_path):
     rows = "".join(f"    {c!r} {c + 2.0!r} 0.001 0.001 0.1\n"
                    for c in (0.01 + 0.00245 * i for i in range(400)))
     cfg = cli.load_config(_write(tmp_path, "b.ini", (
-        "[metric.h.u]\nkind = bumps\nrows =\n" + rows
+        "[metric.h]\n[metric.h.u]\nkind = bumps\nrows =\n" + rows
         + "\n[grid]\nbox = 0 1 2 3\nlevel = 0\nbase_cells = 2\nscheme = gauss8\n")))
     xb, yb = cli.parse_field(cfg, "metric.h.u").break_lines()
     assert (len(xb), len(yb)) == (800, 800)

@@ -842,6 +842,7 @@ def test_integrate_open_mesh_matches_flat_reference(u):
     (0.2, 0.8, 2.5001, 2.5002),        # rows of nodes, but no column
 ])
 def test_integrate_on_support_missing_every_node_is_zero(box):
+    # a block with no node is not evaluated at all
     grid = F.box_grid((0, 1, 2, 3), level=1)
     seen = []
 
@@ -850,7 +851,69 @@ def test_integrate_on_support_missing_every_node_is_zero(box):
         return np.full_like(x, 1.0)
 
     assert grid.integrate(density, support=box) == 0.0
-    assert seen == [0]
+    assert seen == []
+
+
+def _torus_like(x, y):
+    # pointwise, of both signs and magnitudes from e^-6 to e^6, so that
+    # another order of summation moves the last bits of the sums
+    return np.sin(7.0 * x - 3.0 * y) * np.exp(6.0 * np.cos(x + 2.0 * y))
+
+
+def test_blocked_grid_integral_has_the_bits_of_one_evaluation():
+    # 512 x 512 nodes, 16 row blocks: the row sums and their sum are those
+    # of the density on the whole mesh
+    grid = F.box_grid((0, 1, 2, 3), level=3)
+    xn, yn = grid.x_nodes, grid.y_nodes
+    blocks = []
+
+    def density(x, y):
+        blocks.append(np.broadcast(x, y).size)
+        return _torus_like(x, y)
+
+    got = grid.integrate(density)
+    assert len(blocks) > 8 and max(blocks) <= F.BLOCK_NODES
+    assert sum(blocks) == xn.size * yn.size
+    v = _torus_like(xn[:, None], yn[None, :])
+    assert got == float(np.sum(grid.x_weights * np.sum(v * grid.y_weights, axis=1)))
+
+
+def test_blocked_grid_integral_cuts_a_row_longer_than_a_block():
+    # 16,500 nodes per row: each row is cut where numpy's pairwise sum
+    # splits it, at 8250 rounded down to a multiple of 8
+    grid = F.QuadratureGrid([(0.0, 1.0)], [(2.0, 3.0)], 1100, "gauss15")
+    assert grid.y_nodes.size == 16500 > F.BLOCK_NODES
+    support = (0.4, 0.401, 2.0, 3.0)
+    rows, cols = _block(grid, support)
+    assert 0 < rows.size < 20 and cols.size == grid.y_nodes.size
+    blocks = []
+
+    def density(x, y):
+        blocks.append(np.broadcast(x, y).size)
+        return _torus_like(x, y)
+
+    got = grid.integrate(density, support=support)
+    assert blocks == [8248, 8252] * rows.size
+    v = _torus_like(grid.x_nodes[rows][:, None], grid.y_nodes[None, :])
+    assert got == float(np.sum(grid.x_weights[rows]
+                               * np.sum(v * grid.y_weights, axis=1)))
+
+
+def test_blocked_arc_pair_integral_has_the_bits_of_one_evaluation():
+    # 7 arcs at level 4: 36,120 off-diagonal nodes, cut at 18,056 and then
+    # at 9024 and 18,056 + 9032 (n // 2 rounded down to a multiple of 8)
+    rule = F.ArcPairRule([0.2 * k for k in range(7)], level=4)
+    assert rule.w.size == 36120 > 2 * F.BLOCK_NODES
+    blocks = []
+
+    def density(x, y):
+        blocks.append(x.size)
+        return _torus_like(x, y)
+
+    got = rule.integrate(density, np.cos)
+    assert blocks == [9024, 9032, 9032, 9032]
+    assert got == float(np.sum(_torus_like(rule.x, rule.y) * rule.w)
+                        + np.sum(np.cos(rule.diag) * rule.diag_w))
 
 
 def test_nonfinite_density_inside_support_raises():

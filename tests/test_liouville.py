@@ -2,6 +2,7 @@
 
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,35 +30,63 @@ def test_action_incompatible_references():
         LV.action(G0, GF, GRID)
 
 
-def _leaf_jets_per_integral(monkeypatch, run):
-    """The bump jets per ``QuadratureGrid.integrate`` call of ``run()``, by
-    bump, and the de Sitter factor's jets under the key "ref"."""
-    jets, calls = collections.Counter(), []
+def _leaf_jets_per_block(monkeypatch, run):
+    """The bump jets per density call of ``QuadratureGrid.integrate`` (one
+    row block) in ``run()``, by bump, and the de Sitter factor's jets under
+    the key "ref"; and the nodes of those jets per node of the blocks."""
+    jets, nodes, blocks = collections.Counter(), collections.Counter(), []
     for cls in (F.BumpField, F.DeSitterLogFactor):
         def counted(self, x, y, jet=cls._jet):
-            jets[self if isinstance(self, F.BumpField) else "ref"] += 1
+            key = self if isinstance(self, F.BumpField) else "ref"
+            jets[key] += 1
+            nodes[key] += np.broadcast(x, y).size
             return jet(self, x, y)
 
         monkeypatch.setattr(cls, "_jet", counted)
     integrate = F.QuadratureGrid.integrate
 
-    def counted_integrate(self, *args, **kwargs):
-        calls.append(1)
-        return integrate(self, *args, **kwargs)
+    def counted_integrate(self, density, *args, **kwargs):
+        def block(x, y):
+            blocks.append(np.broadcast(x, y).size)
+            return density(x, y)
+
+        return integrate(self, block, *args, **kwargs)
 
     monkeypatch.setattr(F.QuadratureGrid, "integrate", counted_integrate)
     run()
-    return {key: n / len(calls) for key, n in jets.items()}
+    assert len(blocks) > 2 and max(blocks) <= F.BLOCK_NODES
+    return ({key: n / len(blocks) for key, n in jets.items()},
+            {key: n / sum(blocks) for key, n in nodes.items()})
 
 
 def test_grid_densities_take_one_jet_per_leaf_field(monkeypatch):
-    # a field in two of the sums v_g, v_h and u is evaluated once per node
+    # a field in two of the sums v_g, v_h and u is evaluated once per node,
+    # in one jet per block of the integral's nodes
     h = G0.scaled_by(U1)
     k = G0.scaled_by(U2 + U3)
-    assert _leaf_jets_per_integral(
-        monkeypatch, lambda: LV.action_monotone(G0, h, GRID)) == {U1: 1, "ref": 1}
-    assert _leaf_jets_per_integral(
-        monkeypatch, lambda: LV.action(h, k, GRID)) == {U1: 1, U2: 1, U3: 1, "ref": 1}
+    once = {U1: 1, "ref": 1}
+    assert _leaf_jets_per_block(
+        monkeypatch, lambda: LV.action_monotone(G0, h, GRID)) == (once, once)
+    once = {U1: 1, U2: 1, U3: 1, "ref": 1}
+    assert _leaf_jets_per_block(
+        monkeypatch, lambda: LV.action(h, k, GRID)) == (once, once)
+
+
+def test_action_memory_stays_flat_on_a_million_nodes():
+    # 1024 x 1024 nodes, about 740,000 of them in U1's box: the action's
+    # peak is a few block-sized arrays, not arrays of every node in the box
+    # (those peak near 22 MiB)
+    grid = F.box_grid(BOX, level=4)
+    assert grid.x_nodes.size * grid.y_nodes.size >= 10 ** 6
+    h = G0.scaled_by(U1)
+    tracemalloc.start()
+    try:
+        value = LV.action(G0, h, grid, refine=False).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value != 0.0
+    assert peak <= 32 * 8 * F.BLOCK_NODES  # 4 MiB
 
 
 def test_flat_closed_form():
@@ -93,16 +122,18 @@ def test_action_densities_read_only_v_and_vxy():
 
 
 class _Spy(F.ScalarField):
-    """``inner`` recording the name of each jet component it builds."""
+    """``inner`` recording, per jet, the names of the components it builds."""
 
     def __init__(self, inner, built):
         self.inner, self.built = inner, built
 
     def _jet(self, x, y):
         j = self.inner.jet(x, y)
+        names = []
+        self.built.append(names)
 
         def build(name):
-            self.built.append(name)
+            names.append(name)
             return getattr(j, name)
 
         return F._componentwise(build)
@@ -111,14 +142,16 @@ class _Spy(F.ScalarField):
 def test_clipped_factor_in_a_sum_builds_only_what_the_action_reads():
     # the clipped field's box is smaller than the sum's, so it is handed
     # nodes outside it: it gathers the inside, and scatters only the v and
-    # vxy that the action reads, on the grid and its refinement
+    # vxy that the action reads, in every block of the grid and of its
+    # refinement
     inner = F.bump_field((0.45, 2.45), (0.2, 0.2), 0.3)
     box = (0.3, 0.6, 2.3, 2.6)
     bump = F.bump_field((0.5, 2.5), (0.42, 0.42), 0.35)
-    built = []
+    built = []  # the components built, one list per jet
     spied = LV.action(G0, G0.scaled_by(F.with_support_box(_Spy(inner, built), box)
                                        + bump), GRID)
-    assert sorted(built) == ["v", "v", "vxy", "vxy"]
+    assert len(built) > 2
+    assert all(sorted(names) == ["v", "vxy"] for names in built)
     plain = LV.action(G0, G0.scaled_by(F.with_support_box(inner, box) + bump), GRID)
     assert spied.trail == plain.trail
 
@@ -210,10 +243,17 @@ def test_action_evaluates_reference_jet_only_in_bump_box(monkeypatch):
     bump = F.bump_field((0.4, 2.6), (0.15, 0.2), 0.5)
     LV.action(G0, G0.scaled_by(bump), GRID)
     x0, x1, y0, y1 = bump.support_box
-    assert len(seen) == 2  # the grid and its refinement
     for x, y in seen:
         assert x.size > 0
         assert np.all((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
+    # every node in the box of the grid and of its refinement, once, in
+    # blocks of at most BLOCK_NODES
+    sizes = [np.broadcast(x, y).size for x, y in seen]
+    assert len(sizes) > 2 and max(sizes) <= F.BLOCK_NODES
+    assert sum(sizes) == sum(
+        np.count_nonzero((g.x_nodes >= x0) & (g.x_nodes <= x1))
+        * np.count_nonzero((g.y_nodes >= y0) & (g.y_nodes <= y1))
+        for g in (GRID, GRID.refine()))
 
 
 def test_action_skips_diagonal_nodes_outside_support():
@@ -421,17 +461,20 @@ def test_sclass_evaluates_u_once_on_the_bulk_grid():
     # the torus minus the band |x - y| < w (mod pi), in (x, d = y - x)
     w = LV._BAND_WIDTH / 2 ** LV._N_BANDS
     bulk = F.box_grid((0.0, math.pi, w, math.pi - w), level=1, base_cells=48)
-    sizes = []
+    shapes = []
     jet = u.jet
 
     def spy(x, y):
-        sizes.append(np.broadcast(x, y).size)
+        shapes.append(np.broadcast(x, y).shape)
         return jet(x, y)
 
     u.jet = spy
     rep = LV.sclass_report(g0a, h)
     assert bulk.x_nodes.size * bulk.y_nodes.size == 192 * 192
-    assert sizes.count(192 * 192) == 1
+    # the bulk grid's row blocks, (r, 192) each, cover its 192 rows once
+    rows = [s[0] for s in shapes if s[1:] == (192,)]
+    assert len(rows) > 1 and sum(rows) == 192
+    assert max(rows) * 192 <= F.BLOCK_NODES
     # the norms of separate evaluations, bit for bit
     del u.jet
     x, d = bulk.x_nodes[:, None], bulk.y_nodes[None, :]
