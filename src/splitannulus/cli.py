@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from . import adsgeom, curves, fields, forms, liouville, lorentz
-from .errors import ConfigError, NonFiniteDensity, SClassFail, SplitAnnulusError
+from .errors import ConfigError, NonFiniteDensity, SplitAnnulusError
 
 SCHEMA_VERSION = 2
 
@@ -424,7 +424,7 @@ def _cmd_action_uniformizing(cfg, args):
         "values": {"definition": definition, "monotone": av.value},
         "error_estimate": av.error_estimate,
         "refinement_trail": av.trail,
-        "grid": av.grid,
+        "grid": av.rule.describe(),
         "uniformizing": True,
     }
     write_report(report, args.out)
@@ -623,26 +623,24 @@ def cmd_curve(args):
     curve = parse_curve(cfg)
     level = args.grid_level if args.grid_level is not None else 2
     _check_torus("curve", curve.breakpoints(), level)
-    try:
-        av = curves.curve_action(curve, levels=level)
-    except SClassFail as exc:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "subcommand": "curve",
-            "family": curve.family,
-            "sclass_failed_clause": exc.clause,
-        }
-        write_report(report, args.out)
-        return 4
+    # the action is finite for a factor in the S-class: the check runs
+    # first, and the first failing clause ends the run before any rule
+    sclass = liouville.sclass_report(curve.circle_metric(), curve.metric())
     report = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "curve",
         "family": curve.family,
-        "action": av.value,
-        "error_estimate": av.error_estimate,
-        "refinement_trail": av.trail,
-        "sclass": dataclasses.asdict(av.sclass),
     }
+    if not sclass.verdict:
+        report["sclass_failed_clause"] = next(
+            k for k, ok in sclass.clauses.items() if not ok)
+        write_report(report, args.out)
+        return 4
+    av = curves.curve_action(curve, levels=level)
+    report["action"] = av.value
+    report["error_estimate"] = av.error_estimate
+    report["refinement_trail"] = av.trail
+    report["sclass"] = dataclasses.asdict(sclass)
     write_report(report, args.out)
     return 0
 

@@ -37,10 +37,10 @@ from .errors import (
     NonSmoothB,
     NotC3,
     NotC3AtPoint,
-    SClassFail,
 )
 from .fields import (
     CHARTS,
+    ArcPairRule,
     CircleMap,
     ConstantField,
     IdentityMap,
@@ -50,7 +50,7 @@ from .fields import (
     UniformizingFactor,
     _schwarzian,
 )
-from .liouville import ActionValue, action_density, sclass_report, torus_trail
+from .liouville import ActionValue, action_density, refinement_trail
 from .lorentz import SplitMetric, desitter
 
 
@@ -368,35 +368,27 @@ def psl3_conic(coords="affine") -> PSL3Curve:
 # Curve actions
 # ---------------------------------------------------------------------------
 
-def curve_action(curve, levels=3, check_sclass=True) -> ActionValue:
+def curve_action(curve, levels=3) -> ActionValue:
     """Liouville action of a positive curve against its circle metric.
 
     The metric pair is (g_curve, g_circle) with g_circle measured from
     a projective member of the same family, so no normalization weight
-    enters.  ``torus_trail`` integrates on ``ArcPairRule``s whose arcs end
-    at the turning points, with the Schwarzian limit density of the
+    enters.  The trail integrates on ``ArcPairRule``s whose arcs end at
+    the turning points, with the Schwarzian limit density of the
     integrand on the diagonal (identically zero on projective pieces);
-    level ``lv`` of the trail has Gauss order 8 + 4 * lv.
+    level ``lv`` of the trail has Gauss order 8 + 4 * lv.  The action is
+    finite for a factor in the S-class, which ``sclass_report`` checks.
     """
     g_circle = curve.circle_metric()
-    g = curve.metric()
-    report = None
-    if check_sclass:
-        report = sclass_report(g_circle, g)
-        if not report.verdict:
-            failing = [k for k, ok in report.clauses.items() if not ok]
-            raise SClassFail(failing[0], f"S-class clauses failed: {failing}")
-
-    av, _ = torus_trail(action_density(g, g_circle, monotone=True),
-                        curve.diagonal_limit_density, levels, curve.breakpoints())
-    av.sclass = report
-    return av
+    density = action_density(curve.metric(), g_circle, monotone=True)
+    rules = (ArcPairRule(curve.breakpoints(), lv) for lv in range(levels + 1))
+    return refinement_trail(
+        lambda rule: rule.integrate(density, curve.diagonal_limit_density), rules)
 
 
 def reparam_invariance_residual(curve: PO22Curve, phi: CircleMap,
                                 levels=2) -> float:
     """|S(curve o phi) - S(curve)| for a C^3 reparametrization."""
-    a = curve_action(curve, levels=levels, check_sclass=False)
-    b = curve_action(curve.reparametrized(phi), levels=levels,
-                     check_sclass=False)
+    a = curve_action(curve, levels=levels)
+    b = curve_action(curve.reparametrized(phi), levels=levels)
     return abs(a.value - b.value)

@@ -73,13 +73,5 @@ class DegeneratePairing(SplitAnnulusError):
     """Flag-curve pairing vanished off the diagonal."""
 
 
-class SClassFail(SplitAnnulusError):
-    """Conformal factor failed an S-class clause."""
-
-    def __init__(self, clause, message=""):
-        self.clause = clause
-        super().__init__(message or f"S-class clause ({clause}) failed")
-
-
 class ConfigError(SplitAnnulusError):
     """Run configuration is malformed."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -593,6 +594,9 @@ class SineFlowMap(CircleMap):
     def __init__(self, amplitude, frequency=2):
         if frequency % 2 != 0:
             raise ValueError("frequency must be even for pi-periodicity")
+        # the jets form k ** 3 as an int and convert it to a float
+        if abs(int(frequency)) ** 3 > sys.float_info.max:
+            raise ValueError("frequency ** 3 must be within the float range")
         if abs(amplitude * frequency) >= 1:
             raise ValueError("|amplitude * frequency| < 1 required")
         self.a = float(amplitude)

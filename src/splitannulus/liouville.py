@@ -25,7 +25,7 @@ metrics), which pair g = e^{2f} g_ref with the bare reference g_ref.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,11 +46,12 @@ from .lorentz import SplitMetric, curvature, desitter, pullback_metric
 
 @dataclass
 class ActionValue:
+    """A refinement trail: built only by ``refinement_trail``."""
+
     value: float
     error_estimate: float
-    grid: dict
-    trail: list = dc_field(default_factory=list)
-    sclass: SClassReport = None  # the S-class check made on the way, if any
+    rule: object  # the finest rule; reports write its ``describe()``
+    trail: list
 
 
 _ZERO_JET = Jet2(*(None,) * 6)  # the zero constant's: ``_plus`` folds its parts
@@ -88,29 +89,25 @@ def action_density(g, h, monotone=False):
     return density
 
 
-def refinement_trail(integral, grids) -> ActionValue:
-    """``integral`` on ``grids`` from coarse to fine, each grid taken from
+def refinement_trail(integral, rules) -> ActionValue:
+    """``integral`` on ``rules`` from coarse to fine, each rule taken from
     the iterable after the integral on the previous one: the value is the
     finest integral, the error estimate the last step (|I_0| for a single
-    level), the trail every integral and ``grid`` the finest description.
+    level), the trail every integral and ``rule`` the finest rule.
     """
     trail = []
-    for grid in grids:
-        trail.append(integral(grid))
+    for rule in rules:
+        trail.append(integral(rule))
     err = abs(trail[-1] - trail[-2]) if len(trail) > 1 else abs(trail[-1])
-    return ActionValue(trail[-1], err, grid.describe(), trail)
+    return ActionValue(trail[-1], err, rule, trail)
 
 
 def _action(g, h, grid, refine, monotone=False):
     u = h.factor_relative_to(g)
     density = action_density(g, h, monotone)
-
-    def integral(gr):
-        return gr.integrate(density, support=u.support_box)
-
-    if not refine:
-        return ActionValue(integral(grid), float("nan"), grid.describe())
-    return refinement_trail(integral, (grid, grid.refine()))
+    return refinement_trail(
+        lambda gr: gr.integrate(density, support=u.support_box),
+        (grid, grid.refine()) if refine else (grid,))
 
 
 def action(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
@@ -118,7 +115,8 @@ def action(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
     """S(g, h) by the defining formula.
 
     With ``refine`` the value is taken on a once-refined grid and the
-    difference to the coarse value is the reported error estimate.
+    difference to the coarse value is the reported error estimate; without
+    it the trail has the one level ``grid``.
     """
     return _action(g, h, grid, refine)
 
@@ -348,21 +346,6 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
 # Actions over the torus
 # ---------------------------------------------------------------------------
 
-def torus_trail(density, limit, levels, breaks=()):
-    """``density`` over the full torus by ``ArcPairRule`` on the arcs cut
-    at ``breaks``, at levels 0..``levels``, and the finest rule.  The
-    density is 0/0 on the diagonal, and ``limit(x)`` is its limit there.
-    """
-    finest = []  # one rule is held at a time
-
-    def integral(rule):
-        finest[:] = [rule]
-        return rule.integrate(density, limit)
-
-    rules = (ArcPairRule(breaks, lv) for lv in range(levels + 1))
-    return refinement_trail(integral, rules), finest[0]
-
-
 def uniformizing_action(phi, levels=3):
     """S(Phi* g0, g0) over the full torus for a piecewise C^3 circle map:
     the monotone formula's trail over levels 0..``levels`` (Gauss order
@@ -378,6 +361,7 @@ def uniformizing_action(phi, levels=3):
     g0 = desitter(coords="angle")
     g = pullback_metric(g0, phi)
     limit = UniformizingFactor(phi).diagonal_limit_density
-    av, rule = torus_trail(action_density(g, g0, monotone=True), limit, levels,
-                           phi.breakpoints)
-    return av, rule.integrate(action_density(g, g0), limit)
+    monotone = action_density(g, g0, monotone=True)
+    rules = (ArcPairRule(phi.breakpoints, lv) for lv in range(levels + 1))
+    av = refinement_trail(lambda rule: rule.integrate(monotone, limit), rules)
+    return av, av.rule.integrate(action_density(g, g0), limit)

@@ -411,6 +411,14 @@ def test_one_config_serves_action_and_epstein(tmp_path):
     pytest.param("action", "[uniformizing]\nkind = sineflow\namplitude = 0.5",
                  ("[uniformizing]", "|amplitude * frequency| < 1"),
                  id="sineflow_not_monotone"),
+    # k ** 3 of a frequency past ~5.6e102 has no float, so its jets raise
+    # OverflowError; an amplitude of 0 or 5e-324 passes |a k| < 1
+    pytest.param("curve", "[curve]\nfamily = po22\nkind = sineflow\n"
+                 f"amplitude = 0\nfrequency = {10 ** 110}", ("[curve]", "float range"),
+                 id="sineflow_huge_frequency"),
+    pytest.param("action", "[uniformizing]\nkind = sineflow\namplitude = 5e-324\n"
+                 f"frequency = {10 ** 110}", ("[uniformizing]", "float range"),
+                 id="uniformizing_sineflow_huge_frequency"),
     pytest.param("curve", "[curve]\nfamily = po22\nkind = mobius\nmatrix = 1 0 0 -1",
                  ("[curve]", "positive determinant"), id="mobius_reflection"),
     pytest.param("action", "[uniformizing]\nkind = piecewise\nbreaks = 0.3 1.0\n"
@@ -665,7 +673,7 @@ def test_curve_report(tmp_path):
 
 
 def test_curve_report_runs_one_sclass_check(tmp_path, monkeypatch):
-    from splitannulus import curves, liouville
+    from splitannulus import liouville
 
     calls = []
     original = liouville.sclass_report
@@ -675,7 +683,6 @@ def test_curve_report_runs_one_sclass_check(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(liouville, "sclass_report", counted)
-    monkeypatch.setattr(curves, "sclass_report", counted)
     for ini in (CURVE_INI, "[curve]\nfamily = psl3_conic\n"):
         calls.clear()
         cfg = _write(tmp_path, "f.ini", ini)
@@ -787,15 +794,24 @@ def test_piecewise_map_winding_three_times_exits_2(tmp_path, capsys):
     assert "does not wind once around" in capsys.readouterr().err
 
 
-def test_balanced_four_piece_map_is_built(tmp_path):
+def test_balanced_four_piece_map_is_built(tmp_path, monkeypatch):
     # the first piece maps onto an arc of length 0.01 and the last onto one
     # of about pi - 3.1: a valid C^1 map, which only the S-class refuses, on
-    # its first failing clause
+    # its first failing clause, before any torus rule is built
+    rules = []
+    original = fields.ArcPairRule.__init__
+
+    def counted(self, *args, **kwargs):
+        rules.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.ArcPairRule, "__init__", counted)
     ini = "[curve]\nfamily = po22\nkind = four_piece\nimages = 0.3 0.31 3.40\n"
     out = tmp_path / "b.json"
     cfg = _write(tmp_path, "b.ini", ini)
     assert cli.main(["curve", "--config", cfg, "--grid-level", "0",
                      "--out", str(out)]) == 4
+    assert rules == []
     rep = json.loads(out.read_text())
     assert rep["family"] == "po22"
     assert rep["sclass_failed_clause"] == "2_boundary_decay"

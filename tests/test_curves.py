@@ -13,7 +13,6 @@ from splitannulus.errors import (
     NonPositiveB,
     NonSmoothB,
     NotC3AtPoint,
-    SClassFail,
 )
 
 from hypothesis import given, settings
@@ -521,8 +520,8 @@ def test_sclass_gate_raises():
         def metric(self):
             return g0a.scaled_by(O.LogSinDiagField(-0.5))
 
-    with pytest.raises(SClassFail):
-        C.curve_action(FakeCurve(F.IdentityMap()), levels=0)
+    curve = FakeCurve(F.IdentityMap())
+    assert not LV.sclass_report(curve.circle_metric(), curve.metric()).verdict
 
 
 def test_psl3_conic_action_zero():
@@ -562,8 +561,9 @@ _CURVES = {"four_piece": lambda: C.PO22Curve(F.four_piece_c1_map()),
 
 @pytest.mark.parametrize("name", sorted(_CURVE_BITS))
 def test_curve_path_bits_pinned(name):
-    av = C.curve_action(_CURVES[name](), levels=2)
-    rep = av.sclass
+    curve = _CURVES[name]()
+    av = C.curve_action(curve, levels=2)
+    rep = LV.sclass_report(curve.circle_metric(), curve.metric())
     got = ([v.hex() for v in av.trail], rep.sup_u.hex(),
            [v.hex() for v in rep.boundary_decay], rep.Linf_dal.hex(),
            float(rep.L1_dal).hex(), rep.vb.hex())
@@ -575,9 +575,9 @@ _TORUS_ACTIONS = {
     # integrals: one per level, and a uniformizing action's definition
     # value on the finest rule)
     "curve_four_piece": (C.LogMeanExpField, lambda: C.curve_action(
-        _CURVES["four_piece"](), levels=2, check_sclass=False), 3),
+        _CURVES["four_piece"](), levels=2), 3),
     "curve_sine_0.3": (C.LogMeanExpField, lambda: C.curve_action(
-        _CURVES["sine_0.3"](), levels=2, check_sclass=False), 3),
+        _CURVES["sine_0.3"](), levels=2), 3),
     "uniformizing_four_piece": (F.UniformizingFactor, lambda: LV.uniformizing_action(
         F.four_piece_c1_map(), levels=2), 4),
     "uniformizing_sine_0.3": (F.UniformizingFactor, lambda: LV.uniformizing_action(
@@ -663,8 +663,7 @@ def _precomposed(chi, s):
 
 
 def test_four_piece_curve_action_value():
-    av = C.curve_action(C.PO22Curve(F.four_piece_c1_map()), levels=2,
-                        check_sclass=False)
+    av = C.curve_action(C.PO22Curve(F.four_piece_c1_map()), levels=2)
     assert abs(av.value - FOUR_PIECE_ACTION) <= 1e-10
     assert av.error_estimate <= 1e-9
 
@@ -674,9 +673,8 @@ def test_four_piece_action_invariant_under_hyperbolic_precomposition():
     # circle metric; a rotation would also move the corners, but a
     # hyperbolic A changes the arc lengths as well
     chi = F.four_piece_c1_map()
-    a = C.curve_action(C.PO22Curve(chi), levels=2, check_sclass=False)
-    b = C.curve_action(C.PO22Curve(_precomposed(chi, 0.6)), levels=2,
-                       check_sclass=False)
+    a = C.curve_action(C.PO22Curve(chi), levels=2)
+    b = C.curve_action(C.PO22Curve(_precomposed(chi, 0.6)), levels=2)
     assert abs(a.value - b.value) <= 1e-10
 
 
@@ -686,6 +684,5 @@ def test_four_piece_uniformizing_action_vanishes():
 
 
 def test_sine_flow_curve_action_value():
-    av = C.curve_action(C.PO22Curve(F.SineFlowMap(0.3, 2)), levels=2,
-                        check_sclass=False)
+    av = C.curve_action(C.PO22Curve(F.SineFlowMap(0.3, 2)), levels=2)
     assert abs(av.value - SINE_ACTION) <= 1e-12

@@ -399,7 +399,7 @@ def test_w_volume_carries_its_two_level_trail(lens):
     wv = FM.w_volume(lens, grid)
     assert len(wv.trail) == 2 and wv.trail[1] == wv.value
     assert wv.error_estimate == abs(wv.trail[1] - wv.trail[0])
-    assert wv.grid == FM.w_grid(lens, 1).describe()
+    assert wv.rule.describe() == FM.w_grid(lens, 1).describe()
     assert wv.trail == [FM.w_value(lens, FM.w_grid(lens, level))
                         for level in (0, 1)]
 

@@ -196,7 +196,7 @@ def test_refinement_trail_rules():
 
     av = ladder([1.0, 0.5, 0.375])
     assert (av.value, av.error_estimate, av.trail) == (0.375, 0.125, [1.0, 0.5, 0.375])
-    assert (av.grid, av.sclass) == ({"level": 2}, None)
+    assert av.rule.describe() == {"level": 2}
     # one grid at a time: each is taken after the previous integral
     assert events == [("take", 0), ("integrate", 0), ("take", 1),
                       ("integrate", 1), ("take", 2), ("integrate", 2)]
@@ -208,14 +208,22 @@ def test_refined_action_carries_its_two_level_trail():
     h = G0.scaled_by(U1)
     grid = F.box_grid(BOX, level=0, base_cells=8)
     coarse = LV.action(G0, h, grid, refine=False)
-    assert np.isnan(coarse.error_estimate) and coarse.trail == []
     fine = LV.action(G0, h, grid.refine(), refine=False).value
     av = LV.action(G0, h, grid)
     assert (av.value, av.trail) == (fine, [coarse.value, fine])
     assert av.error_estimate == abs(fine - coarse.value)
-    assert av.grid == grid.refine().describe()
+    assert av.rule.describe() == grid.refine().describe()
     mono = LV.action_monotone(G0, h, grid)
-    assert (mono.value, mono.grid) == (mono.trail[1], av.grid)
+    assert (mono.value, mono.rule.describe()) == (mono.trail[1], av.rule.describe())
+
+
+def test_unrefined_action_is_a_one_level_trail():
+    h = G0.scaled_by(U1)
+    grid = F.box_grid(BOX, level=0, base_cells=8)
+    av = LV.action(G0, h, grid, refine=False)
+    assert av.trail == [av.value]
+    assert av.error_estimate == abs(av.value)
+    assert av.rule is grid
 
 
 def test_chasles_triples():
