@@ -25,6 +25,7 @@ exact metric densities; a crossratio without one has no density.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -200,27 +201,30 @@ class LogMeanExpField(ScalarField):
         a = np.exp(2.0 * j1.v)
         b = np.exp(2.0 * j2.v)
         s = a + b
+        # the weights are formed here, so that a and b are freed on return;
+        # the first partials, shared by vxy, vxx and vyy, are each built
+        # once, when first read.  The decay bands and the VB read v alone,
+        # the S-class L1 vxy alone
         wa, wb = a / s, b / s
-        vx = wa * j1.vx + wb * j2.vx
-        vy = wa * j1.vy + wb * j2.vy
-        vxy = (
-            wa * (2 * j1.vx * j1.vy + j1.vxy)
-            + wb * (2 * j2.vx * j2.vy + j2.vxy)
-            - 2.0 * vx * vy
-        )
+        vx = functools.cache(lambda: wa * j1.vx + wb * j2.vx)
+        vy = functools.cache(lambda: wa * j1.vy + wb * j2.vy)
+
+        def vxy():
+            return (wa * (2 * j1.vx * j1.vy + j1.vxy)
+                    + wb * (2 * j2.vx * j2.vy + j2.vxy)
+                    - 2.0 * vx() * vy())
 
         def vxx():
             return (wa * (2 * j1.vx ** 2 + j1.vxx)
                     + wb * (2 * j2.vx ** 2 + j2.vxx)
-                    - 2.0 * vx ** 2)
+                    - 2.0 * vx() ** 2)
 
         def vyy():
             return (wa * (2 * j1.vy ** 2 + j1.vyy)
                     + wb * (2 * j2.vy ** 2 + j2.vyy)
-                    - 2.0 * vy ** 2)
+                    - 2.0 * vy() ** 2)
 
-        # the second pure partials are formed only when read
-        return Jet2(0.5 * np.log(0.5 * s), vx, vy, vxy, vxx, vyy)
+        return Jet2(lambda: 0.5 * np.log(0.5 * s), vx, vy, vxy, vxx, vyy)
 
 
 class PO22Curve:

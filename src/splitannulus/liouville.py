@@ -272,7 +272,9 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
     Each sample set is evaluated once: u once on the five band samples
     and the sup sample stacked as rows, one jet of u per node of the bulk
     grid for both norms of clause (3), taken block by block as
-    ``QuadratureGrid.integrate`` walks it, and one value call per VB
+    ``QuadratureGrid.integrate`` walks it (the bulk grid covers the half
+    of the band-excluded torus that the swap x <-> y maps onto the other
+    half, 128 x 128 nodes), and one value call per VB
     refinement for all vertical segments of the curve.
     """
     u = h.factor_relative_to(g)
@@ -300,9 +302,14 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
 
     # the torus minus the band |x - y| < w (mod pi) is, in the coordinates
     # (x, d = y - x), the rectangle [0, pi] x [w, pi - w]; the factors are
-    # pi-periodic, so y = x + d >= pi needs no wrap
+    # pi-periodic, so y = x + d >= pi needs no wrap.  u and g are symmetric,
+    # u(x, y) = u(y, x), so the swap (x, d) -> (x + d mod pi, pi - d), of
+    # |Jacobian| 1, maps d in [w, pi/2] onto [pi/2, pi - w]: the L1 norm is
+    # twice the integral over [0, pi] x [w, pi/2], and the L-infinity norm
+    # the maximum over that half.  64 x 64 gauss2 cells: 128 x 128 nodes,
+    # one block of BLOCK_NODES.
     w = _BAND_WIDTH / 2 ** _N_BANDS
-    bulk_grid = box_grid((0.0, math.pi, w, math.pi - w), level=1, base_cells=48)
+    bulk_grid = box_grid((0.0, math.pi, w, 0.5 * math.pi), level=1, base_cells=32)
     # max |box_g u| over the nodes of the L1 integral, block by block, from
     # the integral's one jet of u per node
     linf = 0.0
@@ -314,7 +321,7 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
         linf = np.maximum(linf, np.max(np.abs(uxy2 / g.density(x, y))))
         return np.abs(uxy2)
 
-    l1 = bulk_grid.integrate(l1_density)
+    l1 = 2.0 * bulk_grid.integrate(l1_density)
     linf = float(linf)
 
     vb_val, vb_ok = vb_converged(u, _VB_CURVE)

@@ -391,6 +391,16 @@ def test_vb_evaluates_once_per_refinement(f):
         assert got.hex() == _vb_by_segments(f, curve, r).hex()
 
 
+def test_vb_of_a_curve_without_vertical_extent_is_zero():
+    # a loop on one horizontal line: its vertical segments all have length
+    # zero, so there is nothing to vary along
+    p, q = F.AnnulusPoint(0.2, 2.0), F.AnnulusPoint(1.1, 2.0)
+    curve = F.PolygonalCurve((p, p, q, q))
+    assert curve.vertical_segments() == []
+    assert LV.vb(U1, curve, 3) == 0.0
+    assert LV.vb_converged(U1, curve) == (0.0, True)
+
+
 def test_vb_difference_bound():
     # |VB(f, P0) - VB(f, P1)| <= (1/2) int |box f| da, curve independent
     p0 = F.diamond_curve(0.1, 0.9, 2.1, 2.9)
@@ -466,9 +476,10 @@ def test_sclass_evaluates_u_once_on_the_bulk_grid():
     g0a = L.desitter(coords="angle")
     h = L.pullback_metric(g0a, F.SineFlowMap(0.3, 2))
     u = h.factor_relative_to(g0a)
-    # the torus minus the band |x - y| < w (mod pi), in (x, d = y - x)
+    # the swap-symmetric half of the torus minus the band |x - y| < w
+    # (mod pi), in (x, d = y - x)
     w = LV._BAND_WIDTH / 2 ** LV._N_BANDS
-    bulk = F.box_grid((0.0, math.pi, w, math.pi - w), level=1, base_cells=48)
+    bulk = F.box_grid((0.0, math.pi, w, 0.5 * math.pi), level=1, base_cells=32)
     shapes = []
     jet = u.jet
 
@@ -478,17 +489,17 @@ def test_sclass_evaluates_u_once_on_the_bulk_grid():
 
     u.jet = spy
     rep = LV.sclass_report(g0a, h)
-    assert bulk.x_nodes.size * bulk.y_nodes.size == 192 * 192
-    # the bulk grid's row blocks, (r, 192) each, cover its 192 rows once
-    rows = [s[0] for s in shapes if s[1:] == (192,)]
-    assert len(rows) > 1 and sum(rows) == 192
-    assert max(rows) * 192 <= F.BLOCK_NODES
+    assert bulk.x_nodes.size == bulk.y_nodes.size == 128
+    # its 128 x 128 nodes fill one block: one jet of u on all of them
+    assert bulk.x_nodes.size * bulk.y_nodes.size == F.BLOCK_NODES
+    assert [s for s in shapes if s[1:] == (128,)] == [(128, 128)]
     # the norms of separate evaluations, bit for bit
     del u.jet
     x, d = bulk.x_nodes[:, None], bulk.y_nodes[None, :]
     dal = L.dalembertian_values(g0a, u, x, x + d)
     assert rep.Linf_dal == float(np.max(np.abs(dal)))
-    assert rep.L1_dal == bulk.integrate(lambda x, d: np.abs(2.0 * u.jet(x, x + d).vxy))
+    assert rep.L1_dal == 2.0 * bulk.integrate(
+        lambda x, d: np.abs(2.0 * u.jet(x, x + d).vxy))
 
 
 def test_sclass_log_factor_fails_boundedness():
