@@ -491,14 +491,6 @@ class InfinityForms:
     IIIstar: np.ndarray
     Bstar: np.ndarray
 
-    def shape_consistency_residual(self):
-        """II* = I* B* and III*(X, Y) = I*(B*X, B*Y), maxed."""
-        lhs1 = self.Istar @ self.Bstar
-        r1 = np.max(np.abs(lhs1 - self.IIstar))
-        lhs2 = np.swapaxes(self.Bstar, -1, -2) @ self.Istar @ self.Bstar
-        r2 = np.max(np.abs(lhs2 - self.IIIstar))
-        return float(max(r1, r2))
-
     def envelope_metric(self):
         """Induced metric of the envelope: I*/2 + II* + III*/2."""
         sym = 0.5 * (self.IIstar + np.swapaxes(self.IIstar, -1, -2))

@@ -46,7 +46,6 @@ from .fields import (
     ConstantField,
     IdentityMap,
     Jet2,
-    PiecewiseMobiusAngleMap,
     ScalarField,
     UniformizingFactor,
     _schwarzian,
@@ -128,11 +127,6 @@ class Crossratio:
         r2 = xwXY * self.fn(x, w, y, X) / self.fn(x, w, y, Y)
         return float(np.max(np.abs(np.concatenate([r1, r2]) - 1.0)))
 
-    def positivity_check(self, rng, samples=200):
-        """b > 1 on every sample (NaN fails)."""
-        x, y, X, Y = self._cyclic_samples(rng, samples, 4, (0.05, 1.0), 0.05, 2.0)
-        return bool(np.all(self.fn(x, y, X, Y) > 1.0))
-
     def density(self, s, t):
         """The exact metric density rho(s, t) of the family."""
         if self._exact_density is None:
@@ -164,9 +158,17 @@ def diamond_area(b: Crossratio, d: Diamond) -> float:
 # ---------------------------------------------------------------------------
 
 def schwarzian(phi: CircleMap, x):
-    """S_phi = phi'''/phi' - (3/2)(phi''/phi')^2 at x."""
-    checked = isinstance(phi, PiecewiseMobiusAngleMap)
-    _, d1, d2, d3 = phi.jets_checked(x) if checked else phi.jets(x)
+    """S_phi = phi'''/phi' - (3/2)(phi''/phi')^2 at x.
+
+    NotC3AtPoint at a point within 1e-12 (mod pi) of one of
+    ``phi.breakpoints``, where phi has no third derivative.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    for b in phi.breakpoints:
+        d = np.remainder(xs - b, math.pi)
+        if np.any(np.minimum(d, math.pi - d) < 1e-12):
+            raise NotC3AtPoint(f"breakpoint {b} has no third derivative")
+    _, d1, d2, d3 = phi.jets(x)
     if np.any(d1 <= 0):
         raise NotC3AtPoint("phi' must be positive")
     return _schwarzian(d1, d2, d3)

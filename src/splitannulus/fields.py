@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     DiagonalPoint,
     NonFiniteDensity,
-    NotC3AtPoint,
     NotCyclic,
     OutOfChart,
 )
@@ -797,15 +796,6 @@ class PiecewiseMobiusAngleMap(CircleMap):
         return PieceJets((c.reshape(t_in.shape) for c in out),
                          idx.reshape(t_in.shape))
 
-    def jets_checked(self, t):
-        """Like ``jets`` but refuses breakpoints (no third derivative there)."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        for b in self.breakpoints:
-            d = np.remainder(ts - b, math.pi)
-            if np.any(np.minimum(d, math.pi - d) < 1e-12):
-                raise NotC3AtPoint(f"breakpoint {b} has no third derivative")
-        return self.jets(t)
-
     def _validate(self):
         n = len(self.pieces)
         for i in range(n):
@@ -1074,16 +1064,11 @@ def _axis_nodes(segments, cells, scheme):
     k = np.arange(-max(counts), 1.0) + n
     delta = seg[:, 1:] - lo
     step = delta / n
-    if np.all(step):
-        edges = k * step + lo
-    else:
-        edges = np.where(step == 0, k / n * delta, k * step) + lo
+    edges = np.where(step == 0, k / n * delta, k * step) + lo
     edges[:, -1] = seg[:, 1]
-    left, h = edges[:, :-1], edges[:, 1:] - edges[:, :-1]
-    if len(counts) > 1:  # a single segment has no padding
-        keep = k[:, 1:] > 0
-        left, h = left[keep], h[keep]
-    left, h = left.reshape(-1, 1), h.reshape(-1, 1)
+    keep = k[:, 1:] > 0
+    left = edges[:, :-1][keep][:, None]
+    h = (edges[:, 1:] - edges[:, :-1])[keep][:, None]
     return (left + s * h).ravel(), (w * h).ravel()
 
 

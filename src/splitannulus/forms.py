@@ -60,7 +60,7 @@ from .errors import (
 )
 from .fields import QuadratureGrid, _axis_nodes, box_grid
 from .liouville import ActionValue, refinement_trail
-from .lorentz import SplitMetric, curvature
+from .lorentz import SplitMetric
 
 # ---------------------------------------------------------------------------
 # Points, vectors, frames
@@ -463,10 +463,10 @@ def w_value(lens: LensCobordism, grid: QuadratureGrid, a=0.0, b=1.0) -> float:
     of det(x, d_x x, d_y x, d_t x), so the slice weighs their det4 by
     w / 4.  NonFiniteDensity if e^{tu} could overflow on [a, b].
 
-    ``w_volume`` and ``w_volume_split`` compose it; a caller that needs
-    one level only, such as verify's W = S check at ``w_grid(lens,
-    level + 1)``, calls it directly and gets the same bits as the
-    ``value`` of ``w_volume`` at ``level``.
+    ``w_volume`` composes it; a caller that needs one level only, such
+    as verify's W = S check at ``w_grid(lens, level + 1)``, calls it
+    directly and gets the same bits as the ``value`` of ``w_volume`` at
+    ``level``.
     """
     ts, weights = _axis_nodes(((a, b),), 1, W_SCHEME)
     data = lens.data
@@ -502,20 +502,6 @@ def w_volume(lens: LensCobordism, grid: QuadratureGrid,
     return refinement_trail(lambda gr: w_value(lens, gr), (coarse, coarse.refine()))
 
 
-def w_volume_split(lens: LensCobordism, grid):
-    """Chasles check: the lens split at t = 1/2 sums to the full lens.
-
-    All three run on ``w_grid`` at ``grid.level``; each half and the full
-    lens carry one gauss12 cell in t, so the halves and the whole are
-    different t-rules and the additivity residual is their quadrature
-    error (the boundary terms telescope).
-    """
-    gr = w_grid(lens, grid.level)
-    return (w_value(lens, gr, 0.0, 0.5),
-            w_value(lens, gr, 0.5, 1.0),
-            w_value(lens, gr))
-
-
 def classical_formula_residual(f) -> float:
     """Pointwise |F* alpha - (1/4) tr(B) da| over the points of a frame.
 
@@ -529,29 +515,3 @@ def classical_formula_residual(f) -> float:
     trb = np.trace(b, axis1=-2, axis2=-1)
     return float(np.max(np.abs(falpha - 0.25 * trb * da)))
 
-
-def mean_curvature(f):
-    """H = (1/2) tr(B) for a lifted surface frame."""
-    return 0.5 * np.trace(fundamental_forms(f)[-1], axis1=-2, axis2=-1)
-
-
-def variational_3d_residual(metric: SplitMetric, u, dt, grid):
-    """|central difference of W(lens to e^{2 dt u} g) + (1/2) int u F|."""
-    base = metric
-    plus = LensCobordism(base.scaled_by(dt * u), grid_box(grid))
-    minus = LensCobordism(base.scaled_by(-dt * u), grid_box(grid))
-    wp = w_volume(plus, grid).value
-    wm = w_volume(minus, grid).value
-    cd = (wp - wm) / (2.0 * dt)
-    kg = curvature(base)
-    target = grid.integrate(lambda x, y: u.value(x, y) * kg.F_density(x, y))
-    return abs(cd + 0.5 * target)
-
-
-def grid_box(grid: QuadratureGrid):
-    return (
-        grid.x_segments[0][0],
-        grid.x_segments[-1][1],
-        grid.y_segments[0][0],
-        grid.y_segments[-1][1],
-    )

@@ -136,15 +136,8 @@ def chasles_residual(g, h, k, grid, refine=True) -> float:
     )
 
 
-def split_invariance_residual(g, h, phi, grid, pulled_grid) -> float:
-    """|S(phi* g, phi* h) - S(g, h)| for a diagonal split map."""
-    gp = pullback_metric(g, phi)
-    hp = pullback_metric(h, phi)
-    return abs(action(gp, hp, pulled_grid).value - action(g, h, grid).value)
-
-
 # ---------------------------------------------------------------------------
-# Variation and criticality
+# Variation
 # ---------------------------------------------------------------------------
 
 def variational_residual(g: SplitMetric, u: ScalarField, dt: float,
@@ -164,28 +157,6 @@ def variational_residual(g: SplitMetric, u: ScalarField, dt: float,
     target = grid.integrate(lambda x, y: u.value(x, y) * kg.F_density(x, y),
                             support=u.support_box)
     return abs(cd + 0.5 * target)
-
-
-def criticality_test(g: SplitMetric, u: ScalarField, grid: QuadratureGrid):
-    """(first variation of area, first variation of the action).
-
-    area_deriv = int u da_g and action_deriv = -(1/2) int u F_g; for a
-    constant curvature metric the two are proportional, so area-neutral
-    scalings are action-critical.
-    """
-    area_deriv = grid.integrate(lambda x, y: u.value(x, y) * g.density(x, y))
-    kg = curvature(g)
-    action_deriv = -0.5 * grid.integrate(
-        lambda x, y: u.value(x, y) * kg.F_density(x, y)
-    )
-    return float(area_deriv), float(action_deriv)
-
-
-def area_neutral_combination(g, u1, u2, grid):
-    """u1 - c u2 with c chosen so the g-area derivative vanishes on grid."""
-    a1 = grid.integrate(lambda x, y: u1.value(x, y) * g.density(x, y))
-    a2 = grid.integrate(lambda x, y: u2.value(x, y) * g.density(x, y))
-    return u1 - (a1 / a2) * u2
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +198,6 @@ def vb_converged(f, curve):
             return cur, True
         prev = cur
     return prev, False
-
-
-def dal_variation_bound(f, grid) -> float:
-    """(1/2) int |box_g f| da_g, which is int |f_xy| dx dy, metric free."""
-    return grid.integrate(lambda x, y: np.abs(f.jet(x, y).vxy))
 
 
 @dataclass

@@ -115,6 +115,7 @@ class CurvatureReport:
         # K * e^{2v} = -2 v_xy exactly; no exponentials needed
         return -2.0 * self.metric.total_factor_jet(x, y).vxy
 
+    # perfbench/spans.py wraps this method by name
     def consistency_residual(self, x, y):
         return np.max(np.abs(
             self.F_density(x, y) - self.K(x, y) * self.metric.density(x, y)
@@ -125,6 +126,7 @@ def curvature(g: SplitMetric) -> CurvatureReport:
     return CurvatureReport(g)
 
 
+# perfbench/spans.py wraps this function by name
 def dalembertian(g: SplitMetric, f: ScalarField, p: AnnulusPoint) -> float:
     """box_g f = 2 * density^{-1} * d2f/dxdy at a point."""
     return float(dalembertian_values(g, f, p.x, p.y))
@@ -142,27 +144,3 @@ def conformal_change_residual(g: SplitMetric, u: ScalarField, x, y) -> float:
            - np.exp(2.0 * u.value(x, y)) * curvature(g.scaled_by(u)).K(x, y))
     return float(np.max(np.abs(lhs - rhs)))
 
-
-def curvature_form_difference(g: SplitMetric, u: ScalarField, p: AnnulusPoint):
-    """Density of d(du o I) against the curvature-form difference.
-
-    Returns (density, residual): density = 2 u_xy and residual of the
-    identity d(du o I) = F_g - F_h for h = e^{2u} g, all as densities
-    against dx ^ dy.
-    """
-    x, y = p.x, p.y
-    dens = 2.0 * u.jet(x, y).vxy
-    h = g.scaled_by(u)
-    diff = curvature(g).F_density(x, y) - curvature(h).F_density(x, y)
-    return float(dens), float(abs(dens - diff))
-
-
-def trace_split(g: SplitMetric, q_matrix, p: AnnulusPoint) -> float:
-    """Trace of a symmetric bilinear form against g in the split basis.
-
-    With a split basis (v1, v2) normalized by g(v1, v2) = 1 the trace is
-    2 Q(v1, v2); in the coordinate frame that is 2 Q_xy / g_xy.  In
-    particular the trace of the metric itself is 2.
-    """
-    q = np.asarray(q_matrix, dtype=float)
-    return float(2.0 * q[0, 1] / g.bilinear_xy(p.x, p.y))

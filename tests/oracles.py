@@ -9,14 +9,18 @@ central differences.  The affine Mobius map and the log-sine factor are
 fixtures the CLI never builds, and the Segre section and the mass of a
 bump are closed forms the tests compare against.  The quadrature rules
 are built here the plain way, a segment or a block of arcs at a time, as
-references for the array builds of ``fields``.
+references for the array builds of ``fields``.  The identity residuals
+that two test modules share compose public calls of the package:
+``split_invariance_residual`` (the action under a diagonal split map),
+``criticality_test`` (the first variations of area and action) and
+``area_neutral_combination`` (a variation of zero first area variation).
 """
 
 import math
 
 import numpy as np
 
-from splitannulus import adsgeom as A, fields as F
+from splitannulus import adsgeom as A, fields as F, liouville as LV, lorentz as L
 from splitannulus.errors import OutOfChart
 
 
@@ -281,3 +285,36 @@ def arc_pair_nodes(rule):
             blocks.append((x, y, a * b * w))
     x, y, w = (np.concatenate([np.ravel(c) for c in cs]) for cs in zip(*blocks))
     return (x, y, w) + tuple(np.concatenate(cs) for cs in zip(*diag))
+
+
+# ---------------------------------------------------------------------------
+# identity residuals of the Liouville action
+# ---------------------------------------------------------------------------
+
+def split_invariance_residual(g, h, phi, grid, pulled_grid) -> float:
+    """|S(phi* g, phi* h) - S(g, h)| for a diagonal split map."""
+    gp = L.pullback_metric(g, phi)
+    hp = L.pullback_metric(h, phi)
+    return abs(LV.action(gp, hp, pulled_grid).value - LV.action(g, h, grid).value)
+
+
+def criticality_test(g, u, grid):
+    """(first variation of area, first variation of the action).
+
+    area_deriv = int u da_g and action_deriv = -(1/2) int u F_g; for a
+    constant curvature metric the two are proportional, so area-neutral
+    scalings are action-critical.
+    """
+    area_deriv = grid.integrate(lambda x, y: u.value(x, y) * g.density(x, y))
+    kg = L.curvature(g)
+    action_deriv = -0.5 * grid.integrate(
+        lambda x, y: u.value(x, y) * kg.F_density(x, y)
+    )
+    return float(area_deriv), float(action_deriv)
+
+
+def area_neutral_combination(g, u1, u2, grid):
+    """u1 - c u2 with c chosen so the g-area derivative vanishes on grid."""
+    a1 = grid.integrate(lambda x, y: u1.value(x, y) * g.density(x, y))
+    a2 = grid.integrate(lambda x, y: u2.value(x, y) * g.density(x, y))
+    return u1 - (a1 / a2) * u2

@@ -142,7 +142,7 @@ def test_criterion_06_split_invariance():
     cx = sorted(O.mobius_apply(minv, v) for v in (0.0, 1.0))
     cy = sorted(O.mobius_apply(minv, v) for v in (2.0, 3.0))
     pulled = F.box_grid((cx[0], cx[1], cy[0], cy[1]), level=3)
-    res = LV.split_invariance_residual(g, h, phi, grid, pulled)
+    res = O.split_invariance_residual(g, h, phi, grid, pulled)
     report(6, "split invariance under Mobius", res <= 1e-6,
            f"|S(phi*g, phi*h) - S(g, h)| = {res:.3e} <= 1e-6")
 
@@ -175,17 +175,17 @@ def test_criterion_08_criticality():
     worst = 0.0
     for _ in range(5):
         b1, b2 = _bumps(rng, 2, amp=0.8)
-        u = LV.area_neutral_combination(G0, b1, b2, grid)
-        _, action_d = LV.criticality_test(G0, u, grid)
+        u = O.area_neutral_combination(G0, b1, b2, grid)
+        _, action_d = O.criticality_test(G0, u, grid)
         worst = max(worst, abs(action_d))
     g_var = G0.scaled_by(F.bump_field((0.42, 2.42), (0.34, 0.34), 0.5))
-    u_c = LV.area_neutral_combination(
+    u_c = O.area_neutral_combination(
         g_var,
         F.bump_field((0.42, 2.42), (0.1, 0.1), 1.0),
         F.bump_field((0.75, 2.72), (0.1, 0.1), 1.0),
         grid,
     )
-    _, counter_d = LV.criticality_test(g_var, u_c, grid)
+    _, counter_d = O.criticality_test(g_var, u_c, grid)
     ok = worst <= 1e-6 and abs(counter_d) > 1e-3
     report(8, "criticality of constant curvature", ok,
            f"max |dS| over 5 area-neutral factors = {worst:.3e} <= 1e-6; "

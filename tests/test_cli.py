@@ -842,6 +842,16 @@ def test_verify_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_module_entry_point_writes_the_report_of_main(tmp_path):
+    # `python -m splitannulus.cli` exits with main's code and writes to
+    # standard output the bytes that main writes to a file
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--seed", "0", "--out", str(out)]) == 0
+    proc = _run_cli("verify", "--seed", "0", "--out", "-")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_text()
+
+
 def test_verify_takes_each_action_once(monkeypatch):
     # integrals inside Liouville actions: S(g0, h), its monotone form,
     # S(h, k), S(g0, k), the flat action and the two variational actions,

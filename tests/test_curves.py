@@ -144,9 +144,15 @@ def test_cocycles(name):
     assert b.cocycle_residuals(RNG, 120) <= 1e-10
 
 
+def positivity_check(b, rng, samples=200):
+    """b > 1 on every sample (NaN fails)."""
+    x, y, X, Y = b._cyclic_samples(rng, samples, 4, (0.05, 1.0), 0.05, 2.0)
+    return bool(np.all(b(x, y, X, Y) > 1.0))
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_positivity(name):
-    assert FAMILIES[name].positivity_check(RNG, 200)
+    assert positivity_check(FAMILIES[name], RNG, 200)
 
 
 def _looped_cocycle_residuals(b, rng, samples):
@@ -208,7 +214,7 @@ def test_a_nan_on_one_sample_is_not_masked():
     b = _nan_below(lowest(1.0))
     assert math.isnan(b.cocycle_residuals(np.random.default_rng(3), 20))
     b = _nan_below(lowest(2.0))
-    assert not b.positivity_check(np.random.default_rng(3), 25)
+    assert not positivity_check(b, np.random.default_rng(3), 25)
 
 
 def test_verify_fails_a_nan_cocycle(monkeypatch, tmp_path):
@@ -442,6 +448,25 @@ def test_schwarzian_refused_at_breakpoint():
     pm = F.four_piece_c1_map()
     with pytest.raises(NotC3AtPoint):
         C.schwarzian(pm, pm.breakpoints[0])
+
+
+# a composition's breakpoints: the inner map's, and the inner preimages of
+# the outer map's (here the four turning points pulled back by a sine flow)
+_COMPOSED = F.four_piece_c1_map().compose(F.SineFlowMap(0.2))
+
+
+@pytest.mark.parametrize("phi, k, shift", [
+    (F.four_piece_c1_map(), 3, math.pi),
+    (_COMPOSED, 0, 0.0),
+    (_COMPOSED, 3, -math.pi),
+], ids=["piecewise_next_turn", "composed", "composed_previous_turn"])
+def test_schwarzian_refused_at_every_breakpoint(phi, k, shift):
+    b = phi.breakpoints[k]
+    near = b + np.array([-1e-9, 1e-9, 0.1])
+    # off the break the pieces are smooth
+    assert np.all(np.isfinite(C.schwarzian(phi, near)))
+    with pytest.raises(NotC3AtPoint, match="no third derivative"):
+        C.schwarzian(phi, np.append(near, b + shift))
 
 
 def test_schwarzian_asymptotics_first_order():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from splitannulus import cli
 from splitannulus import fields as F
-from splitannulus.curves import LogMeanExpField
+from splitannulus.curves import LogMeanExpField, schwarzian
 from splitannulus.errors import DiagonalPoint, NotC3AtPoint, NotCyclic
 
 import oracles as O
@@ -621,7 +621,7 @@ def test_piecewise_mismatched_derivative_rejected():
 def test_breakpoint_third_derivative_refused():
     pm = F.four_piece_c1_map()
     with pytest.raises(NotC3AtPoint):
-        pm.jets_checked(pm.breakpoints[1])
+        schwarzian(pm, pm.breakpoints[1])
 
 
 def test_mobius_uniformizing_factor_vanishes():

@@ -545,9 +545,23 @@ def test_w_volume_density_sees_under_3000_nodes(lens, monkeypatch):
     assert len(nodes) == 2 and sum(nodes) <= 3000
 
 
+def w_volume_split(lens, grid):
+    """Chasles check: the lens split at t = 1/2 sums to the full lens.
+
+    All three run on ``w_grid`` at ``grid.level``; each half and the full
+    lens carry one gauss12 cell in t, so the halves and the whole are
+    different t-rules and the additivity residual is their quadrature
+    error (the boundary terms telescope).
+    """
+    gr = FM.w_grid(lens, grid.level)
+    return (FM.w_value(lens, gr, 0.0, 0.5),
+            FM.w_value(lens, gr, 0.5, 1.0),
+            FM.w_value(lens, gr))
+
+
 def test_w_volume_chasles_split(lens):
     grid = F.box_grid(BOX, level=0)
-    w1, w2, wf = FM.w_volume_split(lens, grid)
+    w1, w2, wf = w_volume_split(lens, grid)
     # the halves and the whole are different t-rules; measured 1.4e-15
     assert abs(w1 + w2 - wf) <= 1.5e-14
 
@@ -562,7 +576,7 @@ def test_w_volume_split_bits(reference, pinned):
     # the halves read the pair jets at t = 1/2, which no other pin does
     g0 = L.desitter() if reference == L.DESITTER else L.flat()
     lens = FM.LensCobordism(g0.scaled_by(BUMP), BOX)
-    got = FM.w_volume_split(lens, F.box_grid(BOX, level=0))
+    got = w_volume_split(lens, F.box_grid(BOX, level=0))
     assert [v.hex() for v in got] == pinned
 
 
@@ -646,11 +660,26 @@ def test_factor_that_jumps_at_its_box_edge_is_refused(u):
         FM.LensCobordism(G0.scaled_by(u), BOX)
 
 
+def variational_3d_residual(metric, u, dt, grid):
+    """|central difference of W(lens to e^{2 dt u} g) + (1/2) int u F|,
+    the lenses over the grid's box."""
+    box = (grid.x_segments[0][0], grid.x_segments[-1][1],
+           grid.y_segments[0][0], grid.y_segments[-1][1])
+    plus = FM.LensCobordism(metric.scaled_by(dt * u), box)
+    minus = FM.LensCobordism(metric.scaled_by(-dt * u), box)
+    wp = FM.w_volume(plus, grid).value
+    wm = FM.w_volume(minus, grid).value
+    cd = (wp - wm) / (2.0 * dt)
+    kg = L.curvature(metric)
+    target = grid.integrate(lambda x, y: u.value(x, y) * kg.F_density(x, y))
+    return abs(cd + 0.5 * target)
+
+
 def test_variational_3d():
     grid = F.box_grid(BOX, level=0)
-    res = FM.variational_3d_residual(G0, BUMP, 1e-3, grid)
+    res = variational_3d_residual(G0, BUMP, 1e-3, grid)
     assert res <= 1e-8
-    res2 = FM.variational_3d_residual(G0, BUMP, 5e-4, grid)
+    res2 = variational_3d_residual(G0, BUMP, 5e-4, grid)
     # exactly quadratic in t: both residuals sit at the floor of the
     # target integral on the gauss2 grid, 7.6e-10
     assert res2 <= 1e-8
@@ -658,12 +687,17 @@ def test_variational_3d():
 
 def test_variational_3d_zero_factor():
     grid = F.box_grid(BOX, level=0, base_cells=8)
-    assert FM.variational_3d_residual(G0, 0.0 * BUMP, 1e-3, grid) <= 1e-12
+    assert variational_3d_residual(G0, 0.0 * BUMP, 1e-3, grid) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # classical formula
 # ---------------------------------------------------------------------------
+
+def mean_curvature(f):
+    """H = (1/2) tr(B) for a lifted surface frame."""
+    return 0.5 * np.trace(A.fundamental_forms(f)[-1], axis1=-2, axis2=-1)
+
 
 def test_classical_formula_geodesic_slice():
     x_fn, n_fn = O.totally_geodesic_slice()
@@ -671,7 +705,7 @@ def test_classical_formula_geodesic_slice():
     t = RNG.uniform(0.1, 1.2, 30)
     frame = O.difference_frame(x_fn, n_fn, s, t)
     assert FM.classical_formula_residual(frame) == 0.0
-    assert np.max(np.abs(FM.mean_curvature(frame))) == 0.0
+    assert np.max(np.abs(mean_curvature(frame))) == 0.0
 
 
 def test_classical_formula_epstein_surface():
