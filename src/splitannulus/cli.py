@@ -332,8 +332,8 @@ def load_config(path):
     # keys read into every other section
     cfg = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        read = cfg.read(path)
-    except configparser.Error as exc:
+        read = cfg.read(path, encoding="utf-8")  # whatever the locale
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}")
     if not read:
         raise ConfigError(f"cannot read config {path}")
@@ -544,8 +544,8 @@ def _verify_checks(seed, sign_flip=False):
 
     rot = adsgeom.random_so_q(rng)
     p = forms.random_ut_point(rng)
-    va = forms.random_ut_tangent(rng, p)
-    vb = forms.random_ut_tangent(rng, p)
+    va = forms.random_tangent(rng, p)
+    vb = forms.random_tangent(rng, p)
     pr = np.concatenate([rot @ p[:4], rot @ p[4:]])
     var = np.concatenate([rot @ va[:4], rot @ va[4:]])
     vbr = np.concatenate([rot @ vb[:4], rot @ vb[4:]])
@@ -601,20 +601,20 @@ def cmd_epstein(args):
                 res = np.maximum(res, adsgeom.frame_constraint_residuals(frame))
                 rows = np.column_stack([S, T, frame.x, frame.n]).tolist()
                 fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        res = float(res)
+        sidecar = {
+            "schema_version": SCHEMA_VERSION,
+            "subcommand": "epstein",
+            "reference": g.reference,
+            "box": box,
+            "samples": ns,
+            "max_constraint_residual": res,
+            "tolerance": tol,
+        }
+        write_report(sidecar, out + ".json")
     except BaseException:
-        os.remove(out)  # a failed lift leaves no partial CSV
+        os.remove(out)  # a failed lift or sidecar leaves no CSV
         raise
-    res = float(res)
-    sidecar = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "epstein",
-        "reference": g.reference,
-        "box": box,
-        "samples": ns,
-        "max_constraint_residual": res,
-        "tolerance": tol,
-    }
-    write_report(sidecar, out + ".json")
     return 0 if res <= tol else 3
 
 

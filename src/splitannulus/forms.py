@@ -82,32 +82,27 @@ def project_frame(amb):
     return np.concatenate([x, n, u])
 
 
-def _constraint_rows_ut(p):
-    x, n = p[:4], p[4:8]
-    z = np.zeros(4)
-    return np.stack([
-        np.concatenate([2 * GRAM @ x, z]),
-        np.concatenate([z, 2 * GRAM @ n]),
-        np.concatenate([GRAM @ n, GRAM @ x]),
-    ])
+# the pairs (i, j) of k 4-vectors whose pairing each constraint row
+# differentiates, in row order: q(v_i) for each i, then <v_i, v_j>, i < j
+_PAIRS = {k: np.concatenate([[np.arange(k)] * 2, np.triu_indices(k, 1)], axis=1)
+          for k in (2, 3)}
 
 
-def _constraint_rows_frame(f):
-    x, n, u = f[:4], f[4:8], f[8:12]
-    z = np.zeros(4)
-    return np.stack([
-        np.concatenate([2 * GRAM @ x, z, z]),
-        np.concatenate([z, 2 * GRAM @ n, z]),
-        np.concatenate([z, z, 2 * GRAM @ u]),
-        np.concatenate([GRAM @ n, GRAM @ x, z]),
-        np.concatenate([GRAM @ u, z, GRAM @ x]),
-        np.concatenate([z, GRAM @ u, GRAM @ n]),
-    ])
+def _constraint_rows(p):
+    """The constraint rows at a UT point (x, n) or a frame point (x, n, u)."""
+    k = len(p) // 4
+    i, j = _PAIRS[k]
+    r = np.arange(len(i))
+    g = np.reshape(p, (k, 4)) @ GRAM  # row i is GRAM v_i: GRAM is symmetric
+    rows = np.zeros((len(r), k, 4))
+    rows[r, i], rows[r, j] = g[j], g[i]
+    rows[:k] *= 2  # d q(v) = 2 <v, dv>
+    return rows.reshape(len(r), 4 * k)
 
 
-def tangent_project(p, vec, frame=False):
+def tangent_project(p, vec):
     """Project an ambient vector onto the differentiated-constraint kernel."""
-    rows = _constraint_rows_frame(p) if frame else _constraint_rows_ut(p)
+    rows = _constraint_rows(p)
     sol, *_ = np.linalg.lstsq(rows.T @ rows + 1e-13 * np.eye(rows.shape[1]),
                               rows.T @ (rows @ vec), rcond=None)
     return vec - sol
@@ -144,13 +139,9 @@ def random_frame_point(rng):
     return project_frame(np.concatenate([p, u]))
 
 
-def random_ut_tangent(rng, p):
-    v = tangent_project(p, rng.normal(size=8))
-    return v / np.linalg.norm(v)
-
-
-def random_frame_tangent(rng, f):
-    v = tangent_project(f, rng.normal(size=12), frame=True)
+def random_tangent(rng, p):
+    """A random unit tangent at a UT point or a frame point p."""
+    v = tangent_project(p, rng.normal(size=len(p)))
     return v / np.linalg.norm(v)
 
 
@@ -158,15 +149,15 @@ def random_frame_tangent(rng, f):
 # The forms
 # ---------------------------------------------------------------------------
 
-_TANGENCY_TOL = 1e-8  # of check_ut_tangent and beta1
+_TANGENCY_TOL = 1e-8
 
 
-def check_ut_tangent(p, v):
-    x, n = p[:4], p[4:8]
-    res = max(abs(pair(v[:4], x)), abs(pair(v[4:], n)),
-              abs(pair(v[:4], n) + pair(x, v[4:])))
+def check_tangent(p, *vecs):
+    """NotTangent if a vector at the UT or frame point p leaves the
+    differentiated-constraint kernel: max |rows(p) @ v| > _TANGENCY_TOL."""
+    res = float(np.max(np.abs(_constraint_rows(p) @ np.stack(vecs).T)))
     if res > _TANGENCY_TOL:
-        raise NotTangent(f"UT tangency residual {res}")
+        raise NotTangent(f"{'frame' if len(p) == 12 else 'UT'} tangency residual {res}")
 
 
 # The forms below index components on the last axis, so points and
@@ -175,15 +166,13 @@ def check_ut_tangent(p, v):
 
 def omega3(p, u, v, w, check=True):
     if check:
-        for vec in (u, v, w):
-            check_ut_tangent(p, vec)
+        check_tangent(p, u, v, w)
     return det4(p[..., :4], u[..., :4], v[..., :4], w[..., :4])
 
 
 def alpha2(p, u, v, check=True):
     if check:
-        for vec in (u, v):
-            check_ut_tangent(p, vec)
+        check_tangent(p, u, v)
     # alpha(u, v) is alpha's density on a frame at p with d_x = u, d_y = v
     return _alpha_boundary_density(EpsteinFrame(p[..., :4], p[..., 4:8], u[..., :4],
                                                 v[..., :4], u[..., 4:], v[..., 4:]))
@@ -191,8 +180,7 @@ def alpha2(p, u, v, check=True):
 
 def theta(i, p, u, v, check=True):
     if check:
-        for vec in (u, v):
-            check_ut_tangent(p, vec)
+        check_tangent(p, u, v)
     x, n = p[..., :4], p[..., 4:8]
     if i == 1:
         return det4(x, n, u[..., :4], v[..., :4])
@@ -216,10 +204,7 @@ def beta(f, w):
 
 def beta1(f, w):
     """beta(w) on a frame tangent; NotTangent off the constraint kernel."""
-    rows = _constraint_rows_frame(f)
-    res = np.max(np.abs(rows @ w))
-    if res > _TANGENCY_TOL:
-        raise NotTangent(f"frame tangency residual {res}")
+    check_tangent(f, w)
     return float(beta(f, w))
 
 
@@ -295,8 +280,8 @@ def fundamental_equations_residual(rng, sign_flip=False):
     each.
     """
     f = random_frame_point(rng)
-    v = random_frame_tangent(rng, f)
-    w = random_frame_tangent(rng, f)
+    v = random_tangent(rng, f)
+    w = random_tangent(rng, f)
     dbeta = exterior_derivative(lambda pt, vecs: beta(pt, vecs[0]), f, [v, w])
     # theta2(v, w), theta1(v, w) on the UT parts
     th2, th1 = det4(f[:4], f[4:8], np.stack([v[4:8], v[:4]]),
@@ -307,9 +292,9 @@ def fundamental_equations_residual(rng, sign_flip=False):
     r1 = abs(dbeta - rhs1)
 
     q = random_ut_point(rng)
-    a = random_ut_tangent(rng, q)
-    b = random_ut_tangent(rng, q)
-    c = random_ut_tangent(rng, q)
+    a = random_tangent(rng, q)
+    b = random_tangent(rng, q)
+    c = random_tangent(rng, q)
     dalpha = exterior_derivative(lambda pt, vecs: alpha2(pt, vecs[0], vecs[1],
                                                          check=False),
                                  q, [a, b, c])

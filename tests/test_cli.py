@@ -424,6 +424,14 @@ def test_one_config_serves_action_and_epstein(tmp_path):
     pytest.param("action", "[uniformizing]\nkind = piecewise\nbreaks = 0.3 1.0\n"
                  "matrices = 1 0 0 1", ("[uniformizing]", "one matrix per arc"),
                  id="piecewise_matrix_count"),
+    # det 1, but phi''' would overflow: exit 3, "overflow encountered in square"
+    pytest.param("action", "[uniformizing]\nkind = piecewise\nbreaks = 0\n"
+                 "matrices = 1 1e155 0 1", ("[uniformizing]", "entry of 1e+155",
+                                           "angle jets would overflow"),
+                 id="piecewise_jets_overflow"),
+    pytest.param("curve", "[curve]\nfamily = po22\nkind = mobius\n"
+                 "matrix = 1 1e155 0 1", ("[curve]", "angle jets would overflow"),
+                 id="mobius_jets_overflow"),
     # both pieces fix the angles 0 and pi/2, with derivatives 1 and 4 there
     pytest.param("curve", "[curve]\nfamily = po22\nkind = piecewise\n"
                  f"breaks = 0 {math.pi / 2!r}\nmatrices =\n    1 0 0 1\n    2 0 0 0.5",
@@ -1006,6 +1014,32 @@ def test_missing_config_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("command, ini", [
+    ("action", ACTION_INI), ("curve", CURVE_INI), ("epstein", EPSTEIN_INI),
+], ids=["action", "curve", "epstein"])
+def test_undecodable_config_is_config_error(tmp_path, capsys, command, ini):
+    # a config is read as UTF-8 whatever the locale: the byte 0xff ended in
+    # a UnicodeDecodeError and exit 1, the code of a failed identity
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(ini.encode() + b"\n# \xff\n")
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: malformed config {cfg}")
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_epstein_unwritable_sidecar_leaves_no_csv(tmp_path, capsys):
+    # the CSV was written in full before its sidecar was refused
+    cfg = _write(tmp_path, "e.ini", EPSTEIN_INI)
+    (tmp_path / "d.csv.json").mkdir()
+    out = tmp_path / "d.csv"
+    assert cli.main(["epstein", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out}.json")
+    assert not out.exists()
+    assert list((tmp_path / "d.csv.json").iterdir()) == []
+
+
+@pytest.mark.parametrize("command, ini", [
     ("action", ACTION_INI), ("verify", None), ("curve", CURVE_INI),
     ("epstein", EPSTEIN_INI),
 ], ids=["action", "verify", "curve", "epstein"])
@@ -1486,3 +1520,46 @@ def test_every_package_name_the_readme_quotes_resolves():
                                    importlib.import_module(f"splitannulus.{module}"))
                is None]
     assert missing == []
+
+
+def _readme_config_rows():
+    """{(section or kind, key): (default, constraint)} of README's Config
+    keys table, backticks dropped; a blank first cell repeats the one above."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    lines = readme.split("### Config keys")[1].split("| section or kind |")[1]
+    rows, label = {}, None
+    for line in lines.splitlines()[2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        cells = [c.strip().replace("`", "") for c in line.strip().strip("|").split("|")]
+        label = cells[0] or label
+        rows[label, cells[1]] = (cells[2], cells[3])
+    return rows
+
+
+def test_readme_config_table_matches_the_schema():
+    # README names cli's tables as its source: every key they hold, with
+    # its default read back by the key's own parser, and no other key
+    rows = _readme_config_rows()
+    tables = {"[metric.NAME]": cli._METRIC, "[grid]": cli._GRID,
+              "[epstein]": cli._EPSTEIN,
+              **{f"field {kind}": table for kind, (_, table) in cli._FIELDS.items()},
+              **{f"map {kind}": table for kind, (_, table) in cli._CIRCLE_MAPS.items()}}
+    # the keys read outside the tables: a kind key lists the kinds of its table
+    kinds = {("[metric.NAME.u]", "kind"): cli._FIELDS,
+             ("[curve] (po22), [uniformizing]", "kind"): cli._CIRCLE_MAPS}
+    others = {("[metric.NAME.u]", "support_box"), ("[curve]", "family")}
+    assert set(rows) == ({(label, key) for label, table in tables.items() for key in table}
+                         | set(kinds) | others)
+    for label, table in tables.items():
+        for key, (parse, default) in table.items():
+            text = rows[label, key][0]
+            if default is cli._REQUIRED:
+                assert text == "required", (label, key)
+            else:
+                want = list(default) if isinstance(default, tuple) else default
+                assert parse(text) == want, (label, key)
+    for where, table in kinds.items():
+        default, constraint = rows[where]
+        assert set(re.findall(r"\w+", constraint)) - {"or"} == set(table), where
+        assert default in table, where

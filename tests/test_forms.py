@@ -33,7 +33,7 @@ def derived_vector(f):
 def _ut_config(seed=0):
     rng = np.random.default_rng(seed)
     p = FM.random_ut_point(rng)
-    vs = [FM.random_ut_tangent(rng, p) for _ in range(4)]
+    vs = [FM.random_tangent(rng, p) for _ in range(4)]
     return p, vs
 
 
@@ -100,6 +100,38 @@ def test_not_tangent_rejected():
         FM.omega3(p, bad, u, u)
 
 
+def _constraint_residual(p, v):
+    """max |D_v c| over the constraints c of the point p: q(v_i) = +-1 and
+    <v_i, v_j> = 0 for its 4-vectors v_i, written out with the pairing."""
+    ps, vs = p.reshape(-1, 4), v.reshape(-1, 4)
+    k = len(ps)
+    terms = [2 * A.pair(ps[i], vs[i]) for i in range(k)]
+    terms += [A.pair(vs[i], ps[j]) + A.pair(ps[i], vs[j])
+              for i in range(k) for j in range(i + 1, k)]
+    return max(abs(float(t)) for t in terms)
+
+
+@pytest.mark.parametrize("draw", [FM.random_ut_point, FM.random_frame_point],
+                         ids=["ut", "frame"])
+def test_check_tangent_refuses_past_its_tolerance(draw):
+    rng = np.random.default_rng(9)
+    p = draw(rng)
+    v = FM.tangent_project(p, rng.normal(size=len(p)))
+    assert _constraint_residual(p, v) <= 1e-12
+    FM.check_tangent(p, v)
+    # the residual is linear in the vector: off reads 1
+    off = rng.normal(size=len(p))
+    off /= _constraint_residual(p, off)
+    for scale, refused in ((0.9e-8, False), (1.1e-8, True)):
+        w = v + scale * off
+        assert (_constraint_residual(p, w) > 1e-8) == refused
+        if refused:
+            with pytest.raises(NotTangent, match="tangency residual"):
+                FM.check_tangent(p, v, w)
+        else:
+            FM.check_tangent(p, v, w)
+
+
 def test_derived_vector_invariants():
     rng = np.random.default_rng(71)
     for _ in range(10):
@@ -117,7 +149,7 @@ def test_beta_examples():
     rng = np.random.default_rng(8)
     f = FM.random_frame_point(rng)
     e = derived_vector(f)
-    w0 = FM.tangent_project(f, np.zeros(12), frame=True)
+    w0 = FM.tangent_project(f, np.zeros(12))
     assert FM.beta1(f, w0) == 0.0
     # w3 proportional to e evaluates to q(e) * scale = -scale
     w = np.concatenate([np.zeros(8), 1.7 * e])
@@ -125,8 +157,8 @@ def test_beta_examples():
         -1.7, abs=1e-10
     )
     # linearity on random combinations
-    v1 = FM.random_frame_tangent(rng, f)
-    v2 = FM.random_frame_tangent(rng, f)
+    v1 = FM.random_tangent(rng, f)
+    v2 = FM.random_tangent(rng, f)
     a, b = 0.6, -1.9
     assert FM.beta1(f, a * v1 + b * v2) == pytest.approx(
         a * FM.beta1(f, v1) + b * FM.beta1(f, v2), abs=1e-12
@@ -150,7 +182,7 @@ def test_so_q_invariance_of_forms():
         assert FM.theta(i, p, u, v) == pytest.approx(
             FM.theta(i, pr, ur, vr, check=False), abs=1e-10)
     f = FM.random_frame_point(rng)
-    t = FM.random_frame_tangent(rng, f)
+    t = FM.random_tangent(rng, f)
     fr = np.concatenate([rot @ f[:4], rot @ f[4:8], rot @ f[8:12]])
     tr = np.concatenate([rot @ t[:4], rot @ t[4:8], rot @ t[8:12]])
     assert FM.beta1(f, t) == pytest.approx(FM.beta1(fr, tr), abs=1e-10)
@@ -175,7 +207,7 @@ def test_omega_is_closed():
     rng = np.random.default_rng(17)
     for _ in range(5):
         p = FM.random_ut_point(rng)
-        vs = [FM.random_ut_tangent(rng, p) for _ in range(4)]
+        vs = [FM.random_tangent(rng, p) for _ in range(4)]
         dom = FM.exterior_derivative(
             lambda pt, vecs: FM.omega3(pt, *vecs, check=False), p, vs)
         assert abs(dom) <= 1e-12
@@ -238,8 +270,8 @@ def _stencil_configs(seed):
     q = FM.random_ut_point(rng)
     base, *quartic = rng.uniform(-0.8, 0.8, (3, 3))
     return [
-        (_beta_form, f, [FM.random_frame_tangent(rng, f) for _ in range(2)]),
-        (_alpha_form, q, [FM.random_ut_tangent(rng, q) for _ in range(3)]),
+        (_beta_form, f, [FM.random_tangent(rng, f) for _ in range(2)]),
+        (_alpha_form, q, [FM.random_tangent(rng, q) for _ in range(3)]),
         (_quartic_form, base, quartic),
     ]
 
@@ -269,8 +301,8 @@ def _looped_fundamental_equations(rng, sign_flip=False):
     # the residuals with every form, theta, x* and n* taken one vector
     # (pair) at a time, in the wedge's order
     f = FM.random_frame_point(rng)
-    v = FM.random_frame_tangent(rng, f)
-    w = FM.random_frame_tangent(rng, f)
+    v = FM.random_tangent(rng, f)
+    w = FM.random_tangent(rng, f)
     dbeta = _looped_exterior_derivative(_beta_form, f, [v, w])
     p, vp, wp = f[:8], v[:8], w[:8]
     rhs1 = (float(FM.theta(2, p, vp, wp, check=False))
@@ -280,7 +312,7 @@ def _looped_fundamental_equations(rng, sign_flip=False):
     r1 = abs(dbeta - rhs1)
 
     q = FM.random_ut_point(rng)
-    a, b, c = (FM.random_ut_tangent(rng, q) for _ in range(3))
+    a, b, c = (FM.random_tangent(rng, q) for _ in range(3))
     dalpha = _looped_exterior_derivative(_alpha_form, q, [a, b, c])
 
     def wedge(gamma, i):

@@ -58,10 +58,8 @@ def _decreasing_map():
     return F.AnalyticChartMap((np.negative, lambda t: -np.ones_like(t), zero, zero))
 
 
-def _overflowing_piece():
-    # det 1, but |M v|^2 overflows near v = (0, 1): phi' = 1/|M v|^2 reads 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        F.PiecewiseMobiusAngleMap([0.0], [np.array([[1.0, 1e155], [0.0, 1.0]])])
+def _one_piece(*row):
+    return F.PiecewiseMobiusAngleMap([0.0], [np.array([row[:2], row[2:]])])
 
 
 def _off_kernel_beta():
@@ -73,7 +71,7 @@ def _off_kernel_beta():
 def _theta_index_three():
     rng = np.random.default_rng(5)
     p = FM.random_ut_point(rng)
-    u, v = (FM.random_ut_tangent(rng, p) for _ in range(2))
+    u, v = (FM.random_tangent(rng, p) for _ in range(2))
     FM.theta(3, p, u, v)
 
 
@@ -97,8 +95,16 @@ GUARDS = [
                  ValueError, "coordinate system", id="composed_mixed_coords"),
     pytest.param(lambda: _KinkedAffineMap().compose(F.tan_chart_map()),
                  ValueError, "angle line", id="composed_preimage_off_angle_line"),
-    pytest.param(_overflowing_piece, ValueError, "not orientation preserving",
-                 id="piecewise_piece_not_orientation_preserving"),
+    # det 1, but |M v|^2 overflows near v = (0, 1)
+    pytest.param(lambda: _one_piece(1.0, 1e155, 0.0, 1.0), ValueError,
+                 "entry of 1e\\+155, past 1e\\+50: its angle jets would overflow",
+                 id="piecewise_piece_jets_overflow"),
+    pytest.param(lambda: _one_piece(1.0, np.nan, 0.0, 1.0), ValueError,
+                 "entries must be finite", id="piecewise_piece_nan"),
+    pytest.param(lambda: _one_piece(np.inf, 0.0, 0.0, 1.0), ValueError,
+                 "entries must be finite", id="piecewise_piece_inf"),
+    pytest.param(lambda: F.AngleMobiusMap(np.diag([1e200, 1e200])),
+                 ValueError, "determinant overflows", id="mobius_determinant_overflows"),
     pytest.param(lambda: F.mobius_through(0.3, 0.3, 1.0, 1.35, -1.0),
                  ValueError, "orientation-reversing", id="mobius_through_reversing"),
     pytest.param(lambda: F.PolygonalCurve((P(0.1, 2.0), P(0.1, 2.5), P(0.5, 2.5))),
