@@ -257,7 +257,7 @@ def parse_field(cfg, section):
     values = _read(section, items, {**table, "support_box": (_box, None)})
     support = values.pop("support_box")
     f = _build(section, ctor, values)
-    return f if support is None else fields.with_support_box(f, support)
+    return f if support is None else fields.ClippedField(f, support)
 
 
 def parse_metric(cfg, name):
@@ -306,7 +306,7 @@ def parse_curve(cfg):
                           "po22", key="family")
     if family == "psl3_conic":
         _read("curve", items, {})
-        return curves.psl3_conic(coords="angle")
+        return curves.PSL3Conic(coords="angle")
     return curves.PO22Curve(_parse_circle_map("curve", items))
 
 
@@ -417,7 +417,7 @@ def _cmd_action_uniformizing(cfg, args):
     phi = _parse_circle_map("uniformizing", cfg["uniformizing"])
     level = args.grid_level if args.grid_level is not None else 3
     _check_torus("uniformizing", phi.breakpoints, level)
-    av, definition = liouville.uniformizing_action(phi, levels=level)
+    av, definition = curves.uniformizing_action(phi, levels=level)
     report = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "action",
@@ -513,7 +513,7 @@ def _verify_checks(seed, sign_flip=False):
     add("cocycles_anchor", anchor.cocycle_residuals(rng, 60), 1e-10)
     po22 = curves.PO22Curve(fields.SineFlowMap(0.3, 2)).crossratio()
     add("cocycles_po22", po22.cocycle_residuals(rng, 60), 1e-10)
-    conic = curves.psl3_conic().crossratio()
+    conic = curves.PSL3Conic().crossratio()
     add("cocycles_psl3", conic.cocycle_residuals(rng, 60), 1e-10)
 
     d_full = curves.Diamond(0.0, 1.0, 2.0, 3.0)

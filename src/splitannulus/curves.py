@@ -19,8 +19,12 @@ exp(Area_{g0}) = D^2 reproduces the de Sitter density 2/(s-t)^2, so all
 family weights are measured, never assumed.
 
 Shipped families: the PO(2,2) crossratio of a pair of circle maps and
-the PSL3 flag-curve crossratio of a pointed convex curve.  Both carry
-exact metric densities; a crossratio without one has no density.
+the PSL3 flag-curve crossratio of the conic.  Both carry exact metric
+densities; a crossratio without one has no density.
+
+Every action over the torus is a ``curve_action``: the uniformizing
+metric Phi* g0 of a circle map phi is the metric of the PO(2,2) curve
+(phi, phi), so ``uniformizing_action`` is its curve action.
 """
 
 from __future__ import annotations
@@ -276,6 +280,10 @@ class PO22Curve:
         return desitter(coords="angle")
 
     def conformal_factor(self) -> ScalarField:
+        # the log-mean-exp of two equal factors is that factor: the curve
+        # (phi, phi) takes one jet of u_phi per node
+        if self.psi is self.chi:
+            return self.u_chi
         # psi = identity has the factor zero; its UniformizingFactor jets
         # would cost as much as chi's only to compute zeros
         identity = isinstance(self.psi, IdentityMap)
@@ -286,6 +294,8 @@ class PO22Curve:
         return self.circle_metric().scaled_by(self.conformal_factor())
 
     def diagonal_limit_density(self, x):
+        if self.psi is self.chi:  # the mean of two equal limits
+            return self.u_chi.diagonal_limit_density(x)
         return 0.5 * (
             self.u_psi.diagonal_limit_density(x)
             + self.u_chi.diagonal_limit_density(x)
@@ -299,23 +309,29 @@ class PO22Curve:
 # The PSL3 family
 # ---------------------------------------------------------------------------
 
-class PSL3Curve:
-    """A pointed convex curve (x(t), l(t)), carried by its pairing.
+class PSL3Conic:
+    """The conic x(t) = [t^2, t, 1] with tangents l(s) = (1, -2s, s^2), the
+    one pointed convex curve of the PSL3 family the package ships.
 
-    ``pairing(s, t)`` evaluates <l(s) | x(t)>; the crossratio is the
+    ``pairing(s, t)`` evaluates <l(s) | x(t)> = D(t - s)^2 with the
+    coordinate difference D of the chart ``coords``: (t - s)^2 in affine
+    coordinates; with the trigonometric representatives x(t) = (sin^2 t,
+    sin t cos t, cos^2 t) and l(s) = (cos^2 s, -2 sin s cos s, sin^2 s) it
+    is sin^2(t - s), smooth across the chart.  The crossratio is the
     four-point pairing quotient, scale invariant in both homogeneous
-    representatives, so the pairing alone determines it and the points
-    and lines themselves are not stored.  ``log_pairing_dst`` supplies
-    the exact mixed derivative of log pairing, which is the metric density
-    of the family.
+    representatives.  Its metric density, the mixed derivative of log
+    pairing, is the de Sitter density: the conic is a circle of the
+    family, so its factor against the circle metric is zero.
     """
 
     family = "psl3"
 
-    def __init__(self, pairing, log_pairing_dst, coords="affine"):
-        self.pairing = pairing
-        self.log_pairing_dst = log_pairing_dst
+    def __init__(self, coords="affine"):
         self.coords = coords
+        self.diff = CHARTS[coords].diff
+
+    def pairing(self, s, t):
+        return self.diff(np.asarray(t, dtype=float) - np.asarray(s, dtype=float)) ** 2
 
     def crossratio(self) -> Crossratio:
         def fn(t1, t2, s1, s2):
@@ -327,7 +343,7 @@ class PSL3Curve:
 
         return Crossratio(
             fn, family="psl3", coords=self.coords,
-            exact_density=lambda s, t: self.log_pairing_dst(t, s),
+            exact_density=lambda s, t: 2.0 / self.diff(t - s) ** 2,
         )
 
     def breakpoints(self):
@@ -339,7 +355,7 @@ class PSL3Curve:
         return desitter(coords="angle")
 
     def conformal_factor(self) -> ScalarField:
-        """Factor against the measured circle metric (conic: zero)."""
+        """Factor against the measured circle metric: zero on the conic."""
         return ConstantField(0.0)
 
     def metric(self) -> SplitMetric:
@@ -347,27 +363,6 @@ class PSL3Curve:
 
     def diagonal_limit_density(self, x):
         return np.zeros_like(x)
-
-
-def psl3_conic(coords="affine") -> PSL3Curve:
-    """The conic x(t) = [t^2, t, 1] with tangents l(s) = (1, -2s, s^2).
-
-    <l(s)|x(t)> = D(t - s)^2 with the coordinate difference D of the chart
-    ``coords``: (t - s)^2 in affine coordinates; with the trigonometric
-    representatives x(t) = (sin^2 t, sin t cos t, cos^2 t) and l(s) =
-    (cos^2 s, -2 sin s cos s, sin^2 s) it is sin^2(t - s), smooth across
-    the chart.  The crossratio metric is the de Sitter density (the conic
-    is a circle of the family).
-    """
-    diff = CHARTS[coords].diff
-
-    def pairing(s, t):
-        return diff(np.asarray(t, dtype=float) - np.asarray(s, dtype=float)) ** 2
-
-    def log_dst(t, s):
-        return 2.0 / diff(t - s) ** 2
-
-    return PSL3Curve(pairing, log_dst, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +385,19 @@ def curve_action(curve, levels=3) -> ActionValue:
     rules = (ArcPairRule(curve.breakpoints(), lv) for lv in range(levels + 1))
     return refinement_trail(
         lambda rule: rule.integrate(density, curve.diagonal_limit_density), rules)
+
+
+def uniformizing_action(phi, levels=3):
+    """S(Phi* g0, g0) over the full torus for a piecewise C^3 circle map:
+    the curve action of (phi, phi), whose metric is the uniformizing metric
+    Phi* g0, and the defining formula's value on the trail's finest rule.
+
+    The value converges to zero for any uniformizing metric.
+    """
+    curve = PO22Curve(phi, phi)
+    av = curve_action(curve, levels)
+    density = action_density(curve.metric(), curve.circle_metric())
+    return av, av.rule.integrate(density, curve.diagonal_limit_density)
 
 
 def reparam_invariance_residual(curve: PO22Curve, phi: CircleMap,

@@ -502,11 +502,6 @@ class ClippedField(ScalarField):
                 tuple(sorted({y0, y1, *(c for c in iy if y0 < c < y1)})))
 
 
-def with_support_box(inner: ScalarField, box):
-    """Declare a compact support box on an existing field."""
-    return ClippedField(inner, box)
-
-
 # ---------------------------------------------------------------------------
 # Circle maps
 # ---------------------------------------------------------------------------
@@ -561,6 +556,11 @@ class AngleMobiusMap(CircleMap):
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         with np.errstate(over="ignore"):  # an inf det is refused below
+            det = np.linalg.det(m)
+        if det < sys.float_info.min and m.any():
+            # a det that may have underflowed: m over its largest entry has
+            # entries of at most 1, whose det keeps the digits m's lost
+            m = m / np.max(np.abs(m))
             det = np.linalg.det(m)
         if det <= 0:
             raise ValueError("matrix must have positive determinant")

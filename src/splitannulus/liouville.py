@@ -18,8 +18,14 @@ action integrals evaluate them only inside ``u.support_box`` (the union
 box of a sum of bumps), and on every node for a u with no box.
 
 Both come from ``action_density``, one jet per node of each field they
-sum, for the grid actions and for the torus actions (curves, uniformizing
-metrics), which pair g = e^{2f} g_ref with the bare reference g_ref.
+sum, for the grid actions here and for the torus actions of ``curves``
+(curve actions, and uniformizing metrics as the curves (phi, phi)), which
+pair g = e^{2f} g_ref with the bare reference g_ref.
+
+The module holds the grid actions, the variation and the S-class check,
+and the ``refinement_trail`` that every action and the W-volume share.
+It reads nothing from ``adsgeom``, ``forms`` or ``curves``: the W-volume
+and the action stay independent oracles of each other.
 """
 
 from __future__ import annotations
@@ -29,19 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleMetrics, NotC3
+from .errors import IncompatibleMetrics
 from .fields import (
-    ArcPairRule,
     Jet2,
     PolygonalCurve,
     QuadratureGrid,
     ScalarField,
-    UniformizingFactor,
     _is_zero_field,
     box_grid,
     diamond_curve,
 )
-from .lorentz import SplitMetric, curvature, desitter, pullback_metric
+from .lorentz import SplitMetric, curvature
 
 
 @dataclass
@@ -313,28 +317,3 @@ def sclass_report(g: SplitMetric, h: SplitMetric) -> SClassReport:
         clauses=clauses,
         verdict=all(clauses.values()),
     )
-
-
-# ---------------------------------------------------------------------------
-# Actions over the torus
-# ---------------------------------------------------------------------------
-
-def uniformizing_action(phi, levels=3):
-    """S(Phi* g0, g0) over the full torus for a piecewise C^3 circle map:
-    the monotone formula's trail over levels 0..``levels`` (Gauss order
-    8 + 4 * level) and the defining formula's value on its finest rule.
-
-    The raw integrand is 0/0 on the diagonal, where ``ArcPairRule`` takes
-    its limit, a twelfth of the projective Schwarzian; the rule's arcs
-    end at the map's breakpoints.  The value converges to zero for any
-    uniformizing metric.
-    """
-    if phi.coords != "angle":
-        raise NotC3("uniformizing action runs on angle-coordinate maps")
-    g0 = desitter(coords="angle")
-    g = pullback_metric(g0, phi)
-    limit = UniformizingFactor(phi).diagonal_limit_density
-    monotone = action_density(g, g0, monotone=True)
-    rules = (ArcPairRule(phi.breakpoints, lv) for lv in range(levels + 1))
-    av = refinement_trail(lambda rule: rule.integrate(monotone, limit), rules)
-    return av, av.rule.integrate(action_density(g, g0), limit)

@@ -194,7 +194,7 @@ def test_criterion_08_criticality():
 
 def test_criterion_09_uniformizing_vanishing():
     # the trail converges geometrically to roundoff, where it stops falling
-    av, _ = LV.uniformizing_action(F.SineFlowMap(0.3, 2), levels=3)
+    av, _ = C.uniformizing_action(F.SineFlowMap(0.3, 2), levels=3)
     mags = [abs(v) for v in av.trail]
     small = all(m <= 1e-11 for m in mags[2:])
     decreasing = _decreasing_to_floor(mags, 1e-11)
@@ -314,7 +314,7 @@ def test_criterion_16_crossratio_algebra():
         b.cocycle_residuals(rng, 100)
         for b in (C.reference_crossratio(),
                   C.PO22Curve(F.SineFlowMap(0.3, 2)).crossratio(),
-                  C.psl3_conic().crossratio())]))
+                  C.PSL3Conic().crossratio())]))
     anchor = C.reference_crossratio()
     full = C.diamond_area(anchor, C.Diamond(0, 1, 2, 3))
     parts = (

@@ -1181,7 +1181,7 @@ def test_many_torus_pieces_refused_before_any_rule(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("command, ini, action", [
     ("curve", FOUR_PIECE_INI, (cli.curves, "curve_action")),
-    ("action", FOUR_PIECE_UNI_INI, (cli.liouville, "uniformizing_action")),
+    ("action", FOUR_PIECE_UNI_INI, (cli.curves, "uniformizing_action")),
 ], ids=["curve", "uniformizing"])
 def test_four_piece_map_at_the_top_level_is_within_the_torus_bound(
         tmp_path, monkeypatch, command, ini, action):

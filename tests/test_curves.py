@@ -133,8 +133,8 @@ FAMILIES = {
     "anchor-angle": C.reference_crossratio("angle"),
     "po22-sine": C.PO22Curve(F.SineFlowMap(0.3, 2)).crossratio(),
     "po22-piecewise": C.PO22Curve(F.four_piece_c1_map()).crossratio(),
-    "psl3-conic": C.psl3_conic().crossratio(),
-    "psl3-conic-angle": C.psl3_conic("angle").crossratio(),
+    "psl3-conic": C.PSL3Conic().crossratio(),
+    "psl3-conic-angle": C.PSL3Conic("angle").crossratio(),
 }
 
 
@@ -383,26 +383,26 @@ def test_nonpositive_b_raises():
 # ---------------------------------------------------------------------------
 
 def test_conic_pairing_closed_form():
-    conic = C.psl3_conic()
+    conic = C.PSL3Conic()
     s = RNG.uniform(-2, 2, 40)
     t = RNG.uniform(-2, 2, 40)
     assert np.max(np.abs(conic.pairing(s, t) - (t - s) ** 2)) <= 1e-12
 
 
 def test_conic_incidence_and_tangency():
-    conic = C.psl3_conic()
+    conic = C.PSL3Conic()
     inc, tang = incidence_residual(conic, np.linspace(-1.5, 1.5, 21))
     assert inc <= 1e-10
     assert tang <= 1e-9
 
 
 def test_conic_crossratio_value():
-    b = C.psl3_conic().crossratio()
+    b = C.PSL3Conic().crossratio()
     assert b(0, 1, 2, 3) == pytest.approx(16 / 9)
 
 
 def test_conic_density_is_circle_metric():
-    b = C.psl3_conic().crossratio()
+    b = C.PSL3Conic().crossratio()
     s, t = 0.2, 1.9
     assert b.density(s, t) == pytest.approx(2.0 / (s - t) ** 2, abs=1e-10)
 
@@ -411,21 +411,18 @@ def test_affine_conic_has_no_curve_action():
     # curve actions integrate over the angle torus, which the affine chart
     # does not cover
     with pytest.raises(NonSmoothB, match="angle torus"):
-        C.curve_action(C.psl3_conic())
+        C.curve_action(C.PSL3Conic())
 
 
 def test_pairing_that_vanishes_off_the_diagonal_is_refused():
-    # l(s) also meets the curve at x(s + 1), so <l(0)|x(1)> = 0 sits in a
-    # crossratio denominator
-    def pairing(s, t):
-        d = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
-        return d ** 2 * (d - 1.0)
-
-    curve = C.PSL3Curve(pairing, lambda t, s: 2.0 / (t - s) ** 2)
-    b = curve.crossratio()
-    assert np.isfinite(b(0.0, 0.5, 2.0, 3.0))
-    with pytest.raises(DegeneratePairing, match="off the diagonal"):
-        b(0.0, 1.0, 0.0, 3.0)
+    # with s1 = t2 the tangent line l(s1) holds x(t2), so <l(s1)|x(t2)> = 0
+    # sits in a crossratio denominator
+    for coords, (t1, t2, s1, s2) in (("affine", (0.0, 1.0, 1.0, 3.0)),
+                                     ("angle", (0.2, 0.9, 0.9, 2.0))):
+        b = C.PSL3Conic(coords).crossratio()
+        assert np.isfinite(b(t1, t2, s1 + 0.1, s2))
+        with pytest.raises(DegeneratePairing, match="off the diagonal"):
+            b(t1, t2, s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -596,14 +593,14 @@ def test_sclass_gate_raises():
 
 
 def test_psl3_conic_action_zero():
-    av = C.curve_action(C.psl3_conic("angle"), levels=1)
+    av = C.curve_action(C.PSL3Conic("angle"), levels=1)
     assert abs(av.value) <= 1e-9
 
 
 def test_psl3_conic_action_is_positive_zero():
     # the zero factor makes every density value a signed zero; the report
     # reads 0.0 at every level, never -0.0
-    av = C.curve_action(C.psl3_conic("angle"), levels=2)
+    av = C.curve_action(C.PSL3Conic("angle"), levels=2)
     assert [math.copysign(1.0, v) for v in [av.value, *av.trail]] == [1.0] * 4
     assert av.value == 0.0
 
@@ -647,9 +644,9 @@ _TORUS_ACTIONS = {
         _CURVES["four_piece"](), levels=2), 3),
     "curve_sine_0.3": (C.LogMeanExpField, lambda: C.curve_action(
         _CURVES["sine_0.3"](), levels=2), 3),
-    "uniformizing_four_piece": (F.UniformizingFactor, lambda: LV.uniformizing_action(
+    "uniformizing_four_piece": (F.UniformizingFactor, lambda: C.uniformizing_action(
         F.four_piece_c1_map(), levels=2), 4),
-    "uniformizing_sine_0.3": (F.UniformizingFactor, lambda: LV.uniformizing_action(
+    "uniformizing_sine_0.3": (F.UniformizingFactor, lambda: C.uniformizing_action(
         F.SineFlowMap(0.3, 2), levels=2), 4),
 }
 
@@ -748,7 +745,7 @@ def test_four_piece_action_invariant_under_hyperbolic_precomposition():
 
 
 def test_four_piece_uniformizing_action_vanishes():
-    av, _ = LV.uniformizing_action(F.four_piece_c1_map(), levels=2)
+    av, _ = C.uniformizing_action(F.four_piece_c1_map(), levels=2)
     assert abs(av.value) <= 1e-10
 
 

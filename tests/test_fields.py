@@ -42,7 +42,7 @@ def test_eval_product_field():
 
 
 def test_support_box_clips_jets():
-    f = F.with_support_box(F.product_xy(), (-1, 1, -1, 1))
+    f = F.ClippedField(F.product_xy(), (-1, 1, -1, 1))
     assert _jet4(f, 5, 7) == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -113,8 +113,8 @@ def check_field_derivatives(f, points, step=1e-5):
     LogMeanExpField(F.UniformizingFactor(F.SineFlowMap(0.3, 2)),
                     F.UniformizingFactor(F.four_piece_c1_map())),
     -0.7 * F.bump_field((0.5, 2.5), (0.45, 0.45), 0.7),
-    F.with_support_box(F.PolynomialField([[0.1, 0.2], [0.5, -0.3], [0.2, 0.0]]),
-                       (0.2, 0.8, 2.1, 2.9)),
+    F.ClippedField(F.PolynomialField([[0.1, 0.2], [0.5, -0.3], [0.2, 0.0]]),
+                   (0.2, 0.8, 2.1, 2.9)),
 ])
 def test_derivative_consistency(field):
     # all five reported partials agree with central differences at 100
@@ -190,7 +190,7 @@ _GATHERED_FIELDS = [
     F.ConstantField(0.0) + _BUMP + F.bump_field((0.3, 2.3), (0.2, 0.2), -0.4)
     + F.bump_field((0.7, 2.7), (0.25, 0.2), 0.3),
     -0.7 * _BUMP,
-    F.with_support_box(F.product_xy(), (0.2, 0.8, 2.1, 2.6)),
+    F.ClippedField(F.product_xy(), (0.2, 0.8, 2.1, 2.6)),
     # the lowest power with a C^2 join, and a higher one, each zero off its
     # box by the clamp alone
     F.bump_field((0.55, 2.45), (0.25, 0.3), 0.8, power=3),
@@ -237,7 +237,7 @@ _MESH_FIELDS = {
     "bump": (_BUMP, _AFFINE_MESH),
     "sum": (_BUMP + F.bump_field((0.3, 2.3), (0.2, 0.2), -0.4) + _POLY, _AFFINE_MESH),
     "scaled": (-0.7 * _BUMP, _AFFINE_MESH),
-    "clipped": (F.with_support_box(_POLY, (0.2, 0.8, 2.1, 2.6)), _AFFINE_MESH),
+    "clipped": (F.ClippedField(_POLY, (0.2, 0.8, 2.1, 2.6)), _AFFINE_MESH),
     "desitter": (F.DeSitterLogFactor(), _AFFINE_MESH),
     "desitter_angle": (F.DeSitterLogFactor("angle"), _ANGLE_MESH),
     "uniformizing": (F.UniformizingFactor(F.SineFlowMap(0.3)), _ANGLE_MESH),
@@ -254,7 +254,7 @@ _MESH_FIELDS = {
 def test_open_mesh_jet_matches_flat_nodes(kind, boxed):
     field, (x, y) = _MESH_FIELDS[kind]
     if boxed:  # a box that cuts the mesh, so only part of it is evaluated
-        field = F.with_support_box(field, (x[3, 0], x[9, 0], y[0, 2], y[0, 7]))
+        field = F.ClippedField(field, (x[3, 0], x[9, 0], y[0, 2], y[0, 7]))
     X, Y = np.broadcast_arrays(x, y)
     mesh = field.jet(x, y)
     flat = field.jet(X.ravel(), Y.ravel())
@@ -278,7 +278,7 @@ class _Recorder(F.ScalarField):
 def test_clipped_inner_sees_only_box_nodes(xy):
     box = x0, x1, y0, y1 = (0.2, 0.8, 2.1, 2.6)
     rec = _Recorder(_POLY)
-    clipped = F.with_support_box(rec, box)
+    clipped = F.ClippedField(rec, box)
     x, y = np.broadcast_arrays(*xy)
     inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
     assert 0 < np.count_nonzero(inside) < inside.size
@@ -297,7 +297,7 @@ def test_clipped_field_passes_an_in_box_block_through():
     rows, cols = (x[:, 0] >= 0.2) & (x[:, 0] <= 0.8), (y[0] >= 2.1) & (y[0] <= 2.6)
     bx, by = x[rows], y[:, cols]
     rec = _Recorder(_POLY)
-    j = F.with_support_box(rec, (0.2, 0.8, 2.1, 2.6)).jet(bx, by)
+    j = F.ClippedField(rec, (0.2, 0.8, 2.1, 2.6)).jet(bx, by)
     (sx, sy), = rec.seen
     assert sx is bx and sy is by
     assert j.v.shape == (bx.size, by.size)
@@ -314,7 +314,7 @@ def test_adding_zero_returns_the_field(zero):
 def test_support_box_keeps_outside_nodes_from_inner_field():
     # the de Sitter factor is singular on the diagonal x = y, which these
     # nodes cross outside the box; the box keeps them from log and 1/d
-    f = F.with_support_box(F.DeSitterLogFactor(), (0.0, 1.0, 2.0, 3.0))
+    f = F.ClippedField(F.DeSitterLogFactor(), (0.0, 1.0, 2.0, 3.0))
     t = np.linspace(-1.0, 4.0, 51)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -520,6 +520,21 @@ def test_one_piece_lift_is_continuous_across_its_breakpoint(b, angle):
     # every value is the piece's raw angle plus a multiple of pi
     k = (phi - F.AngleMobiusMap(m).jets(ts)[0]) / math.pi
     assert np.allclose(k, np.round(k), atol=1e-12)
+
+
+_SMALL_SHEAR = 1e-150 * np.array([[1.4, 0.3], [0.2, 0.9]])
+
+
+@pytest.mark.parametrize("m, det1", [
+    # det 1e-400 underflows to 0, det 1e-320 is subnormal: both are
+    # rescaled by their largest entry before the det is taken
+    (np.diag([1e-200, 1e-200]), np.eye(2)),
+    (np.diag([1e-160, 1e-160]), np.eye(2)),
+    # a small det in the normal range is taken of the matrix as given
+    (_SMALL_SHEAR, _SMALL_SHEAR / math.sqrt(np.linalg.det(_SMALL_SHEAR))),
+], ids=["underflow", "subnormal", "small_shear"])
+def test_mobius_det1_form(m, det1):
+    assert np.array_equal(F.AngleMobiusMap(m).m, det1)
 
 
 def test_piece_k_matches_the_matrix_route():
@@ -818,8 +833,8 @@ def _action_like(u):
 @pytest.mark.parametrize("u", [
     _BUMP,
     _BUMP_SUM,
-    F.with_support_box(F.PolynomialField([[0.1, 0.2], [0.5, -0.3], [0.2, 0.0]]),
-                       (0.2, 0.8, 2.1, 2.6)),
+    F.ClippedField(F.PolynomialField([[0.1, 0.2], [0.5, -0.3], [0.2, 0.0]]),
+                   (0.2, 0.8, 2.1, 2.6)),
 ], ids=["bump", "bumps", "clipped_polynomial"])
 def test_integrate_open_mesh_matches_flat_reference(u):
     # the density on the block's open mesh, summed, gives the bits of the
@@ -1089,9 +1104,9 @@ def test_break_lines_of_composite_fields():
                   F.UniformizingFactor(F.SineFlowMap(0.3, 2))):
         assert plain.break_lines() == ((), ())
     # a clipped field: the box edges, and the inner lines that cross the box
-    assert F.with_support_box(poly, (0.1, 0.9, 2.1, 2.9)).break_lines() == (
+    assert F.ClippedField(poly, (0.1, 0.9, 2.1, 2.9)).break_lines() == (
         (0.1, 0.9), (2.1, 2.9))
-    assert F.with_support_box(a, (0.25, 0.9, 2.0, 3.0)).break_lines() == (
+    assert F.ClippedField(a, (0.25, 0.9, 2.0, 3.0)).break_lines() == (
         (0.25, ax1, 0.9), (2.0, ay0, ay1, 3.0))
 
 

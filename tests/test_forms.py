@@ -403,7 +403,7 @@ def _deep_action(u):
     # 4.2e-4 at level 0 and 9.5e-11 at level 1)
     (BUMP + F.bump_field((0.2, 2.75), (0.15, 0.2), -0.3), 2),
     # its box reaches past the lens box, which clips the rule
-    (F.with_support_box(BUMP, (-0.5, 0.95, 2.05, 3.5)), 0),
+    (F.ClippedField(BUMP, (-0.5, 0.95, 2.05, 3.5)), 0),
 ], ids=["roadmap_bump", "narrow_bump", "two_bumps", "clipped_bump"])
 def test_w_volume_equals_the_deep_action(u, level):
     lens = FM.LensCobordism(G0.scaled_by(u), BOX)
@@ -440,7 +440,7 @@ def test_w_grid_is_the_support_box_cut_at_the_break_lines():
     # a field clipped to a box reaching past the lens box: the rule covers
     # the clip box cut down to the lens box, cut at the inner bump's lines
     x0, x1, y0, y1 = BUMP.support_box
-    u = F.with_support_box(BUMP, (-0.5, 0.95, 2.05, 3.5))
+    u = F.ClippedField(BUMP, (-0.5, 0.95, 2.05, 3.5))
     grid = FM.w_grid(FM.LensCobordism(G0.scaled_by(u), BOX), 0)
     assert grid.scheme == "gauss12" and grid.level == 0
     assert grid.x_segments == ((0.0, x0), (x0, x1), (x1, 0.95))
@@ -680,8 +680,8 @@ def test_lens_refuses_a_jet_that_is_not_the_derivative(name):
 
 
 @pytest.mark.parametrize("u", [
-    F.with_support_box(F.PolynomialField([[0.1, 0.2], [0.5, -0.3]]),
-                       (0.3, 0.7, 2.3, 2.6)),
+    F.ClippedField(F.PolynomialField([[0.1, 0.2], [0.5, -0.3]]),
+                   (0.3, 0.7, 2.3, 2.6)),
     # a bump whose box reaches past the lens box, clipped by it
     F.bump_field((0.9, 2.5), (0.3, 0.3), 0.3),
 ], ids=["clipped_polynomial", "bump_past_the_lens_box"])

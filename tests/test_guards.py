@@ -88,6 +88,11 @@ GUARDS = [
                  NotC3AtPoint, "positive", id="schwarzian_decreasing_map"),
     pytest.param(lambda: C.PO22Curve(F.tan_chart_map()),
                  NotC3, "angle-coordinate", id="po22_affine_map"),
+    # the uniformizing action is the curve action of (phi, phi): the curve
+    # refuses the affine map
+    pytest.param(lambda: C.uniformizing_action(F.tan_chart_map()),
+                 NotC3, "PO\\(2,2\\) curves use angle-coordinate maps",
+                 id="uniformizing_affine_map"),
     # fields
     pytest.param(lambda: F.tan_chart_map().jets(np.array([0.0, 1.5])),
                  OutOfChart, "chart interval", id="analytic_map_out_of_chart"),
@@ -105,6 +110,11 @@ GUARDS = [
                  "entries must be finite", id="piecewise_piece_inf"),
     pytest.param(lambda: F.AngleMobiusMap(np.diag([1e200, 1e200])),
                  ValueError, "determinant overflows", id="mobius_determinant_overflows"),
+    # det 0 also after the rescaling that a det below the normal range takes
+    pytest.param(lambda: F.AngleMobiusMap(np.array([[1.0, 1.0], [1.0, 1.0]])),
+                 ValueError, "positive determinant", id="mobius_singular"),
+    pytest.param(lambda: F.AngleMobiusMap(np.diag([-1e-200, 1e-200])),
+                 ValueError, "positive determinant", id="mobius_tiny_reflection"),
     pytest.param(lambda: F.mobius_through(0.3, 0.3, 1.0, 1.35, -1.0),
                  ValueError, "orientation-reversing", id="mobius_through_reversing"),
     pytest.param(lambda: F.PolygonalCurve((P(0.1, 2.0), P(0.1, 2.5), P(0.5, 2.5))),
@@ -129,8 +139,6 @@ GUARDS = [
     # liouville
     pytest.param(lambda: LV.sclass_report(L.desitter(), L.desitter()),
                  IncompatibleMetrics, "torus metrics", id="sclass_affine_metrics"),
-    pytest.param(lambda: LV.uniformizing_action(F.tan_chart_map()),
-                 NotC3, "angle-coordinate", id="uniformizing_affine_map"),
     # lorentz
     pytest.param(lambda: L.SplitMetric("euclidean"), ValueError,
                  "unknown reference", id="unknown_reference"),

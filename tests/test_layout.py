@@ -5,11 +5,16 @@ only if package code outside its own definition reads it, a file under
 ``perfbench/`` names it, or README's "Library API" list names it as
 ``module.name``.  A residual that only tests call lives in the test
 module that calls it, or in ``tests/oracles.py`` when two modules do.
+
+The W-volume pipeline and the action pipeline import nothing of each
+other's computations, so that their agreement stays a check.
 """
 
 import ast
 import pathlib
 import re
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splitannulus"
@@ -100,3 +105,68 @@ def test_a_test_only_residual_added_back_is_caught():
         "    return grid.integrate(lambda x, y: np.abs(f.jet(x, y).vxy))\n")
     got = unreached(sources, _perfbench_text(), _readme_api())
     assert got == ["liouville.dal_variation_bound"]
+
+
+# The W-volume (``adsgeom``, ``forms``) and the action (``liouville``) are
+# each other's oracle, so neither may compute with the other's code, and
+# ``liouville`` takes nothing from ``curves``, which builds on it: the
+# package module -> the names it may import from each guarded module
+# (empty: none), read from its imports at any depth.
+INDEPENDENT = {
+    "liouville": {"adsgeom": set(), "forms": set(), "curves": set()},
+    "forms": {"liouville": {"ActionValue", "refinement_trail"}},
+}
+
+
+def package_imports(tree):
+    """(package module, name) of every import of the package in ``tree``;
+    the name is None where the whole module is imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "splitannulus":
+                    continue
+                module = module.partition(".")[2]
+            for alias in node.names:
+                if module:
+                    yield module.split(".")[0], alias.name
+                else:  # ``from . import module``
+                    yield alias.name, None
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "splitannulus" and len(parts) > 1:
+                    yield parts[1], None
+
+
+def crossings(sources):
+    """``module <- imported.name`` for every import that ``INDEPENDENT``
+    forbids."""
+    out = []
+    for module, allowed in INDEPENDENT.items():
+        for imported, name in package_imports(ast.parse(sources[module])):
+            if imported in allowed and name not in allowed[imported]:
+                out.append(f"{module} <- {imported}.{name}")
+    return out
+
+
+def test_the_w_volume_and_the_action_stay_independent():
+    assert crossings(_package()) == []
+
+
+@pytest.mark.parametrize("module, line, crossing", [
+    ("liouville", "from .adsgeom import pair", "liouville <- adsgeom.pair"),
+    ("liouville", "from . import forms", "liouville <- forms.None"),
+    ("liouville", "import splitannulus.curves", "liouville <- curves.None"),
+    ("forms", "from .liouville import action_density",
+     "forms <- liouville.action_density"),
+    ("forms", "from splitannulus.liouville import ActionValue, _action",
+     "forms <- liouville._action"),
+], ids=["liouville_from_adsgeom", "liouville_module_forms", "liouville_import_curves",
+        "forms_action_density", "forms_private_name"])
+def test_an_import_across_the_oracles_is_caught(module, line, crossing):
+    # added inside a function, where an import is easiest to miss
+    sources = _package()
+    sources[module] += f"\n\ndef _mutant():\n    {line}\n"
+    assert crossings(sources) == [crossing]

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitannulus import fields as F, liouville as LV, lorentz as L
+from splitannulus import curves as C, fields as F, liouville as LV, lorentz as L
 from splitannulus.errors import IncompatibleMetrics
 
 import oracles as O
@@ -148,11 +148,11 @@ def test_clipped_factor_in_a_sum_builds_only_what_the_action_reads():
     box = (0.3, 0.6, 2.3, 2.6)
     bump = F.bump_field((0.5, 2.5), (0.42, 0.42), 0.35)
     built = []  # the components built, one list per jet
-    spied = LV.action(G0, G0.scaled_by(F.with_support_box(_Spy(inner, built), box)
+    spied = LV.action(G0, G0.scaled_by(F.ClippedField(_Spy(inner, built), box)
                                        + bump), GRID)
     assert len(built) > 2
     assert all(sorted(names) == ["v", "vxy"] for names in built)
-    plain = LV.action(G0, G0.scaled_by(F.with_support_box(inner, box) + bump), GRID)
+    plain = LV.action(G0, G0.scaled_by(F.ClippedField(inner, box) + bump), GRID)
     assert spied.trail == plain.trail
 
 
@@ -521,13 +521,13 @@ def test_sclass_log_factor_fails_boundedness():
 
 def test_uniformizing_action_mobius_exact_zero():
     phi = F.AngleMobiusMap(np.array([[1.4, 0.3], [0.2, 0.9]]))
-    av, _ = LV.uniformizing_action(phi, levels=1)
+    av, _ = C.uniformizing_action(phi, levels=1)
     assert abs(av.value) <= 1e-12
 
 
 def test_uniformizing_action_sine_vanishes():
     # the trail falls geometrically until it reaches roundoff
-    av, _ = LV.uniformizing_action(F.SineFlowMap(0.3, 2), levels=3)
+    av, _ = C.uniformizing_action(F.SineFlowMap(0.3, 2), levels=3)
     mags = [abs(v) for v in av.trail]
     assert all(m <= 1e-11 for m in mags[2:])
     end = next(i for i, m in enumerate(mags) if m < 1e-11)
@@ -542,7 +542,7 @@ def test_actions_refuse_metrics_in_other_coords():
 
 
 def test_uniformizing_formulas_agree():
-    av, definition = LV.uniformizing_action(F.SineFlowMap(0.25, 2), levels=2)
+    av, definition = C.uniformizing_action(F.SineFlowMap(0.25, 2), levels=2)
     assert abs(av.value - definition) <= 1e-9
 
 
