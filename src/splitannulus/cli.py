@@ -55,9 +55,10 @@ _SIGNS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 # Epstein sample.  Integrands run in blocks of ``fields.BLOCK_NODES``, so
 # at these bounds a process peaks (resident set, 2-vCPU x86-64, numpy
 # 2.4) near 38 MiB for an action up to a 2048 x 2048 grid, of which the
-# interpreter with numpy and the package is about 36 MiB; near 125 MiB for
-# a curve of 32 arcs at level 6 (1024 nodes per axis), most of it the
-# rule's own node arrays; and near 67 MiB for a 512 x 512 Epstein sample.
+# interpreter with numpy and the package is about 36 MiB; near 64 MiB for
+# a curve of 32 arcs at level 6 (1024 nodes per axis), most of the rest the
+# kept node arrays of its two finest rules; and near 67 MiB for a 512 x 512
+# Epstein sample.
 MAX_LEVEL = 16
 MAX_AXIS_NODES = 2048
 MAX_TORUS_NODES = 1024

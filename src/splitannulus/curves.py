@@ -52,6 +52,7 @@ from .fields import (
     Jet2,
     ScalarField,
     UniformizingFactor,
+    _is_zero_field,
     _schwarzian,
 )
 from .liouville import ActionValue, action_density, refinement_trail
@@ -196,39 +197,47 @@ def schwarzian_decay_residual(phi: CircleMap, x, eps):
 # ---------------------------------------------------------------------------
 
 class LogMeanExpField(ScalarField):
-    """u = (1/2) log( (e^{2u1} + e^{2u2}) / 2 ) with exact jets."""
+    """u = (1/2) log( (e^{2u1} + e^{2u2}) / 2 ) with exact jets.
+
+    A zero first factor is folded, as ``ScalarField.__add__`` folds zero:
+    e^{2u1} is 1 and every partial of u1 vanishes, so no jet of u1 is
+    formed, and u = (1/2) log((1 + e^{2u2}) / 2) and its partials drop the
+    terms of u1.  Those terms add a positive zero, so each component keeps
+    the bits of the unfolded formula, up to the sign of a zero.
+    """
 
     def __init__(self, u1, u2):
         self.u1, self.u2 = u1, u2
 
     def _jet(self, x, y):
-        j1 = self.u1.jet(x, y)
+        j1 = None if _is_zero_field(self.u1) else self.u1.jet(x, y)
         j2 = self.u2.jet(x, y)
-        a = np.exp(2.0 * j1.v)
+        a = 1.0 if j1 is None else np.exp(2.0 * j1.v)
         b = np.exp(2.0 * j2.v)
         s = a + b
         # the weights are formed here, so that a and b are freed on return;
         # the first partials, shared by vxy, vxx and vyy, are each built
         # once, when first read.  The decay bands and the VB read v alone,
         # the S-class L1 vxy alone
-        wa, wb = a / s, b / s
-        vx = functools.cache(lambda: wa * j1.vx + wb * j2.vx)
-        vy = functools.cache(lambda: wa * j1.vy + wb * j2.vy)
+        wa = None if j1 is None else a / s
+        wb = b / s
+
+        def mean(term):
+            """wa term(j1) + wb term(j2), the first term folded with u1."""
+            t2 = wb * term(j2)
+            return t2 if j1 is None else wa * term(j1) + t2
+
+        vx = functools.cache(lambda: mean(lambda j: j.vx))
+        vy = functools.cache(lambda: mean(lambda j: j.vy))
 
         def vxy():
-            return (wa * (2 * j1.vx * j1.vy + j1.vxy)
-                    + wb * (2 * j2.vx * j2.vy + j2.vxy)
-                    - 2.0 * vx() * vy())
+            return mean(lambda j: 2 * j.vx * j.vy + j.vxy) - 2.0 * vx() * vy()
 
         def vxx():
-            return (wa * (2 * j1.vx ** 2 + j1.vxx)
-                    + wb * (2 * j2.vx ** 2 + j2.vxx)
-                    - 2.0 * vx() ** 2)
+            return mean(lambda j: 2 * j.vx ** 2 + j.vxx) - 2.0 * vx() ** 2
 
         def vyy():
-            return (wa * (2 * j1.vy ** 2 + j1.vyy)
-                    + wb * (2 * j2.vy ** 2 + j2.vyy)
-                    - 2.0 * vy() ** 2)
+            return mean(lambda j: 2 * j.vy ** 2 + j.vyy) - 2.0 * vy() ** 2
 
         return Jet2(lambda: 0.5 * np.log(0.5 * s), vx, vy, vxy, vxx, vyy)
 
@@ -333,11 +342,21 @@ class PSL3Conic:
     def pairing(self, s, t):
         return self.diff(np.asarray(t, dtype=float) - np.asarray(s, dtype=float)) ** 2
 
+    def _coincide(self, s, t):
+        """Whether any pair s, t coincides (mod pi in angle coordinates):
+        D(t - s) is zero to within the rounding of t - s itself, at most
+        4 eps |t - s|.  In the angle chart points pi apart meet, and
+        sin(t - s) there is the rounding of t - s against pi, about 1e-16,
+        not zero; in the affine chart it holds for t = s alone."""
+        d = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
+        return bool(np.any(np.abs(self.diff(d)) <= 4 * np.finfo(float).eps * np.abs(d)))
+
     def crossratio(self) -> Crossratio:
         def fn(t1, t2, s1, s2):
             num = self.pairing(s1, t1) * self.pairing(s2, t2)
             den = self.pairing(s1, t2) * self.pairing(s2, t1)
-            if np.any(np.abs(den) < 1e-300):
+            if (np.any(np.abs(den) < 1e-300) or self._coincide(s1, t2)
+                    or self._coincide(s2, t1)):
                 raise DegeneratePairing("pairing vanished off the diagonal")
             return num / den
 

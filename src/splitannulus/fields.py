@@ -1240,19 +1240,31 @@ def box_grid_nodes(box, level=0, base_cells=32, scheme="gauss2", x_breaks=(),
                  for segments in _box_segments(box, x_breaks, y_breaks))
 
 
-# the tiles of ``ArcPairRule`` per block kind (0 tensor, 1 Duffy corner, 2
-# its mirror): the kind, then the unit patterns of the x and y offsets (0: s
-# along x, 1: s along y, 2: their product) and of the weights (0: tensor,
-# 1: Duffy)
-_ARC_TILES = np.array([[0, 0, 1, 0],
-                       [1, 0, 2, 1], [1, 2, 0, 1],
-                       [2, 2, 0, 1], [2, 0, 2, 1]])
+@functools.lru_cache(maxsize=None)
+def _arc_patterns(p):
+    """The block patterns of ``ArcPairRule`` on the unit square, each an
+    (x offsets, y offsets, weights) triple flat in row-major order: the
+    tensor rule (s_k, s_l, w_k w_l); the Duffy triangles at the corner
+    (0, 0), (s_k, s_k s_l, s_k w_k w_l) and its mirror; and the tensor
+    rule's strict upper triangle k < l."""
+    s, ws = _unit_rule(p)
+    sx = np.broadcast_to(s[:, None], (p, p))
+    ww = np.outer(ws, ws)
+    up = np.triu_indices(p, 1)
+    patterns = ((sx, sx.T, ww), (sx, sx * s, sx * ww), (sx * s, sx, sx * ww),
+                (sx[up], sx.T[up], ww[up]))
+    patterns = tuple(tuple(np.array(c).ravel() for c in pat) for pat in patterns)
+    for pat in patterns:
+        for c in pat:
+            c.flags.writeable = False
+    return patterns
 
 
 class ArcPairRule:
     """Gauss-Legendre quadrature over the torus [0, pi)^2 by ordered pairs
-    of arcs of the angle line, for an integrand that is 0/0 on the
-    diagonal x = y mod pi and has the limit ``limit(x)`` there.
+    of arcs of the angle line, for a swap-symmetric integrand,
+    ``density(x, y) = density(y, x)``, that is 0/0 on the diagonal x = y
+    mod pi and has the limit ``limit(x)`` there.
 
     The arcs end at ``breaks`` (mod pi); while there are fewer than three
     the longest is bisected, so neighbouring arcs share exactly one corner.
@@ -1262,48 +1274,59 @@ class ArcPairRule:
     a 1/r corner singularity (Duffy, SIAM J. Numer. Anal. 19, 1982).  Other
     pairs get the tensor rule, whose nodes with x = y on an arc paired with
     itself take ``limit``.  No node given to the density has x = y mod pi.
-    With n arcs the rule forms the (n^2 + 2n) p^2 nodes it keeps, one tile
-    of p^2 per tensor block and two per Duffy block; ``layout`` counts the
-    n p nodes per torus axis without building them.
+
+    The swap (x, y) -> (y, x) maps the rule's nodes onto themselves bit for
+    bit: block (i, j) onto block (j, i), the Duffy triangles at the corner
+    (hi_i, lo_{i+1}) onto those at (lo_{i+1}, hi_i), and a block (i, i)
+    onto itself across its diagonal.  So the rule keeps one half, with
+    doubled weights: the tensor blocks (i, j) with i < j of arcs that do
+    not meet, both Duffy triangles of each corner (hi_i, lo_{i+1}), and the
+    strict upper triangle k < l of each block (i, i), whose n p diagonal
+    nodes take ``limit`` once, with their own weights.  With n arcs the
+    density sees ((n^2 + 2n) p^2 - n p) / 2 nodes, half of the full rule's
+    off-diagonal ones; ``layout`` counts the n p nodes per torus axis
+    without building them.
     """
 
     def __init__(self, breaks=(), level=0):
         self.level = int(level)
         self.arcs, self.order, _ = self.layout(breaks, level)
-        p, n = self.order, len(self.arcs)
-        s, ws = _unit_rule(p)
-        # a block's offsets and weights are patterns on the unit square,
-        # each flat in row-major order: s along x, s along y and their
-        # product; the tensor weights and those of a Duffy triangle
-        sx = np.broadcast_to(s[:, None], (p, p))
-        ww = np.outer(ws, ws)
-        unit = np.stack([sx, sx.T, sx * s]).reshape(3, -1)
-        wunit = np.stack([ww, sx * ww]).reshape(2, -1)
+        n = len(self.arcs)
+        s, ws = _unit_rule(self.order)
         lo, hi = np.array(self.arcs).T
         a = hi - lo
-        # the kind of block (i, j), row-major: 1 for a Duffy corner
-        # (hi_i, lo_j), 2 for its mirror, 0 for the tensor rule; a block
-        # takes the table rows of its kind, so tile t is row[t] of the
-        # table in block block[t], the tiles in block order
+        # the kept blocks: (i, j) with 2 <= j - i < n - 1, the arcs that do
+        # not meet; the corners (hi_i, lo_{i+1}); the blocks (i, i)
         r = np.arange(n)
-        kind = ((r == (r[:, None] + 1) % n)
-                + 2 * (r[:, None] == (r + 1) % n)).ravel()
-        block, row = np.nonzero(kind[:, None] == _ARC_TILES[:, 0])
-        k, px, py, pw = _ARC_TILES[row].T
-        i, j = block // n, block % n
-        # x = lo_i + a_i * offset, or hi_i - a_i * offset at a Duffy corner;
-        # y likewise from the end of arc j
-        fwd, back = k == 1, k == 2
-        x = (np.where(fwd, hi[i], lo[i])[:, None]
-             + np.where(fwd, -a[i], a[i])[:, None] * unit[px])
-        y = (np.where(back, hi[j], lo[j])[:, None]
-             + np.where(back, -a[j], a[j])[:, None] * unit[py])
-        w = (a[i] * a[j])[:, None] * wunit[pw]
-        # every node but the diagonal (the flat places k (p + 1)) of each
-        # arc paired with itself, in tile order: the blocks' concatenation
-        keep = (i != j)[:, None] | (np.arange(p * p) % (p + 1) != 0)
-        self.x, self.y, self.w = x[keep], y[keep], w[keep]
-        self.diag, self.diag_w = x[~keep], w[~keep]
+        d = r - r[:, None]
+        i, j = np.nonzero((d >= 2) & (d < n - 1))
+        nxt = (r + 1) % n
+        tensor, duffy_x, duffy_y, upper = _arc_patterns(self.order)
+        # one group of blocks per pattern (px, py, pw), in block order:
+        # x = x0 + xa * px, y = y0 + ya * py and w = 2 (a_i a_j * pw), the
+        # weight of a node and its mirror; x0 = hi and xa = -a at a corner
+        groups = ((lo[i], a[i], lo[j], a[j], a[i] * a[j], tensor),
+                  (hi, -a, lo[nxt], a[nxt], a * a[nxt], duffy_x),
+                  (hi, -a, lo[nxt], a[nxt], a * a[nxt], duffy_y),
+                  (lo, a, lo, a, a * a, upper))
+        size = sum(g[0].size * g[-1][0].size for g in groups)
+        self.x, self.y, self.w = np.empty(size), np.empty(size), np.empty(size)
+        at = 0
+        # each group is written in place, one row per block, so the build
+        # holds no temporary of the rule's size
+        for x0, xa, y0, ya, ab, (px, py, pw) in groups:
+            end = at + x0.size * px.size
+            x, y, w = (out[at:end].reshape(x0.size, px.size)
+                       for out in (self.x, self.y, self.w))
+            np.multiply(xa[:, None], px, out=x)
+            x += x0[:, None]
+            np.multiply(ya[:, None], py, out=y)
+            y += y0[:, None]
+            np.multiply(ab[:, None], pw, out=w)
+            w *= 2.0
+            at = end
+        self.diag = (lo[:, None] + a[:, None] * s).ravel()
+        self.diag_w = ((a * a)[:, None] * (ws * ws)).ravel()
 
     @staticmethod
     def layout(breaks=(), level=0):
@@ -1323,10 +1346,14 @@ class ArcPairRule:
                 "arcs": [list(a) for a in self.arcs]}
 
     def integrate(self, density, limit):
-        """The weighted sum of ``density`` on the off-diagonal nodes, as
-        flat arrays, plus that of ``limit`` on the same-arc diagonals, each
-        evaluated in blocks of at most ``BLOCK_NODES`` nodes with the bits
-        of one ``np.sum`` over all of them (``_pairwise``)."""
+        """The integral over the torus of a swap-symmetric ``density``,
+        density(x, y) = density(y, x): its weighted sum on the kept half
+        of the off-diagonal nodes, whose doubled weights stand for the
+        mirror half, as flat arrays, plus that of ``limit`` on the same-arc
+        diagonals.  Each sum is evaluated in blocks of at most
+        ``BLOCK_NODES`` nodes with the bits of one ``np.sum`` over all of
+        them (``_pairwise``).  A density that is not swap-symmetric gets
+        the integral of its symmetric part, (f(x, y) + f(y, x)) / 2."""
         def total(fn, weights, *nodes):
             def block_sum(lo, hi):
                 v = np.asarray(fn(*(a[lo:hi] for a in nodes)), dtype=float)

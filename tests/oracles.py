@@ -9,7 +9,10 @@ central differences.  The affine Mobius map and the log-sine factor are
 fixtures the CLI never builds, and the Segre section and the mass of a
 bump are closed forms the tests compare against.  The quadrature rules
 are built here the plain way, a segment or a block of arcs at a time, as
-references for the array builds of ``fields``.  The identity residuals
+references for the array builds of ``fields``: the torus rule in full,
+and the half of it that ``fields.ArcPairRule`` keeps.  The jet of
+a log-mean-exp with every term formed is the reference for the fold of a
+zero factor in ``curves.LogMeanExpField``.  The identity residuals
 that two test modules share compose public calls of the package:
 ``split_invariance_residual`` (the action under a diagonal split map),
 ``criticality_test`` (the first variations of area and action) and
@@ -255,9 +258,11 @@ def axis_nodes(segments, cells, scheme):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def arc_pair_nodes(rule):
-    """The nodes and weights of ``rule`` (an ``ArcPairRule``) built block
-    by block over its arcs: (x, y, w, diag, diag_w)."""
+def _arc_pair_blocks(rule):
+    """Every block of ``rule`` (an ``ArcPairRule``) over all ordered pairs
+    of its arcs, built one at a time in row-major order, as (i, j, x, y, w):
+    a tensor block as p x p arrays, a Duffy block as 2p x p, its two
+    triangles in rows :p and p:."""
     arcs, n = rule.arcs, len(rule.arcs)
     s, ws = F._unit_rule(rule.order)
     ww = np.outer(ws, ws)
@@ -265,8 +270,6 @@ def arc_pair_nodes(rule):
     far = np.broadcast_to(s[:, None], ww.shape)
     duffy = (np.concatenate([far, far * s]), np.concatenate([far * s, far]),
              np.concatenate([far * ww] * 2))
-    off = ~np.eye(rule.order, dtype=bool)
-    blocks, diag = [], []
     for i, (lo, hi) in enumerate(arcs):
         for j, (lo_j, hi_j) in enumerate(arcs):
             a, b = hi - lo, hi_j - lo_j
@@ -279,12 +282,62 @@ def arc_pair_nodes(rule):
             else:
                 x, y = np.meshgrid(lo + a * s, lo_j + b * s, indexing="ij")
                 w = ww
-                if i == j:
-                    diag.append((np.diag(x), a * b * np.diag(w)))
-                    x, y, w = x[off], y[off], w[off]
-            blocks.append((x, y, a * b * w))
+            yield i, j, x, y, a * b * w
+
+
+def arc_pair_nodes(rule):
+    """The full torus rule that ``rule`` stands for, block by block: the
+    nodes and weights of every block in row-major order but the diagonal
+    of each block (i, i), then those diagonals: (x, y, w, diag, diag_w)."""
+    off = ~np.eye(rule.order, dtype=bool)
+    blocks, diag = [], []
+    for i, j, x, y, w in _arc_pair_blocks(rule):
+        if i == j:
+            diag.append((np.diag(x), np.diag(w)))
+            x, y, w = x[off], y[off], w[off]
+        blocks.append((x, y, w))
     x, y, w = (np.concatenate([np.ravel(c) for c in cs]) for cs in zip(*blocks))
     return (x, y, w) + tuple(np.concatenate(cs) for cs in zip(*diag))
+
+
+def arc_pair_half(rule):
+    """The half of ``arc_pair_nodes(rule)`` that ``rule`` keeps, from the
+    same blocks, with doubled weights, as (x, y, w): the tensor blocks
+    (i, j) with i < j of arcs that do not meet, the first Duffy triangle
+    of each corner (hi_i, lo_{i+1}), then the second, then the strict
+    upper triangle k < l of each block (i, i), each group in block order."""
+    p, n = rule.order, len(rule.arcs)
+    up = np.triu_indices(p, 1)
+    tensor, first, second, upper = [], [], [], []
+    for i, j, x, y, w in _arc_pair_blocks(rule):
+        if i == j:
+            upper.append((x[up], y[up], w[up]))
+        elif j == (i + 1) % n:
+            first.append((x[:p], y[:p], w[:p]))
+            second.append((x[p:], y[p:], w[p:]))
+        elif i < j and i != (j + 1) % n:
+            tensor.append((x, y, w))
+    x, y, w = (np.concatenate([np.ravel(c) for c in cs])
+               for cs in zip(*tensor, *first, *second, *upper))
+    return x, y, 2.0 * w
+
+
+def log_mean_exp_jet(j1, j2):
+    """The jet of u = (1/2) log((e^{2u1} + e^{2u2}) / 2) from the jets of
+    u1 and u2, every term of both formed: the components
+    (v, vx, vy, vxy, vxx, vyy)."""
+    a, b = np.exp(2.0 * j1.v), np.exp(2.0 * j2.v)
+    s = a + b
+    wa, wb = a / s, b / s
+    vx = wa * j1.vx + wb * j2.vx
+    vy = wa * j1.vy + wb * j2.vy
+    return (0.5 * np.log(0.5 * s), vx, vy,
+            wa * (2 * j1.vx * j1.vy + j1.vxy) + wb * (2 * j2.vx * j2.vy + j2.vxy)
+            - 2.0 * vx * vy,
+            wa * (2 * j1.vx ** 2 + j1.vxx) + wb * (2 * j2.vx ** 2 + j2.vxx)
+            - 2.0 * vx ** 2,
+            wa * (2 * j1.vy ** 2 + j1.vyy) + wb * (2 * j2.vy ** 2 + j2.vyy)
+            - 2.0 * vy ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1085,29 +1085,29 @@ def test_action_uniformizing_report(tmp_path):
     assert all(b < a for a, b in zip(mags, mags[1:]))
 
 
-_UNI_TRAIL = [5.843790334622567e-08, 3.974530080053107e-11,
-              -9.558326352632207e-15]
+_UNI_TRAIL = [5.843790369317037e-08, 3.9745328556106685e-11,
+              -8.892192537857113e-15]
 FOUR_PIECE_INI = "[curve]\nfamily = po22\nkind = four_piece\n"
 FOUR_PIECE_UNI_INI = "[uniformizing]\nkind = four_piece\n"
-_FOUR_PIECE_TRAIL = [0.0018091710293325733, 0.0018091795647295894,
-                     0.0018091795649564978]
-_FOUR_PIECE_UNI_TRAIL = [-1.2578927933033714e-08, -9.94234515559095e-13,
-                         -8.063440738164403e-13]
+_FOUR_PIECE_TRAIL = [0.0018091710293326427, 0.0018091795647295756,
+                     0.0018091795649564561]
+_FOUR_PIECE_UNI_TRAIL = [-1.257892789140035e-08, -9.94234515559095e-13,
+                         -8.064828516945184e-13]
 
 
 @pytest.mark.parametrize("command, ini, level, pinned", [
     ("curve", CURVE_INI, 2, {
-        "action": 0.00029183083525825305,
-        "error_estimate": 5.422358048678966e-11,
-        "refinement_trail": [0.00029185128136888054, 0.00029183088948183354,
-                             0.00029183083525825305]}),
+        "action": 0.0002918308352586902,
+        "error_estimate": 5.42232959921396e-11,
+        "refinement_trail": [0.0002918512813689777, 0.0002918308894819862,
+                             0.0002918308352586902]}),
     ("action", UNIFORMIZING_INI, 1, {
         "values": {"definition": _UNI_TRAIL[1], "monotone": _UNI_TRAIL[1]},
-        "error_estimate": 5.839815804542514e-08,
+        "error_estimate": 5.839815836461426e-08,
         "refinement_trail": _UNI_TRAIL[:2]}),
     ("action", UNIFORMIZING_INI, 2, {
         "values": {"definition": _UNI_TRAIL[2], "monotone": _UNI_TRAIL[2]},
-        "error_estimate": 3.97548591268837e-11,
+        "error_estimate": 3.975422074864454e-11,
         "refinement_trail": _UNI_TRAIL}),
     # the four-piece invariant is 1.8091795647e-3 and its uniformizing
     # action 0: from level 1 on the trails sit at roundoff of both
@@ -1117,11 +1117,11 @@ _FOUR_PIECE_UNI_TRAIL = [-1.2578927933033714e-08, -9.94234515559095e-13,
         "refinement_trail": _FOUR_PIECE_TRAIL[:1]}),
     ("curve", FOUR_PIECE_INI, 1, {
         "action": _FOUR_PIECE_TRAIL[1],
-        "error_estimate": 8.535397016127058e-09,
+        "error_estimate": 8.535396932860331e-09,
         "refinement_trail": _FOUR_PIECE_TRAIL[:2]}),
     ("curve", FOUR_PIECE_INI, 2, {
         "action": _FOUR_PIECE_TRAIL[2],
-        "error_estimate": 2.2690833587080128e-13,
+        "error_estimate": 2.2688058029518565e-13,
         "refinement_trail": _FOUR_PIECE_TRAIL}),
     ("action", FOUR_PIECE_UNI_INI, 0, {
         "values": {"definition": _FOUR_PIECE_UNI_TRAIL[0],
@@ -1131,12 +1131,12 @@ _FOUR_PIECE_UNI_TRAIL = [-1.2578927933033714e-08, -9.94234515559095e-13,
     ("action", FOUR_PIECE_UNI_INI, 1, {
         "values": {"definition": _FOUR_PIECE_UNI_TRAIL[1],
                    "monotone": _FOUR_PIECE_UNI_TRAIL[1]},
-        "error_estimate": 1.2577933698518154e-08,
+        "error_estimate": 1.2577933656884791e-08,
         "refinement_trail": _FOUR_PIECE_UNI_TRAIL[:2]}),
     ("action", FOUR_PIECE_UNI_INI, 2, {
         "values": {"definition": _FOUR_PIECE_UNI_TRAIL[2],
                    "monotone": _FOUR_PIECE_UNI_TRAIL[2]},
-        "error_estimate": 1.8789044174265467e-13,
+        "error_estimate": 1.8775166386457652e-13,
         "refinement_trail": _FOUR_PIECE_UNI_TRAIL}),
 ], ids=["curve_sineflow", "uniformizing_1", "uniformizing_2",
         "curve_four_piece_0", "curve_four_piece_1", "curve_four_piece_2",
@@ -1204,8 +1204,8 @@ def test_four_piece_map_at_the_top_level_is_within_the_torus_bound(
 # roundoff of either sign all over the torus, and a zero whose sign flipped
 # on the way to the density could move the report
 MOBIUS_UNI_INI = "[uniformizing]\nkind = mobius\nmatrix = 1.4 0.3 0.2 0.9\n"
-_MOBIUS_UNI_TRAIL = [8.90923052311616e-14, -6.939069692334944e-14,
-                     -3.02365496582624e-14]
+_MOBIUS_UNI_TRAIL = [8.873427082712537e-14, -6.906937845597044e-14,
+                     -3.009659329710612e-14]
 _UNI_REPORT_GRID = {
     UNIFORMIZING_INI: [[0.0, 0.7853981633974483],
                        [0.7853981633974483, 1.5707963267948966],
@@ -1217,9 +1217,9 @@ _UNI_REPORT_GRID[MOBIUS_UNI_INI] = _UNI_REPORT_GRID[UNIFORMIZING_INI]
 
 
 @pytest.mark.parametrize("ini, trail, error", [
-    (UNIFORMIZING_INI, _UNI_TRAIL, 3.97548591268837e-11),
-    (FOUR_PIECE_UNI_INI, _FOUR_PIECE_UNI_TRAIL, 1.8789044174265467e-13),
-    (MOBIUS_UNI_INI, _MOBIUS_UNI_TRAIL, 3.9154147265087046e-14),
+    (UNIFORMIZING_INI, _UNI_TRAIL, 3.975422074864454e-11),
+    (FOUR_PIECE_UNI_INI, _FOUR_PIECE_UNI_TRAIL, 1.8775166386457652e-13),
+    (MOBIUS_UNI_INI, _MOBIUS_UNI_TRAIL, 3.897278515886432e-14),
 ], ids=["sineflow", "four_piece", "mobius"])
 def test_uniformizing_report_bytes_pinned(tmp_path, ini, trail, error):
     # the whole level-2 report, byte for byte: its monotone value comes

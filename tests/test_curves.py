@@ -417,8 +417,11 @@ def test_affine_conic_has_no_curve_action():
 def test_pairing_that_vanishes_off_the_diagonal_is_refused():
     # with s1 = t2 the tangent line l(s1) holds x(t2), so <l(s1)|x(t2)> = 0
     # sits in a crossratio denominator
+    # (mod pi in the angle chart, where sin(0.9 - (0.9 + pi)) rounds to
+    # -1.2e-16, not to zero)
     for coords, (t1, t2, s1, s2) in (("affine", (0.0, 1.0, 1.0, 3.0)),
-                                     ("angle", (0.2, 0.9, 0.9, 2.0))):
+                                     ("angle", (0.2, 0.9, 0.9, 2.0)),
+                                     ("angle", (0.2, 0.9, 0.9 + math.pi, 2.0))):
         b = C.PSL3Conic(coords).crossratio()
         assert np.isfinite(b(t1, t2, s1 + 0.1, s2))
         with pytest.raises(DegeneratePairing, match="off the diagonal"):
@@ -611,13 +614,13 @@ def test_psl3_conic_action_is_positive_zero():
 # terms, or one evaluation between sample sets, must not move a bit.
 _CURVE_BITS = {
     "four_piece": (
-        ["0x1.da43699d8beb2p-10", "0x1.da43fc409e9fbp-10", "0x1.da43fc419e199p-10"],
+        ["0x1.da43699d8bff2p-10", "0x1.da43fc409e9bbp-10", "0x1.da43fc419e0d9p-10"],
         "0x1.c5a56b8d5e273p-3",
         ["0x1.7db5c96333c67p-5", "0x1.8df3fa0b00064p-6", "0x1.8521b4a0a1398p-7",
          "0x1.8bb4205706d2bp-8", "0x1.0b6ff8e787101p-9"],
         "0x1.c514ba58690b9p-1", "0x1.097e92be8fe11p+2", "0x1.5a59e79ca88b6p-2"),
     "sine_0.3": (
-        ["0x1.32073b57247e0p-12", "0x1.3201c20545960p-12", "0x1.3201be4b5c4a0p-12"],
+        ["0x1.32073b5724ee0p-12", "0x1.3201c20546460p-12", "0x1.3201be4b5e420p-12"],
         "0x1.c64e33c2f2789p-4",
         ["0x1.9a5bda47d419bp-6", "0x1.b433e571733a6p-8", "0x1.c4cb30be987f6p-10",
          "0x1.ac6ddbe66a97fp-12", "0x1.d3866dc6d3ecep-14"],
@@ -673,6 +676,64 @@ def test_torus_density_takes_one_factor_jet_per_call(name, monkeypatch):
     run()
     assert len(calls) == integrals
     assert len(jets) == len(calls)
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("name", ["four_piece", "sine_0.3"])
+def test_half_torus_moves_the_action_by_at_most_the_swap_asymmetry(name, level):
+    # the half rule sums w f(x, y) where the full rule sums
+    # w (f(x, y) + f(y, x)) / 2 on a node and its mirror, so the two differ
+    # by at most (1/2) sum(w) max |f(x, y) - f(y, x)|
+    curve = _CURVES[name]()
+    density = LV.action_density(curve.metric(), curve.circle_metric(), monotone=True)
+    limit = curve.diagonal_limit_density
+    rule = F.ArcPairRule(curve.breakpoints(), level)
+    x, y, w, diag, diag_w = O.arc_pair_nodes(rule)
+    full = float(np.sum(density(x, y) * w) + np.sum(limit(diag) * diag_w))
+    asymmetry = np.max(np.abs(density(rule.x, rule.y) - density(rule.y, rule.x)))
+    assert abs(rule.integrate(density, limit) - full) <= 0.5 * np.sum(rule.w) * asymmetry
+
+
+# The swap asymmetry max |f(x, y) - f(y, x)| of the monotone torus density
+# on the level-2 rule: roundoff of the factor near the diagonal (ROADMAP
+# item 2), measured 6.1198e-12 on the four-piece curve and 6.2748e-12 on
+# sine 0.3.  Item 2 aims at 1e-14; the run evaluates one half only, so
+# this meter is the one place that evaluates both.
+_SWAP_ASYMMETRY = {"four_piece": 6.2e-12, "sine_0.3": 6.3e-12}
+
+
+@pytest.mark.parametrize("name", sorted(_SWAP_ASYMMETRY))
+def test_torus_density_swap_asymmetry(name):
+    curve = _CURVES[name]()
+    density = LV.action_density(curve.metric(), curve.circle_metric(), monotone=True)
+    rule = F.ArcPairRule(curve.breakpoints(), 2)
+    asymmetry = np.max(np.abs(density(rule.x, rule.y) - density(rule.y, rule.x)))
+    assert asymmetry <= _SWAP_ASYMMETRY[name]
+
+
+@pytest.mark.parametrize("name", ["four_piece", "sine_0.3"])
+def test_log_mean_exp_folds_a_zero_factor_with_the_full_formula_bits(name, monkeypatch):
+    # psi = identity has the factor zero: the fold forms no jet of it, and
+    # every component keeps the bits of the formula with all terms formed,
+    # on the level-2 torus nodes, their mirrors and the S-class bulk nodes
+    curve = _CURVES[name]()
+    factor = curve.conformal_factor()
+    assert isinstance(factor, C.LogMeanExpField)
+    rule = F.ArcPairRule(curve.breakpoints(), 2)
+    band = LV._BAND_WIDTH / 2 ** LV._N_BANDS
+    bulk = F.box_grid((0.0, math.pi, band, 0.5 * math.pi), level=1, base_cells=32)
+    bulk_x = bulk.x_nodes[:, None]
+    nodes = ((rule.x, rule.y), (rule.y, rule.x), (bulk_x, bulk_x + bulk.y_nodes))
+    wants = [O.log_mean_exp_jet(factor.u1.jet(x, y), curve.u_chi.jet(x, y))
+             for x, y in nodes]
+
+    def refused(self, x, y):
+        raise AssertionError("a jet of the zero factor was formed")
+
+    monkeypatch.setattr(F.ConstantField, "_jet", refused)
+    for (x, y), want in zip(nodes, wants):
+        got = list(factor.jet(x, y))
+        assert [g.tobytes() for g in got] == [np.asarray(c).tobytes() for c in want]
 
 
 def test_reparam_invariance():
