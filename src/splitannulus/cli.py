@@ -55,10 +55,10 @@ _SIGNS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
 # Epstein sample.  Integrands run in blocks of ``fields.BLOCK_NODES``, so
 # at these bounds a process peaks (resident set, 2-vCPU x86-64, numpy
 # 2.4) near 38 MiB for an action up to a 2048 x 2048 grid, of which the
-# interpreter with numpy and the package is about 36 MiB; near 64 MiB for
+# interpreter with numpy and the package is about 36 MiB; near 54 MiB for
 # a curve of 32 arcs at level 6 (1024 nodes per axis), most of the rest the
-# kept node arrays of its two finest rules; and near 67 MiB for a 512 x 512
-# Epstein sample.
+# node arrays of its finest rule; and near 67 MiB for a 512 x 512 Epstein
+# sample.
 MAX_LEVEL = 16
 MAX_AXIS_NODES = 2048
 MAX_TORUS_NODES = 1024
@@ -395,7 +395,8 @@ def cmd_action(args):
     for _ in range(top + 1):
         grids.append(grids[-1].refine())
     av = liouville.refinement_trail(
-        lambda grid: liouville.action(g, h, grid, refine=False).value, grids)
+        lambda grid: liouville.action(g, h, grid, refine=False).value,
+        grids.__getitem__, len(grids))
     fine = grids[-1]
     report["values"]["definition"] = av.value
     report["values"]["monotone"] = liouville.action_monotone(
@@ -432,7 +433,7 @@ def _cmd_action_uniformizing(cfg, args):
     return 0
 
 
-def _verify_checks(seed, sign_flip=False):
+def _verify_checks(seed):
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -499,11 +500,7 @@ def _verify_checks(seed, sign_flip=False):
     add("epstein_contact",
         adsgeom.frame_constraint_residuals(adsgeom.epstein_frame(pj)), 1e-9)
 
-    r1s, r2s = [], []
-    for _ in range(8):
-        r1, r2 = forms.fundamental_equations_residual(rng, sign_flip=sign_flip)
-        r1s.append(r1)
-        r2s.append(r2)
+    r1s, r2s = zip(*(forms.fundamental_equations_residual(rng) for _ in range(8)))
     # an unused draw, so that every check below keeps the sample it drew in
     # schema 1 reports
     rng.integers(0, 2 ** 31)
@@ -547,9 +544,7 @@ def _verify_checks(seed, sign_flip=False):
     p = forms.random_ut_point(rng)
     va = forms.random_tangent(rng, p)
     vb = forms.random_tangent(rng, p)
-    pr = np.concatenate([rot @ p[:4], rot @ p[4:]])
-    var = np.concatenate([rot @ va[:4], rot @ va[4:]])
-    vbr = np.concatenate([rot @ vb[:4], rot @ vb[4:]])
+    pr, var, vbr = (np.concatenate([rot @ v[:4], rot @ v[4:]]) for v in (p, va, vb))
     add("so_q_invariance",
         abs(float(forms.alpha2(p, va, vb, check=False))
             - float(forms.alpha2(pr, var, vbr, check=False))), 1e-10)
@@ -558,7 +553,7 @@ def _verify_checks(seed, sign_flip=False):
 
 
 def cmd_verify(args):
-    checks = _verify_checks(args.seed, sign_flip=args.self_test_sign_flip)
+    checks = _verify_checks(args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "verify",
@@ -663,9 +658,6 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run the identity suite")
     sp.add_argument("--seed", type=_number(int, "nonnegative"), default=0)
-    sp.add_argument("--self-test-sign-flip", action="store_true",
-                    help="flip a sign in the frame equation to prove the "
-                         "suite can fail")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_verify)
 

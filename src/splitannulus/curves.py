@@ -103,10 +103,10 @@ class Crossratio:
     def __call__(self, x, y, X, Y):
         return self.fn(x, y, X, Y)
 
-    def _cyclic_samples(self, rng, samples, k, gap_range, margin, spread):
+    def _cyclic_samples(self, rng, samples, k, gap_range, margin):
         """``samples`` cyclically ordered k-tuples, drawn one at a time, as
-        k columns: sorted uniform points on [-spread, spread] in affine
-        coordinates, random gaps summing to pi - margin in angle ones."""
+        k columns: sorted uniform points on [-1, 1] in affine coordinates,
+        random gaps summing to pi - margin in angle ones."""
         rows = []
         for _ in range(samples):
             if self.coords == "angle":
@@ -114,17 +114,16 @@ class Crossratio:
                 gaps = rng.uniform(*gap_range, k)
                 rows.append(base + np.cumsum(gaps) / np.sum(gaps) * (math.pi - margin))
             else:
-                rows.append(np.sort(rng.uniform(-spread, spread, k)))
+                rows.append(np.sort(rng.uniform(-1.0, 1.0, k)))
         return np.array(rows).T
 
-    def cocycle_residuals(self, rng, samples=100, spread=1.0):
+    def cocycle_residuals(self, rng, samples=100):
         """Worst relative residual of the two cocycle relations.
 
         Each crossratio term is evaluated once on all samples; a NaN
         residual on any sample makes the result NaN.
         """
-        x, w, y, X, Y = self._cyclic_samples(rng, samples, 5, (0.08, 0.5), 0.1,
-                                             spread)
+        x, w, y, X, Y = self._cyclic_samples(rng, samples, 5, (0.08, 0.5), 0.1)
         # the second relation takes the same tuple as (x, y, X, W, Y), so
         # both relations begin with the factor b(x, w, X, Y)
         xwXY = self.fn(x, w, X, Y)
@@ -401,9 +400,9 @@ def curve_action(curve, levels=3) -> ActionValue:
     """
     g_circle = curve.circle_metric()
     density = action_density(curve.metric(), g_circle, monotone=True)
-    rules = (ArcPairRule(curve.breakpoints(), lv) for lv in range(levels + 1))
     return refinement_trail(
-        lambda rule: rule.integrate(density, curve.diagonal_limit_density), rules)
+        lambda rule: rule.integrate(density, curve.diagonal_limit_density),
+        lambda level: ArcPairRule(curve.breakpoints(), level), levels + 1)
 
 
 def uniformizing_action(phi, levels=3):

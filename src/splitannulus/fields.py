@@ -680,7 +680,7 @@ class ComposedMap(CircleMap):
 
     Breakpoints of the composition are those of the inner map together
     with the inner preimages of the outer map's breakpoints (solved by
-    bisection on the increasing lift).
+    bisection on the increasing lift of the inner map).
     """
 
     def __init__(self, outer, inner):
@@ -698,10 +698,16 @@ class ComposedMap(CircleMap):
         if inner.coords != "angle":
             raise ValueError("breakpoint preimages need the angle line")
 
-        def lift(t):  # one-element arrays, to get a batched call's bits
+        def angle(t):  # one-element arrays, to get a batched call's bits
             return float(inner.jets(np.array([t], dtype=float))[0][0])
 
-        flo = lift(0.0)
+        flo = angle(0.0)
+
+        def lift(t):  # moved onto [phi(0), phi(0) + pi) by whole multiples
+            # of pi, as a wrapping angle such as AngleMobiusMap's arctan2 needs
+            v = angle(t)
+            return v - math.pi * math.floor((v - flo) / math.pi)
+
         # shift the target into the image interval [phi(0), phi(0) + pi)
         t = flo + (float(target) - flo) % math.pi
         return _bisect(lambda mid: lift(mid) < t, 0.0, math.pi) % math.pi

@@ -9,7 +9,7 @@ with q(x) = -1, q(n) = +1, <x, n> = 0; tangent vectors are pairs
     theta1(u, v)   = det(x, n, u1, v1),   theta2: second components
     x*(u) = <x, u2>,   n*(u) = <u1, n>
 
-satisfy d beta = theta1 - theta2 and 2 d alpha = n* ^ theta2 - x* ^ theta1,
+satisfy d beta = theta2 - theta1 and 2 d alpha = n* ^ theta2 - x* ^ theta1,
 with beta(w) = -det(x, n, u, w3) on the frame space of pairwise
 orthogonal triples.  Pullback commutes with d, so d of a form restricted
 to the constraint manifold is the ambient d on constant vector fields,
@@ -101,11 +101,11 @@ def _constraint_rows(p):
 
 
 def tangent_project(p, vec):
-    """Project an ambient vector onto the differentiated-constraint kernel."""
+    """v - R^T (R R^T)^-1 R v, the orthogonal projection of an ambient vector
+    v onto the kernel of the constraint rows R at p: one 3 x 3 solve at a UT
+    point, 6 x 6 at a frame point, where the rows are independent."""
     rows = _constraint_rows(p)
-    sol, *_ = np.linalg.lstsq(rows.T @ rows + 1e-13 * np.eye(rows.shape[1]),
-                              rows.T @ (rows @ vec), rcond=None)
-    return vec - sol
+    return vec - rows.T @ np.linalg.solve(rows @ rows.T, rows @ vec)
 
 
 def random_ut_point(rng):
@@ -256,7 +256,7 @@ def _wedge_1_2(gamma, th):
     return gamma[0] * th[0] - gamma[1] * th[1] + gamma[2] * th[2]
 
 
-def fundamental_equations_residual(rng, sign_flip=False):
+def fundamental_equations_residual(rng):
     """(r1, r2) at a random frame/UT configuration.
 
     r1 = |d beta (v, w) - (theta2 - theta1)(v, w)| with the thetas on
@@ -271,9 +271,7 @@ def fundamental_equations_residual(rng, sign_flip=False):
 
         D_w beta(v) = <w2, e><v2, u> - <w1, e><v1, u>,
 
-    and antisymmetrizing yields det(x,n,w2,v2) - det(x,n,w1,v1).  The
-    ``sign_flip`` switch deliberately tests the wrong sign so the
-    verification suite can prove it would catch one.
+    and antisymmetrizing yields det(x,n,w2,v2) - det(x,n,w1,v1).
 
     Each term is one array evaluation: d by ``exterior_derivative``, the
     thetas of each equation by one det4 call, x* and n* by one pair call
@@ -286,10 +284,7 @@ def fundamental_equations_residual(rng, sign_flip=False):
     # theta2(v, w), theta1(v, w) on the UT parts
     th2, th1 = det4(f[:4], f[4:8], np.stack([v[4:8], v[:4]]),
                     np.stack([w[4:8], w[:4]])).tolist()
-    rhs1 = th2 - th1
-    if sign_flip:
-        rhs1 = -rhs1
-    r1 = abs(dbeta - rhs1)
+    r1 = abs(dbeta - (th2 - th1))
 
     q = random_ut_point(rng)
     a = random_tangent(rng, q)
@@ -484,7 +479,8 @@ def w_volume(lens: LensCobordism, grid: QuadratureGrid,
     is accepted for old callers and changes nothing.
     """
     coarse = w_grid(lens, grid.level)
-    return refinement_trail(lambda gr: w_value(lens, gr), (coarse, coarse.refine()))
+    return refinement_trail(lambda gr: w_value(lens, gr),
+                            lambda level: coarse.refine() if level else coarse, 2)
 
 
 def classical_formula_residual(f) -> float:

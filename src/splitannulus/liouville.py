@@ -93,14 +93,16 @@ def action_density(g, h, monotone=False):
     return density
 
 
-def refinement_trail(integral, rules) -> ActionValue:
-    """``integral`` on ``rules`` from coarse to fine, each rule taken from
-    the iterable after the integral on the previous one: the value is the
-    finest integral, the error estimate the last step (|I_0| for a single
+def refinement_trail(integral, rule_at, levels) -> ActionValue:
+    """``integral`` on ``rule_at(0)``, ..., ``rule_at(levels - 1)``, coarse to
+    fine, each rule built after the trail drops the one before: the value is
+    the finest integral, the error estimate the last step (|I_0| for a single
     level), the trail every integral and ``rule`` the finest rule.
     """
     trail = []
-    for rule in rules:
+    for level in range(levels):
+        rule = None  # a rule its caller does not keep is freed here
+        rule = rule_at(level)
         trail.append(integral(rule))
     err = abs(trail[-1] - trail[-2]) if len(trail) > 1 else abs(trail[-1])
     return ActionValue(trail[-1], err, rule, trail)
@@ -111,7 +113,7 @@ def _action(g, h, grid, refine, monotone=False):
     density = action_density(g, h, monotone)
     return refinement_trail(
         lambda gr: gr.integrate(density, support=u.support_box),
-        (grid, grid.refine()) if refine else (grid,))
+        lambda level: grid.refine() if level else grid, 2 if refine else 1)
 
 
 def action(g: SplitMetric, h: SplitMetric, grid: QuadratureGrid,
@@ -167,7 +169,7 @@ def variational_residual(g: SplitMetric, u: ScalarField, dt: float,
 # VB and the S-class
 # ---------------------------------------------------------------------------
 
-def vb(f: ScalarField, curve: PolygonalCurve, refinement: int = 6) -> float:
+def vb(f: ScalarField, curve: PolygonalCurve, refinement: int) -> float:
     """Vertical-oscillation variation of f along a polygonal curve.
 
     Dyadic subdivision of each vertical segment gives a nondecreasing

@@ -949,22 +949,12 @@ def test_verify_seed_changes_samples_not_verdicts(tmp_path):
     )
 
 
-def test_verify_sign_flip_fails(tmp_path):
-    out = tmp_path / "flip.json"
-    rc = cli.main(["verify", "--seed", "11", "--self-test-sign-flip",
-                   "--out", str(out)])
-    assert rc == 1
-    rep = json.loads(out.read_text())
-    failed = [c["identity"] for c in rep["checks"] if not c["pass"]]
-    assert failed == ["fundamental_equation_dbeta"]
-
-
 # float.hex of the residuals that read the shared pair jets, the stacked
 # exterior derivative and the one-level W
 _VERIFY_RESIDUAL_BITS = {
     0: {
-        "fundamental_equation_dbeta": "0x1.0610000000000p-45",
-        "fundamental_equation_dalpha": "0x1.8c40000000000p-47",
+        "fundamental_equation_dbeta": "0x1.2000000000000p-50",
+        "fundamental_equation_dalpha": "0x1.d800000000000p-52",
         "isotropic_relations": "0x1.0000000000000p-44",
         "metric_realization": "0x1.0000000000000p-48",
         "envelope_incidence": "0x1.d000000000000p-49",
@@ -972,8 +962,8 @@ _VERIFY_RESIDUAL_BITS = {
         "w_volume_equals_action": "0x1.6600000000000p-48",
     },
     193: {
-        "fundamental_equation_dbeta": "0x1.f800000000000p-46",
-        "fundamental_equation_dalpha": "0x1.4000000000000p-50",
+        "fundamental_equation_dbeta": "0x1.6800000000000p-51",
+        "fundamental_equation_dalpha": "0x1.4000000000000p-54",
         "isotropic_relations": "0x1.0000000000000p-44",
         "metric_realization": "0x1.0000000000000p-48",
         "envelope_incidence": "0x1.3000000000000p-49",
@@ -1059,13 +1049,15 @@ def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys, command, ini
 
 
 def test_removed_flags_are_argparse_errors(tmp_path):
-    # --seed and --tolerance-scale took no part in these subcommands, and
-    # no caller of verify scaled its tolerances
+    # --seed and --tolerance-scale took no part in these subcommands, no
+    # caller of verify scaled its tolerances, and verify's sign flip is a
+    # mutant of tests/test_verify_mutants.py
     cfg = _write(tmp_path, "t.ini", ACTION_INI)
     for argv in (["action", "--seed", "0"], ["epstein", "--seed", "0"],
                  ["curve", "--seed", "0"], ["action", "--tolerance-scale", "1"],
                  ["curve", "--tolerance-scale", "1"],
-                 ["verify", "--tolerance-scale", "1"]):
+                 ["verify", "--tolerance-scale", "1"],
+                 ["verify", "--self-test-sign-flip"]):
         config = [] if argv[0] == "verify" else ["--config", cfg]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + config + ["--out", "-"])

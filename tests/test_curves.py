@@ -145,8 +145,10 @@ def test_cocycles(name):
 
 
 def positivity_check(b, rng, samples=200):
-    """b > 1 on every sample (NaN fails)."""
-    x, y, X, Y = b._cyclic_samples(rng, samples, 4, (0.05, 1.0), 0.05, 2.0)
+    """b > 1 on every sample (NaN fails).  Affine samples are the cyclic
+    samples doubled: bit for bit the sorted uniform points on [-2, 2]."""
+    pts = b._cyclic_samples(rng, samples, 4, (0.05, 1.0), 0.05)
+    x, y, X, Y = 2.0 * pts if b.coords == "affine" else pts
     return bool(np.all(b(x, y, X, Y) > 1.0))
 
 
@@ -204,10 +206,10 @@ def _nan_below(x_nan, coords="affine"):
 
 
 def test_a_nan_on_one_sample_is_not_masked():
-    # the affine samples are sorted uniform points on [-spread, spread],
-    # drawn one after another; only the sample that holds the smallest of
-    # the 100 points reaches it: 20 cocycle samples of 5, 25 positivity
-    # samples of 4
+    # the affine samples are sorted uniform points on [-1, 1] for the
+    # cocycles and [-2, 2] for positivity, drawn one after another; only the
+    # sample that holds the smallest of the 100 points reaches it: 20
+    # cocycle samples of 5, 25 positivity samples of 4
     def lowest(spread):
         return np.min(np.random.default_rng(3).uniform(-spread, spread, 100))
 
@@ -766,6 +768,30 @@ def test_piecewise_reparam_invariance():
         assert nearest <= 1e-12
     res = C.reparam_invariance_residual(C.PO22Curve(pm), phi, levels=2)
     assert res <= 1e-12  # 1.5e-13 measured
+
+
+@pytest.mark.parametrize("m", [[[0.0, -1.0], [1.0, 0.0]], [[0.3, -1.2], [1.0, 0.5]]],
+                         ids=["rotation", "shear"])
+def test_piecewise_reparam_by_a_wrapping_mobius_map(m):
+    # M v(t) crosses the negative x axis on [0, pi), so the raw arctan2
+    # angle jumps by 2 pi there: the breakpoint preimages lift it first.
+    # Comparing raw angles missed chi's breaks by up to 0.28 and read
+    # 2.3e-2 and 3.0e-2 at level 2
+    pm = F.four_piece_c1_map()
+    phi = F.AngleMobiusMap(np.array(m))
+    raw = phi.jets(np.linspace(0.0, math.pi, 200, endpoint=False))[0]
+    assert np.max(np.abs(np.diff(raw))) > math.pi
+    comp = pm.compose(phi)
+    assert len(comp.breakpoints) == len(pm.breakpoints)
+    for b in comp.breakpoints:
+        img = float(phi.jets(np.asarray(b))[0]) % math.pi
+        nearest = min(
+            abs((img - t + math.pi / 2) % math.pi - math.pi / 2)
+            for t in pm.breakpoints
+        )
+        assert nearest <= 1e-12
+    res = C.reparam_invariance_residual(C.PO22Curve(pm), phi, levels=2)
+    assert res <= 1e-12  # 1.6e-13 and 1.2e-13 measured
 
 
 # ---------------------------------------------------------------------------

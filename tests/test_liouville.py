@@ -3,6 +3,7 @@
 import collections
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -181,25 +182,29 @@ class _Level:
 
 def test_refinement_trail_rules():
     events = []
+    built = []
 
-    def grids(values):
-        for lv in range(len(values)):
-            events.append(("take", lv))
-            yield _Level(lv)
+    def take(lv):
+        # the trail holds no rule of a coarser level when it takes this one
+        events.append(("take", lv, [ref() is not None for ref in built]))
+        grid = _Level(lv)
+        built.append(weakref.ref(grid))
+        return grid
 
     def ladder(values):
         def integral(grid):
             events.append(("integrate", grid.level))
             return values[grid.level]
 
-        return LV.refinement_trail(integral, grids(values))
+        return LV.refinement_trail(integral, take, len(values))
 
     av = ladder([1.0, 0.5, 0.375])
     assert (av.value, av.error_estimate, av.trail) == (0.375, 0.125, [1.0, 0.5, 0.375])
     assert av.rule.describe() == {"level": 2}
-    # one grid at a time: each is taken after the previous integral
-    assert events == [("take", 0), ("integrate", 0), ("take", 1),
-                      ("integrate", 1), ("take", 2), ("integrate", 2)]
+    # one grid at a time: each is taken after the previous integral, and
+    # after the previous grid is freed
+    assert events == [("take", 0, []), ("integrate", 0), ("take", 1, [False]),
+                      ("integrate", 1), ("take", 2, [False, False]), ("integrate", 2)]
     one = ladder([-0.25])
     assert (one.value, one.error_estimate, one.trail) == (-0.25, 0.25, [-0.25])
 
